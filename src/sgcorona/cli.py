@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .experiments import (
@@ -19,7 +20,6 @@ from .experiments import (
 )
 from .graphs import (
     GraphError,
-    SizeLimitError,
     edgeless,
     neighbourhood_corona,
     read_graph,
@@ -42,6 +42,21 @@ class UsageError(Exception):
     pass
 
 
+def _positive(convert):
+    """argparse type: convert(text), which must be finite and above zero."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {convert.__name__} above 0, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = convert.__name__  # argparse reports "invalid int value: 'x'"
+    return parse
+
+
 def _kind(args) -> MatrixKind:
     return MatrixKind.parse(args.kind)
 
@@ -51,7 +66,7 @@ def _add_common(sub, kind=True, tol=True, as_json=True):
         sub.add_argument("--kind", choices=["adj", "lap", "netlap"], default="adj",
                          help="which matrix to use (default adj)")
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-6,
+        sub.add_argument("--tol", type=_positive(float), default=1e-6,
                          help="eigenvalue clustering/comparison tolerance (default 1e-6)")
     if as_json:
         sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -85,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the randomised property suite for one identity")
     p.add_argument("--theorem", required=True, choices=list(THEOREM_LABELS))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive(int), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=5, dest="max_n",
+    p.add_argument("--max-n", type=_positive(int), default=5, dest="max_n",
                    help="largest random factor size (default 5)")
     _add_common(p, kind=False)
     p.set_defaults(func=cmd_verify)
@@ -242,13 +257,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, OSError) as exc:
+    except (UsageError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .graphs import (
     SignedGraph,
@@ -540,9 +541,6 @@ def paper_example(tol: float = 1e-6) -> PaperExampleReport:
 # randomised theorem verification
 
 
-THEOREM_LABELS = ("2.2", "2.3", "2.4", "2.5", "3.3", "3.4", "4.2", "5.1", "5.2")
-
-
 @dataclass(frozen=True)
 class TrialFailure:
     trial: int
@@ -599,163 +597,160 @@ class VerifyResult:
         return "\n".join(lines)
 
 
-def _graph_dump(**graphs: SignedGraph) -> dict[str, str]:
-    return {name: format_graph(g) for name, g in graphs.items()}
+@dataclass(frozen=True)
+class Theorem:
+    """One row of the verification table. `cases(rng, trials, max_n)` yields
+    each trial's input only when the loop asks for it, so the draws from rng
+    keep their order; `check(case, rng, tol)` returns None when the identity
+    holds on the case, else the failure detail and the graphs to dump. Rows
+    call samplers, closed forms and the corona by their names in this module,
+    so a wrapper bound to one of those names sees every call."""
+
+    cases: Callable[[random.Random, int, int], Iterable[tuple]]
+    check: Callable[[tuple, random.Random, float], tuple[str, dict[str, SignedGraph]] | None]
+    notes: tuple[str, ...] = ()
 
 
-def _spectra_failure(realized, oracle) -> str:
-    return f"closed form {realized} differs from oracle {oracle}"
+def _sampled(sample):
+    """Cases of a randomised row: one sample(rng, max_n) per trial."""
+    return lambda rng, trials, max_n: (sample(rng, max_n) for _ in range(trials))
 
 
-def _drive_2_2(rng, trials, max_n, tol):
-    failures = []
-    for trial in range(trials):
-        s1 = random_signed_graph(rng, rng.randint(1, max_n))
-        s2 = random_signed_graph(rng, rng.randint(1, max_n))
-        corona_matrix = matrix_of(neighbourhood_corona(s1, s2), MatrixKind.ADJACENCY)
-        points = 0
-        guard = 0
-        while points < 5 and guard < 200:
-            guard += 1
-            t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            try:
-                lhs = corona_adjacency_charpoly_eval(s1, s2, t0)
-            except ValueError:
-                continue
-            points += 1
-            rhs = det_exact_at(corona_matrix, t0)
-            if lhs != rhs:
-                failures.append(
-                    TrialFailure(trial, f"factored value {lhs} != determinant {rhs} at t0={t0}", _graph_dump(s1=s1, s2=s2))
-                )
-                break
-    return failures, ()
+def _any_signed(rng: random.Random, max_n: int) -> SignedGraph:
+    return random_signed_graph(rng, rng.randint(1, max_n))
 
 
-def _closed_form_trial(trial, s1, s2, cf, corona, kind, tol, failures):
-    oracle = numeric_spectrum(corona, kind, tol)
-    realized = realize(cf, tol)
-    if not spectra_equal(realized, oracle, tol):
-        failures.append(
-            TrialFailure(trial, _spectra_failure(realized, oracle), _graph_dump(s1=s1, s2=s2))
-        )
+def _check_factorisation(case, rng, tol):
+    s1, s2 = case
+    corona_matrix = matrix_of(neighbourhood_corona(s1, s2), MatrixKind.ADJACENCY)
+    points = 0
+    guard = 0
+    while points < 5 and guard < 200:
+        guard += 1
+        t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        try:
+            lhs = corona_adjacency_charpoly_eval(s1, s2, t0)
+        except ValueError:
+            continue
+        points += 1
+        rhs = det_exact_at(corona_matrix, t0)
+        if lhs != rhs:
+            return f"factored value {lhs} != determinant {rhs} at t0={t0}", {"s1": s1, "s2": s2}
 
 
-def _drive_2_3(rng, trials, max_n, tol):
-    failures = []
-    for trial in range(trials):
-        s1 = random_signed_graph(rng, rng.randint(1, max_n))
-        s2 = random_net_regular(rng, max_n)
-        cf = closed_form_adjacency(s1, s2, tol)
-        _closed_form_trial(trial, s1, s2, cf, neighbourhood_corona(s1, s2), MatrixKind.ADJACENCY, tol, failures)
-    return failures, ()
+def _closed_form_check(closed_form, kind: MatrixKind):
+    """The check of the closed-form rows: closed_form(s1, s2, tol), realised,
+    against the numeric spectrum of the corona's `kind` matrix."""
+
+    def check(case, rng, tol):
+        s1, s2 = case
+        cf = closed_form(s1, s2, tol)
+        oracle = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
+        realized = realize(cf, tol)
+        if not spectra_equal(realized, oracle, tol):
+            return f"closed form {realized} differs from oracle {oracle}", {"s1": s1, "s2": s2}
+
+    return check
 
 
-def _drive_kpq(rng, trials, max_n, tol, sign):
-    failures = []
-    for trial in range(trials):
-        s = random_signed_graph(rng, rng.randint(1, max_n))
-        p = rng.randint(1, 2)
-        q = rng.randint(1, 2)
-        cf = closed_form_adjacency_kpq(s, p, q, sign, tol=tol)
-        corona = neighbourhood_corona(s, complete_bipartite(p, q, sign))
-        _closed_form_trial(trial, s, complete_bipartite(p, q, sign), cf, corona, MatrixKind.ADJACENCY, tol, failures)
-    return failures, ()
+def _kpq_row(sign: int) -> Theorem:
+    """Theorem 2.4 (sign -1) or 2.5 (sign +1): the second factor is
+    complete_bipartite(p, q, sign), drawn after the first."""
+
+    def sample(rng, max_n):
+        s = _any_signed(rng, max_n)
+        p, q = rng.randint(1, 2), rng.randint(1, 2)
+        return s, complete_bipartite(p, q, sign)
+
+    def closed_form(s, k, tol):
+        q = k.degrees().degree[0]  # vertex 0 lies in the part of size p
+        return closed_form_adjacency_kpq(s, k.n - q, q, sign, tol=tol)
+
+    return Theorem(_sampled(sample), _closed_form_check(closed_form, MatrixKind.ADJACENCY))
 
 
-def _drive_3_3(rng, trials, max_n, tol):
-    failures = []
-    for trial in range(trials):
-        s1 = random_regular_signed(rng, max_n)
-        s2 = random_net_regular(rng, max_n)
-        cf = closed_form_laplacian(s1, s2, tol)
-        _closed_form_trial(trial, s1, s2, cf, neighbourhood_corona(s1, s2), MatrixKind.LAPLACIAN, tol, failures)
-    return failures, ()
-
-
-def _drive_3_4(rng, trials, max_n, tol):
-    failures = []
-    for trial in range(trials):
-        s1 = random_regular_signed(rng, max_n)
-        s2 = random_connected_positive(rng, rng.randint(1, max_n))
-        cf = closed_form_laplacian(s1, s2, tol)
-        _closed_form_trial(trial, s1, s2, cf, neighbourhood_corona(s1, s2), MatrixKind.LAPLACIAN, tol, failures)
-    notes = (
-        "second factors are connected all-positive graphs: the zero-row-sum "
-        "reduction needs every negative degree to vanish, not just balance",
-    )
-    return failures, notes
-
-
-def _drive_4_2(rng, trials, max_n, tol):
-    failures = []
-    for trial in range(trials):
-        s1 = random_net_regular(rng, max_n, nonzero=True)
-        s2 = random_signed_graph(rng, rng.randint(1, max_n))
-        cf = closed_form_netlaplacian(s1, s2, tol)
-        _closed_form_trial(trial, s1, s2, cf, neighbourhood_corona(s1, s2), MatrixKind.NET_LAPLACIAN, tol, failures)
-    return failures, ()
-
-
-def _drive_5_1(rng, trials, max_n, tol):
-    failures = []
+def _bound_cases(rng, trials, max_n):
+    """Theorem 5.1 takes its trials in turn from the rows of 2.3, 3.3 and 4.2."""
+    rows = [THEOREMS[label].cases(rng, trials, max_n) for label in ("2.3", "3.3", "4.2")]
     kinds = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.NET_LAPLACIAN)
     for trial in range(trials):
-        kind = kinds[trial % 3]
-        if kind is MatrixKind.ADJACENCY:
-            s1 = random_signed_graph(rng, rng.randint(1, max_n))
-            s2 = random_net_regular(rng, max_n)
-        elif kind is MatrixKind.LAPLACIAN:
-            s1 = random_regular_signed(rng, max_n)
-            s2 = random_net_regular(rng, max_n)
-        else:
-            s1 = random_net_regular(rng, max_n, nonzero=True)
-            s2 = random_signed_graph(rng, rng.randint(1, max_n))
-        report = corona_distinct_report(s1, s2, kind, tol)
-        if report.bound is None:
-            failures.append(TrialFailure(trial, "bound hypotheses unexpectedly unmet", _graph_dump(s1=s1, s2=s2)))
-        elif not report.bound_satisfied:
-            failures.append(
-                TrialFailure(
-                    trial,
-                    f"{report.distinct_count} distinct {kind.value} eigenvalues exceed bound {report.bound}",
-                    _graph_dump(s1=s1, s2=s2),
-                )
-            )
-    return failures, ()
+        yield (*next(rows[trial % 3]), kinds[trial % 3])
 
 
-def _drive_5_2(rng, trials, max_n, tol):
-    failures = []
-    trial = 0
-    for name, seed_graph in catalog_two_eigenvalue_seeds():
-        for companion, sign in (("K1", 1), ("K2", 1), ("K2", -1)):
-            _, report = few_distinct_construct(seed_graph, companion, sign, tol)
-            if not report.matches_expected:
-                failures.append(
-                    TrialFailure(
-                        trial,
-                        f"{name} with {companion} (sign {sign:+d}): {report.distinct_count} distinct, "
-                        f"expected {report.expected_distinct}",
-                        _graph_dump(seed=seed_graph),
-                    )
-                )
-            trial += 1
-    notes = (f"catalog run: {trial} seed/companion combinations",)
-    return failures, notes, trial
+def _check_bound(case, rng, tol):
+    s1, s2, kind = case
+    report = corona_distinct_report(s1, s2, kind, tol)
+    if report.bound is None:
+        return "bound hypotheses unexpectedly unmet", {"s1": s1, "s2": s2}
+    if not report.bound_satisfied:
+        detail = f"{report.distinct_count} distinct {kind.value} eigenvalues exceed bound {report.bound}"
+        return detail, {"s1": s1, "s2": s2}
 
 
-_DRIVERS = {
-    "2.2": _drive_2_2,
-    "2.3": _drive_2_3,
-    "2.4": lambda rng, trials, max_n, tol: _drive_kpq(rng, trials, max_n, tol, -1),
-    "2.5": lambda rng, trials, max_n, tol: _drive_kpq(rng, trials, max_n, tol, 1),
-    "3.3": _drive_3_3,
-    "3.4": _drive_3_4,
-    "4.2": _drive_4_2,
-    "5.1": _drive_5_1,
-    "5.2": _drive_5_2,
+# Theorem 5.2 runs this fixed catalog, whatever trial count is asked for.
+_FEW_DISTINCT_CASES = tuple(
+    (name, seed_graph, companion, sign)
+    for name, seed_graph in catalog_two_eigenvalue_seeds()
+    for companion, sign in (("K1", 1), ("K2", 1), ("K2", -1))
+)
+
+
+def _check_few_distinct(case, rng, tol):
+    name, seed_graph, companion, sign = case
+    _, report = few_distinct_construct(seed_graph, companion, sign, tol)
+    if report.matches_expected:
+        return None
+    detail = (
+        f"{name} with {companion} (sign {sign:+d}): {report.distinct_count} distinct, "
+        f"expected {report.expected_distinct}"
+    )
+    return detail, {"seed": seed_graph}
+
+
+_check_laplacian = _closed_form_check(
+    lambda s1, s2, tol: closed_form_laplacian(s1, s2, tol), MatrixKind.LAPLACIAN
+)
+THEOREMS = {
+    "2.2": Theorem(
+        _sampled(lambda rng, n: (_any_signed(rng, n), _any_signed(rng, n))),
+        _check_factorisation,
+    ),
+    "2.3": Theorem(
+        _sampled(lambda rng, n: (_any_signed(rng, n), random_net_regular(rng, n))),
+        _closed_form_check(
+            lambda s1, s2, tol: closed_form_adjacency(s1, s2, tol), MatrixKind.ADJACENCY
+        ),
+    ),
+    "2.4": _kpq_row(-1),
+    "2.5": _kpq_row(1),
+    "3.3": Theorem(
+        _sampled(lambda rng, n: (random_regular_signed(rng, n), random_net_regular(rng, n))),
+        _check_laplacian,
+    ),
+    "3.4": Theorem(
+        _sampled(lambda rng, n: (
+            random_regular_signed(rng, n), random_connected_positive(rng, rng.randint(1, n))
+        )),
+        _check_laplacian,
+        notes=(
+            "second factors are connected all-positive graphs: the zero-row-sum "
+            "reduction needs every negative degree to vanish, not just balance",
+        ),
+    ),
+    "4.2": Theorem(
+        _sampled(lambda rng, n: (random_net_regular(rng, n, nonzero=True), _any_signed(rng, n))),
+        _closed_form_check(
+            lambda s1, s2, tol: closed_form_netlaplacian(s1, s2, tol), MatrixKind.NET_LAPLACIAN
+        ),
+    ),
+    "5.1": Theorem(_bound_cases, _check_bound),
+    "5.2": Theorem(
+        lambda rng, trials, max_n: _FEW_DISTINCT_CASES,
+        _check_few_distinct,
+        notes=(f"catalog run: {len(_FEW_DISTINCT_CASES)} seed/companion combinations",),
+    ),
 }
+THEOREM_LABELS = tuple(THEOREMS)
 
 
 def verify_theorem(
@@ -767,25 +762,29 @@ def verify_theorem(
     tol: float = 1e-6,
 ) -> VerifyResult:
     """Run the randomised property suite for one catalogued identity."""
-    if label not in _DRIVERS:
+    if label not in THEOREMS:
         raise ValueError(f"unknown theorem {label!r}; choose from {', '.join(THEOREM_LABELS)}")
     if trials < 1:
         raise ValueError("trials must be positive")
     if max_n < 1:
         raise ValueError("max-n must be positive")
+    theorem = THEOREMS[label]
     rng = random.Random(seed)
-    out = _DRIVERS[label](rng, trials, max_n, tol)
-    if len(out) == 3:
-        failures, notes, trials = out
-    else:
-        failures, notes = out
+    failures = []
+    run = 0
+    for run, case in enumerate(theorem.cases(rng, trials, max_n), start=1):
+        failure = theorem.check(case, rng, tol)
+        if failure is not None:
+            detail, graphs = failure
+            dump = {name: format_graph(g) for name, g in graphs.items()}
+            failures.append(TrialFailure(run - 1, detail, dump))
     return VerifyResult(
         theorem=label,
-        trials=trials,
-        passed=trials - len(failures),
+        trials=run,
+        passed=run - len(failures),
         failures=tuple(failures),
         seed=seed,
         max_n=max_n,
         tol=tol,
-        notes=tuple(notes),
+        notes=theorem.notes,
     )

@@ -204,6 +204,21 @@ class SignedGraph:
         return SignedGraph(self.n, edges)
 
 
+def _add_edge(sign: dict[tuple[int, int], int], n: int, u: int, v: int, s: int) -> None:
+    """Record the edge {u, v} of sign s under its ordered pair, after the checks
+    both edge-list readers share: the sign, the index range, no self-loop, and
+    no repeat of the pair with the other sign (a same-sign repeat is a no-op)."""
+    if s not in (1, -1):
+        raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise VertexIndexError(f"edge ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise SelfLoopError(f"self-loop at vertex {u}")
+    key = (u, v) if u < v else (v, u)
+    if sign.setdefault(key, s) != s:
+        raise DuplicateEdgeError(f"conflicting signs for edge {key}")
+
+
 def from_edge_list(n: int, triples: Iterable[tuple[int, int, int]]) -> SignedGraph:
     """Build a graph from raw (u, v, sign) triples, normalising u < v.
 
@@ -214,19 +229,7 @@ def from_edge_list(n: int, triples: Iterable[tuple[int, int, int]]) -> SignedGra
         raise GraphError("vertex count must be non-negative")
     sign: dict[tuple[int, int], int] = {}
     for u, v, s in triples:
-        s = int(s)
-        if s not in (1, -1):
-            raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexIndexError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in sign:
-            if sign[key] != s:
-                raise DuplicateEdgeError(f"conflicting signs for edge {key}")
-            continue
-        sign[key] = s
+        _add_edge(sign, n, u, v, int(s))
     return SignedGraph(n, tuple(sorted((u, v, s) for (u, v), s in sign.items())))
 
 
@@ -439,14 +442,10 @@ def parse_graph(text: str) -> SignedGraph:
         s = SIGN_TOKENS.get(parts[2])
         if s is None:
             raise ParseError(f"bad sign token {parts[2]!r}", ln)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", ln)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex index out of range in {line!r}", ln)
-        key = (u, v) if u < v else (v, u)
-        if key in sign and sign[key] != s:
-            raise ParseError(f"conflicting duplicate edge {key}", ln)
-        sign[key] = s
+        try:
+            _add_edge(sign, n, u, v, s)
+        except GraphError as exc:
+            raise ParseError(str(exc), ln) from None
     if n is None:
         raise ParseError("missing vertex count line")
     return SignedGraph(n, tuple(sorted((u, v, s) for (u, v), s in sign.items())))

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the rationals plus the numeric kernels:
 characteristic polynomials, determinant point evaluation, a cyclic-Jacobi
-symmetric eigensolver, Kronecker algebra, coronals, and real root extraction
-for monic quadratics and cubics."""
+symmetric eigensolver, Kronecker algebra, and real root extraction for monic
+quadratics and cubics."""
 
 from __future__ import annotations
 
@@ -37,10 +37,6 @@ class Matrix:
             if any(len(row) != width for row in data):
                 raise ValueError("all rows must have the same length")
         self._rows = data
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -121,9 +117,6 @@ class Matrix:
         self.require_square("trace")
         return sum(self._rows[i][i] for i in range(self.rows))
 
-    def is_symmetric(self) -> bool:
-        return self.is_square and self._rows == self.transpose()._rows
-
     def to_float(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self._rows]
 
@@ -138,27 +131,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self._rows]!r})"
-
-
-def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
-    """Assemble a matrix from a 2-D grid of conforming blocks."""
-    rows: list[list[Scalar]] = []
-    for band in blocks:
-        height = band[0].rows
-        if any(b.rows != height for b in band):
-            raise ValueError("blocks in a band must share their row count")
-        for i in range(height):
-            row: list[Scalar] = []
-            for b in band:
-                row.extend(b.row(i))
-            rows.append(row)
-    return Matrix(rows)
-
-
-def permuted(m: Matrix, perm: Sequence[int]) -> Matrix:
-    """Symmetric relabelling: entry (i, j) of the result is m[perm[i], perm[j]]."""
-    m.require_square("permuted")
-    return Matrix([[m[perm[i], perm[j]] for j in range(m.cols)] for i in range(m.rows)])
 
 
 class Polynomial:
@@ -265,21 +237,6 @@ class Polynomial:
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
 
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return self * (1 / self.leading)
-
-    @staticmethod
-    def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor by the Euclidean algorithm."""
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
@@ -311,96 +268,6 @@ def _as_poly(x) -> Polynomial:
     if isinstance(x, (int, Fraction)):
         return Polynomial([x])
     raise TypeError(f"cannot coerce {type(x).__name__} to Polynomial")
-
-
-class RationalFunction:
-    """Quotient of two polynomials, kept GCD-reduced with a monic denominator
-    so that equal functions have equal representations."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num, den=1):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            num, den = Polynomial([]), Polynomial([1])
-        else:
-            g = Polynomial.gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self._num = num
-        self._den = den
-
-    @property
-    def numerator(self) -> Polynomial:
-        return self._num
-
-    @property
-    def denominator(self) -> Polynomial:
-        return self._den
-
-    def __add__(self, other) -> "RationalFunction":
-        other = _as_ratfunc(other)
-        return RationalFunction(
-            self._num * other._den + other._num * self._den, self._den * other._den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = _as_ratfunc(other)
-        return RationalFunction(
-            self._num * other._den - other._num * self._den, self._den * other._den
-        )
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return _as_ratfunc(other) - self
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _as_ratfunc(other)
-        return RationalFunction(self._num * other._num, self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _as_ratfunc(other)
-        return RationalFunction(self._num * other._den, self._den * other._num)
-
-    def __call__(self, t0) -> Fraction:
-        t0 = Fraction(t0)
-        d = self._den(t0)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at t = {t0}")
-        return self._num(t0) / d
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction(other)
-        return (
-            isinstance(other, RationalFunction)
-            and self._num == other._num
-            and self._den == other._den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
-
-    def __str__(self) -> str:
-        return f"({self._num})/({self._den})"
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self._num!r}, {self._den!r})"
-
-
-def _as_ratfunc(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction(_as_poly(x))
 
 
 def char_poly_exact(m: Matrix) -> Polynomial:
@@ -513,25 +380,6 @@ def kronecker_sum(d: Matrix, c: Matrix) -> Matrix:
     return kronecker_product(c, Matrix.identity(d.rows)) + kronecker_product(
         Matrix.identity(c.rows), d
     )
-
-
-def coronal(m: Matrix) -> RationalFunction:
-    """Sum of the entries of (tI - M)^-1, as a reduced rational function.
-
-    Computed without matrix inversion through the rank-one determinant
-    identity: det(tI - M + J) / det(tI - M) - 1, with J the all-ones matrix.
-    """
-    m.require_square("coronal")
-    psi = char_poly_exact(m)
-    psi_shift = char_poly_exact(m - Matrix.ones(m.rows, m.rows))
-    return RationalFunction(psi_shift, psi) - 1
-
-
-def coronal_constant_row_sum(n: int, k) -> RationalFunction:
-    """Coronal n/(t - k) of any order-n matrix whose rows all sum to k."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    return RationalFunction(Polynomial([n]), Polynomial([-Fraction(k), 1]))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Graph matrices, corona block assembly, the corona characteristic-polynomial
-factorisation, and closed-form corona spectra with their numeric realisation."""
+"""Graph matrices, the corona characteristic-polynomial factorisation, and
+closed-form corona spectra with their numeric realisation."""
 
 from __future__ import annotations
 
@@ -11,10 +11,7 @@ from .graphs import GraphError, SignedGraph
 from .linalg import (
     Matrix,
     SpectrumMultiset,
-    block_matrix,
     det_exact_at,
-    kronecker_product,
-    kronecker_sum,
     real_roots_cubic,
     real_roots_quadratic,
     sym_eigenvalues,
@@ -89,44 +86,6 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
     if s.n == 0:
         return SpectrumMultiset(())
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
-
-
-def corona_vertex_permutation(n1: int, n2: int) -> tuple[int, ...]:
-    """Relabelling from the block layout used by :func:`assemble_corona_blocks`
-    (s1's vertices, then all copies of s2-vertex 0, of s2-vertex 1, ...) to the
-    corona's own layout (s1's vertices, then copy 0, copy 1, ...)."""
-    perm = list(range(n1))
-    perm.extend(n1 + j * n2 + i for i in range(n2) for j in range(n1))
-    return tuple(perm)
-
-
-def assemble_corona_blocks(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind) -> Matrix:
-    """The corona's matrix built directly from four structured blocks.
-
-    With A1 the adjacency of s1 and J^T the 1 x n2 all-ones row, the block
-    form is [[TL, J^T (x) A1], [(J^T (x) A1)^T, BR]] where for the adjacency
-    TL = A1 and BR = A2 (x) I; for the (net-)Laplacian the off-diagonal blocks
-    are negated, TL gains n2 times the (net-)degree diagonal, and BR is the
-    Kronecker sum of that diagonal with s2's matrix.  It equals the matrix of
-    the constructed corona after :func:`corona_vertex_permutation`.
-    """
-    if s1.n < 1:
-        raise GraphError("corona needs a non-empty first factor")
-    n1, n2 = s1.n, s2.n
-    a1 = matrix_of(s1, MatrixKind.ADJACENCY)
-    join = kronecker_product(Matrix.ones(1, n2), a1)
-    if kind is MatrixKind.ADJACENCY:
-        tl = a1
-        tr = join
-        br = kronecker_product(matrix_of(s2, MatrixKind.ADJACENCY), Matrix.identity(n1))
-    else:
-        prof = s1.degrees()
-        diag_vals = prof.degree if kind is MatrixKind.LAPLACIAN else prof.net_degree
-        d1 = Matrix.diagonal(diag_vals)
-        tl = matrix_of(s1, kind) + n2 * d1
-        tr = -join
-        br = kronecker_sum(d1, matrix_of(s2, kind))
-    return block_matrix([[tl, tr], [tr.transpose(), br]])
 
 
 def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Fraction:

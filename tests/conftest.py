@@ -1,6 +1,6 @@
 """Shared test helpers, including an independent characteristic-polynomial
 oracle by cofactor expansion (no shared code with the Faddeev-LeVerrier
-implementation under test)."""
+implementation under test) and symmetric relabelling of a matrix."""
 
 from __future__ import annotations
 
@@ -37,3 +37,8 @@ def charpoly_cofactor(m: Matrix) -> Polynomial:
     if n == 0:
         return Polynomial([1])
     return det(list(range(n)), list(range(n)))
+
+
+def permuted(m: Matrix, perm) -> Matrix:
+    """Symmetric relabelling: entry (i, j) of the result is m[perm[i], perm[j]]."""
+    return Matrix([[m[perm[i], perm[j]] for j in range(m.cols)] for i in range(m.rows)])

@@ -160,6 +160,27 @@ class TestPaperExample:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--theorem", "2.3", "--trials", "0"],
+            ["verify", "--theorem", "2.3", "--max-n", "0"],
+            ["verify", "--theorem", "2.3", "--max-n", "two"],
+            ["verify", "--theorem", "2.3", "--tol", "-1"],
+            ["verify", "--theorem", "2.3", "--tol", "nan"],
+            ["distinct", "GRAPH", "--tol", "0"],
+            ["paper-example", "--tol", "0"],
+            ["spectrum", "GRAPH", "--tol", "-1"],
+            ["spectrum", "GRAPH", "--tol", "inf"],
+        ],
+    )
+    def test_bad_argument_exits_2(self, capsys, c4m_file, argv):
+        code, out, err = run(capsys, *(c4m_file if a == "GRAPH" else a for a in argv))
+        assert code == 2
+        assert not out
+        assert "Traceback" not in err
+        assert f"argument {argv[-2]}" in err
+
     def test_no_command(self, capsys):
         assert main([]) == 2
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -16,12 +18,14 @@ from sgcorona import (
     distinct_count,
     edgeless,
     few_distinct_construct,
+    format_graph,
     paper_example,
     path_graph,
     star_graph,
     unbalanced_c4,
     verify_theorem,
 )
+from sgcorona import experiments
 from sgcorona.experiments import THEOREM_LABELS
 from sgcorona.spectra import MatrixKind
 
@@ -211,3 +215,26 @@ class TestVerify:
         assert "trial 3" in text
         assert "0 1 +" in text
         assert not result.ok
+
+    def test_sampled_stream_is_pinned(self, monkeypatch):
+        # Every factor pair each label samples, and the result it reports, for
+        # a few seeds; a change to the order in which a driver consumes the
+        # random stream changes this digest and so the seed-for-seed output.
+        pairs = []
+        corona = experiments.neighbourhood_corona
+
+        def recording(s1, s2):
+            pairs.append(format_graph(s1) + format_graph(s2))
+            return corona(s1, s2)
+
+        monkeypatch.setattr(experiments, "neighbourhood_corona", recording)
+        digest = hashlib.sha256()
+        for label in THEOREM_LABELS:
+            for seed in (0, 7, 99, 1234):
+                pairs.clear()
+                result = verify_theorem(label, trials=12, seed=seed, max_n=6)
+                digest.update(f"{label} {seed}\n".encode())
+                digest.update("".join(pairs).encode())
+                digest.update(json.dumps(result.to_json(), sort_keys=True).encode())
+                digest.update(result.render().encode())
+        assert digest.hexdigest() == "0a0524a69de111afe3a9b1e5b9160cb40292a1f7ce15fba94b19787d13b6c9f3"

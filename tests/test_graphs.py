@@ -245,6 +245,23 @@ class TestIO:
         with pytest.raises(ParseError, match="line 2"):
             parse_graph("3\n0 0 +\n")
 
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ([(0, 0, 1)], SelfLoopError),
+            ([(0, 5, 1)], VertexIndexError),
+            ([(5, 5, 1)], VertexIndexError),
+            ([(0, 1, 1), (1, 0, -1)], DuplicateEdgeError),
+        ],
+    )
+    def test_bad_edge_rejected_alike_by_both_readers(self, edges, error):
+        with pytest.raises(error) as direct:
+            from_edge_list(3, edges)
+        text = "3\n" + "".join(f"{u} {v} {'+' if s > 0 else '-'}\n" for u, v, s in edges)
+        with pytest.raises(ParseError) as parsed:
+            parse_graph(text)
+        assert str(parsed.value) == f"line {len(edges) + 1}: {direct.value}"
+
     def test_bad_token(self):
         with pytest.raises(ParseError, match="sign"):
             parse_graph("2\n0 1 x\n")

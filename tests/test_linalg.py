@@ -4,18 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import charpoly_cofactor
+from conftest import charpoly_cofactor, permuted
 from sgcorona import (
     ComplexRootsError,
     Matrix,
     NotSquareError,
     NotSymmetricError,
     Polynomial,
-    RationalFunction,
     SpectrumMultiset,
     char_poly_exact,
-    coronal,
-    coronal_constant_row_sum,
     det_exact_at,
     kronecker_product,
     kronecker_sum,
@@ -26,7 +23,6 @@ from sgcorona import (
     sym_eigenvalues,
     unbalanced_c4,
 )
-from sgcorona.linalg import permuted
 from sgcorona.spectra import MatrixKind
 
 A_C4M = matrix_of(unbalanced_c4(), MatrixKind.ADJACENCY)
@@ -82,34 +78,19 @@ class TestPolynomial:
         assert (p - q)(Fraction(1, 2)) == Fraction(1) + Fraction(1, 4) - Fraction(-1, 2)
         assert (q**3)(5) == 64
 
-    def test_divmod_and_gcd(self):
+    def test_divmod(self):
         p = Polynomial([-2, 0, 1]) * Polynomial([-2, 0, 1])  # (t^2-2)^2
         q, r = divmod(p, Polynomial([-2, 0, 1]))
         assert r.is_zero
         assert q == Polynomial([-2, 0, 1])
-        g = Polynomial.gcd(p, Polynomial([-2, 0, 1]) * Polynomial([5, 1]))
-        assert g == Polynomial([-2, 0, 1])
+        q, r = divmod(p, Polynomial([5, 1]))
+        assert q * Polynomial([5, 1]) + r == p
+        assert r == Polynomial([p(-5)])
 
     def test_str_format(self):
         assert str(Polynomial([4, 0, -4, 0, 1])) == "4 + 0*t + -4*t^2 + 0*t^3 + 1*t^4"
         assert str(Polynomial([Fraction(1, 2), 1])) == "1/2 + 1*t"
         assert str(Polynomial([])) == "0"
-
-
-class TestRationalFunction:
-    def test_reduction_and_monic_denominator(self):
-        f = RationalFunction(Polynomial([2, 2]), Polynomial([2, 4, 2]))  # 2(t+1) / 2(t+1)^2
-        assert f == RationalFunction(Polynomial([1]), Polynomial([1, 1]))
-
-    def test_arithmetic(self):
-        one_over_t = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
-        assert one_over_t + one_over_t == RationalFunction(Polynomial([2]), Polynomial([0, 1]))
-        assert (one_over_t - 1)(2) == Fraction(-1, 2)
-
-    def test_pole_evaluation(self):
-        f = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
-        with pytest.raises(ZeroDivisionError):
-            f(0)
 
 
 class TestCharPoly:
@@ -230,25 +211,38 @@ class TestKronecker:
             assert spectra_equal(expected, got, 1e-6)
 
 
+def coronal_at(m, t0):
+    """Sum of the entries of (t0*I - M)^-1 by the rank-one determinant
+    identity det(t0*I - M + J) / det(t0*I - M) - 1, J the all-ones matrix:
+    the coronal as corona_adjacency_charpoly_eval evaluates it."""
+    return det_exact_at(m - Matrix.ones(m.rows, m.rows), t0) / det_exact_at(m, t0) - 1
+
+
+POINTS = [Fraction(k, 3) for k in range(-11, 12)]
+
+
 class TestCoronal:
     def test_k1(self):
-        assert coronal(Matrix([[0]])) == RationalFunction(Polynomial([1]), Polynomial([0, 1]))
+        for t in POINTS:
+            if t:
+                assert coronal_at(Matrix([[0]]), t) == 1 / t
 
     def test_all_negative_bipartite(self):
         from sgcorona import complete_bipartite
 
         for p, q in ((1, 1), (1, 2), (2, 3)):
             m = matrix_of(complete_bipartite(p, q, -1), MatrixKind.ADJACENCY)
-            expected = RationalFunction(
-                Polynomial([-2 * p * q, p + q]), Polynomial([-p * q, 0, 1])
-            )
-            assert coronal(m) == expected
+            for t in POINTS:
+                if det_exact_at(m, t) != 0:
+                    assert coronal_at(m, t) == ((p + q) * t - 2 * p * q) / (t * t - p * q)
 
     def test_p_equals_q_reduces(self):
         from sgcorona import complete_bipartite
 
         m = matrix_of(complete_bipartite(1, 1, -1), MatrixKind.ADJACENCY)
-        assert coronal(m) == RationalFunction(Polynomial([2]), Polynomial([1, 1]))
+        for t in POINTS:
+            if det_exact_at(m, t) != 0:
+                assert coronal_at(m, t) == 2 / (t + 1)
 
     def test_constant_row_sum_matrices(self):
         rng = random.Random(3)
@@ -262,12 +256,22 @@ class TestCoronal:
             for i in range(n):
                 rows[i][i] = k - sum(rows[i][j] for j in range(n) if j != i)
             m = Matrix(rows)
-            assert coronal(m) == coronal_constant_row_sum(n, k)
+            for t in POINTS:
+                if det_exact_at(m, t) != 0:
+                    assert coronal_at(m, t) == n / (t - k)
 
     def test_constant_row_sum_forms(self):
-        assert coronal_constant_row_sum(1, 0) == RationalFunction(Polynomial([1]), Polynomial([0, 1]))
-        assert coronal_constant_row_sum(5, 0) == RationalFunction(Polynomial([5]), Polynomial([0, 1]))
-        assert coronal_constant_row_sum(3, 2) == RationalFunction(Polynomial([3]), Polynomial([-2, 1]))
+        from sgcorona import complete_graph, path_graph
+
+        # n / (t - k) for an order-n matrix whose rows all sum to k
+        for m, n, k in (
+            (Matrix([[0]]), 1, 0),
+            (matrix_of(path_graph(5), MatrixKind.LAPLACIAN), 5, 0),
+            (matrix_of(complete_graph(3), MatrixKind.ADJACENCY), 3, 2),
+        ):
+            for t in POINTS:
+                if det_exact_at(m, t) != 0:
+                    assert coronal_at(m, t) == Fraction(n) / (t - k)
 
 
 class TestRoots:

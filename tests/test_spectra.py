@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import permuted
 from sgcorona import (
     ComplexRootsError,
+    GraphError,
     Matrix,
     NotNetRegularError,
     NotRegularError,
@@ -13,7 +15,6 @@ from sgcorona import (
     Polynomial,
     SpectrumMultiset,
     ZeroNetDegreeError,
-    assemble_corona_blocks,
     char_poly_exact,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
@@ -22,10 +23,11 @@ from sgcorona import (
     complete_bipartite,
     complete_graph,
     corona_adjacency_charpoly_eval,
-    corona_vertex_permutation,
     cycle_graph,
     det_exact_at,
     edgeless,
+    kronecker_product,
+    kronecker_sum,
     matrix_of,
     neighbourhood_corona,
     netlaplacian_switching_witness,
@@ -37,7 +39,6 @@ from sgcorona import (
     unbalanced_c4,
 )
 from sgcorona.experiments import random_connected_signed, random_signed_graph
-from sgcorona.linalg import permuted
 from sgcorona.spectra import MatrixKind
 
 ADJ = MatrixKind.ADJACENCY
@@ -95,6 +96,63 @@ class TestNumericSpectrum:
         for _ in range(10):
             g = random_signed_graph(rng, rng.randint(1, 6))
             assert det_exact_at(matrix_of(g, NET), 0) == 0
+
+
+# The corona's matrix assembled from blocks: an oracle for neighbourhood_corona
+# that shares no code with it.
+
+
+def block_matrix(blocks) -> Matrix:
+    """Assemble a matrix from a 2-D grid of conforming blocks."""
+    rows = []
+    for band in blocks:
+        height = band[0].rows
+        if any(b.rows != height for b in band):
+            raise ValueError("blocks in a band must share their row count")
+        for i in range(height):
+            row = []
+            for b in band:
+                row.extend(b.row(i))
+            rows.append(row)
+    return Matrix(rows)
+
+
+def corona_vertex_permutation(n1: int, n2: int):
+    """Relabelling from the block layout used by :func:`assemble_corona_blocks`
+    (s1's vertices, then all copies of s2-vertex 0, of s2-vertex 1, ...) to the
+    corona's own layout (s1's vertices, then copy 0, copy 1, ...)."""
+    perm = list(range(n1))
+    perm.extend(n1 + j * n2 + i for i in range(n2) for j in range(n1))
+    return tuple(perm)
+
+
+def assemble_corona_blocks(s1, s2, kind) -> Matrix:
+    """The corona's matrix built directly from four structured blocks.
+
+    With A1 the adjacency of s1 and J^T the 1 x n2 all-ones row, the block
+    form is [[TL, J^T (x) A1], [(J^T (x) A1)^T, BR]] where for the adjacency
+    TL = A1 and BR = A2 (x) I; for the (net-)Laplacian the off-diagonal blocks
+    are negated, TL gains n2 times the (net-)degree diagonal, and BR is the
+    Kronecker sum of that diagonal with s2's matrix.  It equals the matrix of
+    the constructed corona after :func:`corona_vertex_permutation`.
+    """
+    if s1.n < 1:
+        raise GraphError("corona needs a non-empty first factor")
+    n1, n2 = s1.n, s2.n
+    a1 = matrix_of(s1, MatrixKind.ADJACENCY)
+    join = kronecker_product(Matrix.ones(1, n2), a1)
+    if kind is MatrixKind.ADJACENCY:
+        tl = a1
+        tr = join
+        br = kronecker_product(matrix_of(s2, MatrixKind.ADJACENCY), Matrix.identity(n1))
+    else:
+        prof = s1.degrees()
+        diag_vals = prof.degree if kind is MatrixKind.LAPLACIAN else prof.net_degree
+        d1 = Matrix.diagonal(diag_vals)
+        tl = matrix_of(s1, kind) + n2 * d1
+        tr = -join
+        br = kronecker_sum(d1, matrix_of(s2, kind))
+    return block_matrix([[tl, tr], [tr.transpose(), br]])
 
 
 class TestBlockAssembly:
