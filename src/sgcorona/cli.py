@@ -20,6 +20,7 @@ from .experiments import (
 )
 from .graphs import (
     GraphError,
+    SizeLimitError,
     edgeless,
     neighbourhood_corona,
     read_graph,
@@ -40,6 +41,19 @@ from .spectra import (
 
 class UsageError(Exception):
     pass
+
+
+# Largest matrix order that spectrum, charpoly, distinct and cospectral-demo
+# accept. The slowest dense kernel, the Berkowitz char poly (quartic in the
+# order), takes about a minute on a dense signed Laplacian of this order;
+# Jacobi (cubic) takes about 8 s.
+MAX_DENSE_ORDER = 250
+
+
+def _check_order(order: int) -> None:
+    """Refuse a dense matrix of this order before it is built."""
+    if order > MAX_DENSE_ORDER:
+        raise SizeLimitError(f"matrix order {order} exceeds the limit of {MAX_DENSE_ORDER}")
 
 
 def _positive(convert):
@@ -153,9 +167,11 @@ def cmd_spectrum(args) -> int:
     kind = _kind(args)
     graphs = [read_graph(path) for path in args.graphs]
     if len(graphs) == 1:
+        _check_order(graphs[0].n)
         target = graphs[0]
         label = "spectrum"
     else:
+        _check_order(graphs[0].n * (graphs[1].n + 1))
         target = neighbourhood_corona(graphs[0], graphs[1])
         label = "corona spectrum"
     numeric = numeric_spectrum(target, kind, args.tol)
@@ -191,6 +207,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_charpoly(args) -> int:
     s = read_graph(args.graph)
+    _check_order(s.n)
     poly = char_poly_exact(matrix_of(s, _kind(args)))
     if args.json:
         print(json.dumps({"kind": args.kind, "coeffs": [str(c) for c in poly.coeffs]}))
@@ -211,7 +228,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_distinct(args) -> int:
-    report = distinct_count(read_graph(args.graph), _kind(args), args.tol)
+    s = read_graph(args.graph)
+    _check_order(s.n)
+    report = distinct_count(s, _kind(args), args.tol)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -225,6 +244,7 @@ def cmd_cospectral(args) -> int:
     else:
         s1, s2 = default_cospectral_pair()
     companion = read_graph(args.companion) if args.companion else edgeless(1)
+    _check_order(max(s1.n, s2.n) * (companion.n + 1))
     try:
         cert = cospectral_demo(s1, s2, companion, _kind(args), cap=args.cap)
     except (NotCospectralError, IsomorphicInputsError) as exc:

@@ -26,6 +26,7 @@ from .graphs import (
 )
 from .linalg import Polynomial, SpectrumMultiset, char_poly_exact, det_exact_at, spectra_equal
 from .spectra import (
+    ClosedFormError,
     ClosedFormSpectrum,
     MatrixKind,
     closed_form_adjacency,
@@ -640,11 +641,16 @@ def _check_factorisation(case, rng, tol):
 
 def _closed_form_check(closed_form, kind: MatrixKind):
     """The check of the closed-form rows: closed_form(s1, s2, tol), realised,
-    against the numeric spectrum of the corona's `kind` matrix."""
+    against the numeric spectrum of the corona's `kind` matrix. A closed form
+    that refuses the factors (at a coarse tol, clustering can hide the
+    eigenvalue it needs) fails the trial."""
 
     def check(case, rng, tol):
         s1, s2 = case
-        cf = closed_form(s1, s2, tol)
+        try:
+            cf = closed_form(s1, s2, tol)
+        except ClosedFormError as exc:
+            return f"closed form refused the factors: {exc}", {"s1": s1, "s2": s2}
         oracle = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
         realized = realize(cf, tol)
         if not spectra_equal(realized, oracle, tol):

@@ -30,7 +30,8 @@ class VertexIndexError(GraphError):
 
 
 class SizeLimitError(GraphError):
-    """Brute-force search refused: input exceeds the configured size cap."""
+    """Input refused: it exceeds a size cap (the brute-force isomorphism search
+    or the order of a dense matrix)."""
 
 
 class ParseError(GraphError):

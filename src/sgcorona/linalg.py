@@ -6,6 +6,7 @@ quadratics and cubics."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -271,47 +272,29 @@ def _as_poly(x) -> Polynomial:
 
 
 def char_poly_exact(m: Matrix) -> Polynomial:
-    """det(tI - M) via the Faddeev-LeVerrier recurrence in exact arithmetic.
+    """det(tI - M) by Berkowitz's division-free recurrence (IPL 18, 1984).
 
-    For integer matrices the recurrence stays in integers; each division is
-    checked to be exact.
+    Growing the leading block A_k of M by one row and column, the char poly
+    of A_(k+1) is a lower-triangular Toeplitz matrix times that of A_k; the
+    Toeplitz column is 1, -a_kk, -R S, -R A_k S, ..., -R A_k^(k-1) S, with S
+    the new column and R the new row.  Only ring operations are used, so
+    integer matrices stay in integers and rational ones in Fractions.
     """
     m.require_square("char_poly_exact")
-    n = m.rows
-    if n == 0:
-        return Polynomial([1])
-    integral = all(
-        isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-        for row in m._rows
-        for x in row
-    )
-    if integral:
-        a = [[int(x) for x in row] for row in m._rows]
-    else:
-        a = [[Fraction(x) for x in row] for row in m._rows]
-    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    coeffs: list[Scalar] = [0] * (n + 1)
-    coeffs[n] = 1
-    for k in range(1, n + 1):
-        prod = [
-            [sum(a[i][l] * work[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
+    a = m._rows
+    poly: list[Scalar] = [1]  # descending coefficients of det(tI - A_k)
+    for k in range(m.rows):
+        block = [row[:k] for row in a[:k]]
+        new_row = a[k][:k]
+        v = [row[k] for row in a[:k]]
+        col = [1, -a[k][k]]
+        for _ in range(k):
+            col.append(-sum(map(operator.mul, new_row, v)))
+            v = [sum(map(operator.mul, row, v)) for row in block]
+        poly = [
+            sum(col[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)
         ]
-        tr = sum(prod[i][i] for i in range(n))
-        if integral:
-            q, r = divmod(tr, k)
-            if r:
-                raise ArithmeticError(
-                    "non-exact division in the characteristic polynomial recurrence"
-                )
-            ck = -q
-        else:
-            ck = -tr / k
-        coeffs[n - k] = ck
-        for i in range(n):
-            prod[i][i] += ck
-        work = prod
-    return Polynomial(coeffs)
+    return Polynomial(reversed(poly))
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -341,23 +324,22 @@ def _bareiss_det(a: list[list[int]]) -> int:
 
 
 def det_exact_at(m: Matrix, t0) -> Fraction:
-    """Exact evaluation of det(t0*I - M) by fraction-free elimination."""
+    """Exact evaluation of det(t0*I - M) by fraction-free elimination.
+
+    With D the common denominator of t0 and every entry, D*(t0*I - M) is an
+    integer matrix, so det(t0*I - M) = det(D*(t0*I - M)) / D^n.
+    """
     m.require_square("det_exact_at")
     t0 = Fraction(t0)
     n = m.rows
     if n == 0:
         return Fraction(1)
-    rows: list[list[int]] = []
-    scale = 1
-    for i in range(n):
-        row = [
-            (t0 - Fraction(m[i, j])) if i == j else -Fraction(m[i, j])
-            for j in range(n)
-        ]
-        lcm = math.lcm(*(x.denominator for x in row))
-        rows.append([int(x * lcm) for x in row])
-        scale *= lcm
-    return Fraction(_bareiss_det(rows), scale)
+    d = math.lcm(t0.denominator, *(x.denominator for row in m._rows for x in row))
+    rows = [[-x.numerator * (d // x.denominator) for x in row] for row in m._rows]
+    p = t0.numerator * (d // t0.denominator)
+    for i, row in enumerate(rows):
+        row[i] += p
+    return Fraction(_bareiss_det(rows), d**n)
 
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:

@@ -1,6 +1,7 @@
-"""Shared test helpers, including an independent characteristic-polynomial
-oracle by cofactor expansion (no shared code with the Faddeev-LeVerrier
-implementation under test) and symmetric relabelling of a matrix."""
+"""Shared test helpers: two characteristic-polynomial oracles that share no
+code with the Berkowitz implementation under test (cofactor expansion for
+small orders, the Faddeev-LeVerrier recurrence for larger ones) and symmetric
+relabelling of a matrix."""
 
 from __future__ import annotations
 
@@ -37,6 +38,38 @@ def charpoly_cofactor(m: Matrix) -> Polynomial:
     if n == 0:
         return Polynomial([1])
     return det(list(range(n)), list(range(n)))
+
+
+def charpoly_faddeev(m: Matrix) -> Polynomial:
+    """det(tI - M) by the Faddeev-LeVerrier recurrence in exact arithmetic:
+    n matrix products, O(n^4). For integer matrices the recurrence stays in
+    integers; each division is checked to be exact."""
+    n = m.rows
+    if n == 0:
+        return Polynomial([1])
+    rows = [m.row(i) for i in range(n)]
+    integral = all(Fraction(x).denominator == 1 for row in rows for x in row)
+    a = [[int(x) if integral else Fraction(x) for x in row] for row in rows]
+    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    for k in range(1, n + 1):
+        prod = [
+            [sum(a[i][l] * work[l][j] for l in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        tr = sum(prod[i][i] for i in range(n))
+        if integral:
+            q, r = divmod(tr, k)
+            assert r == 0, "non-exact division in the Faddeev-LeVerrier recurrence"
+            ck = -q
+        else:
+            ck = -tr / k
+        coeffs[n - k] = ck
+        for i in range(n):
+            prod[i][i] += ck
+        work = prod
+    return Polynomial(coeffs)
 
 
 def permuted(m: Matrix, perm) -> Matrix:

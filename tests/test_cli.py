@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from sgcorona import format_graph, read_graph, unbalanced_c4, complete_graph
-from sgcorona.cli import main
+from sgcorona import format_graph, parse_graph, read_graph, unbalanced_c4, complete_graph
+from sgcorona.cli import MAX_DENSE_ORDER, main
 
 C4M_TEXT = "4\n0 1 +\n1 2 +\n2 3 +\n0 3 -\n"
 K2_TEXT = "2\n0 1 +\n"
@@ -117,6 +117,21 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--theorem", "7.1")
         assert code == 2
 
+    @pytest.mark.parametrize("theorem, trials, seed", [("3.4", "15", "0"), ("4.2", "20", "3")])
+    def test_refused_closed_form_is_a_failed_trial(self, capsys, theorem, trials, seed):
+        # at a coarse tol, clustering hides the eigenvalue 0 of the second
+        # factor that the closed form needs, and the closed form refuses it
+        argv = ["verify", "--theorem", theorem, "--trials", trials, "--seed", seed, "--tol", "0.3"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "counterexample at trial" in out
+        assert "closed form refused the factors" in out
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, *argv, "--json")
+        failure = json.loads(out)["failures"][0]
+        assert parse_graph(failure["graphs"]["s1"]).n >= 1
+        assert set(failure["graphs"]) == {"s1", "s2"}
+
 
 class TestDistinct:
     def test_report(self, capsys, c4m_file):
@@ -157,6 +172,40 @@ class TestPaperExample:
         doc = json.loads(out)
         assert doc["ok"] is True
         assert doc["printed_reproduced"] is False
+
+
+class TestSizeLimit:
+    @pytest.fixture
+    def big_file(self, tmp_path):
+        path = tmp_path / "big.sg"
+        path.write_text(f"{MAX_DENSE_ORDER + 1}\n0 1 +\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "BIG"],
+            ["spectrum", "C4M", "BIG", "--closed-form"],
+            ["charpoly", "BIG"],
+            ["distinct", "BIG"],
+            ["cospectral-demo", "--pair", "BIG", "BIG"],
+        ],
+    )
+    def test_huge_order_refused(self, capsys, c4m_file, big_file, argv):
+        files = {"BIG": big_file, "C4M": c4m_file}
+        code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+        assert code == 2
+        assert not out
+        assert err.startswith("error:")
+        assert f"limit of {MAX_DENSE_ORDER}" in err
+
+    def test_corona_order_counts(self, capsys, tmp_path, c4m_file):
+        # 4 * (100 + 1) = 404 exceeds the limit though both factors are small
+        second = tmp_path / "e100.sg"
+        second.write_text("100\n")
+        code, _, err = run(capsys, "spectrum", c4m_file, str(second))
+        assert code == 2
+        assert "order 404" in err
 
 
 class TestUsage:

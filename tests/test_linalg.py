@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import charpoly_cofactor, permuted
+from conftest import charpoly_cofactor, charpoly_faddeev, permuted
 from sgcorona import (
     ComplexRootsError,
     Matrix,
@@ -23,6 +23,7 @@ from sgcorona import (
     sym_eigenvalues,
     unbalanced_c4,
 )
+from sgcorona.experiments import random_signed_graph
 from sgcorona.spectra import MatrixKind
 
 A_C4M = matrix_of(unbalanced_c4(), MatrixKind.ADJACENCY)
@@ -30,6 +31,12 @@ A_C4M = matrix_of(unbalanced_c4(), MatrixKind.ADJACENCY)
 
 def random_int_matrix(rng, n, lo=-3, hi=3):
     return Matrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+
+
+def random_fraction_matrix(rng, n):
+    return Matrix(
+        [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+    )
 
 
 def random_symmetric(rng, n, lo=-3, hi=3):
@@ -119,6 +126,34 @@ class TestCharPoly:
         m = Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
         assert char_poly_exact(m) == Polynomial([Fraction(1, 6), Fraction(-5, 6), 1])
 
+    def test_order_zero_and_one(self):
+        assert char_poly_exact(Matrix([])) == Polynomial([1])
+        assert char_poly_exact(Matrix([[Fraction(5, 2)]])) == Polynomial([Fraction(-5, 2), 1])
+
+    def test_zero_leading_entries(self):
+        m = Matrix([[0, 0, 2], [0, 0, -1], [3, 1, 0]])
+        assert char_poly_exact(m) == charpoly_cofactor(m) == charpoly_faddeev(m)
+
+    def test_against_faddeev_oracle_on_graph_matrices(self):
+        rng = random.Random(13)
+        for n in (1, 2, 5, 9, 14, 21, 30):
+            g = random_signed_graph(rng, n)
+            for kind in MatrixKind:
+                m = matrix_of(g, kind)
+                assert char_poly_exact(m) == charpoly_faddeev(m), (n, kind)
+
+    def test_against_faddeev_oracle_on_nonsymmetric_matrices(self):
+        rng = random.Random(17)
+        for _ in range(15):
+            m = random_int_matrix(rng, rng.randint(1, 12), -9, 9)
+            assert char_poly_exact(m) == charpoly_faddeev(m)
+
+    def test_against_faddeev_oracle_on_fraction_matrices(self):
+        rng = random.Random(19)
+        for _ in range(12):
+            m = random_fraction_matrix(rng, rng.randint(1, 9))
+            assert char_poly_exact(m) == charpoly_faddeev(m)
+
 
 class TestDetExactAt:
     def test_k2_at_two(self):
@@ -134,6 +169,32 @@ class TestDetExactAt:
         m = Matrix([[2, 1], [1, 2]])
         t0 = Fraction(7, 3)
         assert det_exact_at(m, t0) == char_poly_exact(m)(t0)
+
+    def test_order_zero_and_one(self):
+        assert det_exact_at(Matrix([]), Fraction(3, 7)) == 1
+        assert det_exact_at(Matrix([[Fraction(5, 2)]]), Fraction(1, 3)) == Fraction(-13, 6)
+
+    def test_zero_first_pivot(self):
+        # t0 equals the (0, 0) entry, so elimination must swap rows first
+        m = Matrix([[2, 1, 0], [1, 3, 1], [0, 1, Fraction(1, 2)]])
+        assert det_exact_at(m, 2) == charpoly_cofactor(m)(2)
+        assert det_exact_at(Matrix([[2, 0], [0, 5]]), 2) == 0
+
+    def test_accepts_any_fraction_argument(self):
+        m = Matrix([[0, 1], [1, 0]])
+        assert det_exact_at(m, "3/2") == det_exact_at(m, 1.5) == Fraction(5, 4)
+
+    def test_matches_char_poly_on_fraction_matrices(self):
+        # the shape corona_adjacency_charpoly_eval evaluates: A + kappa * A^2
+        rng = random.Random(29)
+        for _ in range(12):
+            a = random_symmetric(rng, rng.randint(1, 9), -1, 1)
+            kappa = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+            for m in (a + kappa * (a @ a), random_fraction_matrix(rng, a.rows)):
+                p = char_poly_exact(m)
+                for _ in range(3):
+                    t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    assert det_exact_at(m, t0) == p(t0)
 
     def test_matches_char_poly_on_random_matrices(self):
         rng = random.Random(5)
