@@ -45,9 +45,11 @@ class UsageError(Exception):
 
 # Largest matrix order that spectrum, charpoly, distinct and cospectral-demo
 # accept. The slowest dense kernel, the Berkowitz char poly (quartic in the
-# order), takes about a minute on a dense signed Laplacian of this order;
-# Jacobi (cubic) takes about 8 s.
-MAX_DENSE_ORDER = 250
+# order), takes 22 s on a dense signed Laplacian of this order on a 2-vCPU
+# AMD EPYC guest under Python 3.11, which runs pure Python 2.5 times as fast
+# as the benchmark's reference machine: about a minute there. Jacobi (cubic)
+# takes 4 s.
+MAX_DENSE_ORDER = 200
 
 
 def _check_order(order: int) -> None:

@@ -130,10 +130,6 @@ class TestCharPoly:
         assert char_poly_exact(Matrix([])) == Polynomial([1])
         assert char_poly_exact(Matrix([[Fraction(5, 2)]])) == Polynomial([Fraction(-5, 2), 1])
 
-    def test_zero_leading_entries(self):
-        m = Matrix([[0, 0, 2], [0, 0, -1], [3, 1, 0]])
-        assert char_poly_exact(m) == charpoly_cofactor(m) == charpoly_faddeev(m)
-
     def test_against_faddeev_oracle_on_graph_matrices(self):
         rng = random.Random(13)
         for n in (1, 2, 5, 9, 14, 21, 30):
