@@ -44,11 +44,12 @@ class UsageError(Exception):
 
 
 # Largest matrix order that spectrum, charpoly, distinct and cospectral-demo
-# accept. The slowest dense kernel, the Berkowitz char poly (quartic in the
-# order), takes 22 s on a dense signed Laplacian of this order on a 2-vCPU
-# AMD EPYC guest under Python 3.11, which runs pure Python 2.5 times as fast
-# as the benchmark's reference machine: about a minute there. Jacobi (cubic)
-# takes 4 s.
+# accept, and the largest corona order verify samples. The slowest dense
+# kernel, the Berkowitz char poly (quartic in the order), takes 22 s on a
+# dense signed Laplacian of this order on a 2-vCPU AMD EPYC guest under
+# Python 3.11, which runs pure Python 2.5 times as fast as the benchmark's
+# reference machine: about a minute there. The Householder + QL eigensolver
+# (cubic) takes 0.19 s there.
 MAX_DENSE_ORDER = 200
 
 
@@ -219,6 +220,7 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_order(args.max_n * (args.max_n + 1))  # the largest corona sampled
     result = verify_theorem(
         args.theorem, trials=args.trials, seed=args.seed, max_n=args.max_n, tol=args.tol
     )

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable
 
 from .graphs import (
@@ -82,7 +83,9 @@ def random_connected_signed(rng: random.Random, n: int, p_extra: float = 0.3, p_
 
 
 def _regular_pairs(rng: random.Random, n: int, k: int, attempts: int = 400) -> set[tuple[int, int]]:
-    """Uniform-ish k-regular underlying graph by the rejection pairing model.
+    """Uniform-ish k-regular underlying graph by the rejection pairing model,
+    falling back to Steger-Wormald pairing once `attempts` pairings have all
+    been rejected (from about n = 12 with k near n/2 they mostly are).
 
     Dense degrees (k above (n-1)/2) are sampled as the complement of a sparse
     regular graph; the rejection rate of the raw pairing model is hopeless
@@ -110,7 +113,33 @@ def _regular_pairs(rng: random.Random, n: int, k: int, attempts: int = 400) -> s
             pairs.add((min(u, v), max(u, v)))
         if ok:
             return pairs
+    for _ in range(attempts):
+        pairs = _steger_wormald(rng, n, k)
+        if pairs is not None:
+            return pairs
     raise RuntimeError(f"failed to sample a {k}-regular graph on {n} vertices")
+
+
+def _steger_wormald(rng: random.Random, n: int, k: int) -> set[tuple[int, int]] | None:
+    """One try of Steger-Wormald pairing (Combin. Probab. Comput. 8, 1999):
+    pair shuffled stubs, keep every pair that is neither a loop nor a repeat,
+    and pair the leftover stubs again; None once no two leftover vertices
+    could still be joined."""
+    pairs: set[tuple[int, int]] = set()
+    stubs = [v for v in range(n) for _ in range(k)]
+    while stubs:
+        rng.shuffle(stubs)
+        left: list[int] = []
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            edge = (min(u, v), max(u, v))
+            if u != v and edge not in pairs:
+                pairs.add(edge)
+            else:
+                left += edge
+        if left and all(edge in pairs for edge in combinations(sorted(set(left)), 2)):
+            return None
+        stubs = left
+    return pairs
 
 
 def _regular_degree_options(n: int, smallest: int) -> list[int]:

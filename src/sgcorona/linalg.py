@@ -1,12 +1,14 @@
 """Exact dense linear algebra over the rationals plus the numeric kernels:
-characteristic polynomials, determinant point evaluation, a cyclic-Jacobi
-symmetric eigensolver, Kronecker algebra, and real root extraction for monic
-quadratics and cubics."""
+characteristic polynomials, determinant point evaluation, a symmetric
+eigensolver (Householder tridiagonalisation plus implicit-shift QL),
+Kronecker algebra, and real root extraction for monic quadratics and
+cubics."""
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -425,12 +427,118 @@ def spectra_equal(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> bool:
     return all(abs(x - y) < tol for x, y in zip(a.values(), b.values()))
 
 
-def sym_eigenvalues(m, cluster_tol: float = 1e-6) -> SpectrumMultiset:
-    """All eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
+def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Householder reduction of a symmetric matrix to tridiagonal form,
+    eigenvalues only (tred2 without the accumulated transformation).
 
-    Sweeps run until the off-diagonal Frobenius norm falls below
-    1e-12 * (1 + ||M||_F); the sorted diagonal is then clustered into
-    multiplicities with an absolute tolerance scaled by the spectral radius.
+    Returns the diagonal d and the off-diagonal e, where e[i] couples d[i]
+    and d[i + 1].  Step k reflects row k's tail x onto its first entry and
+    applies the reflector H = I - 2 v v^T to the trailing block B as the
+    rank-2 update B - v w^T - w v^T, w = p - (v^T p) v, p = 2 B v.  v is
+    x - alpha e_1 scaled to unit length, so no square of a tiny entry
+    underflows.
+    """
+    d: list[float] = []
+    e: list[float] = []
+    b = a
+    while len(b) > 1:
+        x = b[0][1:]
+        d.append(b[0][0])
+        rest = [row[1:] for row in b[1:]]
+        alpha = -math.copysign(math.hypot(*x), x[0])
+        if len(x) == 1 or alpha == 0.0:
+            e.append(x[0])
+            b = rest
+            continue
+        x[0] -= alpha  # x - alpha e_1, with no cancellation
+        length = math.hypot(*x)
+        v = [xi / length for xi in x]
+        p = [2.0 * sum(map(operator.mul, row, v)) for row in rest]
+        vtp = sum(map(operator.mul, v, p))
+        w = [pi - vtp * vi for pi, vi in zip(p, v)]
+        e.append(alpha)
+        b = [
+            [bij - vi * wj - wi * vj for bij, vj, wj in zip(row, v, w)]
+            for row, vi, wi in zip(rest, v, w)
+        ]
+    d.append(b[0][0])
+    return d, e
+
+
+def _eig2(a: float, b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues of [[a, b], [b, c]], the larger in magnitude first, as
+    LAPACK dlae2 computes them: the smaller one comes from det / larger, so
+    it carries no cancellation."""
+    sm = a + c
+    rt = math.hypot(a - c, 2.0 * b)
+    if sm == 0.0:
+        return 0.5 * rt, -0.5 * rt
+    rt1 = 0.5 * (sm + math.copysign(rt, sm))
+    big, small = (a, c) if abs(a) > abs(c) else (c, a)
+    return rt1, (big / rt1) * small - (b / rt1) * b
+
+
+def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the symmetric tridiagonal matrix (d, e) by QL with
+    implicit Wilkinson shifts (EISPACK tql1, Golub & Van Loan 8.3).
+
+    An off-diagonal entry is treated as zero once it is at most eps times
+    the matrix norm max_i |d_i| + |e_i|; a test against the neighbouring
+    diagonal alone never splits a cluster of zero eigenvalues.  An
+    unreduced 2x2 block is solved in closed form.  Each eigenvalue gets at
+    most 30 QL steps, as in tql1.  d is overwritten.
+    """
+    n = len(d)
+    e = e + [0.0]
+    tst = sys.float_info.epsilon * max(abs(di) + abs(ei) for di, ei in zip(d, e))
+    for l in range(n):
+        for _ in range(31):  # 30 QL steps, each after a deflation test
+            m = l
+            while m < n - 1 and abs(e[m]) > tst:
+                m += 1
+            if m == l:
+                break
+            if m == l + 1:
+                d[l], d[m] = _eig2(d[l], e[l], d[m])
+                e[l] = 0.0
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                bb = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow: the chase split the block
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * bb
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - bb
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+        else:
+            raise ArithmeticError(f"QL iteration failed to converge on eigenvalue {l}")
+    return d
+
+
+def sym_eigenvalues(m, cluster_tol: float = 1e-6) -> SpectrumMultiset:
+    """All eigenvalues of a real symmetric matrix by Householder
+    tridiagonalisation followed by implicit-shift QL (Golub & Van Loan 8.3).
+
+    The sorted eigenvalues are checked against the trace and then clustered
+    into multiplicities with an absolute tolerance scaled by the spectral
+    radius.
     """
     if isinstance(m, Matrix):
         m.require_square("sym_eigenvalues")
@@ -453,37 +561,8 @@ def sym_eigenvalues(m, cluster_tol: float = 1e-6) -> SpectrumMultiset:
             avg = 0.5 * (a[i][j] + a[j][i])
             a[i][j] = a[j][i] = avg
     trace0 = sum(a[i][i] for i in range(n))
-    frob = math.sqrt(sum(x * x for row in a for x in row))
-    thresh = 1e-12 * (1.0 + frob)
-    for _ in range(100):
-        off = math.sqrt(2.0 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-                for r in range(n):
-                    if r == p or r == q:
-                        continue
-                    arp, arq = a[r][p], a[r][q]
-                    a[r][p] = a[p][r] = arp - s * (arq + tau * arp)
-                    a[r][q] = a[q][r] = arq + s * (arp - tau * arq)
-    else:
-        raise ArithmeticError("Jacobi iteration failed to converge")
-    eigs = sorted(a[i][i] for i in range(n))
-    if abs(sum(eigs) - trace0) > 1e-8 * (1.0 + abs(trace0)):
+    eigs = sorted(_ql_implicit(*_tridiagonalize(a)))
+    if not abs(sum(eigs) - trace0) <= 1e-8 * (1.0 + abs(trace0)):  # NaN fails too
         raise ArithmeticError("eigenvalue sum drifted away from the trace")
     return SpectrumMultiset.from_values(eigs, cluster_tol)
 

@@ -1,10 +1,12 @@
 """Shared test helpers: two characteristic-polynomial oracles that share no
 code with the Berkowitz implementation under test (cofactor expansion for
-small orders, the Faddeev-LeVerrier recurrence for larger ones) and symmetric
-relabelling of a matrix."""
+small orders, the Faddeev-LeVerrier recurrence for larger ones), a cyclic
+Jacobi eigenvalue oracle that shares no code with the Householder/QL solver
+under test, and symmetric relabelling of a matrix."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from sgcorona import Matrix, Polynomial
@@ -70,6 +72,42 @@ def charpoly_faddeev(m: Matrix) -> Polynomial:
             prod[i][i] += ck
         work = prod
     return Polynomial(coeffs)
+
+
+def eigenvalues_jacobi(m: Matrix) -> list[float]:
+    """Sorted eigenvalues of a symmetric matrix by cyclic Jacobi rotations,
+    swept until the off-diagonal Frobenius norm falls below
+    1e-12 * (1 + ||M||_F). About 16 n^3 flops a sweep; keep orders small."""
+    n = m.rows
+    a = [[0.5 * (float(m[i, j]) + float(m[j, i])) for j in range(n)] for i in range(n)]
+    frob = math.sqrt(sum(x * x for row in a for x in row))
+    thresh = 1e-12 * (1.0 + frob)
+    for _ in range(100):
+        off = math.sqrt(2.0 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)))
+        if off <= thresh:
+            return sorted(a[i][i] for i in range(n))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(n):
+                    if r == p or r == q:
+                        continue
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = arp - s * (arq + tau * arp)
+                    a[r][q] = a[q][r] = arq + s * (arp - tau * arq)
+    raise ArithmeticError("Jacobi iteration failed to converge")
 
 
 def permuted(m: Matrix, perm) -> Matrix:

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import sgcorona
 from sgcorona import format_graph, parse_graph, read_graph, unbalanced_c4, complete_graph
 from sgcorona.cli import MAX_DENSE_ORDER, main
+from sgcorona.experiments import THEOREM_LABELS
 
 C4M_TEXT = "4\n0 1 +\n1 2 +\n2 3 +\n0 3 -\n"
 K2_TEXT = "2\n0 1 +\n"
@@ -132,6 +139,23 @@ class TestVerify:
         assert parse_graph(failure["graphs"]["s1"]).n >= 1
         assert set(failure["graphs"]) == {"s1", "s2"}
 
+    def test_seed_that_stalled_the_jacobi_eigensolver(self, capsys):
+        # a 35x35 signed Laplacian on which cyclic Jacobi raised ArithmeticError
+        code, out, err = run(
+            capsys, "verify", "--theorem", "3.3", "--trials", "5", "--seed", "1131113880", "--max-n", "6"
+        )
+        assert code == 0
+        assert "PASS 5/5" in out
+        assert not err
+
+    @pytest.mark.parametrize("label", THEOREM_LABELS)
+    def test_largest_accepted_max_n_runs(self, capsys, label):
+        # max-n 13: coronas of order up to 182, regular factors of order 13
+        code, out, err = run(capsys, "verify", "--theorem", label, "--trials", "3", "--max-n", "13")
+        assert code in (0, 1)
+        assert out.startswith(f"theorem {label}:")
+        assert not err
+
 
 class TestDistinct:
     def test_report(self, capsys, c4m_file):
@@ -199,6 +223,16 @@ class TestSizeLimit:
         assert err.startswith("error:")
         assert f"limit of {MAX_DENSE_ORDER}" in err
 
+    def test_verify_max_n_refused(self, capsys):
+        # max-n 14 samples coronas of order up to 14 * 15 = 210
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--theorem", "2.3", "--max-n", "14")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert not out
+        assert err.startswith("error:")
+        assert "order 210" in err
+
     def test_corona_order_counts(self, capsys, tmp_path, c4m_file):
         # 4 * (100 + 1) = 404 exceeds the limit though both factors are small
         second = tmp_path / "e100.sg"
@@ -238,3 +272,20 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestRuntimeDependencies:
+    def test_runtime_imports_only_the_standard_library(self):
+        # the tests may use numpy as an oracle; the package must not
+        code = (
+            "import sys, sgcorona, sgcorona.cli\n"
+            "sgcorona.sym_eigenvalues(sgcorona.Matrix([[0, 1], [1, 0]]))\n"
+            "print(sorted(m for m in ('numpy', 'scipy', 'sympy', 'networkx') if m in sys.modules))\n"
+        )
+        src = str(Path(sgcorona.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

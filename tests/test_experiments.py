@@ -178,6 +178,25 @@ class TestGenerators:
                 degree[v] += 1
             assert degree == [4] * 6
 
+    def test_regular_sampler_every_feasible_degree(self):
+        # the rejection pairing alone fails from n = 12 with k near n/2
+        import random
+
+        from sgcorona.experiments import _regular_pairs
+
+        for n in range(1, 14):
+            for k in range(n):
+                if (n * k) % 2:
+                    continue
+                for seed in range(20):
+                    pairs = _regular_pairs(random.Random(seed), n, k)
+                    degree = [0] * n
+                    for u, v in pairs:
+                        assert 0 <= u < v < n
+                        degree[u] += 1
+                        degree[v] += 1
+                    assert degree == [k] * n, (n, k, seed)
+
     def test_seed_that_once_exhausted_the_sampler(self):
         for label in ("3.3", "3.4", "4.2", "5.1"):
             result = verify_theorem(label, trials=25, seed=99, max_n=5)
@@ -190,6 +209,12 @@ class TestVerify:
         result = verify_theorem(label, trials=12, seed=3, max_n=4)
         assert result.ok, result.render()
         assert result.passed == result.trials
+
+    def test_corona_with_large_zero_eigenspace(self):
+        # coronas of order up to 273, one with a 131-fold eigenvalue 0: QL
+        # must split the tridiagonal matrix inside that zero cluster
+        result = verify_theorem("2.3", trials=3, seed=0, max_n=20)
+        assert result.ok, result.render()
 
     def test_deterministic(self):
         a = verify_theorem("2.3", trials=10, seed=42)

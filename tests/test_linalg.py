@@ -4,26 +4,31 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import charpoly_cofactor, charpoly_faddeev, permuted
+from conftest import charpoly_cofactor, charpoly_faddeev, eigenvalues_jacobi, permuted
 from sgcorona import (
     ComplexRootsError,
     Matrix,
     NotSquareError,
     NotSymmetricError,
     Polynomial,
+    SignedGraph,
     SpectrumMultiset,
     char_poly_exact,
     det_exact_at,
+    edgeless,
     kronecker_product,
     kronecker_sum,
     matrix_of,
+    neighbourhood_corona,
     real_roots_cubic,
     real_roots_quadratic,
     spectra_equal,
+    star_graph,
     sym_eigenvalues,
     unbalanced_c4,
 )
 from sgcorona.experiments import random_signed_graph
+from sgcorona.linalg import _ql_implicit, _tridiagonalize
 from sgcorona.spectra import MatrixKind
 
 A_C4M = matrix_of(unbalanced_c4(), MatrixKind.ADJACENCY)
@@ -241,6 +246,88 @@ class TestSymEigenvalues:
             p = char_poly_exact(m)
             for lam in sym_eigenvalues(m).values():
                 assert abs(p(lam)) < 1e-6 * (1 + abs(lam)) ** n
+
+    @staticmethod
+    def assert_matches(spec, reference):
+        """Same multiplicities as the clustered reference values, and every
+        value within 1e-9 * (1 + spectral radius)."""
+        ref = SpectrumMultiset.from_values(reference)
+        assert [m for _, m in spec.pairs] == [m for _, m in ref.pairs]
+        radius = max(abs(v) for v in reference)
+        for (x, _), (y, _) in zip(spec.pairs, ref.pairs):
+            assert abs(x - y) <= 1e-9 * (1 + radius), (x, y)
+
+    @staticmethod
+    def graph_matrices(seed):
+        # signed graphs of order up to 40 and coronas of order up to 60
+        rng = random.Random(seed)
+        graphs = [random_signed_graph(rng, rng.randint(1, 40), rng.random()) for _ in range(6)]
+        sizes = [(rng.randint(1, 6), rng.randint(0, 9)) for _ in range(5)] + [(5, 11)]
+        for n1, n2 in sizes:
+            graphs.append(
+                neighbourhood_corona(random_signed_graph(rng, n1), random_signed_graph(rng, n2))
+            )
+        return [matrix_of(g, kind) for g in graphs for kind in MatrixKind]
+
+    def test_against_jacobi_oracle_on_graph_matrices(self):
+        for m in self.graph_matrices(61):
+            self.assert_matches(sym_eigenvalues(m), eigenvalues_jacobi(m))
+
+    def test_against_numpy(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(67)
+        matrices = self.graph_matrices(71)
+        matrices += [random_symmetric(rng, rng.randint(1, 50), -9, 9) for _ in range(20)]
+        for m in matrices:
+            self.assert_matches(sym_eigenvalues(m), np.linalg.eigvalsh(np.array(m.to_float())))
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (Matrix([[-7]]), ((-7.0, 1),)),
+            (Matrix([[0] * 5 for _ in range(5)]), ((0.0, 5),)),
+            (Matrix.diagonal([2, -1, 2, 0, -1, 2]), ((-1.0, 2), (0.0, 1), (2.0, 3))),
+        ],
+    )
+    def test_exact_small_cases(self, m, expected):
+        assert sym_eigenvalues(m).pairs == expected
+
+    def test_block_repeated_matrix(self):
+        rng = random.Random(73)
+        block = random_symmetric(rng, 5)
+        m = kronecker_product(Matrix.identity(7), block)
+        reference = eigenvalues_jacobi(block) * 7
+        self.assert_matches(sym_eigenvalues(m), reference)
+        assert all(mult % 7 == 0 for _, mult in sym_eigenvalues(m).pairs)
+
+    def test_tiny_householder_reflections(self):
+        # after four reflections the trailing block of this corona holds only
+        # rounding residue (entries near 1e-48 and below); squaring them in
+        # the reflector underflowed and turned every later eigenvalue to NaN
+        s1 = SignedGraph(5, ((0, 1, -1), (1, 2, -1)))
+        m = matrix_of(neighbourhood_corona(s1, edgeless(6)), MatrixKind.ADJACENCY)
+        self.assert_matches(sym_eigenvalues(m), eigenvalues_jacobi(m))
+
+    def test_scale_invariance(self):
+        # the kernel itself: clustering's absolute gap would merge a spectrum
+        # scaled by 1e-170 into one value
+        rng = random.Random(79)
+        m = random_symmetric(rng, 12)
+        reference = eigenvalues_jacobi(m)
+        radius = max(abs(v) for v in reference)
+        for scale in (1e-170, 1e170):
+            a = [[x * scale for x in row] for row in m.to_float()]
+            got = sorted(_ql_implicit(*_tridiagonalize(a)))
+            for x, y in zip(got, reference):
+                assert abs(x / scale - y) <= 1e-12 * (1 + radius)
+
+    def test_star_with_hundredfold_zero(self):
+        spec = sym_eigenvalues(matrix_of(star_graph(101), MatrixKind.ADJACENCY))
+        root = math.sqrt(101)
+        assert [m for _, m in spec.pairs] == [1, 100, 1]
+        assert abs(spec.pairs[0][0] + root) < 1e-12 * root
+        assert abs(spec.pairs[1][0]) < 1e-12 * root
+        assert abs(spec.pairs[2][0] - root) < 1e-12 * root
 
 
 class TestKronecker:
