@@ -300,8 +300,29 @@ def char_poly_exact(m: Matrix) -> Polynomial:
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (destroys its argument)."""
+    """Fraction-free determinant of an integer matrix (Bareiss, Math. Comp.
+    22, 1968), ordered and scaled to skip zeros.
+
+    Rows and columns are first permuted symmetrically by ascending nonzero
+    count, which leaves the determinant unchanged: sparse rows are
+    eliminated before they fill in (Markowitz, Management Science 3, 1957).
+    Step k of Bareiss multiplies a row whose entry in column k is 0 by
+    pivot_k / prev_k and changes nothing else; since prev_(k+1) = pivot_k
+    those factors telescope, so such a row is skipped and stamp[i] keeps
+    the prev it is exact for.  It is brought up to date, by one exact
+    division by its stamp, when it is next touched: as the pivot row, at
+    the next step where its entry in the pivot column is nonzero, or as the
+    last entry.  A zero pivot is swapped for a lower row with a nonzero
+    entry in its column, and the stamps are swapped with the rows.
+    """
     n = len(a)
+    if n == 0:
+        return 1
+    order = sorted(range(n), key=[n - row.count(0) for row in a].__getitem__)
+    if n > 1:  # itemgetter of a single index returns the entry, not a tuple
+        take = operator.itemgetter(*order)
+        a = [list(take(a[i])) for i in order]
+    stamp = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -309,35 +330,54 @@ def _bareiss_det(a: list[list[int]]) -> int:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
                     a[k], a[r] = a[r], a[k]
+                    stamp[k], stamp[r] = stamp[r], stamp[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
+        s = stamp[k]
+        tail = a[k][k:] if s == prev else [x * prev // s for x in a[k][k:]]
+        pivot = tail.pop(0)
+        k1 = k + 1
+        for i in range(k1, n):
+            row = a[i]
+            lead = row[k]
+            if lead:
+                s = stamp[i]
+                if s == prev:  # up to date: no catch-up multiply and divide
+                    row[k1:] = [(x * pivot - lead * y) // prev for x, y in zip(row[k1:], tail)]
+                else:
+                    lead = lead * prev // s
+                    row[k1:] = [
+                        ((x * prev // s) * pivot - lead * y) // prev
+                        for x, y in zip(row[k1:], tail)
+                    ]
+                stamp[i] = pivot
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] * prev // stamp[n - 1]
 
 
 def det_exact_at(m: Matrix, t0) -> Fraction:
     """Exact evaluation of det(t0*I - M) by fraction-free elimination.
 
     With D the common denominator of t0 and every entry, D*(t0*I - M) is an
-    integer matrix, so det(t0*I - M) = det(D*(t0*I - M)) / D^n.
+    integer matrix, so det(t0*I - M) = det(D*(t0*I - M)) / D^n.  Only the
+    entries that are not ints contribute a denominator; an integer matrix
+    is scaled without touching a Fraction.  The determinant of the integer
+    matrix is _bareiss_det's, which skips the zeros of a sparse matrix such
+    as a corona's.
     """
     m.require_square("det_exact_at")
     t0 = Fraction(t0)
     n = m.rows
     if n == 0:
         return Fraction(1)
-    d = math.lcm(t0.denominator, *(x.denominator for row in m._rows for x in row))
-    rows = [[-x.numerator * (d // x.denominator) for x in row] for row in m._rows]
+    dens = {x.denominator for row in m._rows for x in row if type(x) is not int}
+    d = math.lcm(t0.denominator, *dens)
+    if dens:
+        rows = [[-x.numerator * (d // x.denominator) for x in row] for row in m._rows]
+    else:
+        rows = [[-d * x for x in row] for row in m._rows]
     p = t0.numerator * (d // t0.denominator)
     for i, row in enumerate(rows):
         row[i] += p
@@ -605,10 +645,13 @@ def _polish_cubic_root(r: float, a2: float, a1: float, a0: float) -> float:
 def real_roots_cubic(a2: float, a1: float, a0: float) -> tuple[float, float, float]:
     """All three real roots of t^3 + a2*t^2 + a1*t + a0, sorted.
 
-    Uses the trigonometric form when the discriminant is safely non-negative;
-    a numerically borderline discriminant falls back to one Cardano root plus
-    deflation to a quadratic.  A significantly negative discriminant raises
-    ComplexRootsError.
+    A discriminant below -1e-9 times its scale raises ComplexRootsError; any
+    other is treated as non-negative.  With p < 0 the roots come from the
+    trigonometric form with a clamped argument, so a double root, whose
+    discriminant is 0 up to last-bit noise, takes the same branch on either
+    side of 0.  Only the near-triple root (p >= 0) with a slightly negative
+    discriminant falls back to one Cardano root plus deflation to a
+    quadratic.
     """
     a2, a1, a0 = float(a2), float(a1), float(a0)
     p = a1 - a2 * a2 / 3.0
@@ -616,19 +659,19 @@ def real_roots_cubic(a2: float, a1: float, a0: float) -> tuple[float, float, flo
     disc = -4.0 * p ** 3 - 27.0 * q * q
     scale = 4.0 * abs(p) ** 3 + 27.0 * q * q + 1.0
     shift = a2 / 3.0
-    if disc >= 0.0:
-        if p >= 0.0:
-            # disc >= 0 with p >= 0 forces p ~ q ~ 0: a (near-)triple root.
-            y = math.copysign(abs(q) ** (1.0 / 3.0), -q)
-            ys = [y, y, y]
-        else:
-            m = 2.0 * math.sqrt(-p / 3.0)
-            arg = 3.0 * q / (p * m)
-            arg = max(-1.0, min(1.0, arg))
-            phi = math.acos(arg) / 3.0
-            ys = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)]
-        roots = [y - shift for y in ys]
-    elif disc >= -1e-9 * scale:
+    if disc < -1e-9 * scale:
+        raise ComplexRootsError(f"cubic discriminant {disc:.3e} is negative")
+    if p < 0.0:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        arg = 3.0 * q / (p * m)
+        arg = max(-1.0, min(1.0, arg))
+        phi = math.acos(arg) / 3.0
+        roots = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) - shift for k in range(3)]
+    elif disc >= 0.0:
+        # disc >= 0 with p >= 0 forces p ~ q ~ 0: a (near-)triple root.
+        y = math.copysign(abs(q) ** (1.0 / 3.0), -q)
+        roots = [y - shift] * 3
+    else:
         half_q = q / 2.0
         rad = math.sqrt(max(half_q * half_q + p ** 3 / 27.0, 0.0))
         u = math.copysign(abs(-half_q + rad) ** (1.0 / 3.0), -half_q + rad)
@@ -638,8 +681,6 @@ def real_roots_cubic(a2: float, a1: float, a0: float) -> tuple[float, float, flo
         c1 = a1 + t1 * b1
         r2, r3 = real_roots_quadratic(b1, c1)
         roots = [t1, r2, r3]
-    else:
-        raise ComplexRootsError(f"cubic discriminant {disc:.3e} is negative")
     roots = [_polish_cubic_root(r, a2, a1, a0) for r in roots]
     roots.sort()
     return (roots[0], roots[1], roots[2])

@@ -93,6 +93,10 @@ def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Frac
     polynomial: psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2), with kappa the
     coronal of s2's adjacency matrix.
 
+    With kappa(t0) = u/v in lowest terms, the inner determinant is taken of
+    the integer matrix v*A1 + u*A1^2: det(t0*I - A1 - kappa*A1^2) =
+    det(v*t0*I - (v*A1 + u*A1^2)) / v^n1, so no entry is a Fraction.
+
     t0 must avoid the eigenvalues of s2's adjacency matrix, where the coronal
     has its poles.
     """
@@ -107,8 +111,9 @@ def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Frac
         raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
     shifted_at = det_exact_at(a2 - Matrix.ones(n2, n2), t0)
     kappa = shifted_at / psi2_at - 1
-    inner = a1 + kappa * (a1 @ a1)
-    return psi2_at**n1 * det_exact_at(inner, t0)
+    u, v = kappa.numerator, kappa.denominator
+    inner = a1 * v + (a1 @ a1) * u
+    return psi2_at**n1 * det_exact_at(inner, v * t0) / v**n1
 
 
 @dataclass(frozen=True)

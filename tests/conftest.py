@@ -1,8 +1,9 @@
 """Shared test helpers: two characteristic-polynomial oracles that share no
 code with the Berkowitz implementation under test (cofactor expansion for
-small orders, the Faddeev-LeVerrier recurrence for larger ones), a cyclic
-Jacobi eigenvalue oracle that shares no code with the Householder/QL solver
-under test, and symmetric relabelling of a matrix."""
+small orders, the Faddeev-LeVerrier recurrence for larger ones), a dense
+Bareiss determinant oracle for the sparsity-ordered, lazily scaled kernel
+under test, a cyclic Jacobi eigenvalue oracle that shares no code with the
+Householder/QL solver under test, and symmetric relabelling of a matrix."""
 
 from __future__ import annotations
 
@@ -72,6 +73,37 @@ def charpoly_faddeev(m: Matrix) -> Polynomial:
             prod[i][i] += ck
         work = prod
     return Polynomial(coeffs)
+
+
+def det_bareiss_dense(a: list[list[int]]) -> int:
+    """Determinant of an integer matrix by dense fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): every row below the pivot is updated at
+    every step, in natural order, with a row swap on a zero pivot. Destroys
+    its argument."""
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            row_k = a[k]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def eigenvalues_jacobi(m: Matrix) -> list[float]:

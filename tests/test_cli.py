@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sgcorona
 from sgcorona import format_graph, parse_graph, read_graph, unbalanced_c4, complete_graph
@@ -272,6 +277,114 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+def _small_numbers(text: str) -> bool:
+    return all(int(tok) <= 12 for tok in re.findall(r"\d+", text))
+
+
+# Edge-list text: a vertex count and edges within it, with bad lines mixed
+# in, or free text. Every number in it is at most 12, so no graph has more
+# than 12 vertices.
+BAD_LINE = st.sampled_from(["", "# note", "1 2", "1 2 + 3", "-1 2 +", "0 12 -", "1 1 +", "1 2 0", "x"])
+
+
+def edge_list_text(n: int):
+    edge = st.builds(
+        lambda u, v, s: f"{u} {v} {s}",
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.sampled_from(["+", "-", "+1", "-1"]),
+    )
+    lines = st.one_of(edge, edge, edge, BAD_LINE) if n else BAD_LINE
+    return st.lists(lines, max_size=12).map(lambda ls: "\n".join([str(n), *ls]) + "\n")
+
+
+EDGE_LIST_TEXT = st.one_of(
+    st.integers(0, 12).flatmap(edge_list_text),
+    st.text(alphabet="0123456789 +-#x\n", max_size=40).filter(_small_numbers),
+)
+
+GRAPH_ARGS = ["@a", "@b", "@missing"]
+
+# Option values, valid ones first; --trials stays at most 3 and --max-n at
+# most 6, so no draw runs long.
+VALUES = {
+    "--kind": (["adj", "lap", "netlap"], ["bad"]),
+    "--tol": (["1e-6", "0.3", "1"], ["0", "-1", "nan", "x"]),
+    "--theorem": (list(THEOREM_LABELS), ["9.9"]),
+    "--trials": (["1", "3"], ["0", "-2", "x"]),
+    "--seed": (["0", "7", "-5"], ["x"]),
+    "--max-n": (["1", "3", "6"], ["0", "x"]),
+    "--cap": (["0", "6", "12"], ["-1"]),
+}
+
+# Each command with the arguments it needs and the options it takes.
+COMMANDS = {
+    "corona": ([["@a", "@b", "-o", "@out"]], []),
+    "spectrum": ([["@a"], ["@a", "@b"]], ["--kind", "--tol", "--json", "--closed-form"]),
+    "charpoly": ([["@a"]], ["--kind", "--json"]),
+    "verify": ([["--theorem", "2.2"]], ["--theorem", "--trials", "--seed", "--max-n", "--tol", "--json"]),
+    "distinct": ([["@a"]], ["--kind", "--tol", "--json"]),
+    "cospectral-demo": ([[], ["--pair", "@a", "@b"]], ["--kind", "--cap", "--companion", "--json"]),
+    "paper-example": ([[]], ["--tol", "--json"]),
+}
+
+
+def option(name: str, valid: bool = True):
+    if name in VALUES:
+        return st.sampled_from(VALUES[name][0] if valid else sum(VALUES[name], [])).map(
+            lambda v: [name, v]
+        )
+    if name == "--companion":
+        return st.sampled_from(GRAPH_ARGS).map(lambda g: [name, g])
+    return st.just([name])
+
+
+def well_formed(command: str):
+    required, names = COMMANDS[command]
+    return st.builds(
+        lambda head, opts: [command, *head, *(tok for group in opts for tok in group)],
+        st.sampled_from(required),
+        st.lists(st.one_of([option(n) for n in names]), max_size=4) if names else st.just([]),
+    )
+
+
+# Any command, any option, with or without its value, in any order.
+ANY_ARGV = st.builds(
+    lambda command, opts: [command, *(tok for group in opts for tok in group)],
+    st.sampled_from([*COMMANDS, "nope"]),
+    st.lists(
+        st.one_of(
+            [option(n, valid=False) for n in VALUES]
+            + [
+                st.sampled_from([["--json"], ["--closed-form"], ["--help"], ["--bogus"], [""]]),
+                st.sampled_from(GRAPH_ARGS).map(lambda g: [g]),
+                option("--companion"),
+                st.builds(lambda a, b: ["--pair", a, b], st.sampled_from(GRAPH_ARGS), st.sampled_from(GRAPH_ARGS)),
+                st.sampled_from([["-o", "@out"], ["-o", "@missing/out"], ["-o"]]),
+            ]
+        ),
+        max_size=6,
+    ),
+)
+
+CLI_ARGV = st.one_of(st.sampled_from(list(COMMANDS)).flatmap(well_formed), ANY_ARGV)
+
+
+class TestFuzzMain:
+    @settings(max_examples=150, deadline=None)
+    @given(CLI_ARGV, EDGE_LIST_TEXT, EDGE_LIST_TEXT)
+    def test_exit_code_and_no_traceback(self, argv, text_a, text_b):
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "a.sg").write_text(text_a)
+            Path(tmp, "b.sg").write_text(text_b)
+            argv = [str(Path(tmp, tok[1:] + ".sg")) if tok.startswith("@") else tok for tok in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestRuntimeDependencies:

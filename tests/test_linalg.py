@@ -3,8 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import charpoly_cofactor, charpoly_faddeev, eigenvalues_jacobi, permuted
+from conftest import (
+    charpoly_cofactor,
+    charpoly_faddeev,
+    det_bareiss_dense,
+    eigenvalues_jacobi,
+    permuted,
+)
 from sgcorona import (
     ComplexRootsError,
     Matrix,
@@ -28,7 +35,8 @@ from sgcorona import (
     unbalanced_c4,
 )
 from sgcorona.experiments import random_signed_graph
-from sgcorona.linalg import _ql_implicit, _tridiagonalize
+from sgcorona import linalg
+from sgcorona.linalg import _bareiss_det, _ql_implicit, _tridiagonalize
 from sgcorona.spectra import MatrixKind
 
 A_C4M = matrix_of(unbalanced_c4(), MatrixKind.ADJACENCY)
@@ -204,6 +212,94 @@ class TestDetExactAt:
             p = char_poly_exact(m)
             for t in range(-3, 4):
                 assert det_exact_at(m, t) == p(t)
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices of order 0-25 at a random density, some of them with
+    a zero row, a zero diagonal or a row that combines two others."""
+    n = draw(st.integers(0, 25))
+    density = draw(st.floats(0.0, 1.0))
+    shape = draw(st.sampled_from(["plain", "zero row", "zero diagonal", "rank deficient"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    if shape == "zero row" and n:
+        rows[rng.randrange(n)] = [0] * n
+    elif shape == "zero diagonal":
+        for i in range(n):
+            rows[i][i] = 0
+    elif shape == "rank deficient" and n >= 3:
+        i, j, k = rng.sample(range(n), 3)
+        c1, c2 = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[k] = [c1 * x + c2 * y for x, y in zip(rows[i], rows[j])]
+    return shape, rows
+
+
+def det_at_oracle(m: Matrix, t0) -> Fraction:
+    """det(t0*I - M) from the dense Bareiss oracle, scaled in Fractions."""
+    t0 = Fraction(t0)
+    d = math.lcm(t0.denominator, *(Fraction(x).denominator for i in range(m.rows) for x in m.row(i)))
+    rows = [
+        [int(d * ((t0 if i == j else 0) - Fraction(x))) for j, x in enumerate(m.row(i))]
+        for i in range(m.rows)
+    ]
+    return Fraction(det_bareiss_dense(rows), d**m.rows)
+
+
+class TestSparseBareiss:
+    """The sparsity-ordered, lazily scaled kernel against dense Bareiss."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices())
+    def test_equals_dense_oracle(self, case):
+        shape, rows = case
+        expected = det_bareiss_dense([row[:] for row in rows])
+        assert _bareiss_det([row[:] for row in rows]) == expected
+        if shape in ("zero row", "rank deficient") and len(rows) >= 3:
+            assert expected == 0
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            # the row with a zero lead skips step 0 and is caught up last
+            ([[2, 3], [-2, 0]], 6),
+            # a row skipped at step 0 becomes the pivot row at step 1
+            ([[2, 2, -2], [2, 0, 0], [2, 0, 2]], -8),
+            # a row skipped at step 0 is updated again at step 1
+            ([[2, 0, -2], [2, 3, 0], [0, -2, 1]], 14),
+            # a zero pivot is swapped for a row that is behind (stamp != prev):
+            # its stamp must travel with it
+            ([[-2, 0, 3, 0], [-2, 0, 0, 3], [0, 3, 3, -2], [1, 2, 1, 0]], -33),
+        ],
+    )
+    def test_stale_rows(self, rows, det):
+        assert det_bareiss_dense([row[:] for row in rows]) == det
+        assert _bareiss_det([row[:] for row in rows]) == det
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    def test_corona_matrices(self, kind):
+        rng = random.Random(41)
+        for n1, n2 in ((13, 3), (3, 13), (6, 6), (1, 13), (13, 1)):
+            corona = neighbourhood_corona(random_signed_graph(rng, n1), random_signed_graph(rng, n2))
+            m = matrix_of(corona, kind)
+            for t0 in (0, Fraction(7, 3), Fraction(-9, 2)):
+                assert det_exact_at(m, t0) == det_at_oracle(m, t0)
+
+    def test_largest_corona_at_zero(self):
+        # order 182, the largest corona verify samples; t0 = 0 leaves the
+        # adjacency diagonal zero, so every pivot is found by a row swap
+        rng = random.Random(43)
+        corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
+        m = matrix_of(corona, MatrixKind.ADJACENCY)
+        assert m.rows == 182
+        assert det_exact_at(m, 0) == det_at_oracle(m, 0)
+
+    def test_fraction_matrices(self):
+        rng = random.Random(47)
+        for _ in range(20):
+            m = random_fraction_matrix(rng, rng.randint(1, 12))
+            for t0 in (0, Fraction(7, 3), Fraction(-9, 2)):
+                assert det_exact_at(m, t0) == det_at_oracle(m, t0)
 
 
 class TestSymEigenvalues:
@@ -458,6 +554,29 @@ class TestRoots:
     def test_cubic_triple_root(self):
         roots = real_roots_cubic(-3, 3, -1)
         assert all(abs(r - 1) < 1e-4 for r in roots)
+
+    def test_cubic_double_root_branch_is_stable(self, monkeypatch):
+        # (t-2)^2 (t+3) = t^3 - t^2 - 8t + 12: its discriminant is exactly 0,
+        # so one-ulp noise in the coefficients puts it on either side of 0;
+        # the roots must come from one branch (no Cardano deflation to a
+        # quadratic) and stay close to the exact ones
+        deflations = []
+        quadratic = linalg.real_roots_quadratic
+
+        def counted(b, c):
+            deflations.append((b, c))
+            return quadratic(b, c)
+
+        monkeypatch.setattr(linalg, "real_roots_quadratic", counted)
+        rng = random.Random(53)
+        for _ in range(2000):
+            coeffs = [
+                math.nextafter(c, rng.choice((-math.inf, math.inf))) if rng.random() < 0.7 else c
+                for c in (-1.0, -8.0, 12.0)
+            ]
+            roots = real_roots_cubic(*coeffs)
+            assert all(abs(r - e) < 1e-7 for r, e in zip(roots, (-3.0, 2.0, 2.0)))
+        assert deflations == []
 
     def test_cubic_complex_rejected(self):
         with pytest.raises(ComplexRootsError):
