@@ -10,6 +10,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .graphs import (
+    DEFAULT_ISO_CAP,
     SignedGraph,
     alternating_cycle,
     complete_bipartite,
@@ -57,35 +58,35 @@ class IsomorphicInputsError(ValueError):
 # random factor generators
 
 
-def random_signed_graph(rng: random.Random, n: int, p_edge: float = 0.5, p_neg: float = 0.5) -> SignedGraph:
+def random_signed_graph(rng: random.Random, n: int, p_edge: float = 0.5) -> SignedGraph:
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p_edge:
-                edges.append((u, v, -1 if rng.random() < p_neg else 1))
+                edges.append((u, v, -1 if rng.random() < 0.5 else 1))
     return SignedGraph(n, tuple(edges))
 
 
-def random_connected_positive(rng: random.Random, n: int, p_extra: float = 0.3) -> SignedGraph:
+def random_connected_positive(rng: random.Random, n: int) -> SignedGraph:
     """Connected graph with every edge positive: random tree plus extras."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < p_extra:
+            if (u, v) not in edges and rng.random() < 0.3:
                 edges.add((u, v))
     return SignedGraph(n, tuple(sorted((u, v, 1) for u, v in edges)))
 
 
-def random_connected_signed(rng: random.Random, n: int, p_extra: float = 0.3, p_neg: float = 0.5) -> SignedGraph:
-    base = random_connected_positive(rng, n, p_extra)
-    edges = tuple((u, v, -1 if rng.random() < p_neg else 1) for u, v, _ in base.edges)
+def random_connected_signed(rng: random.Random, n: int) -> SignedGraph:
+    base = random_connected_positive(rng, n)
+    edges = tuple((u, v, -1 if rng.random() < 0.5 else 1) for u, v, _ in base.edges)
     return SignedGraph(n, edges)
 
 
-def _regular_pairs(rng: random.Random, n: int, k: int, attempts: int = 400) -> set[tuple[int, int]]:
+def _regular_pairs(rng: random.Random, n: int, k: int) -> set[tuple[int, int]]:
     """Uniform-ish k-regular underlying graph by the rejection pairing model,
-    falling back to Steger-Wormald pairing once `attempts` pairings have all
-    been rejected (from about n = 12 with k near n/2 they mostly are).
+    falling back to Steger-Wormald pairing once 400 pairings have all been
+    rejected (from about n = 12 with k near n/2 they mostly are).
 
     Dense degrees (k above (n-1)/2) are sampled as the complement of a sparse
     regular graph; the rejection rate of the raw pairing model is hopeless
@@ -96,11 +97,11 @@ def _regular_pairs(rng: random.Random, n: int, k: int, attempts: int = 400) -> s
     if k >= n or (n * k) % 2:
         raise ValueError(f"no {k}-regular graph on {n} vertices")
     if k > (n - 1) // 2:
-        sparse = _regular_pairs(rng, n, n - 1 - k, attempts)
+        sparse = _regular_pairs(rng, n, n - 1 - k)
         return {
             (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in sparse
         }
-    for _ in range(attempts):
+    for _ in range(400):
         stubs = [v for v in range(n) for _ in range(k)]
         rng.shuffle(stubs)
         pairs: set[tuple[int, int]] = set()
@@ -113,7 +114,7 @@ def _regular_pairs(rng: random.Random, n: int, k: int, attempts: int = 400) -> s
             pairs.add((min(u, v), max(u, v)))
         if ok:
             return pairs
-    for _ in range(attempts):
+    for _ in range(400):
         pairs = _steger_wormald(rng, n, k)
         if pairs is not None:
             return pairs
@@ -142,19 +143,18 @@ def _steger_wormald(rng: random.Random, n: int, k: int) -> set[tuple[int, int]] 
     return pairs
 
 
-def _regular_degree_options(n: int, smallest: int) -> list[int]:
-    return [k for k in range(smallest, n) if (n * k) % 2 == 0]
+def _random_regular(rng: random.Random, max_n: int) -> tuple[int, set[tuple[int, int]]]:
+    """Order n in [2, max(max_n, 2)], a degree k >= 1 with n*k even (there is
+    one for every n >= 2: 1 if n is even, 2 if n is odd), and the edge pairs
+    of a k-regular graph on n vertices."""
+    n = rng.randint(2, max(max_n, 2))
+    k = rng.choice([k for k in range(1, n) if (n * k) % 2 == 0])
+    return n, _regular_pairs(rng, n, k)
 
 
-def random_regular_signed(rng: random.Random, max_n: int, min_degree: int = 1) -> SignedGraph:
+def random_regular_signed(rng: random.Random, max_n: int) -> SignedGraph:
     """Degree-regular underlying graph with independently random edge signs."""
-    while True:
-        n = rng.randint(max(2, min_degree + 1), max(max_n, 2))
-        options = _regular_degree_options(n, min_degree)
-        if options:
-            break
-    k = rng.choice(options)
-    pairs = _regular_pairs(rng, n, k)
+    n, pairs = _random_regular(rng, max_n)
     edges = tuple(sorted((u, v, rng.choice((1, -1))) for u, v in pairs))
     return SignedGraph(n, edges)
 
@@ -174,14 +174,8 @@ def random_net_regular(rng: random.Random, max_n: int, nonzero: bool = False) ->
             if max_n < 4:
                 continue
             return alternating_cycle(4 if max_n < 6 else rng.choice([4, 6]))
-        smallest = 1
-        n = rng.randint(2, max(max_n, 2))
-        options = _regular_degree_options(n, smallest)
-        if not options:
-            continue
-        k = rng.choice(options)
         sign = 1 if family == "pos" else -1
-        pairs = _regular_pairs(rng, n, k)
+        n, pairs = _random_regular(rng, max_n)
         return SignedGraph(n, tuple(sorted((u, v, sign) for u, v in pairs)))
 
 
@@ -396,7 +390,7 @@ def cospectral_demo(
     s2: SignedGraph,
     companion: SignedGraph,
     kind: MatrixKind,
-    cap: int = 12,
+    cap: int = DEFAULT_ISO_CAP,
 ) -> CospectralCertificate:
     p1 = char_poly_exact(matrix_of(s1, kind))
     p2 = char_poly_exact(matrix_of(s2, kind))

@@ -175,26 +175,17 @@ class Polynomial:
             out = out * x + (c if isinstance(x, (int, Fraction)) else float(c))
         return out
 
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self._coeffs), len(other._coeffs))
         return Polynomial(self.coeff(k) + other.coeff(k) for k in range(n))
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) - self
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(-c for c in self._coeffs)
 
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self._coeffs)
-        other = _as_poly(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial([])
         out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
@@ -203,22 +194,7 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Polynomial([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        other = _as_poly(other)
+    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self._coeffs)
@@ -237,12 +213,10 @@ class Polynomial:
             rem.pop()
         return Polynomial(quo), Polynomial(rem)
 
-    def __floordiv__(self, other) -> "Polynomial":
+    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
         return isinstance(other, Polynomial) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
@@ -263,14 +237,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self._coeffs]!r})"
-
-
-def _as_poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Polynomial([x])
-    raise TypeError(f"cannot coerce {type(x).__name__} to Polynomial")
 
 
 def char_poly_exact(m: Matrix) -> Polynomial:
@@ -572,7 +538,7 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
-def sym_eigenvalues(m, cluster_tol: float = 1e-6) -> SpectrumMultiset:
+def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
     """All eigenvalues of a real symmetric matrix by Householder
     tridiagonalisation followed by implicit-shift QL (Golub & Van Loan 8.3).
 
@@ -580,17 +546,12 @@ def sym_eigenvalues(m, cluster_tol: float = 1e-6) -> SpectrumMultiset:
     into multiplicities with an absolute tolerance scaled by the spectral
     radius.
     """
-    if isinstance(m, Matrix):
-        m.require_square("sym_eigenvalues")
-        a = m.to_float()
-    else:
-        a = [[float(x) for x in row] for row in m]
-        if any(len(row) != len(a) for row in a):
-            raise NotSquareError("sym_eigenvalues needs a square matrix")
+    m.require_square("sym_eigenvalues")
+    a = m.to_float()
     n = len(a)
     if n == 0:
         raise ValueError("sym_eigenvalues needs order >= 1")
-    scale = max(max(abs(x) for x in row) for row in a) if n else 0.0
+    scale = max(max(abs(x) for x in row) for row in a)
     sym_tol = 1e-12 * (1.0 + scale)
     for i in range(n):
         for j in range(i + 1, n):

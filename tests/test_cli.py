@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import sgcorona
 from sgcorona import format_graph, parse_graph, read_graph, unbalanced_c4, complete_graph
-from sgcorona.cli import MAX_DENSE_ORDER, main
+from sgcorona.cli import MAX_CORONA_SIZE, MAX_DENSE_ORDER, main
 from sgcorona.experiments import THEOREM_LABELS
 
 C4M_TEXT = "4\n0 1 +\n1 2 +\n2 3 +\n0 3 -\n"
@@ -245,6 +246,41 @@ class TestSizeLimit:
         code, _, err = run(capsys, "spectrum", c4m_file, str(second))
         assert code == 2
         assert "order 404" in err
+
+    def test_huge_corona_refused(self, tmp_path, k2_file):
+        # with K2, a first factor of 10^8 vertices gives a corona of 10^8
+        # edges, which ran out of memory; it must be refused before it is built
+        # (the address-space limit keeps a build that is not refused small)
+        huge = tmp_path / "huge.sg"
+        huge.write_text("100000000\n")
+        out_file = tmp_path / "out.sg"
+        src = str(Path(sgcorona.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "sgcorona.cli", "corona", str(huge), k2_file, "-o", str(out_file)],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2, done.stderr
+        assert not done.stdout
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+        assert "100000000 edges" in done.stderr
+        assert f"limit of {MAX_CORONA_SIZE}" in done.stderr
+        assert not out_file.exists()
+
+    def test_corona_vertices_count(self, capsys, tmp_path):
+        # no edges at all, but 2 * 10^6 vertices
+        first = tmp_path / "e.sg"
+        first.write_text("1000000\n")
+        second = tmp_path / "k1.sg"
+        second.write_text("1\n")
+        code, out, err = run(capsys, "corona", str(first), str(second), "-o", str(tmp_path / "o.sg"))
+        assert code == 2
+        assert not out
+        assert "corona of 2000000 vertices and 0 edges" in err
 
 
 class TestUsage:

@@ -197,6 +197,35 @@ class TestGenerators:
                         degree[v] += 1
                     assert degree == [k] * n, (n, k, seed)
 
+    @pytest.mark.parametrize(
+        "name, sample, expected",
+        [
+            ("random_regular_signed", experiments.random_regular_signed,
+             "278f0d0851060580377b14c4aa406c943bfd8cc1266ea4272fc274a04018bb26"),
+            ("random_net_regular", experiments.random_net_regular,
+             "d4ddced042f07fd022e3f6c5fa9e8e24638b81d213772c2936fb3f93c2261e9c"),
+            ("random_net_regular nonzero",
+             lambda rng, n: experiments.random_net_regular(rng, n, nonzero=True),
+             "f445d2f8f1412fcedf49e5e59442bc018d1ab825372c99abcd1236cb6bce20fb"),
+            ("random_connected_positive", experiments.random_connected_positive,
+             "9f5b4c48c85adbb301b5d9a30a67de05a88a301484d1d39e1f01bb0b3c29ee5c"),
+            ("random_connected_signed", experiments.random_connected_signed,
+             "394abe4f91282eb9646ba12bfe26bea5bbfbcc1c62a4c9362ff15288bfda4150"),
+        ],
+    )
+    def test_sampler_stream_is_pinned(self, name, sample, expected):
+        # 50 draws for every n (or max_n) from 1 to 13 and seeds 0-2: beyond the
+        # max-n 6 of test_sampled_stream_is_pinned, into the Steger-Wormald range
+        import random
+
+        digest = hashlib.sha256()
+        for n in range(1, 14):
+            for seed in range(3):
+                rng = random.Random(seed)
+                for _ in range(50):
+                    digest.update(format_graph(sample(rng, n)).encode())
+        assert digest.hexdigest() == expected, name
+
     def test_seed_that_once_exhausted_the_sampler(self):
         for label in ("3.3", "3.4", "4.2", "5.1"):
             result = verify_theorem(label, trials=25, seed=99, max_n=5)
