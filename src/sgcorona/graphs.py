@@ -30,8 +30,9 @@ class VertexIndexError(GraphError):
 
 
 class SizeLimitError(GraphError):
-    """Input refused: it exceeds a size cap (the brute-force isomorphism search
-    or the order of a dense matrix)."""
+    """Input refused: it exceeds a size cap (the brute-force isomorphism search,
+    the order of a dense matrix, or the vertices plus edges of a corona that
+    `corona` would write)."""
 
 
 class ParseError(GraphError):
@@ -195,13 +196,6 @@ class SignedGraph:
         edges = tuple(
             (u, v, -s if (u in xs) != (v in xs) else s) for u, v, s in self.edges
         )
-        return SignedGraph(self.n, edges)
-
-    def relabel(self, perm: Sequence[int]) -> SignedGraph:
-        """Apply the vertex relabelling old -> perm[old]."""
-        if sorted(perm) != list(range(self.n)):
-            raise GraphError("relabelling must be a permutation of the vertices")
-        edges = tuple(sorted(_canonical(perm[u], perm[v], s) for u, v, s in self.edges))
         return SignedGraph(self.n, edges)
 
 
@@ -459,8 +453,14 @@ def format_graph(s: SignedGraph) -> str:
 
 
 def read_graph(path) -> SignedGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"non-ASCII byte {data[exc.start]:#04x}", line) from None
+    return parse_graph(text)
 
 
 def write_graph(s: SignedGraph, path) -> None:

@@ -11,7 +11,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Scalar = int | Fraction
 
@@ -49,11 +49,6 @@ class Matrix:
     def ones(cls, rows: int, cols: int) -> "Matrix":
         return cls([[1] * cols for _ in range(rows)])
 
-    @classmethod
-    def diagonal(cls, values: Sequence[Scalar]) -> "Matrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def rows(self) -> int:
         return len(self._rows)
@@ -78,9 +73,6 @@ class Matrix:
         i, j = ij
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self._rows[i]
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
@@ -100,9 +92,6 @@ class Matrix:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Matrix":
-        return self * -1
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
@@ -113,13 +102,6 @@ class Matrix:
             for row in self._rows
         )
 
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self._rows)) if self._rows else Matrix([])
-
-    def trace(self) -> Scalar:
-        self.require_square("trace")
-        return sum(self._rows[i][i] for i in range(self.rows))
-
     def to_float(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self._rows]
 
@@ -128,12 +110,6 @@ class Matrix:
 
     def __hash__(self) -> int:
         return hash(self._rows)
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self._rows)
-
-    def __repr__(self) -> str:
-        return f"Matrix({[list(r) for r in self._rows]!r})"
 
 
 class Polynomial:
@@ -153,68 +129,8 @@ class Polynomial:
         return self._coeffs
 
     @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
-    def coeff(self, k: int) -> Fraction:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
-
-    def __call__(self, x):
-        out = 0 if isinstance(x, (int, Fraction)) else 0.0
-        for c in reversed(self._coeffs):
-            out = out * x + (c if isinstance(x, (int, Fraction)) else float(c))
-        return out
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self._coeffs), len(other._coeffs))
-        return Polynomial(self.coeff(k) + other.coeff(k) for k in range(n))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial([])
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other._coeffs) + 1, 0)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and any(rem):
-            k = len(rem) - 1
-            if rem[k] == 0:
-                rem.pop()
-                continue
-            f = rem[k] / lead
-            quo[k - d] = f
-            for j, b in enumerate(other._coeffs):
-                rem[k - d + j] -= f * b
-            rem.pop()
-        return Polynomial(quo), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self._coeffs == other._coeffs
@@ -234,9 +150,6 @@ class Polynomial:
             else:
                 terms.append(f"{c}*t^{k}")
         return " + ".join(terms)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self._coeffs]!r})"
 
 
 def char_poly_exact(m: Matrix) -> Polynomial:

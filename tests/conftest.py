@@ -1,9 +1,10 @@
 """Shared test helpers: two characteristic-polynomial oracles that share no
 code with the Berkowitz implementation under test (cofactor expansion for
-small orders, the Faddeev-LeVerrier recurrence for larger ones), a dense
-Bareiss determinant oracle for the sparsity-ordered, lazily scaled kernel
-under test, a cyclic Jacobi eigenvalue oracle that shares no code with the
-Householder/QL solver under test, and symmetric relabelling of a matrix."""
+small orders, the Faddeev-LeVerrier recurrence for larger ones), Horner
+evaluation of a polynomial, a dense Bareiss determinant oracle for the
+sparsity-ordered, lazily scaled kernel under test, a cyclic Jacobi
+eigenvalue oracle that shares no code with the Householder/QL solver under
+test, and symmetric relabelling of a matrix."""
 
 from __future__ import annotations
 
@@ -14,33 +15,43 @@ from sgcorona import Matrix, Polynomial
 
 
 def charpoly_cofactor(m: Matrix) -> Polynomial:
-    """det(tI - M) by recursive cofactor expansion over the polynomial ring.
+    """det(tI - M) by recursive cofactor expansion over the polynomial ring,
+    on ascending coefficient lists.
 
     Exponential in the order; keep inputs at 6x6 or below.
     """
     n = m.rows
     entries = [
-        [
-            Polynomial([-Fraction(m[i, j]), 1]) if i == j else Polynomial([-Fraction(m[i, j])])
-            for j in range(n)
-        ]
+        [[-Fraction(m[i, j]), 1] if i == j else [-Fraction(m[i, j])] for j in range(n)]
         for i in range(n)
     ]
 
-    def det(rows: list[int], cols: list[int]) -> Polynomial:
+    def det(rows: list[int], cols: list[int]) -> list[Fraction]:
         if len(rows) == 1:
             return entries[rows[0]][cols[0]]
-        total = Polynomial([])
+        total = [Fraction(0)] * (len(rows) + 1)  # a k x k minor has degree <= k
         r = rows[0]
         rest = rows[1:]
         for idx, c in enumerate(cols):
-            term = entries[r][c] * det(rest, cols[:idx] + cols[idx + 1 :])
-            total = total + term if idx % 2 == 0 else total - term
+            sign = 1 if idx % 2 == 0 else -1
+            minor = det(rest, cols[:idx] + cols[idx + 1 :])
+            for i, a in enumerate(entries[r][c]):
+                for j, b in enumerate(minor):
+                    total[i + j] += sign * a * b
         return total
 
     if n == 0:
         return Polynomial([1])
-    return det(list(range(n)), list(range(n)))
+    return Polynomial(det(list(range(n)), list(range(n))))
+
+
+def poly_at(p: Polynomial, x):
+    """p(x) by Horner's scheme: exact at an int or Fraction x, a float at a
+    float x."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def charpoly_faddeev(m: Matrix) -> Polynomial:
@@ -50,7 +61,7 @@ def charpoly_faddeev(m: Matrix) -> Polynomial:
     n = m.rows
     if n == 0:
         return Polynomial([1])
-    rows = [m.row(i) for i in range(n)]
+    rows = [[m[i, j] for j in range(n)] for i in range(n)]
     integral = all(Fraction(x).denominator == 1 for row in rows for x in row)
     a = [[int(x) if integral else Fraction(x) for x in row] for row in rows]
     work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

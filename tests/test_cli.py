@@ -65,6 +65,25 @@ class TestCorona:
         assert err
 
 
+class TestNonAsciiFile:
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"2\n0 1 \xc3\xa9\n", 2), (b"\xff\xfe2\x00\n\x00", 1)],
+        ids=["utf8", "utf16"],
+    )
+    @pytest.mark.parametrize("command", ["spectrum", "charpoly", "corona"])
+    def test_parse_error_exits_2(self, capsys, tmp_path, k2_file, command, data, line):
+        bad = tmp_path / "bad.sg"
+        bad.write_bytes(data)
+        out_file = tmp_path / "o.sg"
+        extra = [k2_file, "-o", str(out_file)] if command == "corona" else []
+        code, out, err = run(capsys, command, str(bad), *extra)
+        assert code == 2
+        assert not out
+        assert err.startswith(f"error: line {line}: non-ASCII byte 0x")
+        assert not out_file.exists()
+
+
 class TestSpectrum:
     def test_single_graph(self, capsys, c4m_file):
         code, out, _ = run(capsys, "spectrum", c4m_file, "--kind", "adj")
@@ -94,6 +113,36 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["kind"] == "netlap"
         assert sum(item["multiplicity"] for item in doc["numeric"]) == 12
+
+    def test_closed_form_json(self, capsys, c4m_file, k2_file):
+        argv = ["spectrum", c4m_file, k2_file, "--closed-form", "--json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["theorem"] == "2.3"
+        assert doc["agrees"] is True
+        assert "closed_form_unavailable" not in doc
+        # a "poly" entry stands for every root of its quadratic or cubic
+        count = sum(
+            e["multiplicity"] * (len(e["coeffs"]) - 1 if e["kind"] == "poly" else 1)
+            for e in doc["closed_form"]
+        )
+        assert count == 12
+
+    def test_closed_form_unavailable_json(self, capsys, c4m_file, k2_file):
+        # the second factor, the unbalanced 4-cycle, is not net-regular
+        code, out, _ = run(capsys, "spectrum", k2_file, c4m_file, "--closed-form", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["closed_form_unavailable"] == "second factor must be net-regular"
+        assert not {"theorem", "agrees", "closed_form"} & doc.keys()
+
+    def test_three_graphs_refused(self, capsys, c4m_file, k2_file):
+        code, out, err = run(capsys, "spectrum", c4m_file, k2_file, c4m_file)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: spectrum takes one graph")
+        assert "Traceback" not in err
 
 
 class TestCharpoly:

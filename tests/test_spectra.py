@@ -67,8 +67,8 @@ class TestMatrixOf:
             lap = matrix_of(g, LAP)
             net = matrix_of(g, NET)
             for i in range(g.n):
-                assert sum(lap.row(i)) == 2 * prof.neg_degree[i]
-                assert sum(net.row(i)) == 0
+                assert sum(lap[i, j] for j in range(g.n)) == 2 * prof.neg_degree[i]
+                assert sum(net[i, j] for j in range(g.n)) == 0
 
     def test_kind_parse(self):
         assert MatrixKind.parse("adj") is ADJ
@@ -112,7 +112,7 @@ def block_matrix(blocks) -> Matrix:
         for i in range(height):
             row = []
             for b in band:
-                row.extend(b.row(i))
+                row.extend(b[i, j] for j in range(b.cols))
             rows.append(row)
     return Matrix(rows)
 
@@ -148,11 +148,12 @@ def assemble_corona_blocks(s1, s2, kind) -> Matrix:
     else:
         prof = s1.degrees()
         diag_vals = prof.degree if kind is MatrixKind.LAPLACIAN else prof.net_degree
-        d1 = Matrix.diagonal(diag_vals)
+        d1 = Matrix([[diag_vals[i] if i == j else 0 for j in range(n1)] for i in range(n1)])
         tl = matrix_of(s1, kind) + n2 * d1
-        tr = -join
+        tr = -1 * join
         br = kronecker_sum(d1, matrix_of(s2, kind))
-    return block_matrix([[tl, tr], [tr.transpose(), br]])
+    bl = Matrix([[tr[i, j] for i in range(tr.rows)] for j in range(tr.cols)])
+    return block_matrix([[tl, tr], [bl, br]])
 
 
 class TestBlockAssembly:
