@@ -21,7 +21,6 @@ from .experiments import (
 from .graphs import (
     DEFAULT_ISO_CAP,
     GraphError,
-    SizeLimitError,
     edgeless,
     neighbourhood_corona,
     read_graph,
@@ -63,7 +62,7 @@ MAX_CORONA_SIZE = 10**6
 def _check_order(order: int) -> None:
     """Refuse a dense matrix of this order before it is built."""
     if order > MAX_DENSE_ORDER:
-        raise SizeLimitError(f"matrix order {order} exceeds the limit of {MAX_DENSE_ORDER}")
+        raise GraphError(f"matrix order {order} exceeds the limit of {MAX_DENSE_ORDER}")
 
 
 def _positive(convert):
@@ -81,13 +80,9 @@ def _positive(convert):
     return parse
 
 
-def _kind(args) -> MatrixKind:
-    return MatrixKind.parse(args.kind)
-
-
 def _add_common(sub, kind=True, tol=True):
     if kind:
-        sub.add_argument("--kind", choices=["adj", "lap", "netlap"], default="adj",
+        sub.add_argument("--kind", choices=[k.value for k in MatrixKind], default="adj",
                          help="which matrix to use (default adj)")
     if tol:
         sub.add_argument("--tol", type=_positive(float), default=1e-6,
@@ -162,8 +157,8 @@ def cmd_corona(args) -> int:
     order = s1.n * (s2.n + 1)
     edges = s1.edge_count * (1 + 2 * s2.n) + s1.n * s2.edge_count
     if order + edges > MAX_CORONA_SIZE:
-        raise SizeLimitError(f"corona of {order} vertices and {edges} edges exceeds the "
-                             f"limit of {MAX_CORONA_SIZE} vertices plus edges")
+        raise GraphError(f"corona of {order} vertices and {edges} edges exceeds the "
+                         f"limit of {MAX_CORONA_SIZE} vertices plus edges")
     corona = neighbourhood_corona(s1, s2)
     write_graph(corona, args.output)
     print(f"wrote {args.output}: {corona.n} vertices, {corona.edge_count} edges")
@@ -182,7 +177,7 @@ def cmd_spectrum(args) -> int:
         raise UsageError("spectrum takes one graph, or two graphs for their corona")
     if args.closed_form and len(args.graphs) != 2:
         raise UsageError("--closed-form needs the two corona factors")
-    kind = _kind(args)
+    kind = MatrixKind(args.kind)
     graphs = [read_graph(path) for path in args.graphs]
     if len(graphs) == 1:
         _check_order(graphs[0].n)
@@ -226,7 +221,7 @@ def cmd_spectrum(args) -> int:
 def cmd_charpoly(args) -> int:
     s = read_graph(args.graph)
     _check_order(s.n)
-    poly = char_poly_exact(matrix_of(s, _kind(args)))
+    poly = char_poly_exact(matrix_of(s, MatrixKind(args.kind)))
     if args.json:
         print(json.dumps({"kind": args.kind, "coeffs": [str(c) for c in poly.coeffs]}))
     else:
@@ -246,7 +241,7 @@ def cmd_verify(args) -> int:
 def cmd_distinct(args) -> int:
     s = read_graph(args.graph)
     _check_order(s.n)
-    report = distinct_count(s, _kind(args), args.tol)
+    report = distinct_count(s, MatrixKind(args.kind), args.tol)
     _emit(args, report)
     return 0
 
@@ -259,7 +254,7 @@ def cmd_cospectral(args) -> int:
     companion = read_graph(args.companion) if args.companion else edgeless(1)
     _check_order(max(s1.n, s2.n) * (companion.n + 1))
     try:
-        cert = cospectral_demo(s1, s2, companion, _kind(args), cap=args.cap)
+        cert = cospectral_demo(s1, s2, companion, MatrixKind(args.kind), cap=args.cap)
     except (NotCospectralError, IsomorphicInputsError) as exc:
         print(f"cospectral-demo failed: {exc}", file=sys.stderr)
         return 1

@@ -14,25 +14,9 @@ DEFAULT_ISO_CAP = 12
 
 
 class GraphError(ValueError):
-    """Invalid signed-graph data or operation."""
-
-
-class SelfLoopError(GraphError):
-    pass
-
-
-class DuplicateEdgeError(GraphError):
-    pass
-
-
-class VertexIndexError(GraphError):
-    pass
-
-
-class SizeLimitError(GraphError):
-    """Input refused: it exceeds a size cap (the brute-force isomorphism search,
-    the order of a dense matrix, or the vertices plus edges of a corona that
-    `corona` would write)."""
+    """Invalid signed-graph data or operation, or an input over a size cap (the
+    brute-force isomorphism search, the order of a dense matrix, or the
+    vertices plus edges of a corona that `corona` would write)."""
 
 
 class ParseError(GraphError):
@@ -78,15 +62,15 @@ class SignedGraph:
         seen: set[tuple[int, int]] = set()
         for u, v, s in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise VertexIndexError(f"edge ({u}, {v}) out of range for n={self.n}")
+                raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
             if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
+                raise GraphError(f"self-loop at vertex {u}")
             if u > v:
                 raise GraphError(f"edge ({u}, {v}) not in canonical u < v order")
             if s not in (1, -1):
                 raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
             if (u, v) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+                raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
         if list(self.edges) != sorted(self.edges):
             object.__setattr__(self, "edges", tuple(sorted(self.edges)))
@@ -192,7 +176,7 @@ class SignedGraph:
         xs = set(x)
         for v in xs:
             if not (0 <= v < self.n):
-                raise VertexIndexError(f"switch vertex {v} out of range for n={self.n}")
+                raise GraphError(f"switch vertex {v} out of range for n={self.n}")
         edges = tuple(
             (u, v, -s if (u in xs) != (v in xs) else s) for u, v, s in self.edges
         )
@@ -206,12 +190,12 @@ def _add_edge(sign: dict[tuple[int, int], int], n: int, u: int, v: int, s: int) 
     if s not in (1, -1):
         raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
     if not (0 <= u < n and 0 <= v < n):
-        raise VertexIndexError(f"edge ({u}, {v}) out of range for n={n}")
+        raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
     if u == v:
-        raise SelfLoopError(f"self-loop at vertex {u}")
+        raise GraphError(f"self-loop at vertex {u}")
     key = (u, v) if u < v else (v, u)
     if sign.setdefault(key, s) != s:
-        raise DuplicateEdgeError(f"conflicting signs for edge {key}")
+        raise GraphError(f"conflicting signs for edge {key}")
 
 
 def from_edge_list(n: int, triples: Iterable[tuple[int, int, int]]) -> SignedGraph:
@@ -313,7 +297,7 @@ def neighbourhood_corona(s1: SignedGraph, s2: SignedGraph) -> SignedGraph:
 
 def _check_iso_cap(s1: SignedGraph, s2: SignedGraph, cap: int) -> None:
     if max(s1.n, s2.n) > cap:
-        raise SizeLimitError(
+        raise GraphError(
             f"brute-force isomorphism capped at {cap} vertices, got {max(s1.n, s2.n)}"
         )
 

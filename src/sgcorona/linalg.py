@@ -16,14 +16,6 @@ from typing import Iterable
 Scalar = int | Fraction
 
 
-class NotSquareError(ValueError):
-    pass
-
-
-class NotSymmetricError(ValueError):
-    pass
-
-
 class ComplexRootsError(ArithmeticError):
     """Real roots were expected but the discriminant is significantly negative."""
 
@@ -67,7 +59,7 @@ class Matrix:
 
     def require_square(self, op: str) -> None:
         if not self.is_square:
-            raise NotSquareError(f"{op} needs a square matrix, got {self.rows}x{self.cols}")
+            raise ValueError(f"{op} needs a square matrix, got {self.rows}x{self.cols}")
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
@@ -469,7 +461,7 @@ def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
     for i in range(n):
         for j in range(i + 1, n):
             if abs(a[i][j] - a[j][i]) > sym_tol:
-                raise NotSymmetricError(
+                raise ValueError(
                     f"entries ({i},{j}) and ({j},{i}) differ by {abs(a[i][j] - a[j][i]):.3e}"
                 )
             avg = 0.5 * (a[i][j] + a[j][i])

@@ -25,37 +25,9 @@ class MatrixKind(enum.Enum):
     LAPLACIAN = "lap"
     NET_LAPLACIAN = "netlap"
 
-    @classmethod
-    def parse(cls, token: str) -> "MatrixKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        raise ValueError(f"unknown matrix kind {token!r}; use adj, lap or netlap")
-
 
 class ClosedFormError(ValueError):
     """The requested closed form does not apply to these factors."""
-
-
-class NotRegularError(ClosedFormError):
-    pass
-
-
-class NotNetRegularError(ClosedFormError):
-    pass
-
-
-class NetDegreeNotEigenvalueError(ClosedFormError):
-    pass
-
-
-class RowSumEigenvalueMissingError(ClosedFormError):
-    pass
-
-
-class ZeroNetDegreeError(ClosedFormError):
-    """Zero net degrees make the net degree matrix singular; the closed form
-    is unavailable, use the numeric spectrum instead."""
 
 
 class PoleError(ValueError):
@@ -210,17 +182,15 @@ def realize(cf: ClosedFormSpectrum, tol: float = 1e-6) -> SpectrumMultiset:
     return SpectrumMultiset.from_values(values, tol)
 
 
-def _drop_one_copy(
-    spec: SpectrumMultiset, target: float, tol: float, exc: type[ClosedFormError], what: str
-) -> list[tuple[float, int]]:
+def _drop_one_copy(spec: SpectrumMultiset, target: float, tol: float, what: str) -> list[tuple[float, int]]:
     """Remove one copy of the eigenvalue nearest to target, which must sit
     within the clustering tolerance."""
     if not spec.pairs:
-        raise exc(f"{what}: spectrum is empty")
+        raise ClosedFormError(f"{what}: spectrum is empty")
     value, mult = spec.nearest(target)
     scale = 1.0 + max(abs(target), max(abs(v) for v, _ in spec.pairs))
     if abs(value - target) > tol * scale:
-        raise exc(f"{what}: expected eigenvalue {target}, nearest is {value:.6g}")
+        raise ClosedFormError(f"{what}: expected eigenvalue {target}, nearest is {value:.6g}")
     out = []
     for v, m in spec.pairs:
         if v == value and mult == m:
@@ -241,13 +211,12 @@ def closed_form_adjacency(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -
         raise GraphError("corona needs a non-empty first factor")
     r2 = s2.net_regularity()
     if r2 is None:
-        raise NotNetRegularError("second factor must be net-regular")
+        raise ClosedFormError("second factor must be net-regular")
     n1, n2 = s1.n, s2.n
     inherited = _drop_one_copy(
         numeric_spectrum(s2, MatrixKind.ADJACENCY, tol),
         float(r2),
         tol,
-        NetDegreeNotEigenvalueError,
         "net degree must be an adjacency eigenvalue of the second factor",
     )
     entries = [ClosedFormEntry(multiplicity=m * n1, value=v) for v, m in inherited]
@@ -327,9 +296,9 @@ def closed_form_laplacian(
         raise GraphError("corona needs a non-empty first factor")
     r1 = s1.regularity()
     if r1 is None:
-        raise NotRegularError("first factor must be degree-regular")
+        raise ClosedFormError("first factor must be degree-regular")
     if r1 == 0:
-        raise NotRegularError(
+        raise ClosedFormError(
             "first factor is edgeless: its degree matrix is singular, use the numeric spectrum"
         )
     if force_zero_row_sum:
@@ -341,7 +310,7 @@ def closed_form_laplacian(
     else:
         neg = set(s2.degrees().neg_degree)
         if len(neg) != 1:
-            raise NotRegularError(
+            raise ClosedFormError(
                 "second factor needs a constant Laplacian row sum "
                 "(every vertex with the same negative degree)"
             )
@@ -351,7 +320,6 @@ def closed_form_laplacian(
         numeric_spectrum(s2, MatrixKind.LAPLACIAN, tol),
         float(k),
         tol,
-        RowSumEigenvalueMissingError,
         "row-sum constant must be a Laplacian eigenvalue of the second factor",
     )
     entries = [ClosedFormEntry(multiplicity=m * n1, value=v + r1) for v, m in inherited]
@@ -373,9 +341,9 @@ def closed_form_netlaplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6
         raise GraphError("corona needs a non-empty first factor")
     r = s1.net_regularity()
     if r is None:
-        raise NotNetRegularError("first factor must be net-regular")
+        raise ClosedFormError("first factor must be net-regular")
     if r == 0:
-        raise ZeroNetDegreeError(
+        raise ClosedFormError(
             "net degree 0 makes the net degree matrix singular; use the numeric spectrum"
         )
     n1, n2 = s1.n, s2.n
@@ -383,7 +351,6 @@ def closed_form_netlaplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6
         numeric_spectrum(s2, MatrixKind.NET_LAPLACIAN, tol),
         0.0,
         tol,
-        RowSumEigenvalueMissingError,
         "0 must be a net-Laplacian eigenvalue of the second factor",
     )
     entries = [ClosedFormEntry(multiplicity=m * n1, value=v + r) for v, m in inherited]

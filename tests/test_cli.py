@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -218,6 +220,21 @@ class TestDistinct:
         assert code == 0
         assert "2 distinct" in out
 
+    def test_json(self, capsys, c4m_file):
+        code, out, _ = run(capsys, "distinct", c4m_file, "--kind", "adj", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == [
+            "kind", "tol", "construction", "spectrum", "distinct_count",
+            "bound", "bound_satisfied", "expected_distinct", "matches_expected",
+        ]
+        assert doc["distinct_count"] == 2
+        assert [p["multiplicity"] for p in doc["spectrum"]] == [2, 2]
+        for p, sign in zip(doc["spectrum"], (-1, 1)):
+            assert abs(p["value"] - sign * math.sqrt(2)) < 1e-9
+        for key in ("bound", "bound_satisfied", "expected_distinct", "matches_expected"):
+            assert doc[key] is None
+
 
 class TestCospectralDemo:
     def test_default_pair(self, capsys):
@@ -362,6 +379,16 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_console_script_entry_point(self, capsys):
+        # the [project.scripts] line names the callable the installed
+        # `sgcorona` command runs; read with a regex, as tomllib is 3.11+
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        found = re.search(r'^sgcorona = "([\w.]+):(\w+)"$', text, re.M)
+        assert found, "no sgcorona console script in pyproject.toml"
+        entry = getattr(importlib.import_module(found[1]), found[2])
+        assert entry(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: sgcorona ")
 
 
 def _small_numbers(text: str) -> bool:

@@ -5,9 +5,9 @@ import math
 import pytest
 
 from sgcorona import (
-    HypothesisNotMetError,
     IsomorphicInputsError,
     NotCospectralError,
+    PoleError,
     Polynomial,
     catalog_two_eigenvalue_seeds,
     complete_graph,
@@ -79,7 +79,7 @@ class TestFewDistinct:
         assert report.matches_expected
 
     def test_three_eigenvalue_seed_rejected(self):
-        with pytest.raises(HypothesisNotMetError):
+        with pytest.raises(ValueError, match="has 3 distinct adjacency eigenvalues, need exactly 2"):
             few_distinct_construct(path_graph(3), "K1")
 
     def test_catalog(self):
@@ -122,10 +122,10 @@ class TestCospectralDemo:
         assert cert.corona_a.n == 15
 
     def test_cap_enforced(self):
-        from sgcorona import SizeLimitError
+        from sgcorona import GraphError
 
         s1, s2 = default_cospectral_pair()
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(GraphError, match="isomorphism capped at 12 vertices"):
             cospectral_demo(s1, s2, complete_graph(2, -1), ADJ)
 
 
@@ -257,6 +257,25 @@ class TestVerify:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             verify_theorem("9.9")
+
+    def test_factorisation_trial_fails_when_every_point_is_a_pole(self, monkeypatch):
+        def pole(s1, s2, t0):
+            raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
+
+        monkeypatch.setattr(experiments, "corona_adjacency_charpoly_eval", pole)
+        result = verify_theorem("2.2", trials=3, seed=0, max_n=4)
+        assert result.passed == 0
+        assert [f.detail for f in result.failures] == [
+            "only 0 of 5 points avoided the poles of the second factor"
+        ] * 3
+
+    def test_factorisation_check_lets_other_errors_through(self, monkeypatch):
+        def broken(s1, s2, t0):
+            raise ValueError("not a pole")
+
+        monkeypatch.setattr(experiments, "corona_adjacency_charpoly_eval", broken)
+        with pytest.raises(ValueError, match="not a pole"):
+            verify_theorem("2.2", trials=3, seed=0, max_n=4)
 
     def test_failure_dump_contains_graphs(self):
         # force a failure by abusing the result type directly

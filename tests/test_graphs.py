@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgcorona import (
-    DuplicateEdgeError,
     GraphError,
     ParseError,
-    SelfLoopError,
     SignedGraph,
-    SizeLimitError,
-    VertexIndexError,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -60,15 +56,15 @@ class TestConstruction:
         assert g.edges == ((0, 2, -1),)
 
     def test_conflicting_duplicate_is_an_error(self):
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(GraphError, match="conflicting signs for edge"):
             from_edge_list(3, [(0, 1, 1), (0, 1, -1)])
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(GraphError, match="self-loop at vertex 0"):
             from_edge_list(3, [(0, 0, 1)])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(VertexIndexError):
+        with pytest.raises(GraphError, match="out of range for n=2"):
             from_edge_list(2, [(0, 5, 1)])
 
     def test_bad_sign_rejected(self):
@@ -157,7 +153,7 @@ class TestSwitching:
         assert not g.is_balanced()
 
     def test_invalid_vertex(self):
-        with pytest.raises(VertexIndexError):
+        with pytest.raises(GraphError, match="switch vertex 5 out of range"):
             complete_graph(2).switch({5})
 
     @settings(max_examples=60, deadline=None)
@@ -224,7 +220,7 @@ class TestIsomorphism:
         assert not is_switching_isomorphic(a, b)
 
     def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(GraphError, match="isomorphism capped at 12 vertices"):
             is_isomorphic(edgeless(13), edgeless(13))
         assert is_isomorphic(edgeless(13), edgeless(13), cap=13)
 
@@ -247,16 +243,17 @@ class TestIO:
             parse_graph("3\n0 0 +\n")
 
     @pytest.mark.parametrize(
-        "edges, error",
+        "edges, match",
         [
-            ([(0, 0, 1)], SelfLoopError),
-            ([(0, 5, 1)], VertexIndexError),
-            ([(5, 5, 1)], VertexIndexError),
-            ([(0, 1, 1), (1, 0, -1)], DuplicateEdgeError),
+            ([(0, 0, 1)], "self-loop"),
+            ([(0, 5, 1)], "out of range"),
+            ([(5, 5, 1)], "out of range"),
+            ([(0, 1, 1), (1, 0, -1)], "conflicting signs"),
         ],
+        ids=["self-loop", "out-of-range", "both-out-of-range", "conflicting-signs"],
     )
-    def test_bad_edge_rejected_alike_by_both_readers(self, edges, error):
-        with pytest.raises(error) as direct:
+    def test_bad_edge_rejected_alike_by_both_readers(self, edges, match):
+        with pytest.raises(GraphError, match=match) as direct:
             from_edge_list(3, edges)
         text = "3\n" + "".join(f"{u} {v} {'+' if s > 0 else '-'}\n" for u, v, s in edges)
         with pytest.raises(ParseError) as parsed:
