@@ -28,11 +28,9 @@ from .graphs import (
 )
 from .linalg import char_poly_exact, spectra_equal
 from .spectra import (
+    CLOSED_FORMS,
     ClosedFormError,
     MatrixKind,
-    closed_form_adjacency,
-    closed_form_laplacian,
-    closed_form_netlaplacian,
     matrix_of,
     numeric_spectrum,
     realize,
@@ -165,13 +163,6 @@ def cmd_corona(args) -> int:
     return 0
 
 
-_CLOSED_FORMS = {
-    MatrixKind.ADJACENCY: closed_form_adjacency,
-    MatrixKind.LAPLACIAN: closed_form_laplacian,
-    MatrixKind.NET_LAPLACIAN: closed_form_netlaplacian,
-}
-
-
 def cmd_spectrum(args) -> int:
     if len(args.graphs) > 2:
         raise UsageError("spectrum takes one graph, or two graphs for their corona")
@@ -193,7 +184,7 @@ def cmd_spectrum(args) -> int:
     unavailable = None
     if args.closed_form:
         try:
-            closed = _CLOSED_FORMS[kind](graphs[0], graphs[1], args.tol)
+            closed = CLOSED_FORMS[kind](graphs[0], graphs[1], args.tol)
             agree = spectra_equal(realize(closed, args.tol), numeric, args.tol)
         except ClosedFormError as exc:
             unavailable = str(exc)

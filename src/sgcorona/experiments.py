@@ -28,14 +28,13 @@ from .graphs import (
 )
 from .linalg import Polynomial, SpectrumMultiset, char_poly_exact, det_exact_at, spectra_equal
 from .spectra import (
+    CLOSED_FORMS,
     ClosedFormError,
     ClosedFormSpectrum,
     MatrixKind,
     PoleError,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
-    closed_form_laplacian,
-    closed_form_netlaplacian,
     corona_adjacency_charpoly_eval,
     matrix_of,
     numeric_spectrum,
@@ -89,8 +88,6 @@ def _regular_pairs(rng: random.Random, n: int, k: int) -> set[tuple[int, int]]:
     regular graph; the rejection rate of the raw pairing model is hopeless
     there (for k = n-1 only the complete graph qualifies).
     """
-    if k == 0:
-        return set()
     if k >= n or (n * k) % 2:
         raise ValueError(f"no {k}-regular graph on {n} vertices")
     if k > (n - 1) // 2:
@@ -631,8 +628,9 @@ class Theorem:
     each trial's input only when the loop asks for it, so the draws from rng
     keep their order; `check(case, rng, tol)` returns None when the identity
     holds on the case, else the failure detail and the graphs to dump. Rows
-    call samplers, closed forms and the corona by their names in this module,
-    so a wrapper bound to one of those names sees every call."""
+    call samplers and the corona by their names in this module, and look
+    closed forms up in `CLOSED_FORMS` at call time, so a wrapper bound to one
+    of those names or table values sees every call."""
 
     cases: Callable[[random.Random, int, int], Iterable[tuple]]
     check: Callable[[tuple, random.Random, float], tuple[str, dict[str, SignedGraph]] | None]
@@ -668,16 +666,17 @@ def _check_factorisation(case, rng, tol):
         return f"only {points} of 5 points avoided the poles of the second factor", {"s1": s1, "s2": s2}
 
 
-def _closed_form_check(closed_form, kind: MatrixKind):
+def _closed_form_check(kind: MatrixKind, closed_form=None):
     """The check of the closed-form rows: closed_form(s1, s2, tol), realised,
-    against the numeric spectrum of the corona's `kind` matrix. A closed form
-    that refuses the factors (at a coarse tol, clustering can hide the
+    against the numeric spectrum of the corona's `kind` matrix; without
+    closed_form, the paper's one for `kind`, CLOSED_FORMS[kind]. A closed
+    form that refuses the factors (at a coarse tol, clustering can hide the
     eigenvalue it needs) fails the trial."""
 
     def check(case, rng, tol):
         s1, s2 = case
         try:
-            cf = closed_form(s1, s2, tol)
+            cf = (closed_form or CLOSED_FORMS[kind])(s1, s2, tol)
         except ClosedFormError as exc:
             return f"closed form refused the factors: {exc}", {"s1": s1, "s2": s2}
         oracle = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
@@ -701,7 +700,7 @@ def _kpq_row(sign: int) -> Theorem:
         q = k.degrees().degree[0]  # vertex 0 lies in the part of size p
         return closed_form_adjacency_kpq(s, k.n - q, q, sign, tol=tol)
 
-    return Theorem(_sampled(sample), _closed_form_check(closed_form, MatrixKind.ADJACENCY))
+    return Theorem(_sampled(sample), _closed_form_check(MatrixKind.ADJACENCY, closed_form))
 
 
 def _bound_cases(rng, trials, max_n):
@@ -732,19 +731,17 @@ _FEW_DISTINCT_CASES = tuple(
 
 def _check_few_distinct(case, rng, tol):
     name, seed_graph, companion, sign = case
-    _, report = few_distinct_construct(seed_graph, companion, sign, tol)
+    what = f"{name} with {companion} (sign {sign:+d})"
+    try:
+        _, report = few_distinct_construct(seed_graph, companion, sign, tol)
+    except ValueError as exc:  # tol merged or split the seed's two eigenvalues
+        return f"{what}: {exc}", {"seed": seed_graph}
     if report.matches_expected:
         return None
-    detail = (
-        f"{name} with {companion} (sign {sign:+d}): {report.distinct_count} distinct, "
-        f"expected {report.expected_distinct}"
-    )
+    detail = f"{what}: {report.distinct_count} distinct, expected {report.expected_distinct}"
     return detail, {"seed": seed_graph}
 
 
-_check_laplacian = _closed_form_check(
-    lambda s1, s2, tol: closed_form_laplacian(s1, s2, tol), MatrixKind.LAPLACIAN
-)
 THEOREMS = {
     "2.2": Theorem(
         _sampled(lambda rng, n: (_any_signed(rng, n), _any_signed(rng, n))),
@@ -752,21 +749,19 @@ THEOREMS = {
     ),
     "2.3": Theorem(
         _sampled(lambda rng, n: (_any_signed(rng, n), random_net_regular(rng, n))),
-        _closed_form_check(
-            lambda s1, s2, tol: closed_form_adjacency(s1, s2, tol), MatrixKind.ADJACENCY
-        ),
+        _closed_form_check(MatrixKind.ADJACENCY),
     ),
     "2.4": _kpq_row(-1),
     "2.5": _kpq_row(1),
     "3.3": Theorem(
         _sampled(lambda rng, n: (random_regular_signed(rng, n), random_net_regular(rng, n))),
-        _check_laplacian,
+        _closed_form_check(MatrixKind.LAPLACIAN),
     ),
     "3.4": Theorem(
         _sampled(lambda rng, n: (
             random_regular_signed(rng, n), random_connected_positive(rng, rng.randint(1, n))
         )),
-        _check_laplacian,
+        _closed_form_check(MatrixKind.LAPLACIAN),
         notes=(
             "second factors are connected all-positive graphs: the zero-row-sum "
             "reduction needs every negative degree to vanish, not just balance",
@@ -774,9 +769,7 @@ THEOREMS = {
     ),
     "4.2": Theorem(
         _sampled(lambda rng, n: (random_net_regular(rng, n, nonzero=True), _any_signed(rng, n))),
-        _closed_form_check(
-            lambda s1, s2, tol: closed_form_netlaplacian(s1, s2, tol), MatrixKind.NET_LAPLACIAN
-        ),
+        _closed_form_check(MatrixKind.NET_LAPLACIAN),
     ),
     "5.1": Theorem(_bound_cases, _check_bound),
     "5.2": Theorem(

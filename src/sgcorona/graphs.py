@@ -29,10 +29,6 @@ class ParseError(GraphError):
         self.line = line
 
 
-def _canonical(u: int, v: int, s: int) -> Edge:
-    return (u, v, s) if u < v else (v, u, s)
-
-
 @dataclass(frozen=True)
 class DegreeProfile:
     """Per-vertex degree counts: total, positive, negative and net."""
@@ -79,14 +75,6 @@ class SignedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def positive_edge_count(self) -> int:
-        return sum(1 for _, _, s in self.edges if s > 0)
-
-    @property
-    def negative_edge_count(self) -> int:
-        return sum(1 for _, _, s in self.edges if s < 0)
-
     def sign_map(self) -> dict[tuple[int, int], int]:
         """Edge signs keyed by both orientations of each vertex pair."""
         out: dict[tuple[int, int], int] = {}
@@ -119,15 +107,11 @@ class SignedGraph:
 
     def regularity(self) -> int | None:
         """The common degree when every vertex has the same one, else None."""
-        if self.n == 0:
-            return None
         deg = set(self.degrees().degree)
         return deg.pop() if len(deg) == 1 else None
 
     def net_regularity(self) -> int | None:
         """The common net degree (d+ minus d-) when constant, else None."""
-        if self.n == 0:
-            return None
         net = set(self.degrees().net_degree)
         return net.pop() if len(net) == 1 else None
 
@@ -304,10 +288,10 @@ def _check_iso_cap(s1: SignedGraph, s2: SignedGraph, cap: int) -> None:
 
 def _iso_mappings(s1: SignedGraph, s2: SignedGraph, signed: bool) -> Iterator[tuple[int, ...]]:
     """All vertex bijections carrying s1's edges onto s2's (with signs when
-    signed=True, underlying adjacency only otherwise)."""
+    signed=True, underlying adjacency only otherwise). The graphs must have
+    the same order. None exists unless the per-vertex degrees ((d+, d-) when
+    signed) agree as multisets, which also makes the edge counts agree."""
     n = s1.n
-    if s2.n != n:
-        return
     p1, p2 = s1.degrees(), s2.degrees()
     if signed:
         inv1 = list(zip(p1.pos_degree, p1.neg_degree))
@@ -357,10 +341,6 @@ def is_isomorphic(s1: SignedGraph, s2: SignedGraph, *, cap: int = DEFAULT_ISO_CA
     if s1.n != s2.n:
         return False
     _check_iso_cap(s1, s2, cap)
-    if s1.positive_edge_count != s2.positive_edge_count:
-        return False
-    if s1.negative_edge_count != s2.negative_edge_count:
-        return False
     return next(_iso_mappings(s1, s2, signed=True), None) is not None
 
 
@@ -372,18 +352,10 @@ def is_switching_isomorphic(s1: SignedGraph, s2: SignedGraph, *, cap: int = DEFA
     if s1.n != s2.n:
         return False
     _check_iso_cap(s1, s2, cap)
-    if s1.edge_count != s2.edge_count:
-        return False
-    if not s1.edges:
-        return True
     sig2 = s2.sign_map()
     for mapping in _iso_mappings(s1, s2, signed=False):
         product = SignedGraph(
-            s1.n,
-            tuple(sorted(
-                _canonical(u, v, s * sig2[(mapping[u], mapping[v])])
-                for u, v, s in s1.edges
-            )),
+            s1.n, tuple((u, v, s * sig2[(mapping[u], mapping[v])]) for u, v, s in s1.edges)
         )
         if product.is_balanced():
             return True

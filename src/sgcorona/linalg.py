@@ -11,7 +11,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 Scalar = int | Fraction
 
@@ -131,17 +131,15 @@ class Polynomial:
         return hash(self._coeffs)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k, c in enumerate(self._coeffs):
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*t")
-            else:
-                terms.append(f"{c}*t^{k}")
-        return " + ".join(terms)
+        return "0" if self.is_zero else format_poly(self._coeffs, str)
+
+
+def format_poly(coeffs: Iterable, fmt: Callable[[object], str]) -> str:
+    """c0 + c1*t + c2*t^2 + ... from ascending coefficients, each written by fmt."""
+    return " + ".join(
+        fmt(c) if k == 0 else f"{fmt(c)}*t" if k == 1 else f"{fmt(c)}*t^{k}"
+        for k, c in enumerate(coeffs)
+    )
 
 
 def char_poly_exact(m: Matrix) -> Polynomial:
@@ -241,8 +239,6 @@ def det_exact_at(m: Matrix, t0) -> Fraction:
     m.require_square("det_exact_at")
     t0 = Fraction(t0)
     n = m.rows
-    if n == 0:
-        return Fraction(1)
     dens = {x.denominator for row in m._rows for x in row if type(x) is not int}
     d = math.lcm(t0.denominator, *dens)
     if dens:
@@ -257,14 +253,11 @@ def det_exact_at(m: Matrix, t0) -> Fraction:
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:
     p, q = b.rows, b.cols
-    out = [
+    return Matrix(
         [a[i, j] * b[r, c] for j in range(a.cols) for c in range(q)]
         for i in range(a.rows)
         for r in range(p)
-    ]
-    if not out:
-        return Matrix([[] for _ in range(a.rows * p)])
-    return Matrix(out)
+    )
 
 
 def kronecker_sum(d: Matrix, c: Matrix) -> Matrix:

@@ -12,6 +12,7 @@ from .linalg import (
     Matrix,
     SpectrumMultiset,
     det_exact_at,
+    format_poly,
     real_roots_cubic,
     real_roots_quadratic,
     sym_eigenvalues,
@@ -160,15 +161,7 @@ class ClosedFormSpectrum:
             if e.value is not None:
                 lines.append(f"  {e.value:.6g} x{e.multiplicity}")
             else:
-                terms = []
-                for k, c in enumerate(e.coeffs):
-                    if k == 0:
-                        terms.append(f"{c:.6g}")
-                    elif k == 1:
-                        terms.append(f"{c:.6g}*t")
-                    else:
-                        terms.append(f"{c:.6g}*t^{k}")
-                lines.append(f"  roots of {' + '.join(terms)} x{e.multiplicity}")
+                lines.append(f"  roots of {format_poly(e.coeffs, '{:.6g}'.format)} x{e.multiplicity}")
         return "\n".join(lines)
 
 
@@ -359,3 +352,13 @@ def closed_form_netlaplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6
         c = w * ((2 * n2 + 1) * r - n2 * w)
         entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c, -b, 1.0)))
     return ClosedFormSpectrum("4.2", n1 * (n2 + 1), tuple(entries))
+
+
+# The closed form the paper gives for each matrix kind of the corona: 2.3,
+# 3.3/3.4 and 4.2. Callers index this table at call time, so a wrapper that
+# replaces one of its values sees every call.
+CLOSED_FORMS = {
+    MatrixKind.ADJACENCY: closed_form_adjacency,
+    MatrixKind.LAPLACIAN: closed_form_laplacian,
+    MatrixKind.NET_LAPLACIAN: closed_form_netlaplacian,
+}

@@ -196,6 +196,16 @@ class TestVerify:
         assert parse_graph(failure["graphs"]["s1"]).n >= 1
         assert set(failure["graphs"]) == {"s1", "s2"}
 
+    @pytest.mark.parametrize("tol", ["1", "1e-17"])
+    def test_few_distinct_seed_merged_or_split_by_tol_is_a_failed_trial(self, capsys, tol):
+        # tol 1 merges the two eigenvalues of a catalog seed; 1e-17 lets
+        # rounding noise split them, so the seed no longer has exactly two
+        code, out, err = run(capsys, "verify", "--theorem", "5.2", "--tol", tol)
+        assert code == 1
+        assert "FAIL" in out
+        assert "distinct adjacency eigenvalues, need exactly 2" in out
+        assert "Traceback" not in err
+
     def test_seed_that_stalled_the_jacobi_eigensolver(self, capsys):
         # a 35x35 signed Laplacian on which cyclic Jacobi raised ArithmeticError
         code, out, err = run(
@@ -423,7 +433,7 @@ GRAPH_ARGS = ["@a", "@b", "@missing"]
 # most 6, so no draw runs long.
 VALUES = {
     "--kind": (["adj", "lap", "netlap"], ["bad"]),
-    "--tol": (["1e-6", "0.3", "1"], ["0", "-1", "nan", "x"]),
+    "--tol": (["1e-6", "0.3", "1", "1e-17"], ["0", "-1", "nan", "x"]),
     "--theorem": (list(THEOREM_LABELS), ["9.9"]),
     "--trials": (["1", "3"], ["0", "-2", "x"]),
     "--seed": (["0", "7", "-5"], ["x"]),

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from sgcorona import (
     unbalanced_c4,
     write_graph,
 )
+from sgcorona.experiments import random_signed_graph
 
 
 @st.composite
@@ -49,7 +51,7 @@ class TestConstruction:
     def test_c4_minus(self):
         g = from_edge_list(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1)])
         assert g == unbalanced_c4()
-        assert g.negative_edge_count == 1
+        assert [s for _, _, s in g.edges].count(-1) == 1
 
     def test_normalizes_order_and_collapses_repeats(self):
         g = from_edge_list(3, [(2, 0, -1), (0, 2, -1)])
@@ -89,13 +91,15 @@ class TestDegrees:
         prof = edgeless(3).degrees()
         assert prof.degree == (0, 0, 0)
         assert prof.net_degree == (0, 0, 0)
+        assert edgeless(0).regularity() is None
+        assert edgeless(0).net_regularity() is None
 
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs())
     def test_degree_sums(self, g):
         prof = g.degrees()
         assert sum(prof.degree) == 2 * g.edge_count
-        assert sum(prof.net_degree) == 2 * (g.positive_edge_count - g.negative_edge_count)
+        assert sum(prof.net_degree) == 2 * sum(s for _, _, s in g.edges)  # d+ - d- summed
         for d, p, m, net in zip(prof.degree, prof.pos_degree, prof.neg_degree, prof.net_degree):
             assert d == p + m
             assert net == p - m
@@ -191,6 +195,50 @@ class TestCorona:
         assert corona.edge_count == s1.edge_count + s1.n * s2.edge_count + 2 * s2.n * s1.edge_count
 
 
+def relabelled(g, perm):
+    return from_edge_list(g.n, [(perm[u], perm[v], s) for u, v, s in g.edges])
+
+
+def random_pair(rng, max_n):
+    """A random graph and either an independent one (of the same or another
+    order) or a relabelled, switched or re-signed copy of it."""
+    a = random_signed_graph(rng, rng.randint(0, max_n))
+    perm = rng.sample(range(a.n), a.n)
+    switched = a.switch(v for v in range(a.n) if rng.random() < 0.5)
+    how = rng.randrange(6)
+    if how == 0:
+        return a, random_signed_graph(rng, a.n)
+    if how == 1:
+        return a, random_signed_graph(rng, rng.randint(0, max_n))
+    if how == 2:
+        return a, relabelled(a, perm)
+    if how == 3:
+        return a, relabelled(switched, perm)
+    if how == 4 and a.edges:
+        i = rng.randrange(a.edge_count)
+        flipped = tuple((u, v, -s if j == i else s) for j, (u, v, s) in enumerate(a.edges))
+        return a, relabelled(SignedGraph(a.n, flipped), perm)
+    return a, switched
+
+
+def brute_isomorphic(a, b):
+    """Some vertex permutation carries a's signed edges onto b's."""
+    target = set(b.edges)
+    return a.n == b.n and any(
+        set(relabelled(a, perm).edges) == target for perm in itertools.permutations(range(a.n))
+    )
+
+
+def brute_switching_isomorphic(a, b):
+    """Some vertex permutation and switching carry a's signed edges onto b's."""
+    if a.n != b.n:
+        return False
+    switchings = [
+        a.switch(v for v in range(a.n) if (mask >> v) & 1) for mask in range(2**a.n)
+    ]
+    return any(brute_isomorphic(g, b) for g in switchings)
+
+
 class TestIsomorphism:
     def test_self(self):
         g = unbalanced_c4()
@@ -226,6 +274,31 @@ class TestIsomorphism:
 
     def test_different_sizes_short_circuit(self):
         assert not is_isomorphic(edgeless(20), edgeless(21), cap=12)
+
+    @pytest.mark.parametrize(
+        "a, b, iso, switching_iso",
+        [
+            (complete_graph(3), from_edge_list(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)]), False, False),
+            (edgeless(4), edgeless(4), True, True),
+            (edgeless(3), from_edge_list(3, [(0, 2, -1)]), False, False),
+        ],
+        ids=["k3-vs-one-negative-edge", "both-edgeless", "edgeless-vs-one-edge"],
+    )
+    def test_degree_multisets_decide(self, a, b, iso, switching_iso):
+        assert is_isomorphic(a, b) is iso and is_isomorphic(b, a) is iso
+        assert is_switching_isomorphic(a, b) is switching_iso
+        assert is_switching_isomorphic(b, a) is switching_iso
+
+    @pytest.mark.parametrize(
+        "test, oracle, max_n",
+        [(is_isomorphic, brute_isomorphic, 6), (is_switching_isomorphic, brute_switching_isomorphic, 5)],
+        ids=["isomorphic", "switching-isomorphic"],
+    )
+    def test_agrees_with_brute_force(self, test, oracle, max_n):
+        rng = random.Random(2024)
+        for _ in range(300):
+            a, b = random_pair(rng, max_n)
+            assert test(a, b) == oracle(a, b), (a, b)
 
 
 class TestIO:

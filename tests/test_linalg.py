@@ -418,6 +418,8 @@ class TestKronecker:
         a = Matrix([[1, 2, 3]])
         b = Matrix([[1], [2]])
         assert kronecker_product(a, b).shape == (2, 3)
+        assert kronecker_product(Matrix([]), b) == Matrix([])  # a 0-row factor
+        assert kronecker_product(b, Matrix([])) == Matrix([])
 
     def test_sum_with_scalar_zero(self):
         a = Matrix([[1, 2], [2, 5]])
