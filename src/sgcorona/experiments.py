@@ -4,7 +4,7 @@ cospectral corona certificates, and the published 12-vertex worked example."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable
@@ -497,16 +497,7 @@ class PaperExampleReport:
             "closed_form_agrees_numeric": self.closed_form_agrees_numeric,
             "minus_one_exact_multiplicity": self.minus_one_exact_multiplicity,
             "minus_one_confirmed": self.minus_one_confirmed,
-            "printed_checks": [
-                {
-                    "value": c.value,
-                    "multiplicity": c.multiplicity,
-                    "nearest": c.nearest,
-                    "nearest_multiplicity": c.nearest_multiplicity,
-                    "matched": c.matched,
-                }
-                for c in self.printed_checks
-            ],
+            "printed_checks": [asdict(c) for c in self.printed_checks],
             "printed_reproduced": self.printed_reproduced,
             "ok": self.ok,
         }
@@ -605,10 +596,7 @@ class VerifyResult:
             "tol": self.tol,
             "ok": self.ok,
             "notes": list(self.notes),
-            "failures": [
-                {"trial": f.trial, "detail": f.detail, "graphs": f.graphs}
-                for f in self.failures
-            ],
+            "failures": [asdict(f) for f in self.failures],
         }
 
     def render(self) -> str:

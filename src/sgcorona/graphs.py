@@ -1,10 +1,11 @@
 """Signed graphs: construction, degrees, balance, switching, the
-neighbourhood corona product, brute-force isomorphism, and edge-list I/O."""
+neighbourhood corona product, one backtracking search for isomorphism and
+switching isomorphism, and edge-list I/O."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int, int]
 
@@ -57,13 +58,13 @@ class SignedGraph:
             raise GraphError("vertex count must be non-negative")
         seen: set[tuple[int, int]] = set()
         for u, v, s in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if u > v:
                 raise GraphError(f"edge ({u}, {v}) not in canonical u < v order")
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
@@ -75,20 +76,12 @@ class SignedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sign_map(self) -> dict[tuple[int, int], int]:
-        """Edge signs keyed by both orientations of each vertex pair."""
-        out: dict[tuple[int, int], int] = {}
+    def adjacency(self) -> list[dict[int, int]]:
+        """Per-vertex maps from each neighbour to the sign of the edge."""
+        adj: list[dict[int, int]] = [{} for _ in range(self.n)]
         for u, v, s in self.edges:
-            out[(u, v)] = s
-            out[(v, u)] = s
-        return out
-
-    def adjacency_lists(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex lists of (neighbour, sign)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v, s in self.edges:
-            adj[u].append((v, s))
-            adj[v].append((u, s))
+            adj[u][v] = s
+            adj[v][u] = s
         return adj
 
     def degrees(self) -> DegreeProfile:
@@ -115,45 +108,35 @@ class SignedGraph:
         net = set(self.degrees().net_degree)
         return net.pop() if len(net) == 1 else None
 
-    def is_balanced(self) -> bool:
-        """True when every cycle has positive sign product.
-
-        Assigns a +-1 potential along a spanning forest and checks that every
-        remaining edge is consistent with the potentials of its endpoints.
-        """
+    def _walk(self) -> tuple[int, bool]:
+        """Assign a +-1 potential along a spanning forest.  Returns the number
+        of trees and whether every edge is consistent with the potentials of
+        its endpoints."""
         pot = [0] * self.n
-        adj = self.adjacency_lists()
+        adj = self.adjacency()
+        components, consistent = 0, True
         for root in range(self.n):
             if pot[root]:
                 continue
+            components += 1
             pot[root] = 1
             stack = [root]
             while stack:
                 u = stack.pop()
-                for v, s in adj[u]:
+                for v, s in adj[u].items():
                     if pot[v] == 0:
                         pot[v] = s * pot[u]
                         stack.append(v)
                     elif pot[v] != s * pot[u]:
-                        return False
-        return True
+                        consistent = False
+        return components, consistent
+
+    def is_balanced(self) -> bool:
+        """True when every cycle has positive sign product."""
+        return self._walk()[1]
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        adj = self.adjacency_lists()
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self.n
+        return self._walk()[0] <= 1
 
     def switch(self, x: Iterable[int]) -> SignedGraph:
         """Negate the sign of every edge with exactly one endpoint in x."""
@@ -170,10 +153,11 @@ class SignedGraph:
 def _add_edge(sign: dict[tuple[int, int], int], n: int, u: int, v: int, s: int) -> None:
     """Record the edge {u, v} of sign s under its ordered pair, after the checks
     both edge-list readers share: the sign, the index range, no self-loop, and
-    no repeat of the pair with the other sign (a same-sign repeat is a no-op)."""
-    if s not in (1, -1):
+    no repeat of the pair with the other sign (a same-sign repeat is a no-op).
+    Indices and sign must be of type int: 1.0, True or "+" is refused."""
+    if type(s) is not int or s not in (1, -1):
         raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
-    if not (0 <= u < n and 0 <= v < n):
+    if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
         raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
     if u == v:
         raise GraphError(f"self-loop at vertex {u}")
@@ -192,7 +176,7 @@ def from_edge_list(n: int, triples: Iterable[tuple[int, int, int]]) -> SignedGra
         raise GraphError("vertex count must be non-negative")
     sign: dict[tuple[int, int], int] = {}
     for u, v, s in triples:
-        _add_edge(sign, n, u, v, int(s))
+        _add_edge(sign, n, u, v, s)
     return SignedGraph(n, tuple(sorted((u, v, s) for (u, v), s in sign.items())))
 
 
@@ -279,87 +263,78 @@ def neighbourhood_corona(s1: SignedGraph, s2: SignedGraph) -> SignedGraph:
     return SignedGraph(n1 * (n2 + 1), tuple(sorted(edges)))
 
 
-def _check_iso_cap(s1: SignedGraph, s2: SignedGraph, cap: int) -> None:
-    if max(s1.n, s2.n) > cap:
-        raise GraphError(
-            f"brute-force isomorphism capped at {cap} vertices, got {max(s1.n, s2.n)}"
-        )
+def _find_map(s1: SignedGraph, s2: SignedGraph, switching: bool, cap: int) -> bool:
+    """True when some vertex bijection f and signs x_v (all +1 unless
+    switching) give s2(f u, f v) = x_u * s1(u, v) * x_v on every vertex pair,
+    a non-edge counting as sign 0.  That is an isomorphism of s1, switched by
+    x, onto s2.
 
-
-def _iso_mappings(s1: SignedGraph, s2: SignedGraph, signed: bool) -> Iterator[tuple[int, ...]]:
-    """All vertex bijections carrying s1's edges onto s2's (with signs when
-    signed=True, underlying adjacency only otherwise). The graphs must have
-    the same order. None exists unless the per-vertex degrees ((d+, d-) when
-    signed) agree as multisets, which also makes the edge counts agree."""
+    Vertices are placed by backtracking, fewest candidates (same degree, and
+    same positive degree unless switching) first.  Each component starts with
+    one vertex of sign +1, since switching a whole component changes no sign.
+    Every later vertex v is placed next to an already placed a, and the edge
+    (v, a) with its image forces x_v; the other placed vertices check it."""
     n = s1.n
+    if n != s2.n:
+        return False
+    if n > cap:
+        raise GraphError(f"brute-force isomorphism capped at {cap} vertices, got {n}")
     p1, p2 = s1.degrees(), s2.degrees()
-    if signed:
-        inv1 = list(zip(p1.pos_degree, p1.neg_degree))
-        inv2 = list(zip(p2.pos_degree, p2.neg_degree))
+    if switching:
+        inv1, inv2 = p1.degree, p2.degree
     else:
-        inv1 = [(d,) for d in p1.degree]
-        inv2 = [(d,) for d in p2.degree]
+        inv1 = list(zip(p1.degree, p1.pos_degree))
+        inv2 = list(zip(p2.degree, p2.pos_degree))
     if sorted(inv1) != sorted(inv2):
-        return
-    sig1 = s1.sign_map()
-    sig2 = s2.sign_map()
+        return False
+    adj1, adj2 = s1.adjacency(), s2.adjacency()
     cand = [[w for w in range(n) if inv2[w] == inv1[v]] for v in range(n)]
-    order = sorted(range(n), key=lambda v: (len(cand[v]), -p1.degree[v]))
-    mapping = [-1] * n
+    rank = sorted(range(n), key=lambda v: (len(cand[v]), -p1.degree[v]))
+    reached = [-1] * n  # the first placed neighbour of each vertex
+    order: list[tuple[int, int]] = []  # (vertex, its first placed neighbour or -1)
+    while rank:
+        v = next((v for v in rank if reached[v] >= 0), rank[0])
+        rank.remove(v)
+        order.append((v, reached[v]))
+        for u in adj1[v]:
+            if reached[u] < 0:
+                reached[u] = v
+    f = [-1] * n
+    x = [1] * n
     used = [False] * n
 
-    def consistent(v: int, w: int, upto: int) -> bool:
-        for prev in order[:upto]:
-            a = sig1.get((v, prev))
-            b = sig2.get((w, mapping[prev]))
-            if signed:
-                if a != b:
-                    return False
-            elif (a is None) != (b is None):
-                return False
-        return True
-
-    def extend(idx: int) -> Iterator[tuple[int, ...]]:
+    def place(idx: int) -> bool:
         if idx == n:
-            yield tuple(mapping)
-            return
-        v = order[idx]
+            return True
+        v, a = order[idx]
+        row1 = adj1[v]
         for w in cand[v]:
-            if used[w] or not consistent(v, w, idx):
+            if used[w]:
                 continue
-            mapping[v] = w
-            used[w] = True
-            yield from extend(idx + 1)
-            mapping[v] = -1
-            used[w] = False
+            row2 = adj2[w]
+            xv = row1[a] * x[a] * row2.get(f[a], 0) if a >= 0 else 1
+            if xv != 1 and not (switching and xv):
+                continue  # w is not next to f(a), or the edge's sign is wrong unswitched
+            if all(x[u] * row1.get(u, 0) * xv == row2.get(f[u], 0) for u, _ in order[:idx]):
+                f[v], x[v], used[w] = w, xv, True
+                if place(idx + 1):
+                    return True
+                used[w] = False
+        return False
 
-    yield from extend(0)
+    return place(0)
 
 
 def is_isomorphic(s1: SignedGraph, s2: SignedGraph, *, cap: int = DEFAULT_ISO_CAP) -> bool:
-    """Exact sign-preserving isomorphism test by pruned brute force."""
-    if s1.n != s2.n:
-        return False
-    _check_iso_cap(s1, s2, cap)
-    return next(_iso_mappings(s1, s2, signed=True), None) is not None
+    """Exact sign-preserving isomorphism test by backtracking search."""
+    return _find_map(s1, s2, False, cap)
 
 
 def is_switching_isomorphic(s1: SignedGraph, s2: SignedGraph, *, cap: int = DEFAULT_ISO_CAP) -> bool:
     """True when some vertex bijection maps the underlying graphs onto each
     other with every cycle keeping its sign, i.e. the graphs agree up to
-    switching.  Checked by testing, for each underlying isomorphism, that the
-    edgewise product of the two signings is balanced."""
-    if s1.n != s2.n:
-        return False
-    _check_iso_cap(s1, s2, cap)
-    sig2 = s2.sign_map()
-    for mapping in _iso_mappings(s1, s2, signed=False):
-        product = SignedGraph(
-            s1.n, tuple((u, v, s * sig2[(mapping[u], mapping[v])]) for u, v, s in s1.edges)
-        )
-        if product.is_balanced():
-            return True
-    return False
+    switching."""
+    return _find_map(s1, s2, True, cap)
 
 
 def parse_graph(text: str) -> SignedGraph:

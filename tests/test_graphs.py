@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +75,21 @@ class TestConstruction:
         with pytest.raises(GraphError):
             from_edge_list(2, [(0, 1, 2)])
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda u, s: SignedGraph(2, ((u, 1, s),)), lambda u, s: from_edge_list(2, [(u, 1, s)])],
+        ids=["SignedGraph", "from_edge_list"],
+    )
+    @pytest.mark.parametrize(
+        "u, s, match",
+        [(0, s, re.escape(f"edge sign must be +1 or -1, got {s!r}")) for s in (1.5, -0.5, 1.0, True, "+")]
+        + [(0.5, 1, re.escape("edge (0.5, 1) out of range for n=2"))],
+        ids=["sign-1.5", "sign--0.5", "sign-1.0", "sign-True", "sign-plus", "index-0.5"],
+    )
+    def test_non_integer_index_or_sign_rejected(self, build, u, s, match):
+        with pytest.raises(GraphError, match=match):
+            build(u, s)
+
 
 class TestDegrees:
     def test_k2(self):
@@ -140,6 +157,35 @@ class TestBalance:
     def test_all_negative_even_cycle_balanced(self):
         assert cycle_graph(4, -1).is_balanced()
         assert not cycle_graph(5, -1).is_balanced()
+
+    def test_walk_agrees_with_oracles(self):
+        """is_connected against a breadth-first search, is_balanced against
+        "some switching makes every edge positive", on random graphs with
+        n <= 8, among them n = 0 and 1 and unions of several components."""
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(300):
+            g = random_signed_graph(rng, rng.randint(0, 8), rng.choice((0.15, 0.4, 0.8)))
+            if rng.random() < 0.3:
+                g = disjoint_union(g, random_signed_graph(rng, rng.randint(0, 4)))
+            nbrs = {v: set() for v in range(g.n)}
+            for a, b, _ in g.edges:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+            reached = {0} if g.n else set()
+            queue = deque(reached)
+            while queue:
+                for w in nbrs[queue.popleft()] - reached:
+                    reached.add(w)
+                    queue.append(w)
+            switchable = any(
+                all(s > 0 for _, _, s in g.switch(v for v in range(g.n) if mask >> v & 1).edges)
+                for mask in range(2**g.n)
+            )
+            assert g.is_connected() == (len(reached) == g.n), g
+            assert g.is_balanced() == switchable, g
+            seen.add((g.n <= 1, g.is_connected(), g.is_balanced()))
+        assert {(True, True, True), (False, False, False), (False, True, False)} <= seen
 
 
 class TestSwitching:
@@ -288,6 +334,21 @@ class TestIsomorphism:
         assert is_isomorphic(a, b) is iso and is_isomorphic(b, a) is iso
         assert is_switching_isomorphic(a, b) is switching_iso
         assert is_switching_isomorphic(b, a) is switching_iso
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_complete_graph_signings(self, n):
+        def signed_kn(negative):
+            return SignedGraph(n, tuple(
+                (u, v, -1 if (u, v) in negative else 1) for u, v in itertools.combinations(range(n), 2)
+            ))
+
+        # n - 2 against 2(n - 2) unbalanced triangles, with equal degrees
+        assert not is_switching_isomorphic(signed_kn({(0, 1)}), signed_kn({(0, 1), (2, 3)}))
+        rng = random.Random(n)
+        g = random_signed_graph(rng, n, 1.0)
+        perm = rng.sample(range(n), n)
+        h = relabelled(g.switch(v for v in range(n) if rng.random() < 0.5), perm)
+        assert is_switching_isomorphic(g, h) and is_switching_isomorphic(h, g)
 
     @pytest.mark.parametrize(
         "test, oracle, max_n",
