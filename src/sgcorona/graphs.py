@@ -40,6 +40,13 @@ class DegreeProfile:
     net_degree: tuple[int, ...]
 
 
+def _check_vertex_count(n) -> None:
+    if type(n) is not int:
+        raise GraphError(f"vertex count must be an int, got {n!r}")
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """An undirected graph whose edges carry a sign in {+1, -1}.
@@ -54,8 +61,7 @@ class SignedGraph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise GraphError("vertex count must be non-negative")
+        _check_vertex_count(self.n)
         seen: set[tuple[int, int]] = set()
         for u, v, s in self.edges:
             if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
@@ -172,8 +178,7 @@ def from_edge_list(n: int, triples: Iterable[tuple[int, int, int]]) -> SignedGra
     Repeating a pair with the same sign collapses to one edge; repeating it
     with the opposite sign is an error.
     """
-    if n < 0:
-        raise GraphError("vertex count must be non-negative")
+    _check_vertex_count(n)
     sign: dict[tuple[int, int], int] = {}
     for u, v, s in triples:
         _add_edge(sign, n, u, v, s)

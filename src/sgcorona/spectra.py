@@ -4,6 +4,7 @@ closed-form corona spectra with their numeric realisation."""
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from .graphs import GraphError, SignedGraph
 from .linalg import (
     Matrix,
     SpectrumMultiset,
-    det_exact_at,
+    _bareiss_det,
+    char_poly_exact,
     format_poly,
     real_roots_cubic,
     real_roots_quadratic,
@@ -61,14 +63,46 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
+@functools.lru_cache(maxsize=1)
+def _factor_pair(s1: SignedGraph, s2: SignedGraph):
+    """What the factored 2.2 side needs of a pair, independent of the point:
+    the rows of A1 and A1^2, and the ascending integer coefficients of
+    psi2(t) = det(tI - A2) and of det(tI - A2 + J), J the all-ones matrix,
+    as Berkowitz char polys.  A trial evaluates one pair at several points,
+    so the last pair is kept."""
+    a1 = matrix_of(s1, MatrixKind.ADJACENCY)
+    a2 = matrix_of(s2, MatrixKind.ADJACENCY)
+    return (
+        a1._rows,
+        (a1 @ a1)._rows,
+        tuple(map(int, char_poly_exact(a2).coeffs)),
+        tuple(map(int, char_poly_exact(a2 - Matrix.ones(s2.n, s2.n)).coeffs)),
+    )
+
+
+def _homogeneous_at(coeffs: tuple[int, ...], a: int, b: int) -> int:
+    """b^d * p(a/b) for p of degree d with ascending coefficients, by Horner
+    in integers."""
+    acc = coeffs[-1]
+    bk = b
+    for c in reversed(coeffs[:-1]):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
+
+
 def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Fraction:
     """Exact evaluation at t0 of the factored corona adjacency characteristic
     polynomial: psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2), with kappa the
     coronal of s2's adjacency matrix.
 
-    With kappa(t0) = u/v in lowest terms, the inner determinant is taken of
-    the integer matrix v*A1 + u*A1^2: det(t0*I - A1 - kappa*A1^2) =
-    det(v*t0*I - (v*A1 + u*A1^2)) / v^n1, so no entry is a Fraction.
+    psi2 and det(tI - A2 + J), J the all-ones matrix, are Berkowitz char
+    polys taken once per pair; each point t0 = a/b is then integer work.
+    Homogeneous Horner gives hp = b^n2 * psi2(t0) and hs = b^n2 *
+    det(t0*I - A2 + J), and the rank-one identity gives hp*kappa = hs - hp =
+    hk.  Taking psi2(t0) = hp / b^n2 inside the n1 x n1 determinant leaves
+    det(a*hp*I - b*(hp*A1 + hk*A1^2)) / b^(n1*(n2+1)), an integer matrix's
+    determinant over a power of b.
 
     t0 must avoid the eigenvalues of s2's adjacency matrix, where the coronal
     has its poles.
@@ -77,16 +111,16 @@ def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Frac
     n1, n2 = s1.n, s2.n
     if n1 < 1:
         raise GraphError("corona needs a non-empty first factor")
-    a1 = matrix_of(s1, MatrixKind.ADJACENCY)
-    a2 = matrix_of(s2, MatrixKind.ADJACENCY)
-    psi2_at = det_exact_at(a2, t0)
-    if psi2_at == 0:
+    a1, a1_sq, psi2, shifted = _factor_pair(s1, s2)
+    a, b = t0.numerator, t0.denominator
+    hp = _homogeneous_at(psi2, a, b)
+    if hp == 0:
         raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
-    shifted_at = det_exact_at(a2 - Matrix.ones(n2, n2), t0)
-    kappa = shifted_at / psi2_at - 1
-    u, v = kappa.numerator, kappa.denominator
-    inner = a1 * v + (a1 @ a1) * u
-    return psi2_at**n1 * det_exact_at(inner, v * t0) / v**n1
+    hk = _homogeneous_at(shifted, a, b) - hp
+    inner = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in zip(a1, a1_sq)]
+    for i, row in enumerate(inner):
+        row[i] += a * hp
+    return Fraction(_bareiss_det(inner), b ** (n1 * (n2 + 1)))
 
 
 @dataclass(frozen=True)

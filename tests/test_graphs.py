@@ -90,6 +90,16 @@ class TestConstruction:
         with pytest.raises(GraphError, match=match):
             build(u, s)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n: SignedGraph(n), lambda n: from_edge_list(n, [])],
+        ids=["SignedGraph", "from_edge_list"],
+    )
+    @pytest.mark.parametrize("n", [2.5, True, "3", None], ids=["float", "bool", "str", "None"])
+    def test_non_integer_vertex_count_rejected(self, build, n):
+        with pytest.raises(GraphError, match=re.escape(f"vertex count must be an int, got {n!r}")):
+            build(n)
+
 
 class TestDegrees:
     def test_k2(self):

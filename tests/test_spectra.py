@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import permuted
+from conftest import charpoly_faddeev, permuted, poly_at
 from sgcorona import (
     ClosedFormError,
     ComplexRootsError,
@@ -12,6 +12,7 @@ from sgcorona import (
     Matrix,
     PoleError,
     Polynomial,
+    SignedGraph,
     SpectrumMultiset,
     char_poly_exact,
     closed_form_adjacency,
@@ -32,6 +33,7 @@ from sgcorona import (
     numeric_spectrum,
     path_graph,
     realize,
+    spectra,
     spectra_equal,
     star_graph,
     unbalanced_c4,
@@ -212,6 +214,78 @@ class TestCharpolyFactorisation:
                     continue
                 points += 1
                 assert lhs == det_exact_at(m, t0)
+
+    def test_against_faddeev_on_interleaved_pairs(self):
+        # The pairs are visited A, B, A, and every call gets copies of the pair
+        # built for it alone: a set-up kept for the wrong pair gives a value
+        # other than the Faddeev-LeVerrier char poly of the corona.
+        # Neighbours in the list share their orders, so a set-up keyed on the
+        # orders goes stale too.
+        rng = random.Random(31)
+        pairs = [
+            (random_signed_graph(rng, n1), random_signed_graph(rng, n2))
+            for n1, n2 in ((3, 4), (2, 0), (4, 3), (5, 2), (1, 5))
+            for _ in range(2)
+        ]
+        pairs[0] = (edgeless(3), pairs[0][1])
+        assert all(p != q for p, q in zip(pairs, pairs[1:]))
+        oracles = [
+            (
+                charpoly_faddeev(matrix_of(s2, ADJ)),
+                charpoly_faddeev(matrix_of(neighbourhood_corona(s1, s2), ADJ)),
+            )
+            for s1, s2 in pairs
+        ]
+
+        def evaluate(k, t0):
+            s1, s2 = (SignedGraph(g.n, g.edges) for g in pairs[k])
+            assert (s1, s2) == pairs[k] and s1 is not pairs[k][0]
+            return corona_adjacency_charpoly_eval(s1, s2, t0)
+
+        poles = 0
+        for i in range(len(pairs) - 1):
+            for k in (i, i + 1, i):
+                psi2, corona = oracles[k]
+                for t0 in (
+                    Fraction(rng.randint(-3, 3)),
+                    Fraction(-rng.getrandbits(40), rng.getrandbits(40) | 1),
+                    Fraction(rng.getrandbits(40), rng.getrandbits(40) | 1),
+                ):
+                    if poly_at(psi2, t0) == 0:
+                        poles += 1
+                        with pytest.raises(PoleError):
+                            evaluate(k, t0)
+                    else:
+                        assert evaluate(k, t0) == poly_at(corona, t0)
+        assert poles > 0
+
+    def test_set_up_once_per_pair_value(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.rows)
+            return char_poly_exact(m)
+
+        def copy(pair):
+            return tuple(SignedGraph(g.n, g.edges) for g in pair)
+
+        a = (path_graph(4), cycle_graph(5, -1))
+        b = (complete_graph(3), star_graph(3))
+        corona_adjacency_charpoly_eval(*a, 2)
+        monkeypatch.setattr(spectra, "char_poly_exact", counted)
+        for pair, t0 in ((copy(a), 3), (copy(b), 3), (copy(b), 7), (copy(a), 5)):
+            corona_adjacency_charpoly_eval(*pair, t0)
+        assert calls == [4, 4, 5, 5]
+
+    def test_pole_exactly_at_psi2_roots(self):
+        cases = ((complete_graph(2), {-1, 1}), (complete_graph(3, -1), {-2, 1}), (edgeless(2), {0}))
+        for s2, roots in cases:
+            for t0 in (Fraction(k, 2) for k in range(-6, 7)):
+                if t0 in roots:
+                    with pytest.raises(PoleError):
+                        corona_adjacency_charpoly_eval(path_graph(3), s2, t0)
+                else:
+                    corona_adjacency_charpoly_eval(path_graph(3), s2, t0)
 
 
 class TestClosedFormAdjacency:
