@@ -307,13 +307,14 @@ def _find_map(s1: SignedGraph, s2: SignedGraph, switching: bool, cap: int) -> bo
     f = [-1] * n
     x = [1] * n
     used = [False] * n
-
-    def place(idx: int) -> bool:
-        if idx == n:
-            return True
+    # stack[i] holds the untried candidates of order[i]; order[:i] is placed.
+    # A loop, not recursion, so the depth is not bounded by Python's stack.
+    stack = [iter(cand[v]) for v, _ in order[:1]]
+    while stack:
+        idx = len(stack) - 1
         v, a = order[idx]
         row1 = adj1[v]
-        for w in cand[v]:
+        for w in stack[idx]:
             if used[w]:
                 continue
             row2 = adj2[w]
@@ -322,12 +323,15 @@ def _find_map(s1: SignedGraph, s2: SignedGraph, switching: bool, cap: int) -> bo
                 continue  # w is not next to f(a), or the edge's sign is wrong unswitched
             if all(x[u] * row1.get(u, 0) * xv == row2.get(f[u], 0) for u, _ in order[:idx]):
                 f[v], x[v], used[w] = w, xv, True
-                if place(idx + 1):
+                if idx + 1 == n:
                     return True
-                used[w] = False
-        return False
-
-    return place(0)
+                stack.append(iter(cand[order[idx + 1][0]]))
+                break
+        else:
+            stack.pop()
+            if stack:
+                used[f[order[idx - 1][0]]] = False
+    return n == 0  # only the empty graph has no vertex to place
 
 
 def is_isomorphic(s1: SignedGraph, s2: SignedGraph, *, cap: int = DEFAULT_ISO_CAP) -> bool:

@@ -79,11 +79,6 @@ class Matrix:
             [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
         )
 
-    def __mul__(self, k: Scalar) -> "Matrix":
-        return Matrix([x * k for x in row] for row in self._rows)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")

@@ -1,5 +1,7 @@
 """Graph matrices, the corona characteristic-polynomial factorisation, and
-closed-form corona spectra with their numeric realisation."""
+closed-form corona spectra with their numeric realisation: one two-root form
+with a (shift, k) pair per matrix kind for 2.3, 3.3/3.4 and 4.2, and a cubic
+for 2.4/2.5."""
 
 from __future__ import annotations
 
@@ -229,29 +231,43 @@ def _drop_one_copy(spec: SpectrumMultiset, target: float, tol: float, what: str)
     return out
 
 
+def _two_root_form(
+    theorem: str, s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, shift: int, k: int, tol: float, what: str
+) -> ClosedFormSpectrum:
+    """The one closed form behind 2.3, 3.3/3.4 and 4.2.
+
+    With M1, M2 the factors' `kind` matrices, the corona's matrix is
+    [[M1 + n2*shift*I, +-A1 (x) 1^T], [+-A1 (x) 1, I (x) (M2 + shift*I)]],
+    where M2*1 = k*1 and A1^2 = (M1 - shift*I)^2 (the coronal block
+    structure of McLeman and McNicholas, Linear Algebra Appl. 435, 2011, at
+    a constant row sum).  Every M2-eigenvalue except one copy of k carries
+    over shifted by shift, with multiplicity n1, and each M1-eigenvalue mu
+    contributes the two roots of t^2 - b*t + c, the char poly of
+    [[mu + n2*shift, n2*(shift - mu)], [shift - mu, shift + k]].  Nothing is
+    divided by shift, so shift = 0 needs no special case.
+    """
+    n1, n2 = s1.n, s2.n
+    inherited = _drop_one_copy(numeric_spectrum(s2, kind, tol), float(k), tol, what)
+    entries = [ClosedFormEntry(multiplicity=m * n1, value=v + shift) for v, m in inherited]
+    for mu, m in numeric_spectrum(s1, kind, tol).pairs:
+        b = mu + ((n2 + 1) * shift + k)
+        c = mu * ((2 * n2 + 1) * shift + k - n2 * mu) + n2 * shift * k
+        entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c, -b, 1.0)))
+    return ClosedFormSpectrum(theorem, n1 * (n2 + 1), tuple(entries))
+
+
 def closed_form_adjacency(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:
-    """Adjacency spectrum of the corona for a net-regular second factor:
-    every s2-eigenvalue except one copy of the net degree r2 carries over with
-    multiplicity n1, and each s1-eigenvalue h contributes the two roots of
-    t^2 - (h + r2)t + (h*r2 - n2*h^2)."""
+    """Adjacency spectrum of the corona for a net-regular second factor
+    (2.3): the two-root form at shift 0 and k = r2, the net degree of s2."""
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
     r2 = s2.net_regularity()
     if r2 is None:
         raise ClosedFormError("second factor must be net-regular")
-    n1, n2 = s1.n, s2.n
-    inherited = _drop_one_copy(
-        numeric_spectrum(s2, MatrixKind.ADJACENCY, tol),
-        float(r2),
-        tol,
+    return _two_root_form(
+        "2.3", s1, s2, MatrixKind.ADJACENCY, 0, r2, tol,
         "net degree must be an adjacency eigenvalue of the second factor",
     )
-    entries = [ClosedFormEntry(multiplicity=m * n1, value=v) for v, m in inherited]
-    for theta, m in numeric_spectrum(s1, MatrixKind.ADJACENCY, tol).pairs:
-        c0 = theta * r2 - n2 * theta * theta
-        c1 = -(theta + r2)
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c0, c1, 1.0)))
-    return ClosedFormSpectrum("2.3", n1 * (n2 + 1), tuple(entries))
 
 
 def closed_form_adjacency_kpq(
@@ -305,15 +321,13 @@ def closed_form_laplacian(
     tol: float = 1e-6,
     force_zero_row_sum: bool = False,
 ) -> ClosedFormSpectrum:
-    """Laplacian spectrum of the corona for a regular first factor.
+    """Laplacian spectrum of the corona for a regular first factor (3.3/3.4).
 
     The second factor must have a constant Laplacian row sum k (equivalently a
     constant negative degree; k = r2 - r3 when it is both regular and
-    net-regular, and k = 0 exactly when it has no negative edges).  Every
-    s2-eigenvalue except one copy of k carries over shifted by r1 with
-    multiplicity n1, and each s1-eigenvalue l contributes the two roots of
-    t^2 - b*t + c with b = r1 + k + l + r1*n2 and
-    c = (l + r1*n2)(r1 + k) - n2*(l - r1)^2.
+    net-regular, and k = 0 exactly when it has no negative edges).  This is
+    the two-root form at shift r1, the degree of s1.  The paper asks for
+    r1 != 0; the form holds for an edgeless s1 as well.
 
     force_zero_row_sum=True instead takes k = 0 for any connected balanced
     second factor, as published; the numeric oracle refutes that reading as
@@ -324,10 +338,6 @@ def closed_form_laplacian(
     r1 = s1.regularity()
     if r1 is None:
         raise ClosedFormError("first factor must be degree-regular")
-    if r1 == 0:
-        raise ClosedFormError(
-            "first factor is edgeless: its degree matrix is singular, use the numeric spectrum"
-        )
     if force_zero_row_sum:
         if not (s2.is_connected() and s2.is_balanced()):
             raise ClosedFormError(
@@ -342,50 +352,28 @@ def closed_form_laplacian(
                 "(every vertex with the same negative degree)"
             )
         k = 2 * neg.pop()
-    n1, n2 = s1.n, s2.n
-    inherited = _drop_one_copy(
-        numeric_spectrum(s2, MatrixKind.LAPLACIAN, tol),
-        float(k),
-        tol,
-        "row-sum constant must be a Laplacian eigenvalue of the second factor",
-    )
-    entries = [ClosedFormEntry(multiplicity=m * n1, value=v + r1) for v, m in inherited]
-    for lam, m in numeric_spectrum(s1, MatrixKind.LAPLACIAN, tol).pairs:
-        b = r1 + k + lam + r1 * n2
-        c = (lam + r1 * n2) * (r1 + k) - n2 * (lam - r1) ** 2
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c, -b, 1.0)))
     regular_pair = s2.regularity() is not None and s2.net_regularity() is not None
     label = "3.3" if (regular_pair and not force_zero_row_sum) else "3.4"
-    return ClosedFormSpectrum(label, n1 * (n2 + 1), tuple(entries))
+    return _two_root_form(
+        label, s1, s2, MatrixKind.LAPLACIAN, r1, k, tol,
+        "row-sum constant must be a Laplacian eigenvalue of the second factor",
+    )
 
 
 def closed_form_netlaplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:
     """Net-Laplacian spectrum of the corona for a net-regular first factor
-    with non-zero net degree r: every s2-eigenvalue except one copy of 0
-    carries over shifted by r with multiplicity n1, and each s1-eigenvalue w
-    contributes the two roots of t^2 - (w + (n2+1)r)t + w((2n2+1)r - n2*w)."""
+    with net degree r (4.2): the two-root form at shift r and k = 0, since
+    every net-Laplacian row sums to 0.  The paper asks for r != 0; the form
+    holds at r = 0 as well."""
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
     r = s1.net_regularity()
     if r is None:
         raise ClosedFormError("first factor must be net-regular")
-    if r == 0:
-        raise ClosedFormError(
-            "net degree 0 makes the net degree matrix singular; use the numeric spectrum"
-        )
-    n1, n2 = s1.n, s2.n
-    inherited = _drop_one_copy(
-        numeric_spectrum(s2, MatrixKind.NET_LAPLACIAN, tol),
-        0.0,
-        tol,
+    return _two_root_form(
+        "4.2", s1, s2, MatrixKind.NET_LAPLACIAN, r, 0, tol,
         "0 must be a net-Laplacian eigenvalue of the second factor",
     )
-    entries = [ClosedFormEntry(multiplicity=m * n1, value=v + r) for v, m in inherited]
-    for w, m in numeric_spectrum(s1, MatrixKind.NET_LAPLACIAN, tol).pairs:
-        b = w + (n2 + 1) * r
-        c = w * ((2 * n2 + 1) * r - n2 * w)
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c, -b, 1.0)))
-    return ClosedFormSpectrum("4.2", n1 * (n2 + 1), tuple(entries))
 
 
 # The closed form the paper gives for each matrix kind of the corona: 2.3,

@@ -4,7 +4,7 @@ small orders, the Faddeev-LeVerrier recurrence for larger ones), Horner
 evaluation of a polynomial, a dense Bareiss determinant oracle for the
 sparsity-ordered, lazily scaled kernel under test, a cyclic Jacobi
 eigenvalue oracle that shares no code with the Householder/QL solver under
-test, and symmetric relabelling of a matrix."""
+test, symmetric relabelling of a matrix, and scaling a matrix by a scalar."""
 
 from __future__ import annotations
 
@@ -151,6 +151,11 @@ def eigenvalues_jacobi(m: Matrix) -> list[float]:
                     a[r][p] = a[p][r] = arp - s * (arq + tau * arp)
                     a[r][q] = a[q][r] = arq + s * (arp - tau * arq)
     raise ArithmeticError("Jacobi iteration failed to converge")
+
+
+def scaled(k, m: Matrix) -> Matrix:
+    """k * m, entrywise."""
+    return Matrix([[k * m[i, j] for j in range(m.cols)] for i in range(m.rows)])
 
 
 def permuted(m: Matrix, perm) -> Matrix:

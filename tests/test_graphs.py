@@ -328,6 +328,11 @@ class TestIsomorphism:
             is_isomorphic(edgeless(13), edgeless(13))
         assert is_isomorphic(edgeless(13), edgeless(13), cap=13)
 
+    def test_deep_search_within_cap(self):
+        # one search level per vertex, far past Python's recursion limit
+        assert is_isomorphic(edgeless(1200), edgeless(1200), cap=1200)
+        assert is_switching_isomorphic(path_graph(1100), path_graph(1100), cap=1100)
+
     def test_different_sizes_short_circuit(self):
         assert not is_isomorphic(edgeless(20), edgeless(21), cap=12)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import charpoly_faddeev, permuted, poly_at
+from conftest import charpoly_faddeev, permuted, poly_at, scaled
 from sgcorona import (
     ClosedFormError,
     ComplexRootsError,
@@ -38,7 +38,7 @@ from sgcorona import (
     star_graph,
     unbalanced_c4,
 )
-from sgcorona.experiments import random_connected_signed, random_signed_graph
+from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph
 from sgcorona.spectra import MatrixKind
 
 ADJ = MatrixKind.ADJACENCY
@@ -149,8 +149,8 @@ def assemble_corona_blocks(s1, s2, kind) -> Matrix:
         prof = s1.degrees()
         diag_vals = prof.degree if kind is MatrixKind.LAPLACIAN else prof.net_degree
         d1 = Matrix([[diag_vals[i] if i == j else 0 for j in range(n1)] for i in range(n1)])
-        tl = matrix_of(s1, kind) + n2 * d1
-        tr = -1 * join
+        tl = matrix_of(s1, kind) + scaled(n2, d1)
+        tr = scaled(-1, join)
         br = kronecker_sum(d1, matrix_of(s2, kind))
     bl = Matrix([[tr[i, j] for i in range(tr.rows)] for j in range(tr.cols)])
     return block_matrix([[tl, tr], [bl, br]])
@@ -400,9 +400,11 @@ class TestClosedFormLaplacian:
         with pytest.raises(ClosedFormError, match="first factor must be degree-regular"):
             closed_form_laplacian(star_graph(2), edgeless(1))
 
-    def test_rejects_edgeless_first_factor(self):
-        with pytest.raises(ClosedFormError, match="first factor is edgeless"):
-            closed_form_laplacian(edgeless(2), edgeless(1))
+    def test_edgeless_first_factor(self):
+        # r1 = 0, which the paper excludes; the two-root form still holds
+        s1, s2 = edgeless(3), complete_graph(2, -1)
+        oracle = numeric_spectrum(neighbourhood_corona(s1, s2), LAP)
+        assert spectra_equal(realize(closed_form_laplacian(s1, s2)), oracle, 1e-9)
 
     def test_rejects_inconstant_row_sum(self):
         s2 = path_graph(3).switch({0})  # negative degrees 1, 1, 0
@@ -447,11 +449,53 @@ class TestClosedFormNetLaplacian:
         with pytest.raises(ClosedFormError, match="first factor must be net-regular"):
             closed_form_netlaplacian(path_graph(3), edgeless(1))
 
-    def test_rejects_zero_net_degree(self):
+    def test_zero_net_degree(self):
+        # r = 0, which the paper excludes; the two-root form still holds
         from sgcorona import alternating_cycle
 
-        with pytest.raises(ClosedFormError, match="net degree 0 makes the net degree matrix singular"):
-            closed_form_netlaplacian(alternating_cycle(4), edgeless(1))
+        s1 = alternating_cycle(4)
+        for s2 in (edgeless(1), complete_graph(3, -1), unbalanced_c4(), path_graph(3)):
+            oracle = numeric_spectrum(neighbourhood_corona(s1, s2), NET)
+            assert spectra_equal(realize(closed_form_netlaplacian(s1, s2)), oracle, 1e-9)
+
+
+class TestPublishedCoefficients:
+    """Each wrapper's quadratics against the ones the paper prints, written out
+    per theorem, so the shared two-root form is shown to be the published one."""
+
+    @staticmethod
+    def published(label, s1, s2, mu):
+        """(c0, c1) of t^2 + c1*t + c0 for the M1-eigenvalue mu."""
+        n2 = s2.n
+        if label == "2.3":
+            r2 = s2.net_regularity()
+            return mu * r2 - n2 * mu**2, -(mu + r2)
+        if label in ("3.3", "3.4"):
+            r1, k = s1.regularity(), 2 * s2.degrees().neg_degree[0]
+            return (mu + r1 * n2) * (r1 + k) - n2 * (mu - r1) ** 2, -(r1 + k + mu + r1 * n2)
+        r = s1.net_regularity()
+        return mu * ((2 * n2 + 1) * r - n2 * mu), -(mu + (n2 + 1) * r)
+
+    @pytest.mark.parametrize(
+        "label, closed_form, kind",
+        [
+            ("2.3", closed_form_adjacency, ADJ),
+            ("3.3", closed_form_laplacian, LAP),
+            ("3.4", closed_form_laplacian, LAP),
+            ("4.2", closed_form_netlaplacian, NET),
+        ],
+        ids=["2.3", "3.3", "3.4", "4.2"],
+    )
+    def test_coefficients_are_the_published_ones(self, label, closed_form, kind):
+        for seed in range(5):
+            for s1, s2 in THEOREMS[label].cases(random.Random(seed), 20, 8):
+                quads = [e for e in closed_form(s1, s2).entries if e.coeffs is not None]
+                pairs = numeric_spectrum(s1, kind).pairs
+                assert [e.multiplicity for e in quads] == [m for _, m in pairs]
+                for e, (mu, _) in zip(quads, pairs):
+                    want = (*self.published(label, s1, s2, mu), 1.0)
+                    scale = max(map(abs, want))
+                    assert all(abs(got - w) <= 1e-12 * scale for got, w in zip(e.coeffs, want)), (e, want)
 
 
 class TestRealize:
