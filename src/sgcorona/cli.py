@@ -43,11 +43,12 @@ class UsageError(Exception):
 
 # Largest matrix order that spectrum, charpoly, distinct and cospectral-demo
 # accept, and the largest corona order verify samples. The slowest dense
-# kernel, the Berkowitz char poly (quartic in the order), takes 22 s on a
-# dense signed Laplacian of this order on a 2-vCPU AMD EPYC guest under
-# Python 3.11, which runs pure Python 2.5 times as fast as the benchmark's
-# reference machine: about a minute there. The Householder + QL eigensolver
-# (cubic) takes 0.19 s there.
+# kernel, the exact char poly (Hessenberg reduction modulo four primes of 224
+# to 607 bits, cubic in the order per prime), takes 10-12 s on a dense signed
+# Laplacian of this order on a 2-vCPU AMD EPYC guest under Python 3.11, which
+# runs pure Python 2.5 times as fast as the benchmark's reference machine:
+# 25-30 s there. The Householder + QL eigensolver (cubic) takes 0.19 s on
+# the guest.
 MAX_DENSE_ORDER = 200
 
 # Largest corona, in vertices plus edges, that `corona` builds. On the same
@@ -133,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", nargs=2, metavar=("A", "B"),
                    help="edge-list files of the cospectral factors (default: built-in pair)")
     p.add_argument("--companion", help="edge-list file of the shared second factor (default: K1)")
-    p.add_argument("--cap", type=int, default=DEFAULT_ISO_CAP, help="brute-force isomorphism size cap")
+    p.add_argument("--cap", type=_positive(int), default=DEFAULT_ISO_CAP,
+                   help="brute-force isomorphism size cap")
     _add_common(p, tol=False)
     p.set_defaults(func=cmd_cospectral)
 

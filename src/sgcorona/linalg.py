@@ -137,30 +137,151 @@ def format_poly(coeffs: Iterable, fmt: Callable[[object], str]) -> str:
     )
 
 
-def char_poly_exact(m: Matrix) -> Polynomial:
-    """det(tI - M) by Berkowitz's division-free recurrence (IPL 18, 1984).
+# Proven primes (Mersenne 2^61-1, 2^127-1, 2^521-1, 2^607-1; the Poly1305
+# prime 2^130-5; the NIST P-192 and P-224 primes; 2^255-19), ascending: the
+# moduli of char_poly_exact.  Beyond them, larger Mersenne primes, used only
+# when the ladder's product is too small.
+_PRIME_LADDER = (
+    2**61 - 1,
+    2**127 - 1,
+    2**130 - 5,
+    2**192 - 2**64 - 1,
+    2**224 - 2**96 + 1,
+    2**255 - 19,
+    2**521 - 1,
+    2**607 - 1,
+)
+_PRIME_RESERVE = (2**1279 - 1, 2**2203 - 1, 2**2281 - 1, 2**3217 - 1, 2**4253 - 1, 2**4423 - 1)
 
-    Growing the leading block A_k of M by one row and column, the char poly
-    of A_(k+1) is a lower-triangular Toeplitz matrix times that of A_k; the
-    Toeplitz column is 1, -a_kk, -R S, -R A_k S, ..., -R A_k^(k-1) S, with S
-    the new column and R the new row.  Only ring operations are used, so
-    integer matrices stay in integers and rational ones in Fractions.
+
+def _moduli(bound: int) -> list[int]:
+    """Primes whose product exceeds 2*bound: the smallest single ladder prime
+    that does, or else the ladder from the largest down, then the reserve.
+
+    A pass of _char_poly_mod costs more the larger its prime (about 10, 20
+    and 45 ms at 61, 255 and 521 bits on an order-48 Laplacian), and a pass
+    mod 2^2203-1 at order 200 costs more than four passes mod the ladder's
+    top primes, hence a ladder of moderate primes rather than one huge one.
     """
+    for p in _PRIME_LADDER:
+        if p > 2 * bound:
+            return [p]
+    out, prod = [], 1
+    for p in (*reversed(_PRIME_LADDER), *_PRIME_RESERVE):
+        out.append(p)
+        prod *= p
+        if prod > 2 * bound:
+            return out
+    raise ValueError(
+        f"char poly coefficient bound of {bound.bit_length()} bits exceeds the prime table"
+    )
+
+
+def _char_poly_mod(a, p: int) -> list[int]:
+    """Ascending coefficients of det(tI - A) mod p for an integer matrix A:
+    reduction to upper Hessenberg form by elimination similarities over
+    GF(p), then the Hessenberg recurrence (Cohen, GTM 138, Alg. 2.2.9).
+
+    Column j takes as pivot its first entry at or below the subdiagonal
+    that is nonzero mod p, swapped to row and column j+1; each row below
+    subtracts u_i times the pivot row (columns j+1: only, the rest being
+    zero), and the inverse similarity is applied once for the column:
+    col_(j+1) += sum u_i col_i, one dot product per row.  A column already
+    zero below the subdiagonal is skipped.  Row operations leave entries
+    unreduced, below (k+1)*p^2 in size after k steps; an entry is reduced
+    when it is read as a pivot, a multiplier or a pivot-row entry, when its
+    column takes the inverse similarity, and in the recurrence.
+    """
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
+    for j in range(n - 2):
+        j1 = j + 1
+        piv = next((i for i in range(j1, n) if h[i][j] % p), None)
+        if piv is None:
+            continue
+        if piv != j1:
+            h[piv], h[j1] = h[j1], h[piv]
+            for row in h:
+                row[piv], row[j1] = row[j1], row[piv]
+        top = [x % p for x in h[j1][j1:]]
+        inv = pow(h[j1][j], -1, p)
+        us = [0] * (n - j - 2)
+        for i in range(j + 2, n):
+            row = h[i]
+            u = row[j] * inv % p
+            if u:
+                us[i - j - 2] = u
+                row[j] = 0
+                row[j1:] = [x - u * y for x, y in zip(row[j1:], top)]
+        if any(us):
+            for row in h:
+                row[j1] = (row[j1] + sum(map(operator.mul, us, row[j + 2 :]))) % p
+    # polys[m] holds det(tI - H_m), H_m the leading m x m block:
+    # det(tI - H_(m+1)) = (t - h_mm) det(tI - H_m)
+    #     - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) det(tI - H_i)
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        acc = [-h[m][m] * x for x in prev] + [0]
+        for k, x in enumerate(prev):
+            acc[k + 1] += x
+        beta = 1
+        for i in range(m - 1, -1, -1):
+            beta = beta * h[i + 1][i] % p
+            if not beta:
+                break
+            c = h[i][m] * beta % p
+            if c:
+                acc[: i + 1] = [x - c * y for x, y in zip(acc, polys[i])]
+        polys.append([x % p for x in acc])
+    return polys[n]
+
+
+def _char_poly_int(a) -> list[int]:
+    """Ascending coefficients of det(tI - A) for a square integer matrix A,
+    given as rows: computed mod each prime of _moduli and lifted to Z by
+    Chinese remaindering into symmetric residues.
+
+    Each coefficient is, up to sign, a sum of principal minors, so by
+    Hadamard's inequality |c_k| <= e_k(r) <= prod(1 + r_i), r_i the 2-norm
+    of row i rounded up; moduli whose product exceeds twice that bound fix
+    every coefficient.
+    """
+    bound = 1
+    for row in a:
+        s = sum(x * x for x in row)
+        if s:
+            bound *= math.isqrt(s - 1) + 2
+    mods = _moduli(bound)
+    big = math.prod(mods)
+    coeffs = [0] * (len(a) + 1)
+    for p in mods:
+        q = big // p
+        w = q * pow(q, -1, p)
+        coeffs = [c + w * r for c, r in zip(coeffs, _char_poly_mod(a, p))]
+    half = big // 2
+    return [c - big if c > half else c for c in (c % big for c in coeffs)]
+
+
+def _integer_rows(m: Matrix, *extra: int) -> tuple[int, list[list[int]]]:
+    """(D, the rows of D*M), D the least common multiple of extra and of the
+    denominators of M's entries.  Only the entries that are not ints
+    contribute a denominator, so an integer matrix touches no Fraction."""
+    dens = {x.denominator for row in m._rows for x in row if type(x) is not int}
+    d = math.lcm(*extra, *dens)
+    if dens:
+        return d, [[x.numerator * (d // x.denominator) for x in row] for row in m._rows]
+    return d, [[d * x for x in row] for row in m._rows]
+
+
+def char_poly_exact(m: Matrix) -> Polynomial:
+    """det(tI - M) with exact coefficients, by _char_poly_int on D*M, D the
+    common denominator of M's entries: det(tI - D*M) has the coefficients
+    D^(n-k) * c_k, where c_k are those of det(tI - M)."""
     m.require_square("char_poly_exact")
-    a = m._rows
-    poly: list[Scalar] = [1]  # descending coefficients of det(tI - A_k)
-    for k in range(m.rows):
-        block = [row[:k] for row in a[:k]]
-        new_row = a[k][:k]
-        v = [row[k] for row in a[:k]]
-        col = [1, -a[k][k]]
-        for _ in range(k):
-            col.append(-sum(map(operator.mul, new_row, v)))
-            v = [sum(map(operator.mul, row, v)) for row in block]
-        poly = [
-            sum(col[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)
-        ]
-    return Polynomial(reversed(poly))
+    d, rows = _integer_rows(m)
+    n = m.rows
+    return Polynomial(Fraction(c, d ** (n - k)) for k, c in enumerate(_char_poly_int(rows)))
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -224,26 +345,19 @@ def _bareiss_det(a: list[list[int]]) -> int:
 def det_exact_at(m: Matrix, t0) -> Fraction:
     """Exact evaluation of det(t0*I - M) by fraction-free elimination.
 
-    With D the common denominator of t0 and every entry, D*(t0*I - M) is an
-    integer matrix, so det(t0*I - M) = det(D*(t0*I - M)) / D^n.  Only the
-    entries that are not ints contribute a denominator; an integer matrix
-    is scaled without touching a Fraction.  The determinant of the integer
-    matrix is _bareiss_det's, which skips the zeros of a sparse matrix such
-    as a corona's.
+    With D the common denominator of t0 and every entry, D*(M - t0*I) is an
+    integer matrix, so det(t0*I - M) = (-1)^n det(D*(M - t0*I)) / D^n.  The
+    determinant of the integer matrix is _bareiss_det's, which skips the
+    zeros of a sparse matrix such as a corona's.
     """
     m.require_square("det_exact_at")
     t0 = Fraction(t0)
-    n = m.rows
-    dens = {x.denominator for row in m._rows for x in row if type(x) is not int}
-    d = math.lcm(t0.denominator, *dens)
-    if dens:
-        rows = [[-x.numerator * (d // x.denominator) for x in row] for row in m._rows]
-    else:
-        rows = [[-d * x for x in row] for row in m._rows]
+    d, rows = _integer_rows(m, t0.denominator)
     p = t0.numerator * (d // t0.denominator)
     for i, row in enumerate(rows):
-        row[i] += p
-    return Fraction(_bareiss_det(rows), d**n)
+        row[i] -= p
+    n = m.rows
+    return Fraction((-1) ** n * _bareiss_det(rows), d**n)
 
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:

@@ -15,7 +15,7 @@ from .linalg import (
     Matrix,
     SpectrumMultiset,
     _bareiss_det,
-    char_poly_exact,
+    _char_poly_int,
     format_poly,
     real_roots_cubic,
     real_roots_quadratic,
@@ -70,15 +70,15 @@ def _factor_pair(s1: SignedGraph, s2: SignedGraph):
     """What the factored 2.2 side needs of a pair, independent of the point:
     the rows of A1 and A1^2, and the ascending integer coefficients of
     psi2(t) = det(tI - A2) and of det(tI - A2 + J), J the all-ones matrix,
-    as Berkowitz char polys.  A trial evaluates one pair at several points,
-    so the last pair is kept."""
+    straight from the integer char poly routine.  A trial evaluates one pair
+    at several points, so the last pair is kept."""
     a1 = matrix_of(s1, MatrixKind.ADJACENCY)
     a2 = matrix_of(s2, MatrixKind.ADJACENCY)
     return (
         a1._rows,
         (a1 @ a1)._rows,
-        tuple(map(int, char_poly_exact(a2).coeffs)),
-        tuple(map(int, char_poly_exact(a2 - Matrix.ones(s2.n, s2.n)).coeffs)),
+        tuple(_char_poly_int(a2._rows)),
+        tuple(_char_poly_int((a2 - Matrix.ones(s2.n, s2.n))._rows)),
     )
 
 
@@ -98,7 +98,7 @@ def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Frac
     polynomial: psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2), with kappa the
     coronal of s2's adjacency matrix.
 
-    psi2 and det(tI - A2 + J), J the all-ones matrix, are Berkowitz char
+    psi2 and det(tI - A2 + J), J the all-ones matrix, are exact integer char
     polys taken once per pair; each point t0 = a/b is then integer work.
     Homogeneous Horner gives hp = b^n2 * psi2(t0) and hs = b^n2 *
     det(t0*I - A2 + J), and the rank-one identity gives hp*kappa = hs - hp =

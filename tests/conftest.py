@@ -1,8 +1,8 @@
 """Shared test helpers: two characteristic-polynomial oracles that share no
-code with the Berkowitz implementation under test (cofactor expansion for
-small orders, the Faddeev-LeVerrier recurrence for larger ones), Horner
-evaluation of a polynomial, a dense Bareiss determinant oracle for the
-sparsity-ordered, lazily scaled kernel under test, a cyclic Jacobi
+code with the modular Hessenberg implementation under test (cofactor
+expansion for small orders, the Faddeev-LeVerrier recurrence for larger
+ones), Horner evaluation of a polynomial, a dense Bareiss determinant oracle
+for the sparsity-ordered, lazily scaled kernel under test, a cyclic Jacobi
 eigenvalue oracle that shares no code with the Householder/QL solver under
 test, symmetric relabelling of a matrix, and scaling a matrix by a scalar."""
 

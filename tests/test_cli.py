@@ -372,6 +372,8 @@ class TestUsage:
             ["paper-example", "--tol", "0"],
             ["spectrum", "GRAPH", "--tol", "-1"],
             ["spectrum", "GRAPH", "--tol", "inf"],
+            ["cospectral-demo", "--cap", "0"],
+            ["cospectral-demo", "--cap", "-5"],
         ],
     )
     def test_bad_argument_exits_2(self, capsys, c4m_file, argv):

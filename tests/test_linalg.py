@@ -145,6 +145,102 @@ class TestCharPoly:
             m = random_fraction_matrix(rng, rng.randint(1, 9))
             assert char_poly_exact(m) == charpoly_faddeev(m)
 
+    def test_sylvester_hadamard_reaches_the_bound(self):
+        # H16^2 = 16 I and H16 is symmetric, so det(tI - H16) = (t^2 - 16)^8;
+        # |det H16| = 4^16 is Hadamard's bound, the product of the row norms
+        h = [[1]]
+        for _ in range(4):
+            h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+        m = Matrix(h)
+        expected = [0] * 17
+        for k in range(9):
+            expected[2 * k] = math.comb(8, k) * (-16) ** (8 - k)
+        p = char_poly_exact(m)
+        assert p == Polynomial(expected) == charpoly_faddeev(m)
+        assert p.coeffs[0] == 4**16
+
+    def test_huge_entries_take_several_primes(self, monkeypatch):
+        rng = random.Random(23)
+        m = random_int_matrix(rng, 8, -(10**30), 10**30)
+        moduli = []
+        real = linalg._char_poly_mod
+
+        def spy(a, p):
+            moduli.append(p)
+            return real(a, p)
+
+        monkeypatch.setattr(linalg, "_char_poly_mod", spy)
+        assert char_poly_exact(m) == charpoly_faddeev(m)
+        assert len(moduli) > 1
+
+    def test_block_triangular_skips_zero_columns(self):
+        # below the diagonal blocks every column is already zero, and one
+        # subdiagonal entry is zero, so the recurrence stops its product early
+        rng = random.Random(31)
+        for _ in range(10):
+            a, c = random_int_matrix(rng, 3), random_int_matrix(rng, 4)
+            rows = [[a[i, j] for j in range(3)] + [rng.randint(-5, 5) for _ in range(4)] for i in range(3)]
+            rows += [[0, 0, 0] + [c[i, j] for j in range(4)] for i in range(4)]
+            m = Matrix(rows)
+            expected = [0] * 8
+            for i, x in enumerate(charpoly_faddeev(a).coeffs):
+                for j, y in enumerate(charpoly_faddeev(c).coeffs):
+                    expected[i + j] += x * y
+            assert char_poly_exact(m) == Polynomial(expected) == charpoly_faddeev(m)
+        assert char_poly_exact(diagonal([3, -1, 0, 2])) == charpoly_cofactor(diagonal([3, -1, 0, 2]))
+
+    def test_zero_subdiagonal_pivot_is_swapped(self):
+        m = Matrix([[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+        assert char_poly_exact(m) == charpoly_cofactor(m)
+        rng = random.Random(37)
+        for _ in range(10):
+            n = rng.randint(3, 10)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            for j in range(n - 1):
+                rows[j + 1][j] = 0
+            rows[n - 1][0] = rng.choice((-3, -1, 2, 5))
+            m = Matrix(rows)
+            assert char_poly_exact(m) == charpoly_faddeev(m)
+
+    def test_mixed_denominators(self):
+        rng = random.Random(41)
+        dens = (1, 2, 3, 7, 9, 11, 16)
+        for _ in range(10):
+            n = rng.randint(1, 7)
+            m = Matrix(
+                [[Fraction(rng.randint(-20, 20), rng.choice(dens)) for _ in range(n)] for _ in range(n)]
+            )
+            assert char_poly_exact(m) == charpoly_faddeev(m)
+        m = Matrix([[1, Fraction(1, 2)], [Fraction(2, 3), Fraction(-5, 7)]])
+        assert char_poly_exact(m) == charpoly_cofactor(m)
+
+    def test_small_primes_against_oracle(self):
+        # mod a small prime many entries vanish or pass through multiples of
+        # p unreduced, so pivot search and column skips take every branch
+        rng = random.Random(43)
+        for _ in range(40):
+            m = random_int_matrix(rng, rng.randint(0, 9), -6, 6)
+            coeffs = [int(c) for c in charpoly_faddeev(m).coeffs]
+            for p in (2, 3, 5, 7):
+                assert linalg._char_poly_mod(m._rows, p) == [c % p for c in coeffs]
+
+    def test_moduli_are_primes(self):
+        sympy = pytest.importorskip("sympy")
+        table = linalg._PRIME_LADDER + linalg._PRIME_RESERVE
+        assert list(table) == sorted(set(table))
+        assert all(sympy.isprime(p) for p in table)
+
+    def test_moduli_choice(self):
+        ladder = linalg._PRIME_LADDER
+        assert linalg._moduli(1) == [2**61 - 1]
+        assert linalg._moduli(2**60) == [2**127 - 1]
+        assert linalg._moduli(2**600) == [2**607 - 1]
+        assert linalg._moduli(2**606) == [2**607 - 1, 2**521 - 1]
+        every = linalg._moduli(math.prod(ladder))
+        assert every == [*reversed(ladder), 2**1279 - 1]
+        with pytest.raises(ValueError, match="exceeds the prime table"):
+            linalg._moduli(2**30000)
+
 
 class TestDetExactAt:
     def test_k2_at_two(self):
