@@ -54,11 +54,11 @@ class IsomorphicInputsError(ValueError):
 # random factor generators
 
 
-def random_signed_graph(rng: random.Random, n: int, p_edge: float = 0.5) -> SignedGraph:
+def random_signed_graph(rng: random.Random, n: int) -> SignedGraph:
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < p_edge:
+            if rng.random() < 0.5:
                 edges.append((u, v, -1 if rng.random() < 0.5 else 1))
     return SignedGraph(n, tuple(edges))
 
@@ -237,32 +237,26 @@ def distinct_count(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Disti
     )
 
 
-def _bound_hypotheses(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind) -> bool:
-    if kind is MatrixKind.ADJACENCY:
-        return s2.net_regularity() is not None
-    if kind is MatrixKind.LAPLACIAN:
-        return (
-            s1.regularity() is not None
-            and s2.regularity() is not None
-            and s2.net_regularity() is not None
-        )
-    r = s1.net_regularity()
-    return r is not None and r != 0
-
-
 def corona_distinct_report(
     s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: float = 1e-6
 ) -> DistinctReport:
-    """Distinct-eigenvalue report for the corona of the two factors; when the
-    closed-form hypotheses hold the 2*t1 + t2 bound is recorded and checked."""
+    """Distinct-eigenvalue report for the corona of the two factors.  When
+    the closed form for `kind`, CLOSED_FORMS[kind], applies, the 2*t1 + t2
+    bound is recorded and checked: t1 is the number of quadratic entries of
+    that form, one per distinct S1-eigenvalue, and t2 the number of distinct
+    S2-eigenvalues."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     corona = neighbourhood_corona(s1, s2)
     spec = numeric_spectrum(corona, kind, tol)
     bound = None
     satisfied = None
-    if _bound_hypotheses(s1, s2, kind):
-        t1 = numeric_spectrum(s1, kind, tol).distinct_count
+    try:
+        cf = CLOSED_FORMS[kind](s1, s2, tol)
+    except ClosedFormError:
+        pass
+    else:
+        t1 = sum(e.coeffs is not None for e in cf.entries)
         t2 = numeric_spectrum(s2, kind, tol).distinct_count
         bound = 2 * t1 + t2
         satisfied = spec.distinct_count <= bound
@@ -658,8 +652,7 @@ def _closed_form_check(kind: MatrixKind, closed_form=None):
     """The check of the closed-form rows: closed_form(s1, s2, tol), realised,
     against the numeric spectrum of the corona's `kind` matrix; without
     closed_form, the paper's one for `kind`, CLOSED_FORMS[kind]. A closed
-    form that refuses the factors (at a coarse tol, clustering can hide the
-    eigenvalue it needs) fails the trial."""
+    form that refuses the factors fails the trial."""
 
     def check(case, rng, tol):
         s1, s2 = case

@@ -6,12 +6,13 @@ cubics."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 Scalar = int | Fraction
 
@@ -140,7 +141,7 @@ def format_poly(coeffs: Iterable, fmt: Callable[[object], str]) -> str:
 # Proven primes (Mersenne 2^61-1, 2^127-1, 2^521-1, 2^607-1; the Poly1305
 # prime 2^130-5; the NIST P-192 and P-224 primes; 2^255-19), ascending: the
 # moduli of char_poly_exact.  Beyond them, larger Mersenne primes, used only
-# when the ladder's product is too small.
+# when the ladder's product is too small, and past those _word_primes.
 _PRIME_LADDER = (
     2**61 - 1,
     2**127 - 1,
@@ -152,11 +153,34 @@ _PRIME_LADDER = (
     2**607 - 1,
 )
 _PRIME_RESERVE = (2**1279 - 1, 2**2203 - 1, 2**2281 - 1, 2**3217 - 1, 2**4253 - 1, 2**4423 - 1)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _word_primes() -> Iterator[int]:
+    """The primes below 2^64, descending.  Miller-Rabin to the first twelve
+    prime bases proves primality below 3.18e23 (Sorenson & Webster, Math.
+    Comp. 86, 2017), so each one is proven, not probable."""
+    for n in itertools.count(2**64 - 1, -2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+        d = (n - 1) >> s
+        for a in _MR_BASES:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break  # a witnesses that n is composite
+        else:
+            yield n
 
 
 def _moduli(bound: int) -> list[int]:
     """Primes whose product exceeds 2*bound: the smallest single ladder prime
-    that does, or else the ladder from the largest down, then the reserve.
+    that does, or else the ladder from the largest down, then the reserve,
+    then as many of _word_primes as it takes.
 
     A pass of _char_poly_mod costs more the larger its prime (about 10, 20
     and 45 ms at 61, 255 and 521 bits on an order-48 Laplacian), and a pass
@@ -167,14 +191,11 @@ def _moduli(bound: int) -> list[int]:
         if p > 2 * bound:
             return [p]
     out, prod = [], 1
-    for p in (*reversed(_PRIME_LADDER), *_PRIME_RESERVE):
+    for p in itertools.chain(reversed(_PRIME_LADDER), _PRIME_RESERVE, _word_primes()):
         out.append(p)
         prod *= p
         if prod > 2 * bound:
             return out
-    raise ValueError(
-        f"char poly coefficient bound of {bound.bit_length()} bits exceeds the prime table"
-    )
 
 
 def _char_poly_mod(a, p: int) -> list[int]:

@@ -211,28 +211,8 @@ def realize(cf: ClosedFormSpectrum, tol: float = 1e-6) -> SpectrumMultiset:
     return SpectrumMultiset.from_values(values, tol)
 
 
-def _drop_one_copy(spec: SpectrumMultiset, target: float, tol: float, what: str) -> list[tuple[float, int]]:
-    """Remove one copy of the eigenvalue nearest to target, which must sit
-    within the clustering tolerance."""
-    if not spec.pairs:
-        raise ClosedFormError(f"{what}: spectrum is empty")
-    value, mult = spec.nearest(target)
-    scale = 1.0 + max(abs(target), max(abs(v) for v, _ in spec.pairs))
-    if abs(value - target) > tol * scale:
-        raise ClosedFormError(f"{what}: expected eigenvalue {target}, nearest is {value:.6g}")
-    out = []
-    for v, m in spec.pairs:
-        if v == value and mult == m:
-            if m > 1:
-                out.append((v, m - 1))
-            mult = -1  # consumed
-        else:
-            out.append((v, m))
-    return out
-
-
 def _two_root_form(
-    theorem: str, s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, shift: int, k: int, tol: float, what: str
+    theorem: str, s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, shift: int, k: int, tol: float
 ) -> ClosedFormSpectrum:
     """The one closed form behind 2.3, 3.3/3.4 and 4.2.
 
@@ -245,9 +225,18 @@ def _two_root_form(
     contributes the two roots of t^2 - b*t + c, the char poly of
     [[mu + n2*shift, n2*(shift - mu)], [shift - mu, shift + k]].  Nothing is
     divided by shift, so shift = 0 needs no special case.
+
+    The copy of k dropped is M2's unclustered eigenvalue nearest k (tol 0
+    merges only equal floats); another one can be nearer only by rounding,
+    and then the two are interchangeable.  The rest is clustered at tol
+    afterwards, so no tolerance decides whether the form applies.
     """
     n1, n2 = s1.n, s2.n
-    inherited = _drop_one_copy(numeric_spectrum(s2, kind, tol), float(k), tol, what)
+    if n2 < 1:
+        raise ClosedFormError("second factor must be non-empty")
+    values = numeric_spectrum(s2, kind, 0.0).values()
+    values.remove(min(values, key=lambda v: abs(v - k)))
+    inherited = SpectrumMultiset.from_values(values, tol).pairs
     entries = [ClosedFormEntry(multiplicity=m * n1, value=v + shift) for v, m in inherited]
     for mu, m in numeric_spectrum(s1, kind, tol).pairs:
         b = mu + ((n2 + 1) * shift + k)
@@ -264,10 +253,7 @@ def closed_form_adjacency(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -
     r2 = s2.net_regularity()
     if r2 is None:
         raise ClosedFormError("second factor must be net-regular")
-    return _two_root_form(
-        "2.3", s1, s2, MatrixKind.ADJACENCY, 0, r2, tol,
-        "net degree must be an adjacency eigenvalue of the second factor",
-    )
+    return _two_root_form("2.3", s1, s2, MatrixKind.ADJACENCY, 0, r2, tol)
 
 
 def closed_form_adjacency_kpq(
@@ -354,10 +340,7 @@ def closed_form_laplacian(
         k = 2 * neg.pop()
     regular_pair = s2.regularity() is not None and s2.net_regularity() is not None
     label = "3.3" if (regular_pair and not force_zero_row_sum) else "3.4"
-    return _two_root_form(
-        label, s1, s2, MatrixKind.LAPLACIAN, r1, k, tol,
-        "row-sum constant must be a Laplacian eigenvalue of the second factor",
-    )
+    return _two_root_form(label, s1, s2, MatrixKind.LAPLACIAN, r1, k, tol)
 
 
 def closed_form_netlaplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:
@@ -370,10 +353,7 @@ def closed_form_netlaplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6
     r = s1.net_regularity()
     if r is None:
         raise ClosedFormError("first factor must be net-regular")
-    return _two_root_form(
-        "4.2", s1, s2, MatrixKind.NET_LAPLACIAN, r, 0, tol,
-        "0 must be a net-Laplacian eigenvalue of the second factor",
-    )
+    return _two_root_form("4.2", s1, s2, MatrixKind.NET_LAPLACIAN, r, 0, tol)
 
 
 # The closed form the paper gives for each matrix kind of the corona: 2.3,

@@ -4,14 +4,15 @@ expansion for small orders, the Faddeev-LeVerrier recurrence for larger
 ones), Horner evaluation of a polynomial, a dense Bareiss determinant oracle
 for the sparsity-ordered, lazily scaled kernel under test, a cyclic Jacobi
 eigenvalue oracle that shares no code with the Householder/QL solver under
-test, symmetric relabelling of a matrix, and scaling a matrix by a scalar."""
+test, symmetric relabelling of a matrix, scaling a matrix by a scalar, and
+a random signed graph of a chosen edge density."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from sgcorona import Matrix, Polynomial
+from sgcorona import Matrix, Polynomial, SignedGraph
 
 
 def charpoly_cofactor(m: Matrix) -> Polynomial:
@@ -161,3 +162,14 @@ def scaled(k, m: Matrix) -> Matrix:
 def permuted(m: Matrix, perm) -> Matrix:
     """Symmetric relabelling: entry (i, j) of the result is m[perm[i], perm[j]]."""
     return Matrix([[m[perm[i], perm[j]] for j in range(m.cols)] for i in range(m.rows)])
+
+
+def random_signed_graph_with_density(rng, n: int, p_edge: float) -> SignedGraph:
+    """experiments.random_signed_graph with edge probability p_edge in place
+    of 0.5: the same draws from rng, so p_edge = 0.5 gives the same graph."""
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p_edge:
+                edges.append((u, v, -1 if rng.random() < 0.5 else 1))
+    return SignedGraph(n, tuple(edges))

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sgcorona
-from sgcorona import format_graph, parse_graph, read_graph, unbalanced_c4, complete_graph
+from sgcorona import format_graph, parse_graph, read_graph, unbalanced_c4, complete_graph, cycle_graph, graphs
 from sgcorona.cli import MAX_CORONA_SIZE, MAX_DENSE_ORDER, main
 from sgcorona.experiments import THEOREM_LABELS
+from sgcorona.spectra import CLOSED_FORMS, ClosedFormError, MatrixKind
 
 C4M_TEXT = "4\n0 1 +\n1 2 +\n2 3 +\n0 3 -\n"
 K2_TEXT = "2\n0 1 +\n"
@@ -182,10 +183,16 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize("theorem, trials, seed", [("3.4", "15", "0"), ("4.2", "20", "3")])
-    def test_refused_closed_form_is_a_failed_trial(self, capsys, theorem, trials, seed):
-        # at a coarse tol, clustering hides the eigenvalue 0 of the second
-        # factor that the closed form needs, and the closed form refuses it
-        argv = ["verify", "--theorem", theorem, "--trials", trials, "--seed", seed, "--tol", "0.3"]
+    def test_refused_closed_form_is_a_failed_trial(self, capsys, monkeypatch, theorem, trials, seed):
+        # a closed form refuses only factors that fail its hypotheses, which
+        # the samplers never draw; a stand-in that refuses every pair takes
+        # the refusal path, since the rows look CLOSED_FORMS up at call time
+        def refuse(s1, s2, tol):
+            raise ClosedFormError("stand-in refusal")
+
+        for kind in MatrixKind:
+            monkeypatch.setitem(CLOSED_FORMS, kind, refuse)
+        argv = ["verify", "--theorem", theorem, "--trials", trials, "--seed", seed]
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert "counterexample at trial" in out
@@ -195,6 +202,25 @@ class TestVerify:
         failure = json.loads(out)["failures"][0]
         assert parse_graph(failure["graphs"]["s1"]).n >= 1
         assert set(failure["graphs"]) == {"s1", "s2"}
+
+    @pytest.mark.parametrize("theorem, trials, seed", [("3.4", "15", "0"), ("4.2", "20", "3")])
+    def test_coarse_tol_refuses_no_closed_form(self, capsys, theorem, trials, seed):
+        # at tol 0.3 clustering once merged the eigenvalue k of the second
+        # factor into a cluster too far from k, and the closed form refused
+        # factors that meet its hypotheses
+        argv = ["verify", "--theorem", theorem, "--trials", trials, "--seed", seed, "--tol", "0.3"]
+        _, out, err = run(capsys, *argv)
+        assert out.startswith(f"theorem {theorem}:")
+        assert "closed form refused" not in out
+        assert "Traceback" not in err
+
+    def test_coarse_tol_picks_the_right_copy_of_k(self, capsys):
+        # at tol 1e-2 a cluster mean once replaced the copy of 0 to drop, and
+        # 4.2 reported a false counterexample at trial 1
+        argv = ["verify", "--theorem", "4.2", "--trials", "12", "--seed", "1", "--max-n", "13", "--tol", "1e-2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "PASS 12/12" in out
 
     @pytest.mark.parametrize("tol", ["1", "1e-17"])
     def test_few_distinct_seed_merged_or_split_by_tol_is_a_failed_trial(self, capsys, tol):
@@ -256,6 +282,31 @@ class TestCospectralDemo:
         code, _, err = run(capsys, "cospectral-demo", "--pair", c4m_file, k2_file, "--kind", "adj")
         assert code == 1
         assert "not adj-cospectral" in err
+
+    def test_pair_that_reaches_the_search(self, capsys, monkeypatch, tmp_path):
+        # two balanced, hence cospectral, signed 6-cycles whose (d+, d-)
+        # multisets agree, so no degree filter decides either isomorphism
+        # test: negative edges 0 and 3 against negative edges 0 and 2
+        paths = []
+        for name, signs in (("a", [-1, 1, 1, -1, 1, 1]), ("b", [-1, 1, -1, 1, 1, 1])):
+            path = tmp_path / f"{name}.sg"
+            path.write_text(format_graph(cycle_graph(6, signs)))
+            paths.append(str(path))
+        searches = []
+        find_map = graphs._find_map
+
+        def spy(s1, s2, switching, cap):
+            searches.append((s1.n, switching))
+            return find_map(s1, s2, switching, cap)
+
+        monkeypatch.setattr(graphs, "_find_map", spy)
+        code, out, _ = run(capsys, "cospectral-demo", "--pair", *paths, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["corona_order"] == 12
+        assert doc["isomorphic"] is False
+        assert doc["switching_isomorphic"] is True
+        assert searches == [(6, False), (12, False), (12, True)]
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "cospectral-demo", "--kind", "adj", "--json")

@@ -6,6 +6,7 @@ import pytest
 
 from sgcorona import (
     IsomorphicInputsError,
+    alternating_cycle,
     NotCospectralError,
     PoleError,
     Polynomial,
@@ -57,6 +58,20 @@ class TestDistinctReports:
     def test_netlap_bound(self):
         report = corona_distinct_report(complete_graph(2), path_graph(3), NET)
         assert report.bound is not None
+        assert report.bound_satisfied
+
+    def test_bound_at_zero_net_degree(self):
+        # 4.2's closed form holds at net degree 0, so 5.1 bounds it too:
+        # t1 = 3 (net-Laplacian of the alternating 4-cycle), t2 = 4
+        report = corona_distinct_report(alternating_cycle(4), unbalanced_c4(), NET)
+        assert report.bound == 10
+        assert report.bound_satisfied
+
+    def test_bound_for_constant_laplacian_row_sum(self):
+        # the all-positive 3-path is neither regular nor net-regular, but its
+        # Laplacian rows all sum to 0, which is all 3.3/3.4 need: t1 = 2, t2 = 3
+        report = corona_distinct_report(complete_graph(3), path_graph(3), LAP)
+        assert report.bound == 7
         assert report.bound_satisfied
 
 

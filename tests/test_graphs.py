@@ -6,6 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_signed_graph_with_density
 from sgcorona import (
     GraphError,
     ParseError,
@@ -175,7 +176,7 @@ class TestBalance:
         rng = random.Random(7)
         seen = set()
         for _ in range(300):
-            g = random_signed_graph(rng, rng.randint(0, 8), rng.choice((0.15, 0.4, 0.8)))
+            g = random_signed_graph_with_density(rng, rng.randint(0, 8), rng.choice((0.15, 0.4, 0.8)))
             if rng.random() < 0.3:
                 g = disjoint_union(g, random_signed_graph(rng, rng.randint(0, 4)))
             nbrs = {v: set() for v in range(g.n)}
@@ -360,7 +361,7 @@ class TestIsomorphism:
         # n - 2 against 2(n - 2) unbalanced triangles, with equal degrees
         assert not is_switching_isomorphic(signed_kn({(0, 1)}), signed_kn({(0, 1), (2, 3)}))
         rng = random.Random(n)
-        g = random_signed_graph(rng, n, 1.0)
+        g = random_signed_graph_with_density(rng, n, 1.0)
         perm = rng.sample(range(n), n)
         h = relabelled(g.switch(v for v in range(n) if rng.random() < 0.5), perm)
         assert is_switching_isomorphic(g, h) and is_switching_isomorphic(h, g)

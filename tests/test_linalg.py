@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from conftest import (
     eigenvalues_jacobi,
     permuted,
     poly_at,
+    random_signed_graph_with_density,
     scaled,
 )
 from sgcorona import (
@@ -229,6 +231,13 @@ class TestCharPoly:
         table = linalg._PRIME_LADDER + linalg._PRIME_RESERVE
         assert list(table) == sorted(set(table))
         assert all(sympy.isprime(p) for p in table)
+        generated = list(itertools.islice(linalg._word_primes(), 5))
+        assert generated == sorted(generated, reverse=True)
+        assert generated[0] == 2**64 - 59  # the largest prime below 2^64
+        assert all(sympy.isprime(p) for p in generated)
+        # every odd number between them is composite
+        gaps = range(generated[-1] + 2, generated[0], 2)
+        assert not any(sympy.isprime(n) for n in gaps if n not in generated)
 
     def test_moduli_choice(self):
         ladder = linalg._PRIME_LADDER
@@ -238,8 +247,18 @@ class TestCharPoly:
         assert linalg._moduli(2**606) == [2**607 - 1, 2**521 - 1]
         every = linalg._moduli(math.prod(ladder))
         assert every == [*reversed(ladder), 2**1279 - 1]
-        with pytest.raises(ValueError, match="exceeds the prime table"):
-            linalg._moduli(2**30000)
+        beyond = linalg._moduli(2**30000)
+        assert len(set(beyond)) == len(beyond)
+        assert math.prod(beyond) > 2**30001
+
+    def test_rationals_beyond_the_fixed_primes(self):
+        # tiny entries over denominators up to 10^9: the scaled matrix needs
+        # a coefficient bound of 22869 bits, past the ladder and the reserve
+        rng = random.Random(0)
+        m = Matrix(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 10**9)) for _ in range(10)] for _ in range(10)]
+        )
+        assert char_poly_exact(m) == charpoly_faddeev(m)
 
 
 class TestDetExactAt:
@@ -437,7 +456,7 @@ class TestSymEigenvalues:
     def graph_matrices(seed):
         # signed graphs of order up to 40 and coronas of order up to 60
         rng = random.Random(seed)
-        graphs = [random_signed_graph(rng, rng.randint(1, 40), rng.random()) for _ in range(6)]
+        graphs = [random_signed_graph_with_density(rng, rng.randint(1, 40), rng.random()) for _ in range(6)]
         sizes = [(rng.randint(1, 6), rng.randint(0, 9)) for _ in range(5)] + [(5, 11)]
         for n1, n2 in sizes:
             graphs.append(

@@ -449,6 +449,11 @@ class TestClosedFormNetLaplacian:
         with pytest.raises(ClosedFormError, match="first factor must be net-regular"):
             closed_form_netlaplacian(path_graph(3), edgeless(1))
 
+    def test_rejects_empty_second_factor(self):
+        # an empty S2 has no copy of k = 0 to drop
+        with pytest.raises(ClosedFormError):
+            closed_form_netlaplacian(complete_graph(2), edgeless(0))
+
     def test_zero_net_degree(self):
         # r = 0, which the paper excludes; the two-root form still holds
         from sgcorona import alternating_cycle
