@@ -90,9 +90,6 @@ class Matrix:
             for row in self._rows
         )
 
-    def to_float(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self._rows]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matrix) and self._rows == other._rows
 
@@ -566,31 +563,105 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
+TwinClass = tuple[list[int], Scalar]
+
+
+def _twin_classes(rows) -> list[TwinClass]:
+    """The twin classes of a symmetric matrix, read from its exact entries,
+    each as (members ascending, c), ordered by first member; a vertex with
+    no twin is a class of its own, with c = 0.
+
+    u and v are twins when their rows agree outside {u, v}, their diagonal
+    entries are equal, and M[u][v] = c.  Row u with its diagonal entry
+    replaced by c, together with that diagonal entry, is then the same key
+    for u and v; conversely two vertices with equal keys are twins with
+    that c.  Twins of u all share one c, so the classes are disjoint and
+    each row is keyed once per distinct value in it.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for u, row in enumerate(rows):
+        head, d, tail = row[:u], row[u], row[u + 1 :]
+        for c in set(row):
+            groups.setdefault((d, *head, c, *tail), []).append(u)
+    classes = {u: ([u], 0) for u in range(len(rows))}
+    for members in groups.values():
+        if len(members) > 1:
+            u = members[0]
+            classes[u] = (members, rows[members[1]][u])
+            for v in members[1:]:
+                del classes[v]
+    return list(classes.values())  # keyed in ascending order, each by its first member
+
+
+def _blocks(rows, classes: list[TwinClass]) -> list[list[TwinClass]]:
+    """The connected components of the graph on twin classes in which two
+    classes are adjacent when the entry between their first members is
+    nonzero, each listing its classes in their given order."""
+    left = set(range(len(classes)))
+    out = []
+    while left:
+        start = min(left)
+        left.remove(start)
+        block, stack = [start], [start]
+        while stack:
+            row = rows[classes[stack.pop()][0][0]]
+            near = [j for j in left if row[classes[j][0][0]]]
+            left.difference_update(near)
+            block += near
+            stack += near
+        out.append([classes[j] for j in sorted(block)])
+    return out
+
+
 def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
     """All eigenvalues of a real symmetric matrix by Householder
-    tridiagonalisation followed by implicit-shift QL (Golub & Van Loan 8.3).
+    tridiagonalisation followed by implicit-shift QL (Golub & Van Loan 8.3),
+    after two exact reductions read from the entries.
+
+    A twin class (see _twin_classes) of size k with diagonal d and mutual
+    entry c spans the eigenvectors e_u - e_v of eigenvalue d - c, k - 1
+    times; the rest of the spectrum is that of the symmetric quotient of the
+    equitable partition into twin classes, with diagonal d + (k - 1) c and
+    off-diagonal entries sqrt(k l) M[u][w] (Cvetkovic, Rowlinson & Simic,
+    An Introduction to the Theory of Graph Spectra, 2010).  The quotient is
+    split into connected blocks, each solved on its own; a matrix with no
+    twins and one block is solved as it stands.
 
     The sorted eigenvalues are checked against the trace and then clustered
     into multiplicities with an absolute tolerance scaled by the spectral
     radius.
     """
     m.require_square("sym_eigenvalues")
-    a = m.to_float()
-    n = len(a)
+    rows = m._rows
+    n = len(rows)
     if n == 0:
         raise ValueError("sym_eigenvalues needs order >= 1")
-    scale = max(max(abs(x) for x in row) for row in a)
-    sym_tol = 1e-12 * (1.0 + scale)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > sym_tol:
-                raise ValueError(
-                    f"entries ({i},{j}) and ({j},{i}) differ by {abs(a[i][j] - a[j][i]):.3e}"
-                )
-            avg = 0.5 * (a[i][j] + a[j][i])
-            a[i][j] = a[j][i] = avg
-    trace0 = sum(a[i][i] for i in range(n))
-    eigs = sorted(_ql_implicit(*_tridiagonalize(a)))
+    if rows != tuple(zip(*rows)):
+        i, j = next(
+            (i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i]
+        )
+        raise ValueError(
+            f"entries ({i},{j}) and ({j},{i}) differ by {abs(float(rows[i][j] - rows[j][i])):.3e}"
+        )
+    classes = _twin_classes(rows)
+    eigs: list[float] = []
+    for members, c in classes:
+        u = members[0]
+        eigs += [float(rows[u][u] - c)] * (len(members) - 1)
+    for block in _blocks(rows, classes):
+        cols = [members[0] for members, _ in block]
+        a = [[float(rows[u][w]) for w in cols] for u in cols]
+        for i, (members, c) in enumerate(block):
+            k = len(members)
+            if k > 1:
+                row = rows[cols[i]]
+                a[i][i] = float(row[cols[i]] + (k - 1) * c)
+                for j, (others, _) in enumerate(block):
+                    if j != i:
+                        a[i][j] = a[j][i] = math.sqrt(k * len(others)) * float(row[cols[j]])
+        eigs += _ql_implicit(*_tridiagonalize(a))
+    trace0 = sum(float(rows[i][i]) for i in range(n))
+    eigs.sort()
     if not abs(sum(eigs) - trace0) <= 1e-8 * (1.0 + abs(trace0)):  # NaN fails too
         raise ArithmeticError("eigenvalue sum drifted away from the trace")
     return SpectrumMultiset.from_values(eigs, cluster_tol)

@@ -38,10 +38,14 @@ from sgcorona import (
 )
 from sgcorona.experiments import random_signed_graph
 from sgcorona import linalg
-from sgcorona.linalg import _bareiss_det, _ql_implicit, _tridiagonalize
+from sgcorona.linalg import _bareiss_det, _blocks, _ql_implicit, _tridiagonalize, _twin_classes
 from sgcorona.spectra import MatrixKind
 
 A_C4M = matrix_of(unbalanced_c4(), MatrixKind.ADJACENCY)
+
+
+def float_rows(m: Matrix) -> list[list[float]]:
+    return [[float(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def random_int_matrix(rng, n, lo=-3, hi=3):
@@ -64,6 +68,54 @@ def random_symmetric(rng, n, lo=-3, hi=3):
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = rng.randint(lo, hi)
+    return Matrix(rows)
+
+
+def twin_matrix(rng, sizes, value=lambda rng: rng.randint(-1, 1)):
+    """A symmetric matrix made of twin classes of the given sizes, randomly
+    relabelled, and its classes in the new labels.  Class i has a diagonal
+    d_i and a mutual entry c_i in {0, +-1}; any two members of classes i and
+    j are joined by one entry b_ij.  d_i and b_ij are drawn by value."""
+    r = len(sizes)
+    d = [value(rng) for _ in range(r)]
+    c = [rng.choice((-1, 0, 1)) for _ in range(r)]
+    b = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            b[i][j] = b[j][i] = value(rng)
+    owner = [i for i, k in enumerate(sizes) for _ in range(k)]
+    rows = [
+        [(d[i] if u == v else c[i]) if i == j else b[i][j] for v, j in enumerate(owner)]
+        for u, i in enumerate(owner)
+    ]
+    perm = list(range(len(owner)))
+    rng.shuffle(perm)
+    m = permuted(Matrix(rows), perm)
+    classes = [sorted(v for v in range(len(perm)) if owner[perm[v]] == i) for i in range(r)]
+    return m, classes
+
+
+def with_degree_diagonal(m: Matrix) -> Matrix:
+    """m with each diagonal entry replaced by the number of nonzero entries
+    off the diagonal in its row, as in a signed Laplacian; twins stay twins."""
+    n = m.rows
+    return Matrix(
+        [
+            [sum(1 for w in range(n) if w != u and m[u, w]) if u == v else m[u, v] for v in range(n)]
+            for u in range(n)
+        ]
+    )
+
+
+def direct_sum(*blocks: Matrix) -> Matrix:
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.rows):
+                rows[at + i][at + j] = b[i, j]
+        at += b.rows
     return Matrix(rows)
 
 
@@ -420,6 +472,12 @@ class TestSymEigenvalues:
         with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
             sym_eigenvalues(Matrix([[0, 1], [0, 0]]))
 
+    def test_not_symmetric_by_a_hair(self):
+        # a float tolerance of 1e-12 * (1 + scale) averaged this difference away
+        m = Matrix([[0, Fraction(1)], [1 + Fraction(1, 10**13), 0]])
+        with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ by 1\.000e-13"):
+            sym_eigenvalues(m)
+
     def test_trace_and_square_trace_invariants(self):
         rng = random.Random(23)
         for _ in range(8):
@@ -474,7 +532,7 @@ class TestSymEigenvalues:
         matrices = self.graph_matrices(71)
         matrices += [random_symmetric(rng, rng.randint(1, 50), -9, 9) for _ in range(20)]
         for m in matrices:
-            self.assert_matches(sym_eigenvalues(m), np.linalg.eigvalsh(np.array(m.to_float())))
+            self.assert_matches(sym_eigenvalues(m), np.linalg.eigvalsh(np.array(float_rows(m))))
 
     @pytest.mark.parametrize(
         "m, expected",
@@ -511,7 +569,7 @@ class TestSymEigenvalues:
         reference = eigenvalues_jacobi(m)
         radius = max(abs(v) for v in reference)
         for scale in (1e-170, 1e170):
-            a = [[x * scale for x in row] for row in m.to_float()]
+            a = [[x * scale for x in row] for row in float_rows(m)]
             got = sorted(_ql_implicit(*_tridiagonalize(a)))
             for x, y in zip(got, reference):
                 assert abs(x / scale - y) <= 1e-12 * (1 + radius)
@@ -521,8 +579,79 @@ class TestSymEigenvalues:
         root = math.sqrt(101)
         assert [m for _, m in spec.pairs] == [1, 100, 1]
         assert abs(spec.pairs[0][0] + root) < 1e-12 * root
-        assert abs(spec.pairs[1][0]) < 1e-12 * root
+        assert spec.pairs[1] == (0.0, 100)  # the leaves are one twin class, d = c = 0
         assert abs(spec.pairs[2][0] - root) < 1e-12 * root
+
+
+class TestDeflation:
+    """Twin classes and connected blocks are split off before the
+    Householder solver; every case is checked against the Jacobi oracle and
+    numpy, and that the intended reduction happened."""
+
+    assert_matches = staticmethod(TestSymEigenvalues.assert_matches)
+
+    def check(self, m):
+        spec = sym_eigenvalues(m)
+        self.assert_matches(spec, eigenvalues_jacobi(m))
+        np = pytest.importorskip("numpy")
+        self.assert_matches(spec, np.linalg.eigvalsh(np.array(float_rows(m))))
+
+    @staticmethod
+    def assert_classes_found(m, classes):
+        # every built class lies inside one found class (two built classes
+        # may happen to be twins of each other)
+        found = [set(members) for members, _ in _twin_classes(m._rows)]
+        for cls in classes:
+            assert any(set(cls) <= f for f in found), (cls, found)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_twin_classes(self, seed):
+        rng = random.Random(seed)
+        m, classes = twin_matrix(rng, [rng.randint(1, 3) for _ in range(rng.randint(1, 12))])
+        self.assert_classes_found(m, classes)
+        self.check(m)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_degree_diagonal(self, seed):
+        rng = random.Random(100 + seed)
+        m, classes = twin_matrix(rng, [rng.randint(1, 3) for _ in range(rng.randint(2, 12))])
+        m = with_degree_diagonal(m)
+        assert any(m[u, u] for u in range(m.rows))
+        self.assert_classes_found(m, classes)
+        self.check(m)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fraction_entries(self, seed):
+        rng = random.Random(200 + seed)
+        m, classes = twin_matrix(
+            rng,
+            [rng.randint(1, 3) for _ in range(rng.randint(1, 10))],
+            value=lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+        )
+        self.assert_classes_found(m, classes)
+        self.check(m)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_block_diagonal(self, seed):
+        rng = random.Random(300 + seed)
+        parts = [twin_matrix(rng, [rng.randint(1, 3) for _ in range(rng.randint(1, 5))])[0] for _ in range(3)]
+        parts.append(random_symmetric(rng, rng.randint(1, 6)))
+        m = direct_sum(*parts)
+        perm = list(range(m.rows))
+        rng.shuffle(perm)
+        m = permuted(m, perm)
+        blocks = _blocks(m._rows, _twin_classes(m._rows))
+        assert sum(sum(len(members) for members, _ in b) for b in blocks) == m.rows
+        assert len(blocks) >= 2  # not one per part: isolated vertices with equal diagonals in two parts are twins
+        self.check(m)
+
+    def test_no_twins_one_block_is_solved_as_it_stands(self):
+        rng = random.Random(401)
+        m = random_symmetric(rng, 20, -9, 9)
+        assert len(_twin_classes(m._rows)) == 20
+        assert len(_blocks(m._rows, _twin_classes(m._rows))) == 1
+        expected = sorted(_ql_implicit(*_tridiagonalize(float_rows(m))))
+        assert sym_eigenvalues(m, 0.0).values() == expected
 
 
 class TestKronecker:
