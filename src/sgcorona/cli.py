@@ -4,6 +4,7 @@ polynomials, randomised verification, and the bundled demonstrations."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -89,7 +90,10 @@ def _add_common(sub, kind=True, tol=True):
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: it takes no inputs, and parse_args reads it without changing it."""
     parser = argparse.ArgumentParser(
         prog="sgcorona",
         description="Signed-graph neighbourhood coronas: construction, spectra and verification.",

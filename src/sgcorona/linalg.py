@@ -317,6 +317,13 @@ def _bareiss_det(a: list[list[int]]) -> int:
     the next step where its entry in the pivot column is nonzero, or as the
     last entry.  A zero pivot is swapped for a lower row with a nonzero
     entry in its column, and the stamps are swapped with the rows.
+
+    A row stamped s holds entries x whose up-to-date value is x*prev/s, so
+    the Bareiss update of an up-to-date entry, (x'*pivot - lead'*y)/prev
+    with x' = x*prev/s and lead' = lead*prev/s, equals
+    (x*pivot - lead*y)/s.  One formula serves fresh rows (s = prev) and
+    stale ones, and its division is exact because the update's value is an
+    integer.
     """
     n = len(a)
     if n == 0:
@@ -347,14 +354,7 @@ def _bareiss_det(a: list[list[int]]) -> int:
             lead = row[k]
             if lead:
                 s = stamp[i]
-                if s == prev:  # up to date: no catch-up multiply and divide
-                    row[k1:] = [(x * pivot - lead * y) // prev for x, y in zip(row[k1:], tail)]
-                else:
-                    lead = lead * prev // s
-                    row[k1:] = [
-                        ((x * prev // s) * pivot - lead * y) // prev
-                        for x, y in zip(row[k1:], tail)
-                    ]
+                row[k1:] = [(x * pivot - lead * y) // s for x, y in zip(row[k1:], tail)]
                 stamp[i] = pivot
         prev = pivot
     return sign * a[n - 1][n - 1] * prev // stamp[n - 1]

@@ -211,6 +211,15 @@ def realize(cf: ClosedFormSpectrum, tol: float = 1e-6) -> SpectrumMultiset:
     return SpectrumMultiset.from_values(values, tol)
 
 
+def _require_factors(s1: SignedGraph, s2: SignedGraph) -> None:
+    """The checks 2.3, 3.3/3.4 and 4.2 make before their own hypotheses.  An
+    empty S2 leaves the two-root form no copy of k to drop."""
+    if s1.n < 1:
+        raise GraphError("corona needs a non-empty first factor")
+    if s2.n < 1:
+        raise ClosedFormError("second factor must be non-empty")
+
+
 def _two_root_form(
     theorem: str, s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, shift: int, k: int, tol: float
 ) -> ClosedFormSpectrum:
@@ -232,8 +241,6 @@ def _two_root_form(
     afterwards, so no tolerance decides whether the form applies.
     """
     n1, n2 = s1.n, s2.n
-    if n2 < 1:
-        raise ClosedFormError("second factor must be non-empty")
     values = numeric_spectrum(s2, kind, 0.0).values()
     values.remove(min(values, key=lambda v: abs(v - k)))
     inherited = SpectrumMultiset.from_values(values, tol).pairs
@@ -248,8 +255,7 @@ def _two_root_form(
 def closed_form_adjacency(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:
     """Adjacency spectrum of the corona for a net-regular second factor
     (2.3): the two-root form at shift 0 and k = r2, the net degree of s2."""
-    if s1.n < 1:
-        raise GraphError("corona needs a non-empty first factor")
+    _require_factors(s1, s2)
     r2 = s2.net_regularity()
     if r2 is None:
         raise ClosedFormError("second factor must be net-regular")
@@ -319,8 +325,7 @@ def closed_form_laplacian(
     second factor, as published; the numeric oracle refutes that reading as
     soon as the factor has a negative edge, so it exists only for comparison.
     """
-    if s1.n < 1:
-        raise GraphError("corona needs a non-empty first factor")
+    _require_factors(s1, s2)
     r1 = s1.regularity()
     if r1 is None:
         raise ClosedFormError("first factor must be degree-regular")
@@ -348,8 +353,7 @@ def closed_form_netlaplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6
     with net degree r (4.2): the two-root form at shift r and k = 0, since
     every net-Laplacian row sums to 0.  The paper asks for r != 0; the form
     holds at r = 0 as well."""
-    if s1.n < 1:
-        raise GraphError("corona needs a non-empty first factor")
+    _require_factors(s1, s2)
     r = s1.net_regularity()
     if r is None:
         raise ClosedFormError("first factor must be net-regular")

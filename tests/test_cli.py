@@ -39,6 +39,12 @@ def k2_file(tmp_path):
     return str(path)
 
 
+def src_env() -> dict:
+    """The environment for a child interpreter that imports this sgcorona."""
+    src = str(Path(sgcorona.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -139,6 +145,14 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["closed_form_unavailable"] == "second factor must be net-regular"
         assert not {"theorem", "agrees", "closed_form"} & doc.keys()
+
+    @pytest.mark.parametrize("kind", ["adj", "lap", "netlap"])
+    def test_empty_second_factor_note(self, capsys, tmp_path, c4m_file, kind):
+        empty = tmp_path / "empty.sg"
+        empty.write_text("0\n")
+        code, out, _ = run(capsys, "spectrum", c4m_file, str(empty), "--kind", kind, "--closed-form")
+        assert code == 0
+        assert out.endswith("closed form unavailable: second factor must be non-empty\n")
 
     def test_three_graphs_refused(self, capsys, c4m_file, k2_file):
         code, out, err = run(capsys, "spectrum", c4m_file, k2_file, c4m_file)
@@ -329,6 +343,68 @@ class TestPaperExample:
         doc = json.loads(out)
         assert doc["ok"] is True
         assert doc["printed_reproduced"] is False
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call may leave a trace
+    in it that changes a later call."""
+
+    def test_every_command_twice(self, capsys, tmp_path, c4m_file, k2_file):
+        calls = [
+            ["corona", c4m_file, k2_file, "-o", str(tmp_path / "out.sg")],
+            ["spectrum", c4m_file, k2_file, "--kind", "lap", "--closed-form"],
+            ["spectrum", k2_file, c4m_file, "--closed-form"],
+            ["charpoly", c4m_file, "--kind", "netlap"],
+            ["verify", "--theorem", "2.3", "--trials", "3", "--seed", "7"],
+            ["distinct", c4m_file, "--kind", "lap"],
+            ["cospectral-demo"],
+            ["cospectral-demo", "--pair", c4m_file, k2_file],
+            ["paper-example"],
+        ]
+        calls += [[*argv, "--json"] for argv in calls if argv[0] != "corona"]
+        first = [run(capsys, *argv) for argv in calls]
+        second = [run(capsys, *argv) for argv in calls]
+        assert second == first
+        codes = [0, 0, 0, 0, 0, 0, 0, 1, 0]  # the non-cospectral pair exits 1
+        assert [code for code, _, _ in first] == codes + codes[1:]
+        assert all(out for code, out, _ in first if code == 0)
+
+    @pytest.mark.parametrize(
+        "before, code",
+        [
+            (["verify", "--theorem", "9.9"], 2),
+            (["spectrum", "--bogus"], 2),
+            (["frobnicate"], 2),
+            (["--help"], 0),
+            (["spectrum", "--help"], 0),
+        ],
+    )
+    def test_valid_call_after_exit(self, capsys, c4m_file, before, code):
+        assert run(capsys, *before)[0] == code
+        assert run(capsys, "spectrum", c4m_file) == (0, "spectrum (adj): -1.41421 x2, 1.41421 x2\n", "")
+
+    def test_parser_built_once_per_process(self):
+        # the root parser is the one built with prog "sgcorona"; its
+        # subparsers are built with "sgcorona <command>"
+        code = (
+            "import argparse, contextlib, io\n"
+            "from sgcorona.cli import main\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in (['paper-example'], ['--help'],\n"
+            "             ['verify', '--theorem', '9.9'], ['paper-example', '--json'])]\n"
+            "print(codes, built.count('sgcorona'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[0, 0, 2, 0] 1\n"
 
 
 class TestSizeLimit:
@@ -570,10 +646,8 @@ class TestRuntimeDependencies:
             "sgcorona.sym_eigenvalues(sgcorona.Matrix([[0, 1], [1, 0]]))\n"
             "print(sorted(m for m in ('numpy', 'scipy', 'sympy', 'networkx') if m in sys.modules))\n"
         )
-        src = str(Path(sgcorona.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"

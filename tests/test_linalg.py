@@ -444,6 +444,36 @@ class TestSparseBareiss:
         assert m.rows == 182
         assert det_exact_at(m, 0) == det_at_oracle(m, 0)
 
+    @staticmethod
+    def sympy_det_at(m: Matrix, t0: Fraction) -> Fraction:
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Rational(t0.numerator, t0.denominator)
+        n = m.rows
+        value = sympy.Matrix(n, n, lambda i, j: (t if i == j else 0) - int(m[i, j])).det(method="bareiss")
+        return Fraction(int(value.p), int(value.q))
+
+    def test_stale_row_updated_after_two_skips(self):
+        # every row has three nonzeros, so the sparsity order keeps this
+        # order; row 3 skips steps 0 and 1 with a zero lead, so at step 2 it
+        # is two pivots behind and is updated from its stamp 1, not from prev
+        m = Matrix([[2, 1, 0, 0, 1], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1], [1, 0, 0, 1, 3]])
+        for t0 in (Fraction(0), Fraction(7, 3)):
+            expected = self.sympy_det_at(m, t0)
+            assert det_at_oracle(m, t0) == expected
+            assert det_exact_at(m, t0) == expected
+
+    def test_sparse_matrices_against_sympy(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            m = Matrix(
+                [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.25 else 0 for _ in range(n)] for _ in range(n)]
+            )
+            for t0 in (Fraction(0), Fraction(7, 3)):
+                expected = self.sympy_det_at(m, t0)
+                assert det_at_oracle(m, t0) == expected
+                assert det_exact_at(m, t0) == expected
+
     def test_fraction_matrices(self):
         rng = random.Random(47)
         for _ in range(20):

@@ -450,9 +450,13 @@ class TestClosedFormNetLaplacian:
             closed_form_netlaplacian(path_graph(3), edgeless(1))
 
     def test_rejects_empty_second_factor(self):
-        # an empty S2 has no copy of k = 0 to drop
-        with pytest.raises(ClosedFormError):
-            closed_form_netlaplacian(complete_graph(2), edgeless(0))
+        # an empty S2 has no copy of k to drop; 2.3, 3.3/3.4 and 4.2 all say
+        # so, before checking S1 (path_graph(3) is neither regular nor
+        # net-regular) or S2's row sums
+        for closed_form in spectra.CLOSED_FORMS.values():
+            for s1 in (complete_graph(2), path_graph(3)):
+                with pytest.raises(ClosedFormError, match="^second factor must be non-empty$"):
+                    closed_form(s1, edgeless(0))
 
     def test_zero_net_degree(self):
         # r = 0, which the paper excludes; the two-root form still holds
