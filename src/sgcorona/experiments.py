@@ -3,6 +3,7 @@ cospectral corona certificates, and the published 12-vertex worked example."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -421,35 +422,39 @@ def netlaplacian_switching_witness() -> tuple[SignedGraph, frozenset[int]]:
 # the published 12-vertex worked example
 
 
-def published_example_values() -> tuple[tuple[float, int], ...]:
-    """Adjacency multiset printed for the worked example: -1 four times plus
-    (3 +- sqrt(33))/2 and (-1 +- sqrt(41))/2 twice each."""
+def published_example_values() -> tuple[tuple[float, int, tuple[int, ...]], ...]:
+    """Adjacency multiset printed for the worked example, -1 first: -1 four
+    times plus (3 +- sqrt(33))/2 and (-1 +- sqrt(41))/2 twice each.  Each
+    value comes with its minimal polynomial over the integers, ascending:
+    t + 1, t^2 - 3t - 6 and t^2 + t - 10."""
     s33 = 33 ** 0.5
     s41 = 41 ** 0.5
     return (
-        (-1.0, 4),
-        ((3 - s33) / 2, 2),
-        ((3 + s33) / 2, 2),
-        ((-1 - s41) / 2, 2),
-        ((-1 + s41) / 2, 2),
+        (-1.0, 4, (1, 1)),
+        ((3 - s33) / 2, 2, (-6, -3, 1)),
+        ((3 + s33) / 2, 2, (-6, -3, 1)),
+        ((-1 - s41) / 2, 2, (-10, 1, 1)),
+        ((-1 + s41) / 2, 2, (-10, 1, 1)),
     )
 
 
-def _root_multiplicity(poly: Polynomial, r: Fraction) -> int:
-    """How many times (t - r) divides poly.  Each synthetic-division pass
-    runs Horner's scheme from the leading coefficient: its partial sums are
-    the quotient's coefficients and its last value, poly(r), the remainder."""
-    coeffs = poly.coeffs[::-1]  # descending
+def _factor_multiplicity(poly: Polynomial, factor: tuple[int, ...]) -> int:
+    """How many times the monic factor (ascending integer coefficients, degree
+    at least 1) divides poly: long division in integers, poly scaled to
+    integer coefficients first, until a remainder is nonzero."""
+    f = factor[::-1]  # descending, f[0] == 1
+    d = len(f) - 1
+    scale = math.lcm(*(c.denominator for c in poly.coeffs))
+    coeffs = [int(c * scale) for c in reversed(poly.coeffs)]  # descending
     count = 0
-    while coeffs:
-        partial = []
-        acc = 0
-        for c in coeffs:
-            acc = acc * r + c
-            partial.append(acc)
-        if partial.pop():
+    while len(coeffs) > d:
+        for i in range(len(coeffs) - d):
+            lead = coeffs[i]
+            for j in range(1, d + 1):
+                coeffs[i + j] -= lead * f[j]
+        if any(coeffs[-d:]):
             break
-        coeffs = partial
+        del coeffs[-d:]
         count += 1
     return count
 
@@ -507,9 +512,7 @@ class PaperExampleReport:
             f"({'confirms' if self.minus_one_confirmed else 'REFUTES'} the published -1^4)",
             "published non-inherited values:",
         ]
-        for c in self.printed_checks:
-            if abs(c.value + 1.0) < 1e-12:
-                continue
+        for c in self.printed_checks[1:]:  # -1 is reported above
             verdict = "matches" if c.matched else f"absent (nearest eigenvalue {c.nearest:.5f} x{c.nearest_multiplicity})"
             lines.append(f"  {c.value:.5f} x{c.multiplicity}: {verdict}")
         lines.append(
@@ -527,13 +530,12 @@ def paper_example(tol: float = 1e-6) -> PaperExampleReport:
     numeric = numeric_spectrum(corona, MatrixKind.ADJACENCY, tol)
     cf = closed_form_adjacency(s1, s2, tol)
     agrees = spectra_equal(realize(cf, tol), numeric, tol)
-    exact_mult = _root_multiplicity(cp, Fraction(-1))
     checks = []
-    scale = 1.0 + max(abs(v) for v, _ in numeric.pairs)
-    for value, mult in published_example_values():
-        nearest, nearest_mult = numeric.nearest(value)
-        matched = abs(nearest - value) < tol * scale and nearest_mult == mult
+    for value, mult, factor in published_example_values():
+        nearest, nearest_mult = numeric.nearest(value)  # for display only
+        matched = _factor_multiplicity(cp, factor) == mult
         checks.append(PrintedValueCheck(value, mult, nearest, nearest_mult, matched))
+    exact_mult = _factor_multiplicity(cp, (1, 1))  # t + 1
     return PaperExampleReport(
         corona=corona,
         char_poly=cp,

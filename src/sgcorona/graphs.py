@@ -62,8 +62,9 @@ class SignedGraph:
 
     def __post_init__(self):
         _check_vertex_count(self.n)
+        edges = tuple(self.edges)
         seen: set[tuple[int, int]] = set()
-        for u, v, s in self.edges:
+        for u, v, s in edges:
             if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
             if u == v:
@@ -75,8 +76,7 @@ class SignedGraph:
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        if list(self.edges) != sorted(self.edges):
-            object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @property
     def edge_count(self) -> int:
@@ -114,17 +114,14 @@ class SignedGraph:
         net = set(self.degrees().net_degree)
         return net.pop() if len(net) == 1 else None
 
-    def _walk(self) -> tuple[int, bool]:
-        """Assign a +-1 potential along a spanning forest.  Returns the number
-        of trees and whether every edge is consistent with the potentials of
-        its endpoints."""
+    def is_balanced(self) -> bool:
+        """True when every cycle has positive sign product: a +-1 potential
+        assigned along a spanning forest is consistent with every edge."""
         pot = [0] * self.n
         adj = self.adjacency()
-        components, consistent = 0, True
         for root in range(self.n):
             if pot[root]:
                 continue
-            components += 1
             pot[root] = 1
             stack = [root]
             while stack:
@@ -134,15 +131,8 @@ class SignedGraph:
                         pot[v] = s * pot[u]
                         stack.append(v)
                     elif pot[v] != s * pot[u]:
-                        consistent = False
-        return components, consistent
-
-    def is_balanced(self) -> bool:
-        """True when every cycle has positive sign product."""
-        return self._walk()[1]
-
-    def is_connected(self) -> bool:
-        return self._walk()[0] <= 1
+                        return False
+        return True
 
     def switch(self, x: Iterable[int]) -> SignedGraph:
         """Negate the sign of every edge with exactly one endpoint in x."""
@@ -346,12 +336,22 @@ def is_switching_isomorphic(s1: SignedGraph, s2: SignedGraph, *, cap: int = DEFA
     return _find_map(s1, s2, True, cap)
 
 
+def _decimal(token: str) -> int:
+    """ASCII decimal digits with an optional leading '-', as an int; int()
+    alone would also take '+0', '1_0' and non-ASCII digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def parse_graph(text: str) -> SignedGraph:
     """Parse the signed edge-list format.
 
     First non-comment line is the vertex count; each following line is
-    "u v s" with 0-based indices and s in {+, -, +1, -1}.  Lines starting
-    with '#' are comments; blank lines are ignored.
+    "u v s" with 0-based indices and s in {+, -, +1, -1}.  Numbers are ASCII
+    decimal digits.  Lines starting with '#' are comments; blank lines are
+    ignored.
     """
     n: int | None = None
     sign: dict[tuple[int, int], int] = {}
@@ -361,7 +361,7 @@ def parse_graph(text: str) -> SignedGraph:
             continue
         if n is None:
             try:
-                n = int(line)
+                n = _decimal(line)
             except ValueError:
                 raise ParseError(f"expected vertex count, got {line!r}", ln) from None
             if n < 0:
@@ -371,7 +371,7 @@ def parse_graph(text: str) -> SignedGraph:
         if len(parts) != 3:
             raise ParseError(f"expected 'u v s', got {line!r}", ln)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise ParseError(f"bad vertex index in {line!r}", ln) from None
         s = SIGN_TOKENS.get(parts[2])

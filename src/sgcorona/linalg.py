@@ -408,7 +408,7 @@ class SpectrumMultiset:
         vals = sorted(float(v) for v in values)
         if not vals:
             return cls(())
-        gap = tol * (1.0 + max(abs(vals[0]), abs(vals[-1])))
+        gap = _closeness_bound(tol, (vals[0], vals[-1]))
         clusters: list[list[float]] = [[vals[0]]]
         for v in vals[1:]:
             if v - clusters[-1][-1] <= gap:
@@ -448,14 +448,23 @@ def _fmt(v: float) -> str:
     return "0.00000" if s == "-0.00000" else s
 
 
+def _closeness_bound(tol: float, values: Iterable[float]) -> float:
+    """The one rule for "same eigenvalue": values compared together are close
+    when they differ by at most tol * (1 + R), R the largest |value| among
+    them."""
+    return tol * (1.0 + max(map(abs, values), default=0.0))
+
+
 def spectra_equal(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> bool:
     """Multiset equality after expansion: totals agree and sorted entries
-    differ pairwise by less than tol."""
+    differ pairwise by at most the closeness bound of all their values."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if a.total != b.total:
         return False
-    return all(abs(x - y) < tol for x, y in zip(a.values(), b.values()))
+    xs, ys = a.values(), b.values()
+    gap = _closeness_bound(tol, xs + ys)
+    return all(abs(x - y) <= gap for x, y in zip(xs, ys))
 
 
 def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:

@@ -307,44 +307,30 @@ def closed_form_adjacency_kpq(
     return ClosedFormSpectrum(label, n * (p + q + 1), tuple(entries))
 
 
-def closed_form_laplacian(
-    s1: SignedGraph,
-    s2: SignedGraph,
-    tol: float = 1e-6,
-    force_zero_row_sum: bool = False,
-) -> ClosedFormSpectrum:
+def closed_form_laplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:
     """Laplacian spectrum of the corona for a regular first factor (3.3/3.4).
 
     The second factor must have a constant Laplacian row sum k (equivalently a
     constant negative degree; k = r2 - r3 when it is both regular and
     net-regular, and k = 0 exactly when it has no negative edges).  This is
     the two-root form at shift r1, the degree of s1.  The paper asks for
-    r1 != 0; the form holds for an edgeless s1 as well.
-
-    force_zero_row_sum=True instead takes k = 0 for any connected balanced
-    second factor, as published; the numeric oracle refutes that reading as
-    soon as the factor has a negative edge, so it exists only for comparison.
+    r1 != 0; the form holds for an edgeless s1 as well.  The published 3.4
+    takes k = 0 for any connected balanced second factor; the numeric oracle
+    refutes that reading as soon as the factor has a negative edge.
     """
     _require_factors(s1, s2)
     r1 = s1.regularity()
     if r1 is None:
         raise ClosedFormError("first factor must be degree-regular")
-    if force_zero_row_sum:
-        if not (s2.is_connected() and s2.is_balanced()):
-            raise ClosedFormError(
-                "force_zero_row_sum needs a connected balanced second factor"
-            )
-        k = 0
-    else:
-        neg = set(s2.degrees().neg_degree)
-        if len(neg) != 1:
-            raise ClosedFormError(
-                "second factor needs a constant Laplacian row sum "
-                "(every vertex with the same negative degree)"
-            )
-        k = 2 * neg.pop()
+    neg = set(s2.degrees().neg_degree)
+    if len(neg) != 1:
+        raise ClosedFormError(
+            "second factor needs a constant Laplacian row sum "
+            "(every vertex with the same negative degree)"
+        )
+    k = 2 * neg.pop()
     regular_pair = s2.regularity() is not None and s2.net_regularity() is not None
-    label = "3.3" if (regular_pair and not force_zero_row_sum) else "3.4"
+    label = "3.3" if regular_pair else "3.4"
     return _two_root_form(label, s1, s2, MatrixKind.LAPLACIAN, r1, k, tol)
 
 

@@ -4,12 +4,14 @@ expansion for small orders, the Faddeev-LeVerrier recurrence for larger
 ones), Horner evaluation of a polynomial, a dense Bareiss determinant oracle
 for the sparsity-ordered, lazily scaled kernel under test, a cyclic Jacobi
 eigenvalue oracle that shares no code with the Householder/QL solver under
-test, symmetric relabelling of a matrix, scaling a matrix by a scalar, and
-a random signed graph of a chosen edge density."""
+test, symmetric relabelling of a matrix, scaling a matrix by a scalar, a
+random signed graph of a chosen edge density, and a breadth-first
+connectivity test."""
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 from sgcorona import Matrix, Polynomial, SignedGraph
@@ -173,3 +175,19 @@ def random_signed_graph_with_density(rng, n: int, p_edge: float) -> SignedGraph:
             if rng.random() < p_edge:
                 edges.append((u, v, -1 if rng.random() < 0.5 else 1))
     return SignedGraph(n, tuple(edges))
+
+
+def is_connected(g: SignedGraph) -> bool:
+    """Breadth-first search from vertex 0 reaches every vertex (the empty
+    graph counts as connected)."""
+    nbrs = {v: set() for v in range(g.n)}
+    for a, b, _ in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    reached = {0} if g.n else set()
+    queue = deque(reached)
+    while queue:
+        for w in nbrs[queue.popleft()] - reached:
+            reached.add(w)
+            queue.append(w)
+    return len(reached) == g.n

@@ -63,10 +63,11 @@ class TestCorona:
 
     def test_malformed_file(self, capsys, tmp_path, k2_file):
         bad = tmp_path / "bad.sg"
-        bad.write_text("3\n0 0 +\n")
-        code, _, err = run(capsys, "corona", str(bad), k2_file, "-o", str(tmp_path / "o.sg"))
-        assert code == 2
-        assert "line 2" in err
+        for text, line in [("3\n0 0 +\n", 2), ("1_0\n", 1), ("3\n+0 1 +\n", 2)]:
+            bad.write_text(text)
+            code, _, err = run(capsys, "corona", str(bad), k2_file, "-o", str(tmp_path / "o.sg"))
+            assert code == 2
+            assert err.startswith(f"error: line {line}: ")
 
     def test_missing_file(self, capsys, tmp_path, k2_file):
         code, _, err = run(capsys, "corona", str(tmp_path / "nope.sg"), k2_file, "-o", str(tmp_path / "o.sg"))
@@ -235,6 +236,16 @@ class TestVerify:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert "PASS 12/12" in out
+
+    @pytest.mark.parametrize("theorem", ["3.3", "3.4", "4.2"])
+    def test_fine_tol_reports_no_false_counterexample(self, capsys, theorem):
+        # at tol 1e-14 an absolute comparison once failed trials whose two
+        # spectra print identically (3.3: FAIL 16/20); closeness is now
+        # relative to the largest eigenvalue compared
+        argv = ["verify", "--theorem", theorem, "--trials", "20", "--seed", "0", "--tol", "1e-14"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "PASS 20/20" in out
 
     @pytest.mark.parametrize("tol", ["1", "1e-17"])
     def test_few_distinct_seed_merged_or_split_by_tol_is_a_failed_trial(self, capsys, tol):

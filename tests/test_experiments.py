@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -181,9 +182,44 @@ class TestPaperExample:
         assert report.ok
 
     def test_published_values_do_not_reproduce(self, report):
-        assert not report.printed_reproduced
-        matched = [c for c in report.printed_checks if c.matched]
-        assert len(matched) == 1 and matched[0].value == -1.0
+        """Each printed value is decided by the exact multiplicity of its
+        minimal polynomial in the char poly, so only -1^4 matches at every
+        tol, also where the clustered float spectrum merges eigenvalues."""
+        for r in [report] + [paper_example(tol) for tol in (1e-6, 1e-3, 0.2, 0.3, 1.0)]:
+            assert [c.matched for c in r.printed_checks] == [True, False, False, False, False]
+            assert r.printed_checks[0].value == -1.0
+            assert not r.printed_reproduced
+            assert r.minus_one_exact_multiplicity == 4
+
+    def test_factor_multiplicity_against_sympy(self):
+        """Exact multiplicity of a monic linear or quadratic factor planted to
+        a power 0..3 in a random integer polynomial over 1, 2 or 6, against
+        repeated sympy division."""
+        import random
+
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(18)
+        seen = set()
+        for _ in range(300):
+            factor = tuple(rng.randint(-4, 4) for _ in range(rng.choice((1, 2)))) + (1,)
+            base = [rng.randint(-6, 6) for _ in range(rng.randint(0, 5))] + [rng.choice((-2, -1, 1, 3))]
+            f = sympy.Poly(list(reversed(factor)), t)
+            p = sympy.Poly(list(reversed(base)), t) * f ** rng.randint(0, 3)
+            expected = 0
+            q = p
+            while q.degree() >= f.degree():
+                quo, rem = q.div(f)
+                if not rem.is_zero:
+                    break
+                q = quo
+                expected += 1
+            # a rational multiple has the same multiplicity
+            den = rng.choice((1, 2, 6))
+            coeffs = [Fraction(int(c), den) for c in reversed(p.all_coeffs())]
+            assert experiments._factor_multiplicity(Polynomial(coeffs), factor) == expected, (coeffs, factor)
+            seen.add((len(factor) - 1, min(expected, 2)))
+        assert seen == {(d, m) for d in (1, 2) for m in (0, 1, 2)}
 
     def test_five_distinct_eigenvalues(self, report):
         assert report.numeric.distinct_count == 5

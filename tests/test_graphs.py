@@ -1,12 +1,11 @@
 import itertools
 import random
 import re
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_signed_graph_with_density
+from conftest import is_connected, random_signed_graph_with_density
 from sgcorona import (
     GraphError,
     ParseError,
@@ -75,6 +74,25 @@ class TestConstruction:
     def test_bad_sign_rejected(self):
         with pytest.raises(GraphError):
             from_edge_list(2, [(0, 1, 2)])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            lambda: [(0, 1, 1), (1, 2, -1)],
+            lambda: ((u, u + 1, 1 if u == 0 else -1) for u in range(2)),
+        ],
+        ids=["list", "generator"],
+    )
+    def test_edges_stored_as_sorted_tuple(self, edges):
+        """Any iterable of canonical edges is read once and kept as a sorted
+        tuple, so the graph is hashable and equal to the tuple-built one."""
+        g = SignedGraph(3, edges())
+        h = SignedGraph(3, ((0, 1, 1), (1, 2, -1)))
+        assert g.edges == h.edges
+        assert g == h and hash(g) == hash(h)
+        assert g.edge_count == 2
+        assert format_graph(g) == "3\n0 1 +\n1 2 -\n"
+        assert parse_graph(format_graph(g)) == g
 
     @pytest.mark.parametrize(
         "build",
@@ -170,32 +188,21 @@ class TestBalance:
         assert not cycle_graph(5, -1).is_balanced()
 
     def test_walk_agrees_with_oracles(self):
-        """is_connected against a breadth-first search, is_balanced against
-        "some switching makes every edge positive", on random graphs with
-        n <= 8, among them n = 0 and 1 and unions of several components."""
+        """is_balanced against "some switching makes every edge positive", on
+        random graphs with n <= 8, among them n = 0 and 1 and unions of
+        several components (told apart by a breadth-first search)."""
         rng = random.Random(7)
         seen = set()
         for _ in range(300):
             g = random_signed_graph_with_density(rng, rng.randint(0, 8), rng.choice((0.15, 0.4, 0.8)))
             if rng.random() < 0.3:
                 g = disjoint_union(g, random_signed_graph(rng, rng.randint(0, 4)))
-            nbrs = {v: set() for v in range(g.n)}
-            for a, b, _ in g.edges:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-            reached = {0} if g.n else set()
-            queue = deque(reached)
-            while queue:
-                for w in nbrs[queue.popleft()] - reached:
-                    reached.add(w)
-                    queue.append(w)
             switchable = any(
                 all(s > 0 for _, _, s in g.switch(v for v in range(g.n) if mask >> v & 1).edges)
                 for mask in range(2**g.n)
             )
-            assert g.is_connected() == (len(reached) == g.n), g
             assert g.is_balanced() == switchable, g
-            seen.add((g.n <= 1, g.is_connected(), g.is_balanced()))
+            seen.add((g.n <= 1, is_connected(g), g.is_balanced()))
         assert {(True, True, True), (False, False, False), (False, True, False)} <= seen
 
 
@@ -411,8 +418,24 @@ class TestIO:
         assert str(parsed.value) == f"line {len(edges) + 1}: {direct.value}"
 
     def test_bad_token(self):
-        with pytest.raises(ParseError, match="sign"):
-            parse_graph("2\n0 1 x\n")
+        """A bad sign, and numbers that are not ASCII decimal digits with an
+        optional '-' (int() would take '+0', '1_0' and other scripts'
+        digits); negative numbers keep their range messages."""
+        cases = [
+            ("2\n0 1 x\n", "line 2: bad sign token 'x'"),
+            ("1_0\n", "line 1: expected vertex count, got '1_0'"),
+            ("+3\n", "line 1: expected vertex count, got '+3'"),
+            ("\u0663\n0 1 +\n", "line 1: expected vertex count, got '\u0663'"),
+            ("3\n+0 1 +\n", "line 2: bad vertex index in '+0 1 +'"),
+            ("3\n0_1 2 +\n", "line 2: bad vertex index in '0_1 2 +'"),
+            ("3\n0 \u0661 +\n", "line 2: bad vertex index in '0 \u0661 +'"),
+            ("3\n- 1 +\n", "line 2: bad vertex index in '- 1 +'"),
+            ("-3\n", "line 1: vertex count must be non-negative"),
+            ("3\n-1 1 +\n", "line 2: edge (-1, 1) out of range for n=3"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                parse_graph(text)
 
     def test_missing_count(self):
         with pytest.raises(ParseError):

@@ -887,6 +887,18 @@ class TestSpectrumMultiset:
         assert spectra_equal(a, SpectrumMultiset(((tol / 2, 1),)), tol)
         assert not spectra_equal(a, SpectrumMultiset(((2 * tol, 1),)), tol)
 
+    @pytest.mark.parametrize("tol", [1e-14, 1e-9, 1e-6, 1e-2])
+    def test_equality_is_relative_to_the_largest_value(self, tol):
+        """spectra_equal and from_values share one rule: close means at most
+        tol * (1 + R) apart, R the largest |value| compared."""
+        a = SpectrumMultiset(((-1.0, 1), (100.0, 1)))
+        near = SpectrumMultiset(((-1.0, 1), (100.0 + 0.5 * tol * 101, 1)))
+        far = SpectrumMultiset(((-1.0, 1), (100.0 + 2 * tol * 101, 1)))
+        assert spectra_equal(a, near, tol) and spectra_equal(near, a, tol)
+        assert not spectra_equal(a, far, tol) and not spectra_equal(far, a, tol)
+        assert SpectrumMultiset.from_values(a.values() + near.values()[1:], tol).pairs[1][1] == 2
+        assert SpectrumMultiset.from_values(a.values() + far.values()[1:], tol).distinct_count == 3
+
     def test_total_mismatch(self):
         a = SpectrumMultiset(((0.0, 1),))
         b = SpectrumMultiset(((0.0, 2),))

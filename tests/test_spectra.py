@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import charpoly_faddeev, permuted, poly_at, scaled
+from conftest import charpoly_faddeev, is_connected, permuted, poly_at, scaled
 from sgcorona import (
     ClosedFormError,
     ComplexRootsError,
@@ -39,7 +39,7 @@ from sgcorona import (
 )
 from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph
 from sgcorona.linalg import _char_poly_int
-from sgcorona.spectra import MatrixKind
+from sgcorona.spectra import MatrixKind, _two_root_form
 
 ADJ = MatrixKind.ADJACENCY
 LAP = MatrixKind.LAPLACIAN
@@ -412,15 +412,16 @@ class TestClosedFormLaplacian:
             closed_form_laplacian(cycle_graph(4), s2)
 
     def test_balanced_negative_factor_needs_row_sum_correction(self):
-        """A balanced-but-negative second factor: the zero-row-sum reading is
-        refuted by the oracle, the detected row sum k = 2 is confirmed."""
+        """A balanced-but-negative second factor: the published zero-row-sum
+        reading (the two-root form at k = 0) is refuted by the oracle, the
+        detected row sum k = 2 is confirmed."""
         s1, s2 = complete_graph(2), complete_graph(2, -1)
         oracle = numeric_spectrum(neighbourhood_corona(s1, s2), LAP)
         assert spectra_equal(oracle, SpectrumMultiset(((1.0, 3), (2.0, 1), (4.0, 1), (5.0, 1))), 1e-6)
         corrected = closed_form_laplacian(s1, s2)
         assert corrected.theorem == "3.3"
         assert spectra_equal(realize(corrected), oracle, 1e-6)
-        literal = closed_form_laplacian(s1, s2, force_zero_row_sum=True)
+        literal = _two_root_form("3.4", s1, s2, LAP, s1.regularity(), 0, 1e-6)
         assert literal.theorem == "3.4"
         assert not spectra_equal(realize(literal), oracle, 1e-6)
 
@@ -556,6 +557,6 @@ class TestLaplacianKernelIsBalance:
             s1 = random_connected_signed(rng, rng.randint(2, 4))
             s2 = random_signed_graph(rng, rng.randint(1, 4))
             corona = neighbourhood_corona(s1, s2)
-            assert corona.is_connected()
+            assert is_connected(corona)
             singular = det_exact_at(matrix_of(corona, LAP), 0) == 0
             assert singular == corona.is_balanced()
