@@ -27,7 +27,7 @@ from .graphs import (
     star_graph,
     unbalanced_c4,
 )
-from .linalg import Polynomial, SpectrumMultiset, char_poly_exact, det_exact_at, spectra_equal
+from .linalg import Polynomial, SpectrumMultiset, _fmt, char_poly_exact, det_exact_at, spectra_equal
 from .spectra import (
     CLOSED_FORMS,
     ClosedFormError,
@@ -71,7 +71,7 @@ def random_connected_positive(rng: random.Random, n: int) -> SignedGraph:
         for v in range(u + 1, n):
             if (u, v) not in edges and rng.random() < 0.3:
                 edges.add((u, v))
-    return SignedGraph(n, tuple(sorted((u, v, 1) for u, v in edges)))
+    return SignedGraph(n, ((u, v, 1) for u, v in edges))
 
 
 def random_connected_signed(rng: random.Random, n: int) -> SignedGraph:
@@ -150,8 +150,7 @@ def _random_regular(rng: random.Random, max_n: int) -> tuple[int, set[tuple[int,
 def random_regular_signed(rng: random.Random, max_n: int) -> SignedGraph:
     """Degree-regular underlying graph with independently random edge signs."""
     n, pairs = _random_regular(rng, max_n)
-    edges = tuple(sorted((u, v, rng.choice((1, -1))) for u, v in pairs))
-    return SignedGraph(n, edges)
+    return SignedGraph(n, ((u, v, rng.choice((1, -1))) for u, v in pairs))
 
 
 def random_net_regular(rng: random.Random, max_n: int, nonzero: bool = False) -> SignedGraph:
@@ -171,7 +170,7 @@ def random_net_regular(rng: random.Random, max_n: int, nonzero: bool = False) ->
             return alternating_cycle(4 if max_n < 6 else rng.choice([4, 6]))
         sign = 1 if family == "pos" else -1
         n, pairs = _random_regular(rng, max_n)
-        return SignedGraph(n, tuple(sorted((u, v, sign) for u, v in pairs)))
+        return SignedGraph(n, ((u, v, sign) for u, v in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +512,7 @@ class PaperExampleReport:
             "published non-inherited values:",
         ]
         for c in self.printed_checks[1:]:  # -1 is reported above
-            verdict = "matches" if c.matched else f"absent (nearest eigenvalue {c.nearest:.5f} x{c.nearest_multiplicity})"
+            verdict = "matches" if c.matched else f"absent (nearest eigenvalue {_fmt(c.nearest)} x{c.nearest_multiplicity})"
             lines.append(f"  {c.value:.5f} x{c.multiplicity}: {verdict}")
         lines.append(
             "published values reproduce: "

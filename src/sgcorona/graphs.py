@@ -40,11 +40,22 @@ class DegreeProfile:
     net_degree: tuple[int, ...]
 
 
-def _check_vertex_count(n) -> None:
-    if type(n) is not int:
-        raise GraphError(f"vertex count must be an int, got {n!r}")
-    if n < 0:
-        raise GraphError("vertex count must be non-negative")
+def _is_vertex(n: int, v) -> bool:
+    """True when v names a vertex of an n-vertex graph: an int in 0..n-1, so
+    1.0 and True are not vertices."""
+    return type(v) is int and 0 <= v < n
+
+
+def _check_edge(n: int, u, v, s) -> None:
+    """The checks every edge passes, from SignedGraph or the edge-list reader:
+    both indices are vertices, the edge is no self-loop, and the sign is the
+    int +1 or -1 (1.0, True or "+" is refused)."""
+    if not (_is_vertex(n, u) and _is_vertex(n, v)):
+        raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise GraphError(f"self-loop at vertex {u}")
+    if type(s) is not int or s not in (1, -1):
+        raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -53,26 +64,26 @@ class SignedGraph:
 
     Vertices are 0..n-1.  Edges are canonical triples (u, v, s) with u < v,
     kept sorted, with at most one edge per vertex pair.  Instances are
-    immutable values; every operation returns a new graph.  Use
-    :func:`from_edge_list` to build one from raw, unordered triples.
+    immutable values; every operation returns a new graph.  Raw triples,
+    with a pair in either order or repeated with the same sign, are read by
+    :func:`parse_graph` from edge-list text.
     """
 
     n: int
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        _check_vertex_count(self.n)
+        n = self.n
+        if type(n) is not int:
+            raise GraphError(f"vertex count must be an int, got {n!r}")
+        if n < 0:
+            raise GraphError("vertex count must be non-negative")
         edges = tuple(self.edges)
         seen: set[tuple[int, int]] = set()
         for u, v, s in edges:
-            if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
+            _check_edge(n, u, v, s)
             if u > v:
                 raise GraphError(f"edge ({u}, {v}) not in canonical u < v order")
-            if type(s) is not int or s not in (1, -1):
-                raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
@@ -138,7 +149,7 @@ class SignedGraph:
         """Negate the sign of every edge with exactly one endpoint in x."""
         xs = set(x)
         for v in xs:
-            if not (0 <= v < self.n):
+            if not _is_vertex(self.n, v):
                 raise GraphError(f"switch vertex {v} out of range for n={self.n}")
         edges = tuple(
             (u, v, -s if (u in xs) != (v in xs) else s) for u, v, s in self.edges
@@ -146,41 +157,12 @@ class SignedGraph:
         return SignedGraph(self.n, edges)
 
 
-def _add_edge(sign: dict[tuple[int, int], int], n: int, u: int, v: int, s: int) -> None:
-    """Record the edge {u, v} of sign s under its ordered pair, after the checks
-    both edge-list readers share: the sign, the index range, no self-loop, and
-    no repeat of the pair with the other sign (a same-sign repeat is a no-op).
-    Indices and sign must be of type int: 1.0, True or "+" is refused."""
-    if type(s) is not int or s not in (1, -1):
-        raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
-    if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
-        raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-    if u == v:
-        raise GraphError(f"self-loop at vertex {u}")
-    key = (u, v) if u < v else (v, u)
-    if sign.setdefault(key, s) != s:
-        raise GraphError(f"conflicting signs for edge {key}")
-
-
-def from_edge_list(n: int, triples: Iterable[tuple[int, int, int]]) -> SignedGraph:
-    """Build a graph from raw (u, v, sign) triples, normalising u < v.
-
-    Repeating a pair with the same sign collapses to one edge; repeating it
-    with the opposite sign is an error.
-    """
-    _check_vertex_count(n)
-    sign: dict[tuple[int, int], int] = {}
-    for u, v, s in triples:
-        _add_edge(sign, n, u, v, s)
-    return SignedGraph(n, tuple(sorted((u, v, s) for (u, v), s in sign.items())))
-
-
 def edgeless(n: int) -> SignedGraph:
     return SignedGraph(n)
 
 
-def path_graph(n: int, sign: int = 1) -> SignedGraph:
-    return SignedGraph(n, tuple((i, i + 1, sign) for i in range(n - 1)))
+def path_graph(n: int) -> SignedGraph:
+    return SignedGraph(n, ((i, i + 1, 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int, signs: int | Sequence[int] = 1) -> SignedGraph:
@@ -195,7 +177,7 @@ def cycle_graph(n: int, signs: int | Sequence[int] = 1) -> SignedGraph:
         raise GraphError(f"need {n} signs, got {len(signs)}")
     edges = [(i, i + 1, signs[i]) for i in range(n - 1)]
     edges.append((0, n - 1, signs[n - 1]))
-    return SignedGraph(n, tuple(sorted(edges)))
+    return SignedGraph(n, edges)
 
 
 def alternating_cycle(n: int) -> SignedGraph:
@@ -218,8 +200,8 @@ def complete_bipartite(p: int, q: int, sign: int = 1) -> SignedGraph:
     return SignedGraph(p + q, edges)
 
 
-def star_graph(leaves: int, sign: int = 1) -> SignedGraph:
-    return complete_bipartite(1, leaves, sign)
+def star_graph(leaves: int) -> SignedGraph:
+    return complete_bipartite(1, leaves)
 
 
 def unbalanced_c4() -> SignedGraph:
@@ -229,7 +211,7 @@ def unbalanced_c4() -> SignedGraph:
 
 def disjoint_union(a: SignedGraph, b: SignedGraph) -> SignedGraph:
     edges = list(a.edges) + [(u + a.n, v + a.n, s) for u, v, s in b.edges]
-    return SignedGraph(a.n + b.n, tuple(sorted(edges)))
+    return SignedGraph(a.n + b.n, edges)
 
 
 def neighbourhood_corona(s1: SignedGraph, s2: SignedGraph) -> SignedGraph:
@@ -255,7 +237,7 @@ def neighbourhood_corona(s1: SignedGraph, s2: SignedGraph) -> SignedGraph:
         for w in range(n2):
             edges.append((v, cv(u, w), s))
             edges.append((u, cv(v, w), s))
-    return SignedGraph(n1 * (n2 + 1), tuple(sorted(edges)))
+    return SignedGraph(n1 * (n2 + 1), edges)
 
 
 def _find_map(s1: SignedGraph, s2: SignedGraph, switching: bool, cap: int) -> bool:
@@ -378,12 +360,15 @@ def parse_graph(text: str) -> SignedGraph:
         if s is None:
             raise ParseError(f"bad sign token {parts[2]!r}", ln)
         try:
-            _add_edge(sign, n, u, v, s)
+            _check_edge(n, u, v, s)
         except GraphError as exc:
             raise ParseError(str(exc), ln) from None
+        key = (u, v) if u < v else (v, u)
+        if sign.setdefault(key, s) != s:
+            raise ParseError(f"conflicting signs for edge {key}", ln)
     if n is None:
         raise ParseError("missing vertex count line")
-    return SignedGraph(n, tuple(sorted((u, v, s) for (u, v), s in sign.items())))
+    return SignedGraph(n, ((u, v, s) for (u, v), s in sign.items()))
 
 
 def format_graph(s: SignedGraph) -> str:

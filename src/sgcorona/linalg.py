@@ -281,11 +281,17 @@ def _char_poly_int(a) -> list[int]:
     return [c - big if c > half else c for c in (c % big for c in coeffs)]
 
 
+def _denominator(x) -> int:
+    if type(x) is not Fraction:
+        raise ValueError(f"exact kernels take int or Fraction entries, got {x!r}")
+    return x.denominator
+
+
 def _integer_rows(m: Matrix, *extra: int) -> tuple[int, list[list[int]]]:
     """(D, the rows of D*M), D the least common multiple of extra and of the
     denominators of M's entries.  Only the entries that are not ints
     contribute a denominator, so an integer matrix touches no Fraction."""
-    dens = {x.denominator for row in m._rows for x in row if type(x) is not int}
+    dens = {_denominator(x) for row in m._rows for x in row if type(x) is not int}
     d = math.lcm(*extra, *dens)
     if dens:
         return d, [[x.numerator * (d // x.denominator) for x in row] for row in m._rows]

@@ -142,6 +142,10 @@ class ClosedFormEntry:
             raise ValueError("only quadratic and cubic root entries are supported")
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be positive")
+        if self.coeffs is not None:
+            # adding 0.0 turns -0.0 (such as -b at b = 0) into 0.0, so no
+            # form prints "-0"
+            object.__setattr__(self, "coeffs", tuple(c + 0.0 for c in self.coeffs))
 
     @property
     def kind(self) -> str:

@@ -155,6 +155,27 @@ class TestSpectrum:
         assert code == 0
         assert out.endswith("closed form unavailable: second factor must be non-empty\n")
 
+    @pytest.mark.parametrize(
+        "first, kind, quadratic",
+        [("K2", "adj", "-3 + 0*t + 1*t^2"), ("K1", "lap", "0 + 0*t + 1*t^2")],
+        ids=["K2-K2-adj", "K1-K2-lap"],
+    )
+    def test_closed_form_prints_no_negative_zero(self, capsys, tmp_path, k2_file, first, kind, quadratic):
+        """A root pair t^2 - b*t + c with b = 0 prints its middle coefficient
+        as 0, not -0, in text and in JSON."""
+        path = tmp_path / "first.sg"
+        path.write_text(K2_TEXT if first == "K2" else "1\n")
+        argv = ["spectrum", str(path), k2_file, "--kind", kind, "--closed-form"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert f"roots of {quadratic} x1" in out
+        assert "-0*" not in out
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        coeffs = [c for e in json.loads(out)["closed_form"] if e["kind"] == "poly" for c in e["coeffs"]]
+        assert 0.0 in coeffs
+        assert "-0.0" not in out
+
     def test_three_graphs_refused(self, capsys, c4m_file, k2_file):
         code, out, err = run(capsys, "spectrum", c4m_file, k2_file, c4m_file)
         assert code == 2
@@ -354,6 +375,17 @@ class TestPaperExample:
         doc = json.loads(out)
         assert doc["ok"] is True
         assert doc["printed_reproduced"] is False
+
+    def test_coarse_tol_prints_no_negative_zero(self, capsys):
+        """At a tol that merges the whole spectrum, the nearest eigenvalue is
+        a tiny negative number; it prints as 0.00000, as spectra do."""
+        code, out, _ = run(capsys, "paper-example", "--tol", "1e300")
+        assert "absent (nearest eigenvalue 0.00000 x12)" in out
+        assert "-0.00000" not in out
+        code, out, _ = run(capsys, "paper-example", "--tol", "1e300", "--json")
+        nearest = {c["nearest"] for c in json.loads(out)["printed_checks"][1:]}
+        assert len(nearest) == 1 and abs(nearest.pop()) < 1e-12
+        assert "-0.0," not in out
 
 
 class TestParserReuse:

@@ -16,7 +16,6 @@ from sgcorona import (
     disjoint_union,
     edgeless,
     format_graph,
-    from_edge_list,
     is_isomorphic,
     is_switching_isomorphic,
     neighbourhood_corona,
@@ -46,34 +45,40 @@ def signed_graphs(draw, min_n=0, max_n=6):
 
 class TestConstruction:
     def test_single_positive_edge(self):
-        g = from_edge_list(2, [(0, 1, 1)])
+        g = SignedGraph(2, [(0, 1, 1)])
         assert g.n == 2
         assert g.edges == ((0, 1, 1),)
 
     def test_c4_minus(self):
-        g = from_edge_list(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1)])
+        g = SignedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1)])
         assert g == unbalanced_c4()
         assert [s for _, _, s in g.edges].count(-1) == 1
 
     def test_normalizes_order_and_collapses_repeats(self):
-        g = from_edge_list(3, [(2, 0, -1), (0, 2, -1)])
+        """Edge-list text may give a pair in either order, and repeat it with
+        the same sign; SignedGraph takes canonical pairs only."""
+        g = parse_graph("3\n2 0 -\n0 2 -\n")
         assert g.edges == ((0, 2, -1),)
+        with pytest.raises(GraphError, match=re.escape("edge (2, 0) not in canonical u < v order")):
+            SignedGraph(3, [(2, 0, -1)])
+        with pytest.raises(GraphError, match=re.escape("duplicate edge (0, 2)")):
+            SignedGraph(3, [(0, 2, -1), (0, 2, -1)])
 
     def test_conflicting_duplicate_is_an_error(self):
-        with pytest.raises(GraphError, match="conflicting signs for edge"):
-            from_edge_list(3, [(0, 1, 1), (0, 1, -1)])
+        with pytest.raises(ParseError, match=re.escape("line 3: conflicting signs for edge (0, 1)")):
+            parse_graph("3\n0 1 +\n1 0 -\n")
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop at vertex 0"):
-            from_edge_list(3, [(0, 0, 1)])
+            SignedGraph(3, [(0, 0, 1)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match="out of range for n=2"):
-            from_edge_list(2, [(0, 5, 1)])
+            SignedGraph(2, [(0, 5, 1)])
 
     def test_bad_sign_rejected(self):
-        with pytest.raises(GraphError):
-            from_edge_list(2, [(0, 1, 2)])
+        with pytest.raises(GraphError, match="edge sign must be"):
+            SignedGraph(2, [(0, 1, 2)])
 
     @pytest.mark.parametrize(
         "edges",
@@ -96,8 +101,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda u, s: SignedGraph(2, ((u, 1, s),)), lambda u, s: from_edge_list(2, [(u, 1, s)])],
-        ids=["SignedGraph", "from_edge_list"],
+        [lambda u, s: SignedGraph(2, ((u, 1, s),))],
+        ids=["SignedGraph"],
     )
     @pytest.mark.parametrize(
         "u, s, match",
@@ -111,8 +116,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda n: SignedGraph(n), lambda n: from_edge_list(n, [])],
-        ids=["SignedGraph", "from_edge_list"],
+        [lambda n: SignedGraph(n)],
+        ids=["SignedGraph"],
     )
     @pytest.mark.parametrize("n", [2.5, True, "3", None], ids=["float", "bool", "str", "None"])
     def test_non_integer_vertex_count_rejected(self, build, n):
@@ -173,7 +178,7 @@ class TestRegularity:
 
 class TestBalance:
     def test_triangle_one_negative(self):
-        g = from_edge_list(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)])
+        g = SignedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)])
         assert not g.is_balanced()
 
     def test_c4_minus_unbalanced(self):
@@ -221,8 +226,11 @@ class TestSwitching:
         assert not g.is_balanced()
 
     def test_invalid_vertex(self):
-        with pytest.raises(GraphError, match="switch vertex 5 out of range"):
-            complete_graph(2).switch({5})
+        """A vertex to switch is an int in range, as an edge index is: True
+        and 1.0 are not vertex 1."""
+        for v in (5, -1, True, 1.0, "a"):
+            with pytest.raises(GraphError, match=re.escape(f"switch vertex {v} out of range for n=2")):
+                complete_graph(2).switch([v])
 
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs(), st.integers(0, 2**6 - 1))
@@ -260,7 +268,8 @@ class TestCorona:
 
 
 def relabelled(g, perm):
-    return from_edge_list(g.n, [(perm[u], perm[v], s) for u, v, s in g.edges])
+    """g with each vertex v renamed perm[v]."""
+    return SignedGraph(g.n, [(*sorted((perm[u], perm[v])), s) for u, v, s in g.edges])
 
 
 def random_pair(rng, max_n):
@@ -321,9 +330,9 @@ class TestIsomorphism:
         assert not is_isomorphic(g, h)
 
     def test_relabelled_graph_is_isomorphic(self):
-        g = from_edge_list(4, [(0, 1, 1), (1, 2, -1), (2, 3, 1)])
+        g = SignedGraph(4, [(0, 1, 1), (1, 2, -1), (2, 3, 1)])
         perm = [3, 1, 0, 2]
-        assert is_isomorphic(g, from_edge_list(4, [(perm[u], perm[v], s) for u, v, s in g.edges]))
+        assert is_isomorphic(g, relabelled(g, perm))
 
     def test_star_vs_cycle_plus_isolated(self):
         a = star_graph(4)
@@ -347,9 +356,9 @@ class TestIsomorphism:
     @pytest.mark.parametrize(
         "a, b, iso, switching_iso",
         [
-            (complete_graph(3), from_edge_list(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)]), False, False),
+            (complete_graph(3), SignedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)]), False, False),
             (edgeless(4), edgeless(4), True, True),
-            (edgeless(3), from_edge_list(3, [(0, 2, -1)]), False, False),
+            (edgeless(3), SignedGraph(3, [(0, 2, -1)]), False, False),
         ],
         ids=["k3-vs-one-negative-edge", "both-edgeless", "edgeless-vs-one-edge"],
     )
@@ -400,22 +409,27 @@ class TestIO:
             parse_graph("3\n0 0 +\n")
 
     @pytest.mark.parametrize(
-        "edges, match",
+        "edges, message",
         [
-            ([(0, 0, 1)], "self-loop"),
-            ([(0, 5, 1)], "out of range"),
-            ([(5, 5, 1)], "out of range"),
-            ([(0, 1, 1), (1, 0, -1)], "conflicting signs"),
+            ([(0, 0, 1)], "self-loop at vertex 0"),
+            ([(0, 5, 1)], "edge (0, 5) out of range for n=3"),
+            ([(5, 5, 1)], "edge (5, 5) out of range for n=3"),
+            ([(0, 1, 1), (1, 0, -1)], "conflicting signs for edge (0, 1)"),
         ],
         ids=["self-loop", "out-of-range", "both-out-of-range", "conflicting-signs"],
     )
-    def test_bad_edge_rejected_alike_by_both_readers(self, edges, match):
-        with pytest.raises(GraphError, match=match) as direct:
-            from_edge_list(3, edges)
+    def test_bad_edge_rejected_alike_by_both_readers(self, edges, message):
+        """parse_graph refuses a bad edge with SignedGraph's message plus its
+        line.  A pair repeated with the other sign is the reader's own check,
+        since SignedGraph takes each pair once, in u < v order."""
         text = "3\n" + "".join(f"{u} {v} {'+' if s > 0 else '-'}\n" for u, v, s in edges)
         with pytest.raises(ParseError) as parsed:
             parse_graph(text)
-        assert str(parsed.value) == f"line {len(edges) + 1}: {direct.value}"
+        assert str(parsed.value) == f"line {len(edges) + 1}: {message}"
+        if not message.startswith("conflicting"):
+            with pytest.raises(GraphError) as direct:
+                SignedGraph(3, edges)
+            assert str(direct.value) == message
 
     def test_bad_token(self):
         """A bad sign, and numbers that are not ASCII decimal digits with an

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,14 @@ class TestCharPoly:
     def test_not_square(self):
         with pytest.raises(ValueError, match="needs a square matrix, got 1x2"):
             char_poly_exact(Matrix([[1, 2]]))
+
+    @pytest.mark.parametrize("entry", [0.5, "1"], ids=["float", "str"])
+    @pytest.mark.parametrize(
+        "kernel", [char_poly_exact, lambda m: det_exact_at(m, 0)], ids=["char_poly_exact", "det_exact_at"]
+    )
+    def test_entry_neither_int_nor_fraction_refused(self, kernel, entry):
+        with pytest.raises(ValueError, match=re.escape(f"int or Fraction entries, got {entry!r}")):
+            kernel(Matrix([[1, entry], [entry, Fraction(1, 2)]]))
 
     def test_against_cofactor_oracle(self):
         rng = random.Random(11)

@@ -521,6 +521,23 @@ class TestRealize:
         with pytest.raises(ArithmeticError):
             ClosedFormSpectrum("2.3", 4, (ClosedFormEntry(multiplicity=3, value=1.5),))
 
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda: closed_form_adjacency(complete_graph(2), complete_graph(2)),
+            lambda: closed_form_adjacency_kpq(edgeless(1), 1, 1, -1),
+            lambda: closed_form_adjacency_kpq(edgeless(1), 1, 1, -1, variant="printed"),
+            lambda: closed_form_adjacency_kpq(edgeless(1), 1, 2, 1),
+        ],
+        ids=["2.3", "2.4", "2.4-printed", "2.5"],
+    )
+    def test_no_negative_zero_coefficient(self, form):
+        """A zero coefficient, such as -b at b = 0 or -theta at theta = 0, is
+        stored as 0.0, so neither describe() nor to_json() prints -0."""
+        coeffs = [c for e in form().entries if e.coeffs for c in e.coeffs]
+        assert 0.0 in coeffs
+        assert all(math.copysign(1.0, c) == 1.0 for c in coeffs if c == 0)
+
 
 class TestSwitchingInvariance:
     def test_adjacency_and_laplacian_invariant(self):
