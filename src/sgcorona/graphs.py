@@ -46,6 +46,15 @@ def _is_vertex(n: int, v) -> bool:
     return type(v) is int and 0 <= v < n
 
 
+def _check_vertex_count(n) -> None:
+    """The vertex-count rule of SignedGraph, which the generators also apply
+    before they compute with a size: n is a non-negative int."""
+    if type(n) is not int:
+        raise GraphError(f"vertex count must be an int, got {n!r}")
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
+
+
 def _check_edge(n: int, u, v, s) -> None:
     """The checks every edge passes, from SignedGraph or the edge-list reader:
     both indices are vertices, the edge is no self-loop, and the sign is the
@@ -74,10 +83,7 @@ class SignedGraph:
 
     def __post_init__(self):
         n = self.n
-        if type(n) is not int:
-            raise GraphError(f"vertex count must be an int, got {n!r}")
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
+        _check_vertex_count(n)
         edges = tuple(self.edges)
         seen: set[tuple[int, int]] = set()
         for u, v, s in edges:
@@ -162,6 +168,7 @@ def edgeless(n: int) -> SignedGraph:
 
 
 def path_graph(n: int) -> SignedGraph:
+    _check_vertex_count(n)
     return SignedGraph(n, ((i, i + 1, 1) for i in range(n - 1)))
 
 
@@ -169,6 +176,7 @@ def cycle_graph(n: int, signs: int | Sequence[int] = 1) -> SignedGraph:
     """Cycle 0-1-...-(n-1)-0; signs is one sign for all edges or a length-n
     sequence where signs[i] belongs to edge (i, i+1) and signs[n-1] to the
     closing edge (0, n-1)."""
+    _check_vertex_count(n)
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
     if isinstance(signs, int):
@@ -182,18 +190,22 @@ def cycle_graph(n: int, signs: int | Sequence[int] = 1) -> SignedGraph:
 
 def alternating_cycle(n: int) -> SignedGraph:
     """Even cycle with alternating edge signs; net degree 0 at every vertex."""
+    _check_vertex_count(n)
     if n < 4 or n % 2:
         raise GraphError("alternating cycle needs an even length >= 4")
     return cycle_graph(n, [1 if i % 2 == 0 else -1 for i in range(n)])
 
 
 def complete_graph(n: int, sign: int = 1) -> SignedGraph:
+    _check_vertex_count(n)
     edges = tuple((u, v, sign) for u in range(n) for v in range(u + 1, n))
     return SignedGraph(n, edges)
 
 
 def complete_bipartite(p: int, q: int, sign: int = 1) -> SignedGraph:
     """Complete bipartite graph: part {0..p-1} against {p..p+q-1}."""
+    _check_vertex_count(p)
+    _check_vertex_count(q)
     if p < 1 or q < 1:
         raise GraphError("both parts must be non-empty")
     edges = tuple((u, v, sign) for u in range(p) for v in range(p, p + q))

@@ -724,9 +724,11 @@ def real_roots_cubic(a2: float, a1: float, a0: float) -> tuple[float, float, flo
     other is treated as non-negative.  With p < 0 the roots come from the
     trigonometric form with a clamped argument, so a double root, whose
     discriminant is 0 up to last-bit noise, takes the same branch on either
-    side of 0.  Only the near-triple root (p >= 0) with a slightly negative
-    discriminant falls back to one Cardano root plus deflation to a
-    quadratic.
+    side of 0.  With p >= 0 the discriminant test passes only near a triple
+    root, so all three start at the inflection point -a2/3.  Each root then
+    gets the same Newton polish.  The 2.4/2.5 cubic of an eigenvalue h, on
+    parts of sizes P and Q, has a2 = -h and a1 = -(P*Q + (P+Q)*h^2), so its
+    p is at most -P*Q <= -1 and it always takes the trigonometric form.
     """
     a2, a1, a0 = float(a2), float(a1), float(a0)
     p = a1 - a2 * a2 / 3.0
@@ -742,20 +744,8 @@ def real_roots_cubic(a2: float, a1: float, a0: float) -> tuple[float, float, flo
         arg = max(-1.0, min(1.0, arg))
         phi = math.acos(arg) / 3.0
         roots = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) - shift for k in range(3)]
-    elif disc >= 0.0:
-        # disc >= 0 with p >= 0 forces p ~ q ~ 0: a (near-)triple root.
-        y = math.copysign(abs(q) ** (1.0 / 3.0), -q)
-        roots = [y - shift] * 3
     else:
-        half_q = q / 2.0
-        rad = math.sqrt(max(half_q * half_q + p ** 3 / 27.0, 0.0))
-        u = math.copysign(abs(-half_q + rad) ** (1.0 / 3.0), -half_q + rad)
-        v = math.copysign(abs(-half_q - rad) ** (1.0 / 3.0), -half_q - rad)
-        t1 = _polish_cubic_root(u + v - shift, a2, a1, a0)
-        b1 = a2 + t1
-        c1 = a1 + t1 * b1
-        r2, r3 = real_roots_quadratic(b1, c1)
-        roots = [t1, r2, r3]
+        roots = [-shift] * 3
     roots = [_polish_cubic_root(r, a2, a1, a0) for r in roots]
     roots.sort()
     return (roots[0], roots[1], roots[2])

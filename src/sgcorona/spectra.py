@@ -267,46 +267,31 @@ def closed_form_adjacency(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -
 
 
 def closed_form_adjacency_kpq(
-    s: SignedGraph,
-    p: int,
-    q: int,
-    sign: int,
-    variant: str = "derived",
-    tol: float = 1e-6,
+    s: SignedGraph, p: int, q: int, sign: int, tol: float = 1e-6
 ) -> ClosedFormSpectrum:
-    """Adjacency spectrum of the corona with an all-positive (sign=+1) or
-    all-negative (sign=-1) complete bipartite second factor on parts p and q:
-    0 with multiplicity n(p+q-2) plus, for each s-eigenvalue h, the roots of a
-    cubic.
+    """Adjacency spectrum of the corona with an all-positive (sign=+1, 2.5) or
+    all-negative (sign=-1, 2.4) complete bipartite second factor on parts p
+    and q: 0 with multiplicity n(p+q-2) plus, for each s-eigenvalue h, the
+    roots of t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + p*q*h*(1 - 2*sign*h).
 
-    For sign=-1 two cubic constant terms are available: the re-derived
-    "derived" one, p*q*h*(1+2h), which the numeric oracle confirms, and the
-    published "printed" one, p*q*h*(2h-1), kept for comparison.  For sign=+1
-    both names give the same (confirmed) constant term -p*q*h*(2h-1).
+    For sign=+1 the constant term is the published -p*q*h*(2h-1).  For
+    sign=-1 it is the re-derived p*q*h*(1+2h), which the numeric oracle
+    confirms; the published p*q*h*(2h-1) is refuted.
     """
     if p < 1 or q < 1:
         raise ValueError("both bipartition parts must be at least 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if variant not in ("derived", "printed"):
-        raise ValueError(f"unknown variant {variant!r}")
     if s.n < 1:
         raise GraphError("corona needs a non-empty first factor")
     n = s.n
     entries = []
     if p + q > 2:
         entries.append(ClosedFormEntry(multiplicity=n * (p + q - 2), value=0.0))
-    for theta, m in numeric_spectrum(s, MatrixKind.ADJACENCY, tol).pairs:
-        c2 = -theta
-        c1 = -(p * q + (p + q) * theta * theta)
-        if sign < 0:
-            if variant == "derived":
-                c0 = p * q * theta * (1.0 + 2.0 * theta)
-            else:
-                c0 = p * q * theta * (2.0 * theta - 1.0)
-        else:
-            c0 = -p * q * theta * (2.0 * theta - 1.0)
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c0, c1, c2, 1.0)))
+    for h, m in numeric_spectrum(s, MatrixKind.ADJACENCY, tol).pairs:
+        c1 = -(p * q + (p + q) * h * h)
+        c0 = p * q * h * (1.0 - 2.0 * sign * h)
+        entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c0, c1, -h, 1.0)))
     label = "2.4" if sign < 0 else "2.5"
     return ClosedFormSpectrum(label, n * (p + q + 1), tuple(entries))
 

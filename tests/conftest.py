@@ -5,16 +5,17 @@ ones), Horner evaluation of a polynomial, a dense Bareiss determinant oracle
 for the sparsity-ordered, lazily scaled kernel under test, a cyclic Jacobi
 eigenvalue oracle that shares no code with the Householder/QL solver under
 test, symmetric relabelling of a matrix, scaling a matrix by a scalar, a
-random signed graph of a chosen edge density, and a breadth-first
-connectivity test."""
+random signed graph of a chosen edge density, a breadth-first
+connectivity test, and the published (refuted) reading of 2.4."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from fractions import Fraction
 
-from sgcorona import Matrix, Polynomial, SignedGraph
+from sgcorona import ClosedFormSpectrum, Matrix, Polynomial, SignedGraph, closed_form_adjacency_kpq
 
 
 def charpoly_cofactor(m: Matrix) -> Polynomial:
@@ -191,3 +192,17 @@ def is_connected(g: SignedGraph) -> bool:
             reached.add(w)
             queue.append(w)
     return len(reached) == g.n
+
+
+def printed_kpq(s: SignedGraph, p: int, q: int) -> ClosedFormSpectrum:
+    """2.4 as printed: the shipped all-negative cubic of each s-eigenvalue h,
+    t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + p*q*h*(1 + 2h), with its constant
+    swapped for the published p*q*h*(2h - 1)."""
+    shipped = closed_form_adjacency_kpq(s, p, q, -1)
+    entries = []
+    for e in shipped.entries:
+        if e.coeffs is not None:
+            h = -e.coeffs[2]
+            e = dataclasses.replace(e, coeffs=(p * q * h * (2.0 * h - 1.0), *e.coeffs[1:]))
+        entries.append(e)
+    return dataclasses.replace(shipped, entries=tuple(entries))

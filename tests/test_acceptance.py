@@ -5,6 +5,7 @@ import math
 import random
 import time
 
+from conftest import printed_kpq
 from sgcorona import (
     ComplexRootsError,
     Polynomial,
@@ -90,7 +91,7 @@ def test_criterion_03_bipartite_cubics_and_variant_adjudication():
                 if not spectra_equal(realize(shipped), oracle, 1e-6):
                     default_ok = False
                 if sign < 0:
-                    printed = closed_form_adjacency_kpq(seed, p, q, sign, variant="printed")
+                    printed = printed_kpq(seed, p, q)
                     try:
                         if not spectra_equal(realize(printed), oracle, 1e-6):
                             printed_failures += 1
@@ -98,12 +99,12 @@ def test_criterion_03_bipartite_cubics_and_variant_adjudication():
                         printed_failures += 1
     print(
         "ACCEPTANCE  3 note: all-negative bipartite cubic constant term — "
-        f"shipped 'derived' variant p*q*h*(1+2h) passed all {cases} cases; "
-        f"published 'printed' variant p*q*h*(2h-1) failed {printed_failures} of {cases // 2}"
+        f"shipped p*q*h*(1+2h) passed all {cases} cases; "
+        f"published p*q*h*(2h-1) failed {printed_failures} of {cases // 2}"
     )
     _report(
         3,
-        "bipartite-factor cubic spectra at 1e-6, shipped variant is the passing one",
+        "bipartite-factor cubic spectra at 1e-6, shipped cubic is the passing one",
         default_ok and printed_failures > 0,
         f"{cases} seed/(p,q)/sign cases",
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -91,6 +92,19 @@ class TestDistinctReports:
         report = corona_distinct_report(complete_graph(3), path_graph(3), LAP)
         assert report.bound == 7
         assert report.bound_satisfied
+
+
+    def test_render_states_the_bound_and_the_expected_count(self):
+        """render() prints the 5.1 bound of a corona report and the exact
+        count a few-distinct construction expects, each with its verdict."""
+        bounded = corona_distinct_report(unbalanced_c4(), edgeless(1), ADJ)
+        assert bounded.render().splitlines()[2:] == ["  bound 2*t1 + t2 = 5: satisfied"]
+        violated = dataclasses.replace(bounded, bound_satisfied=False)
+        assert violated.render().splitlines()[2:] == ["  bound 2*t1 + t2 = 5: VIOLATED"]
+        _, expected = few_distinct_construct(unbalanced_c4(), "K1")
+        assert expected.render().splitlines()[2:] == ["  expected exactly 4: as expected"]
+        unexpected = dataclasses.replace(expected, distinct_count=5)
+        assert unexpected.render().splitlines()[2:] == ["  expected exactly 4: UNEXPECTED"]
 
 
 class TestFewDistinct:

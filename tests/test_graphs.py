@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import is_connected, random_signed_graph_with_density
 from sgcorona import (
     GraphError,
+    alternating_cycle,
     ParseError,
     SignedGraph,
     complete_bipartite,
@@ -116,11 +117,35 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda n: SignedGraph(n)],
-        ids=["SignedGraph"],
+        [
+            lambda n: SignedGraph(n),
+            edgeless,
+            path_graph,
+            cycle_graph,
+            alternating_cycle,
+            complete_graph,
+            lambda n: complete_bipartite(n, 2),
+            lambda n: complete_bipartite(2, n),
+            star_graph,
+        ],
+        ids=[
+            "SignedGraph",
+            "edgeless",
+            "path_graph",
+            "cycle_graph",
+            "alternating_cycle",
+            "complete_graph",
+            "complete_bipartite-p",
+            "complete_bipartite-q",
+            "star_graph",
+        ],
     )
-    @pytest.mark.parametrize("n", [2.5, True, "3", None], ids=["float", "bool", "str", "None"])
+    @pytest.mark.parametrize(
+        "n", [2.5, True, "3", None, 2.0, 4.0], ids=["float", "bool", "str", "None", "float-2.0", "float-4.0"]
+    )
     def test_non_integer_vertex_count_rejected(self, build, n):
+        """SignedGraph and every generator apply one vertex-count rule before
+        computing with a size, so none of them raises TypeError."""
         with pytest.raises(GraphError, match=re.escape(f"vertex count must be an int, got {n!r}")):
             build(n)
 

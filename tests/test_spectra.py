@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import charpoly_faddeev, is_connected, permuted, poly_at, scaled
+from conftest import charpoly_faddeev, is_connected, permuted, poly_at, printed_kpq, scaled
 from sgcorona import (
     ClosedFormError,
     ComplexRootsError,
@@ -353,17 +353,11 @@ class TestClosedFormBipartite:
         s = complete_graph(2)
         corona = neighbourhood_corona(s, complete_bipartite(1, 1, -1))
         oracle = numeric_spectrum(corona, ADJ)
-        cf = closed_form_adjacency_kpq(s, 1, 1, -1, variant="printed")
+        cf = printed_kpq(s, 1, 1)
         try:
             assert not spectra_equal(realize(cf), oracle, 1e-6)
         except ComplexRootsError:
             pass  # the printed cubic need not even have three real roots
-
-    def test_printed_variant_equals_derived_for_positive_sign(self):
-        s = unbalanced_c4()
-        a = closed_form_adjacency_kpq(s, 2, 1, 1, variant="derived")
-        b = closed_form_adjacency_kpq(s, 2, 1, 1, variant="printed")
-        assert a == b
 
     def test_multiplicity_accounting(self):
         s = unbalanced_c4()
@@ -508,6 +502,52 @@ class TestPublishedCoefficients:
                     assert all(abs(got - w) <= 1e-12 * scale for got, w in zip(e.coeffs, want)), (e, want)
 
 
+class TestPublishedCubics:
+    """The 2.4/2.5 cubic t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + c0 of each
+    s-eigenvalue h against the constants the paper prints: 2.5's
+    -p*q*h*(2h - 1) is the shipped one; 2.4's p*q*h*(2h - 1) is not, the
+    shipped p*q*h*(1 + 2h) exceeding it by 2*p*q*h."""
+
+    @staticmethod
+    def cases():
+        """Random first factors on 1 to 6 vertices with parts p, q in 1..4."""
+        rng = random.Random(24)
+        for _ in range(40):
+            s = random_signed_graph(rng, rng.randint(1, 6))
+            for p in range(1, 5):
+                for q in range(1, 5):
+                    yield s, p, q
+
+    @staticmethod
+    def cubics(cf):
+        return [e.coeffs for e in cf.entries if e.coeffs is not None]
+
+    def test_constants_are_the_published_ones_but_for_2_4(self):
+        for s, p, q in self.cases():
+            hs = [h for h, _ in numeric_spectrum(s, ADJ).pairs]
+            positive = self.cubics(closed_form_adjacency_kpq(s, p, q, 1))
+            negative = self.cubics(closed_form_adjacency_kpq(s, p, q, -1))
+            printed = self.cubics(printed_kpq(s, p, q))
+            assert len(positive) == len(negative) == len(printed) == len(hs)
+            for h, c_pos, c_neg, c_pr in zip(hs, positive, negative, printed):
+                rest = (-(p * q + (p + q) * h * h), -h, 1.0)
+                assert c_pos[1:] == c_neg[1:] == c_pr[1:] == rest
+                scale = p * q * (1 + 2 * h * h)
+                assert abs(c_pos[0] - -p * q * h * (2 * h - 1)) <= 1e-12 * scale
+                assert abs(c_pr[0] - p * q * h * (2 * h - 1)) <= 1e-12 * scale
+                assert abs(c_neg[0] - p * q * h * (1 + 2 * h)) <= 1e-12 * scale
+                assert abs(c_neg[0] - c_pr[0] - 2 * p * q * h) <= 1e-12 * scale
+
+    def test_every_cubic_takes_the_trigonometric_form(self):
+        """real_roots_cubic has one branch for p = a1 - a2^2/3 < 0; every
+        2.4/2.5 cubic, shipped or printed, has p <= -1."""
+        for s, p, q in self.cases():
+            forms = (closed_form_adjacency_kpq(s, p, q, 1), closed_form_adjacency_kpq(s, p, q, -1))
+            for cf in (*forms, printed_kpq(s, p, q)):
+                for _, a1, a2, _ in self.cubics(cf):
+                    assert a1 - a2 * a2 / 3.0 <= -1.0
+
+
 class TestRealize:
     def test_inherited_only(self):
         from sgcorona import ClosedFormEntry, ClosedFormSpectrum
@@ -526,10 +566,9 @@ class TestRealize:
         [
             lambda: closed_form_adjacency(complete_graph(2), complete_graph(2)),
             lambda: closed_form_adjacency_kpq(edgeless(1), 1, 1, -1),
-            lambda: closed_form_adjacency_kpq(edgeless(1), 1, 1, -1, variant="printed"),
             lambda: closed_form_adjacency_kpq(edgeless(1), 1, 2, 1),
         ],
-        ids=["2.3", "2.4", "2.4-printed", "2.5"],
+        ids=["2.3", "2.4", "2.5"],
     )
     def test_no_negative_zero_coefficient(self, form):
         """A zero coefficient, such as -b at b = 0 or -theta at theta = 0, is
