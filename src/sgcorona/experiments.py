@@ -27,7 +27,7 @@ from .graphs import (
     star_graph,
     unbalanced_c4,
 )
-from .linalg import Polynomial, SpectrumMultiset, _fmt, char_poly_exact, det_exact_at, spectra_equal
+from .linalg import Polynomial, SpectrumMultiset, _check_tol, _fmt, char_poly_exact, det_exact_at, spectra_equal
 from .spectra import (
     CLOSED_FORMS,
     ClosedFormError,
@@ -186,10 +186,18 @@ class DistinctReport:
     tol: float
     construction: str
     spectrum: SpectrumMultiset
-    distinct_count: int
     bound: int | None = None
-    bound_satisfied: bool | None = None
     expected_distinct: int | None = None
+
+    @property
+    def distinct_count(self) -> int:
+        return self.spectrum.distinct_count
+
+    @property
+    def bound_satisfied(self) -> bool | None:
+        if self.bound is None:
+            return None
+        return self.distinct_count <= self.bound
 
     @property
     def matches_expected(self) -> bool | None:
@@ -225,15 +233,12 @@ class DistinctReport:
 
 
 def distinct_count(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> DistinctReport:
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    spec = numeric_spectrum(s, kind, tol)
+    _check_tol(tol)
     return DistinctReport(
         kind=kind,
         tol=tol,
         construction=f"graph on {s.n} vertices",
-        spectrum=spec,
-        distinct_count=spec.distinct_count,
+        spectrum=numeric_spectrum(s, kind, tol),
     )
 
 
@@ -245,12 +250,9 @@ def corona_distinct_report(
     bound is recorded and checked: t1 is the number of quadratic entries of
     that form, one per distinct S1-eigenvalue, and t2 the number of distinct
     S2-eigenvalues."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    corona = neighbourhood_corona(s1, s2)
-    spec = numeric_spectrum(corona, kind, tol)
+    _check_tol(tol)
+    spec = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
     bound = None
-    satisfied = None
     try:
         cf = CLOSED_FORMS[kind](s1, s2, tol)
     except ClosedFormError:
@@ -259,15 +261,12 @@ def corona_distinct_report(
         t1 = sum(e.coeffs is not None for e in cf.entries)
         t2 = numeric_spectrum(s2, kind, tol).distinct_count
         bound = 2 * t1 + t2
-        satisfied = spec.distinct_count <= bound
     return DistinctReport(
         kind=kind,
         tol=tol,
         construction=f"corona of factors on {s1.n} and {s2.n} vertices",
         spectrum=spec,
-        distinct_count=spec.distinct_count,
         bound=bound,
-        bound_satisfied=satisfied,
     )
 
 
@@ -290,14 +289,12 @@ def few_distinct_construct(
     comp = edgeless(1) if companion == "K1" else complete_graph(2, sign)
     expected = 4 if companion == "K1" else 5
     corona = neighbourhood_corona(s, comp)
-    spec = numeric_spectrum(corona, MatrixKind.ADJACENCY, tol)
     sign_txt = "" if companion == "K1" else ("+" if sign > 0 else "-")
     report = DistinctReport(
         kind=MatrixKind.ADJACENCY,
         tol=tol,
         construction=f"corona of 2-eigenvalue seed on {s.n} vertices with {companion}{sign_txt}",
-        spectrum=spec,
-        distinct_count=spec.distinct_count,
+        spectrum=numeric_spectrum(corona, MatrixKind.ADJACENCY, tol),
         expected_distinct=expected,
     )
     return corona, report
@@ -778,6 +775,7 @@ def verify_theorem(
         raise ValueError("trials must be positive")
     if max_n < 1:
         raise ValueError("max-n must be positive")
+    _check_tol(tol)
     theorem = THEOREMS[label]
     rng = random.Random(seed)
     failures = []

@@ -137,8 +137,7 @@ def format_poly(coeffs: Iterable, fmt: Callable[[object], str]) -> str:
 
 # Proven primes (Mersenne 2^61-1, 2^127-1, 2^521-1, 2^607-1; the Poly1305
 # prime 2^130-5; the NIST P-192 and P-224 primes; 2^255-19), ascending: the
-# moduli of char_poly_exact.  Beyond them, larger Mersenne primes, used only
-# when the ladder's product is too small, and past those _word_primes.
+# moduli of char_poly_exact.  Past their product, _word_primes.
 _PRIME_LADDER = (
     2**61 - 1,
     2**127 - 1,
@@ -149,7 +148,6 @@ _PRIME_LADDER = (
     2**521 - 1,
     2**607 - 1,
 )
-_PRIME_RESERVE = (2**1279 - 1, 2**2203 - 1, 2**2281 - 1, 2**3217 - 1, 2**4253 - 1, 2**4423 - 1)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -176,8 +174,8 @@ def _word_primes() -> Iterator[int]:
 
 def _moduli(bound: int) -> list[int]:
     """Primes whose product exceeds 2*bound: the smallest single ladder prime
-    that does, or else the ladder from the largest down, then the reserve,
-    then as many of _word_primes as it takes.
+    that does, or else the ladder from the largest down, then as many of
+    _word_primes as it takes.
 
     A pass of _char_poly_mod costs more the larger its prime (about 10, 20
     and 45 ms at 61, 255 and 521 bits on an order-48 Laplacian), and a pass
@@ -188,7 +186,7 @@ def _moduli(bound: int) -> list[int]:
         if p > 2 * bound:
             return [p]
     out, prod = [], 1
-    for p in itertools.chain(reversed(_PRIME_LADDER), _PRIME_RESERVE, _word_primes()):
+    for p in itertools.chain(reversed(_PRIME_LADDER), _word_primes()):
         out.append(p)
         prod *= p
         if prod > 2 * bound:
@@ -461,11 +459,16 @@ def _closeness_bound(tol: float, values: Iterable[float]) -> float:
     return tol * (1.0 + max(map(abs, values), default=0.0))
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for a tolerance argument: finite and above zero."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def spectra_equal(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> bool:
     """Multiset equality after expansion: totals agree and sorted entries
     differ pairwise by at most the closeness bound of all their values."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     if a.total != b.total:
         return False
     xs, ys = a.values(), b.values()

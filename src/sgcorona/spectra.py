@@ -10,7 +10,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import GraphError, SignedGraph
+from .graphs import GraphError, SignedGraph, complete_bipartite
 from .linalg import (
     Matrix,
     SpectrumMultiset,
@@ -278,10 +278,7 @@ def closed_form_adjacency_kpq(
     sign=-1 it is the re-derived p*q*h*(1+2h), which the numeric oracle
     confirms; the published p*q*h*(2h-1) is refuted.
     """
-    if p < 1 or q < 1:
-        raise ValueError("both bipartition parts must be at least 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    complete_bipartite(p, q, sign)  # the second factor's own gate on p, q and sign
     if s.n < 1:
         raise GraphError("corona needs a non-empty first factor")
     n = s.n

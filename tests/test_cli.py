@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -694,3 +695,31 @@ class TestRuntimeDependencies:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+class TestTracedNames:
+    def test_every_traced_function_resolves(self):
+        """perfbench/layertrace.py wraps package functions by (module, name),
+        so deleting or renaming one breaks `perfbench/run.py --trace 1`.  Read
+        the file without running it and look each name up as the tracer does."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+        tables = {
+            node.targets[0].id: node.value
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        specs = [
+            tuple(ast.literal_eval(part) for part in spec.elts[:2])
+            for table in ("LAYER_FUNCTIONS", "ENTRY_FUNCTIONS")
+            for spec in tables[table].elts
+        ]
+        assert len(specs) > 20
+        for module, qualname in specs:
+            assert module in ast.literal_eval(tables["LAYER_MODULES"]), module
+            owner_name, _, attr = qualname.rpartition(".")
+            owner = importlib.import_module(f"sgcorona.{module}")
+            if owner_name:
+                owner = getattr(owner, owner_name)
+                assert isinstance(owner.__dict__.get(attr), classmethod), qualname
+            else:
+                assert callable(getattr(owner, attr, None)), f"{module}.{qualname}"

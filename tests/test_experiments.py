@@ -99,12 +99,25 @@ class TestDistinctReports:
         count a few-distinct construction expects, each with its verdict."""
         bounded = corona_distinct_report(unbalanced_c4(), edgeless(1), ADJ)
         assert bounded.render().splitlines()[2:] == ["  bound 2*t1 + t2 = 5: satisfied"]
-        violated = dataclasses.replace(bounded, bound_satisfied=False)
-        assert violated.render().splitlines()[2:] == ["  bound 2*t1 + t2 = 5: VIOLATED"]
+        violated = dataclasses.replace(bounded, bound=3)
+        assert violated.render().splitlines()[2:] == ["  bound 2*t1 + t2 = 3: VIOLATED"]
         _, expected = few_distinct_construct(unbalanced_c4(), "K1")
         assert expected.render().splitlines()[2:] == ["  expected exactly 4: as expected"]
-        unexpected = dataclasses.replace(expected, distinct_count=5)
-        assert unexpected.render().splitlines()[2:] == ["  expected exactly 4: UNEXPECTED"]
+        unexpected = dataclasses.replace(expected, expected_distinct=5)
+        assert unexpected.render().splitlines()[2:] == ["  expected exactly 5: UNEXPECTED"]
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda tol: distinct_count(unbalanced_c4(), ADJ, tol),
+            lambda tol: corona_distinct_report(unbalanced_c4(), edgeless(1), ADJ, tol),
+        ],
+        ids=["distinct_count", "corona_distinct_report"],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, report, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            report(tol)
 
 
 class TestFewDistinct:
@@ -339,6 +352,13 @@ class TestVerify:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             verify_theorem("9.9")
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # NaN would fail every comparison and inf pass every one; the CLI
+        # refuses both in its argument parser, the library here
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            verify_theorem("2.3", trials=3, tol=tol)
 
     def test_factorisation_trial_fails_when_every_point_is_a_pole(self, monkeypatch):
         def pole(s1, s2, t0):

@@ -289,7 +289,7 @@ class TestCharPoly:
 
     def test_moduli_are_primes(self):
         sympy = pytest.importorskip("sympy")
-        table = linalg._PRIME_LADDER + linalg._PRIME_RESERVE
+        table = linalg._PRIME_LADDER
         assert list(table) == sorted(set(table))
         assert all(sympy.isprime(p) for p in table)
         generated = list(itertools.islice(linalg._word_primes(), 5))
@@ -307,14 +307,14 @@ class TestCharPoly:
         assert linalg._moduli(2**600) == [2**607 - 1]
         assert linalg._moduli(2**606) == [2**607 - 1, 2**521 - 1]
         every = linalg._moduli(math.prod(ladder))
-        assert every == [*reversed(ladder), 2**1279 - 1]
+        assert every == [*reversed(ladder), 2**64 - 59]
         beyond = linalg._moduli(2**30000)
         assert len(set(beyond)) == len(beyond)
         assert math.prod(beyond) > 2**30001
 
     def test_rationals_beyond_the_fixed_primes(self):
         # tiny entries over denominators up to 10^9: the scaled matrix needs
-        # a coefficient bound of 22869 bits, past the ladder and the reserve
+        # a coefficient bound of 22869 bits, past the ladder's 2117
         rng = random.Random(0)
         m = Matrix(
             [[Fraction(rng.randint(-9, 9), rng.randint(1, 10**9)) for _ in range(10)] for _ in range(10)]
@@ -885,6 +885,12 @@ class TestSpectrumMultiset:
         a = SpectrumMultiset(((0.0, 1),))
         assert spectra_equal(a, SpectrumMultiset(((tol / 2, 1),)), tol)
         assert not spectra_equal(a, SpectrumMultiset(((2 * tol, 1),)), tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_equality_refuses_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        a = SpectrumMultiset.from_values([1, 2, 2])
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            spectra_equal(a, a, tol)
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-9, 1e-6, 1e-2])
     def test_equality_is_relative_to_the_largest_value(self, tol):

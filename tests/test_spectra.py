@@ -364,6 +364,17 @@ class TestClosedFormBipartite:
         cf = closed_form_adjacency_kpq(s, 2, 2, 1)
         assert cf.total_multiplicity == 4 * (2 + 2 + 1)
 
+    @pytest.mark.parametrize(
+        "p,q,sign",
+        [(1.5, 1, 1), (2.0, 1, 1), (True, 1, 1), ("2", 1, 1), (1, 2.0, -1), (1, 1, 0), (1, 1, 2), (0, 2, 1)],
+    )
+    def test_refuses_what_complete_bipartite_refuses(self, p, q, sign):
+        """The part sizes and the sign pass the second factor's own gate: a
+        float, bool or str size is no vertex count, and 1.5 would give a
+        float multiplicity."""
+        with pytest.raises(GraphError):
+            closed_form_adjacency_kpq(complete_graph(2), p, q, sign)
+
 
 class TestClosedFormLaplacian:
     def test_c4_with_k1(self):
