@@ -409,6 +409,11 @@ class SpectrumMultiset:
 
     @classmethod
     def from_values(cls, values: Iterable[float], tol: float = 1e-6) -> "SpectrumMultiset":
+        """Cluster values that lie within the closeness bound of tol; tol 0
+        merges only equal values, and NaN, infinite or negative tol is
+        refused."""
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"clustering tolerance must be finite and non-negative, got {tol!r}")
         vals = sorted(float(v) for v in values)
         if not vals:
             return cls(())
@@ -705,21 +710,6 @@ def real_roots_quadratic(b: float, c: float) -> tuple[float, float]:
     return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
-def _polish_cubic_root(r: float, a2: float, a1: float, a0: float) -> float:
-    for _ in range(3):
-        f = ((r + a2) * r + a1) * r + a0
-        df = (3.0 * r + 2.0 * a2) * r + a1
-        if df == 0.0:
-            break
-        step = f / df
-        candidate = r - step
-        fc = ((candidate + a2) * candidate + a1) * candidate + a0
-        if abs(fc) >= abs(f):
-            break
-        r = candidate
-    return r
-
-
 def real_roots_cubic(a2: float, a1: float, a0: float) -> tuple[float, float, float]:
     """All three real roots of t^3 + a2*t^2 + a1*t + a0, sorted.
 
@@ -728,10 +718,11 @@ def real_roots_cubic(a2: float, a1: float, a0: float) -> tuple[float, float, flo
     trigonometric form with a clamped argument, so a double root, whose
     discriminant is 0 up to last-bit noise, takes the same branch on either
     side of 0.  With p >= 0 the discriminant test passes only near a triple
-    root, so all three start at the inflection point -a2/3.  Each root then
-    gets the same Newton polish.  The 2.4/2.5 cubic of an eigenvalue h, on
-    parts of sizes P and Q, has a2 = -h and a1 = -(P*Q + (P+Q)*h^2), so its
-    p is at most -P*Q <= -1 and it always takes the trigonometric form.
+    root, so all three are the inflection point -a2/3.  The 2.4/2.5 cubic of
+    an eigenvalue h, on parts of sizes P != Q, has a2 = -h and
+    a1 = -(P*Q + (P+Q)*h^2), so its p is at most -P*Q <= -2 and it always
+    takes the trigonometric form, with three simple roots (see
+    closed_form_adjacency_kpq).
     """
     a2, a1, a0 = float(a2), float(a1), float(a0)
     p = a1 - a2 * a2 / 3.0
@@ -749,6 +740,5 @@ def real_roots_cubic(a2: float, a1: float, a0: float) -> tuple[float, float, flo
         roots = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) - shift for k in range(3)]
     else:
         roots = [-shift] * 3
-    roots = [_polish_cubic_root(r, a2, a1, a0) for r in roots]
     roots.sort()
     return (roots[0], roots[1], roots[2])

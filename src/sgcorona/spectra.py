@@ -1,7 +1,7 @@
 """Graph matrices, the corona characteristic-polynomial factorisation, and
 closed-form corona spectra with their numeric realisation: one two-root form
-with a (shift, k) pair per matrix kind for 2.3, 3.3/3.4 and 4.2, and a cubic
-for 2.4/2.5."""
+with a (shift, k) pair per matrix kind for 2.3, 3.3/3.4, 4.2 and 2.4/2.5 on
+K_{p,p}, and a cubic for 2.4/2.5 on K_{p,q} with p != q."""
 
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ def matrix_of(s: SignedGraph, kind: MatrixKind) -> Matrix:
 def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> SpectrumMultiset:
     """Numeric eigenvalue multiset of the chosen matrix."""
     if s.n == 0:
-        return SpectrumMultiset(())
+        return SpectrumMultiset.from_values((), tol)
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
@@ -216,7 +216,7 @@ def realize(cf: ClosedFormSpectrum, tol: float = 1e-6) -> SpectrumMultiset:
 
 
 def _require_factors(s1: SignedGraph, s2: SignedGraph) -> None:
-    """The checks 2.3, 3.3/3.4 and 4.2 make before their own hypotheses.  An
+    """The checks every closed form makes before its own hypotheses.  An
     empty S2 leaves the two-root form no copy of k to drop."""
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
@@ -227,7 +227,7 @@ def _require_factors(s1: SignedGraph, s2: SignedGraph) -> None:
 def _two_root_form(
     theorem: str, s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, shift: int, k: int, tol: float
 ) -> ClosedFormSpectrum:
-    """The one closed form behind 2.3, 3.3/3.4 and 4.2.
+    """The one closed form behind 2.3, 3.3/3.4, 4.2 and 2.4/2.5 on K_{p,p}.
 
     With M1, M2 the factors' `kind` matrices, the corona's matrix is
     [[M1 + n2*shift*I, +-A1 (x) 1^T], [+-A1 (x) 1, I (x) (M2 + shift*I)]],
@@ -271,25 +271,35 @@ def closed_form_adjacency_kpq(
 ) -> ClosedFormSpectrum:
     """Adjacency spectrum of the corona with an all-positive (sign=+1, 2.5) or
     all-negative (sign=-1, 2.4) complete bipartite second factor on parts p
-    and q: 0 with multiplicity n(p+q-2) plus, for each s-eigenvalue h, the
-    roots of t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + p*q*h*(1 - 2*sign*h).
+    and q.
+
+    K_{p,p} is net-regular with net degree sign*p, so it takes 2.3's two-root
+    form; the cubic below is (t + sign*p) times that form's quadratic there,
+    with a double root whenever the quadratic has the root -sign*p.
+
+    For p != q: 0 with multiplicity n(p+q-2) plus, for each s-eigenvalue h,
+    the roots of t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + p*q*h*(1 - 2*sign*h),
+    the char poly of the symmetric quotient [[h, h*sqrt(p), h*sqrt(q)],
+    [h*sqrt(p), 0, sign*sqrt(p*q)], [h*sqrt(q), sign*sqrt(p*q), 0]].  For
+    h != 0 its border meets both eigenvectors of the lower block, so the
+    roots strictly interlace -sqrt(p*q) and sqrt(p*q); for h = 0 they are 0
+    and +-sqrt(p*q).  Either way all three are simple.
 
     For sign=+1 the constant term is the published -p*q*h*(2h-1).  For
     sign=-1 it is the re-derived p*q*h*(1+2h), which the numeric oracle
     confirms; the published p*q*h*(2h-1) is refuted.
     """
-    complete_bipartite(p, q, sign)  # the second factor's own gate on p, q and sign
-    if s.n < 1:
-        raise GraphError("corona needs a non-empty first factor")
+    k = complete_bipartite(p, q, sign)  # the second factor's own gate on p, q and sign
+    _require_factors(s, k)
+    label = "2.4" if sign < 0 else "2.5"
+    if p == q:
+        return _two_root_form(label, s, k, MatrixKind.ADJACENCY, 0, sign * p, tol)
     n = s.n
-    entries = []
-    if p + q > 2:
-        entries.append(ClosedFormEntry(multiplicity=n * (p + q - 2), value=0.0))
+    entries = [ClosedFormEntry(multiplicity=n * (p + q - 2), value=0.0)]
     for h, m in numeric_spectrum(s, MatrixKind.ADJACENCY, tol).pairs:
         c1 = -(p * q + (p + q) * h * h)
         c0 = p * q * h * (1.0 - 2.0 * sign * h)
         entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c0, c1, -h, 1.0)))
-    label = "2.4" if sign < 0 else "2.5"
     return ClosedFormSpectrum(label, n * (p + q + 1), tuple(entries))
 
 

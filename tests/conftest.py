@@ -10,12 +10,19 @@ connectivity test, and the published (refuted) reading of 2.4."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import deque
 from fractions import Fraction
 
-from sgcorona import ClosedFormSpectrum, Matrix, Polynomial, SignedGraph, closed_form_adjacency_kpq
+from sgcorona import (
+    ClosedFormEntry,
+    ClosedFormSpectrum,
+    Matrix,
+    MatrixKind,
+    Polynomial,
+    SignedGraph,
+    numeric_spectrum,
+)
 
 
 def charpoly_cofactor(m: Matrix) -> Polynomial:
@@ -195,14 +202,12 @@ def is_connected(g: SignedGraph) -> bool:
 
 
 def printed_kpq(s: SignedGraph, p: int, q: int) -> ClosedFormSpectrum:
-    """2.4 as printed: the shipped all-negative cubic of each s-eigenvalue h,
-    t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + p*q*h*(1 + 2h), with its constant
-    swapped for the published p*q*h*(2h - 1)."""
-    shipped = closed_form_adjacency_kpq(s, p, q, -1)
-    entries = []
-    for e in shipped.entries:
-        if e.coeffs is not None:
-            h = -e.coeffs[2]
-            e = dataclasses.replace(e, coeffs=(p * q * h * (2.0 * h - 1.0), *e.coeffs[1:]))
-        entries.append(e)
-    return dataclasses.replace(shipped, entries=tuple(entries))
+    """2.4 as printed, for any parts p and q: 0 with multiplicity n(p+q-2)
+    plus, for each s-eigenvalue h, the roots of
+    t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + p*q*h*(2h - 1)."""
+    n = s.n
+    entries = [ClosedFormEntry(multiplicity=n * (p + q - 2), value=0.0)] if p + q > 2 else []
+    for h, m in numeric_spectrum(s, MatrixKind.ADJACENCY).pairs:
+        cubic = (p * q * h * (2.0 * h - 1.0), -(p * q + (p + q) * h * h), -h, 1.0)
+        entries.append(ClosedFormEntry(multiplicity=m, coeffs=cubic))
+    return ClosedFormSpectrum("2.4", n * (p + q + 1), tuple(entries))

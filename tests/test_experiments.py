@@ -360,6 +360,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             verify_theorem("2.3", trials=3, tol=tol)
 
+    @pytest.mark.parametrize("label", ["2.4", "2.5"])
+    def test_bipartite_rows_pass_at_a_fine_tol(self, label):
+        # K_{p,p} takes the two-root form, so no float cubic with a double
+        # root reports a false counterexample
+        result = verify_theorem(label, trials=20, seed=0, max_n=6, tol=1e-14)
+        assert result.ok, result.render()
+
     def test_factorisation_trial_fails_when_every_point_is_a_pole(self, monkeypatch):
         def pole(s1, s2, t0):
             raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")

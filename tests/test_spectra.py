@@ -35,6 +35,7 @@ from sgcorona import (
     spectra,
     spectra_equal,
     star_graph,
+    sym_eigenvalues,
     unbalanced_c4,
 )
 from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph
@@ -331,12 +332,12 @@ class TestClosedFormAdjacency:
 class TestClosedFormBipartite:
     def test_zero_eigenvalue_cubic(self):
         # an edgeless seed has only the eigenvalue 0: cubic t^3 - pq t
-        cf = closed_form_adjacency_kpq(edgeless(2), 2, 2, -1)
+        cf = closed_form_adjacency_kpq(edgeless(2), 1, 4, -1)
         realized = realize(cf)
-        expected = SpectrumMultiset.from_values([0.0] * 6 + [2.0, -2.0, 2.0, -2.0])
+        expected = SpectrumMultiset.from_values([0.0] * 8 + [2.0, -2.0, 2.0, -2.0])
         assert spectra_equal(realized, expected, 1e-9)
         oracle = numeric_spectrum(
-            neighbourhood_corona(edgeless(2), complete_bipartite(2, 2, -1)), ADJ
+            neighbourhood_corona(edgeless(2), complete_bipartite(1, 4, -1)), ADJ
         )
         assert spectra_equal(realized, oracle, 1e-6)
 
@@ -515,19 +516,22 @@ class TestPublishedCoefficients:
 
 class TestPublishedCubics:
     """The 2.4/2.5 cubic t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + c0 of each
-    s-eigenvalue h against the constants the paper prints: 2.5's
-    -p*q*h*(2h - 1) is the shipped one; 2.4's p*q*h*(2h - 1) is not, the
-    shipped p*q*h*(1 + 2h) exceeding it by 2*p*q*h."""
+    s-eigenvalue h, for parts p != q, against the constants the paper prints:
+    2.5's -p*q*h*(2h - 1) is the shipped one; 2.4's p*q*h*(2h - 1) is not,
+    the shipped p*q*h*(1 + 2h) exceeding it by 2*p*q*h.  For p = q the
+    factor is net-regular, and the shipped form is 2.3's two-root form."""
 
     @staticmethod
-    def cases():
-        """Random first factors on 1 to 6 vertices with parts p, q in 1..4."""
+    def cases(equal=False):
+        """Random first factors on 1 to 6 vertices with parts p, q in 1..4,
+        p != q (p = q when equal)."""
         rng = random.Random(24)
         for _ in range(40):
             s = random_signed_graph(rng, rng.randint(1, 6))
             for p in range(1, 5):
                 for q in range(1, 5):
-                    yield s, p, q
+                    if (p == q) == equal:
+                        yield s, p, q
 
     @staticmethod
     def cubics(cf):
@@ -550,13 +554,57 @@ class TestPublishedCubics:
                 assert abs(c_neg[0] - c_pr[0] - 2 * p * q * h) <= 1e-12 * scale
 
     def test_every_cubic_takes_the_trigonometric_form(self):
-        """real_roots_cubic has one branch for p = a1 - a2^2/3 < 0; every
-        2.4/2.5 cubic, shipped or printed, has p <= -1."""
+        """real_roots_cubic has one branch for a1 - a2^2/3 < 0; every
+        2.4/2.5 cubic for parts p != q, shipped or printed, has
+        a1 - a2^2/3 <= -p*q <= -2."""
         for s, p, q in self.cases():
             forms = (closed_form_adjacency_kpq(s, p, q, 1), closed_form_adjacency_kpq(s, p, q, -1))
             for cf in (*forms, printed_kpq(s, p, q)):
                 for _, a1, a2, _ in self.cubics(cf):
-                    assert a1 - a2 * a2 / 3.0 <= -1.0
+                    assert a1 - a2 * a2 / 3.0 <= -p * q
+
+    def test_cubic_roots_are_the_quotient_eigenvalues(self):
+        """For p != q the cubic is the char poly of the symmetric quotient
+        [[h, h*sqrt(p), h*sqrt(q)], [h*sqrt(p), 0, c], [h*sqrt(q), c, 0]],
+        c = sign*sqrt(p*q); its roots agree with numpy's eigenvalues of that
+        matrix to 1e-13 * (1 + R), R the largest |eigenvalue|."""
+        np = pytest.importorskip("numpy")
+        for s, p, q in self.cases():
+            for sign in (1, -1):
+                for e in closed_form_adjacency_kpq(s, p, q, sign).entries:
+                    if e.coeffs is None:
+                        continue
+                    h, c = -e.coeffs[2], sign * math.sqrt(p * q)
+                    hp, hq = h * math.sqrt(p), h * math.sqrt(q)
+                    want = np.linalg.eigvalsh(np.array([[h, hp, hq], [hp, 0.0, c], [hq, c, 0.0]]))
+                    bound = 1e-13 * (1.0 + np.max(np.abs(want)))
+                    assert np.max(np.abs(np.array(e.roots()) - want)) <= bound, (s, p, q, sign, h)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_equal_parts_cubic_is_a_linear_factor_times_the_quadratic(self, sign):
+        """For p = q the cubic is (t + sign*p) times the two-root form's
+        quadratic t^2 - (h + k)*t + h*(k - n2*h), with k = sign*p the net
+        degree and n2 = 2p the order of K_{p,p}.  Both sides are checked in
+        exact arithmetic at six rational h; every coefficient is at most
+        quadratic in h, so three would do."""
+        for p in range(1, 7):
+            k, n2 = sign * p, 2 * p
+            for h in (Fraction(-3), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2), Fraction(5)):
+                cubic = [p * p * h * (1 - 2 * sign * h), -(p * p + 2 * p * h * h), -h, 1]
+                quadratic = [h * (k - n2 * h), -(h + k), 1]
+                product = [k * quadratic[0]]
+                product += [x + k * y for x, y in zip(quadratic, quadratic[1:])] + [1]
+                assert product == cubic, (p, h)
+
+    def test_equal_parts_take_the_two_root_form(self):
+        """closed_form_adjacency_kpq on K_{p,p} is closed_form_adjacency on
+        it, entry for entry, but for its label."""
+        for s, p, _ in self.cases(equal=True):
+            for sign in (1, -1):
+                kpq = closed_form_adjacency_kpq(s, p, p, sign)
+                two_root = closed_form_adjacency(s, complete_bipartite(p, p, sign))
+                assert kpq.theorem == ("2.5" if sign > 0 else "2.4")
+                assert (kpq.order, kpq.entries) == (two_root.order, two_root.entries)
 
 
 class TestRealize:
@@ -587,6 +635,30 @@ class TestRealize:
         coeffs = [c for e in form().entries if e.coeffs for c in e.coeffs]
         assert 0.0 in coeffs
         assert all(math.copysign(1.0, c) == 1.0 for c in coeffs if c == 0)
+
+
+class TestClusteringTolerance:
+    """SpectrumMultiset.from_values is where every clustering tolerance ends
+    up: NaN, infinite and negative ones are refused there, and 0 merges only
+    equal values."""
+
+    CALLS = [
+        lambda tol: numeric_spectrum(edgeless(3), ADJ, tol),
+        lambda tol: numeric_spectrum(edgeless(0), ADJ, tol),
+        lambda tol: sym_eigenvalues(matrix_of(complete_graph(3), ADJ), tol),
+        lambda tol: realize(closed_form_adjacency(complete_graph(2), complete_graph(2)), tol),
+    ]
+    IDS = ["numeric_spectrum", "numeric_spectrum_empty", "sym_eigenvalues", "realize"]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6])
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_refused(self, call, tol):
+        with pytest.raises(ValueError, match="clustering tolerance must be finite and non-negative"):
+            call(tol)
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_zero_is_legal(self, call):
+        assert call(0.0).total == call(1e-6).total
 
 
 class TestSwitchingInvariance:
