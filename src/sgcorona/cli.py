@@ -124,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive(int), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-n", type=_positive(int), default=5, dest="max_n",
-                   help="largest random factor size (default 5)")
+                   help="largest order of a sampled factor (default 5); regular factors "
+                   "have at least 2 vertices, and 2.4/2.5's K_{p,q} (p, q <= 2) and "
+                   "5.2's fixed catalog ignore it")
     _add_common(p, kind=False)
     p.set_defaults(func=cmd_verify)
 
@@ -178,41 +180,26 @@ def cmd_spectrum(args) -> int:
     graphs = [read_graph(path) for path in args.graphs]
     if len(graphs) == 1:
         _check_order(graphs[0].n)
-        target = graphs[0]
-        label = "spectrum"
+        target, label = graphs[0], "spectrum"
     else:
         _check_order(graphs[0].n * (graphs[1].n + 1))
-        target = neighbourhood_corona(graphs[0], graphs[1])
-        label = "corona spectrum"
+        target, label = neighbourhood_corona(graphs[0], graphs[1]), "corona spectrum"
     numeric = numeric_spectrum(target, kind, args.tol)
-    closed = None
+    doc = {"kind": kind.value, "numeric": numeric.to_json()}
+    lines = [f"{label} ({kind.value}): {numeric}"]
     agree = None
-    unavailable = None
     if args.closed_form:
         try:
-            closed = CLOSED_FORMS[kind](graphs[0], graphs[1], args.tol)
-            agree = spectra_equal(realize(closed, args.tol), numeric, args.tol)
+            form = CLOSED_FORMS[kind](graphs[0], graphs[1], args.tol)
         except ClosedFormError as exc:
-            unavailable = str(exc)
-    if args.json:
-        doc = {"kind": kind.value, "numeric": numeric.to_json()}
-        if closed is not None:
-            doc["closed_form"] = closed.to_json()
-            doc["theorem"] = closed.theorem
-            doc["agrees"] = agree
-        if unavailable is not None:
-            doc["closed_form_unavailable"] = unavailable
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"{label} ({kind.value}): {numeric}")
-        if closed is not None:
-            print(closed.describe())
-            print(f"closed form agrees with numeric spectrum: {'yes' if agree else 'NO'}")
-        if unavailable is not None:
-            print(f"closed form unavailable: {unavailable}")
-    if agree is False:
-        return 1
-    return 0
+            doc["closed_form_unavailable"] = str(exc)
+            lines.append(f"closed form unavailable: {exc}")
+        else:
+            agree = spectra_equal(realize(form, args.tol), numeric, args.tol)
+            doc.update(closed_form=form.to_json(), theorem=form.theorem, agrees=agree)
+            lines += [form.describe(), f"closed form agrees with numeric spectrum: {'yes' if agree else 'NO'}"]
+    print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
+    return 1 if agree is False else 0
 
 
 def cmd_charpoly(args) -> int:
@@ -227,7 +214,7 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_order(args.max_n * (args.max_n + 1))  # the largest corona sampled
+    _check_order(args.max_n * (args.max_n + 1))  # the largest corona sampled, from max-n 4 up
     result = verify_theorem(
         args.theorem, trials=args.trials, seed=args.seed, max_n=args.max_n, tol=args.tol
     )
@@ -270,10 +257,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
+        return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
     except (UsageError, GraphError, OSError) as exc:

@@ -268,8 +268,6 @@ def few_distinct_construct(
     companion = companion.upper()
     if companion not in ("K1", "K2"):
         raise ValueError("companion must be K1 or K2")
-    if s.n < 2:
-        raise ValueError("seed graph needs at least 2 vertices")
     seed_distinct = numeric_spectrum(s, MatrixKind.ADJACENCY, tol).distinct_count
     if seed_distinct != 2:
         raise ValueError(

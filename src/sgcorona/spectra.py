@@ -325,8 +325,8 @@ def closed_form_laplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -
             "(every vertex with the same negative degree)"
         )
     k = 2 * neg.pop()
-    regular_pair = s2.regularity() is not None and s2.net_regularity() is not None
-    label = "3.3" if regular_pair else "3.4"
+    # a regular s2 with a constant negative degree is net-regular as well
+    label = "3.3" if s2.regularity() is not None else "3.4"
     return _two_root_form(label, s1, s2, MatrixKind.LAPLACIAN, r1, k, tol)
 
 

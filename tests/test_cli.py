@@ -1,10 +1,12 @@
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
 import math
 import os
+import random
 import re
 import resource
 import subprocess
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sgcorona
-from sgcorona import format_graph, parse_graph, read_graph, unbalanced_c4, complete_graph, cycle_graph, graphs
+from sgcorona import format_graph, parse_graph, read_graph, unbalanced_c4, complete_graph, cycle_graph, experiments, graphs
 from sgcorona.cli import MAX_CORONA_SIZE, MAX_DENSE_ORDER, main
 from sgcorona.experiments import THEOREM_LABELS
 from sgcorona.spectra import CLOSED_FORMS, ClosedFormError, MatrixKind
@@ -176,6 +178,48 @@ class TestSpectrum:
         coeffs = [c for e in json.loads(out)["closed_form"] if e["kind"] == "poly" for c in e["coeffs"]]
         assert 0.0 in coeffs
         assert "-0.0" not in out
+
+    def test_outputs_are_pinned(self, capsys, tmp_path):
+        # stdout, stderr and exit code of spectrum and charpoly over fixed
+        # graphs and seeded samples: every kind, text and --json, with and
+        # without --closed-form (forms that agree and unavailable notes), and
+        # the two usage errors. A change to any message, number format or
+        # JSON key changes this digest.
+        texts = {
+            "empty": "0\n",
+            "k1": "1\n",
+            "k2": K2_TEXT,
+            "c4m": C4M_TEXT,
+            "p3": "3\n0 1 +\n1 2 -\n",
+            "k23m": format_graph(graphs.complete_bipartite(2, 3, -1)),
+        }
+        fixed = list(texts)
+        rng = random.Random(2024)
+        for i in range(2):
+            texts[f"signed{i}"] = format_graph(experiments.random_signed_graph(rng, 4))
+            texts[f"regular{i}"] = format_graph(experiments.random_regular_signed(rng, 4))
+            texts[f"netreg{i}"] = format_graph(experiments.random_net_regular(rng, 4))
+        sampled = [name for name in texts if name not in fixed]
+        pairs = [(a, b) for a in fixed for b in fixed] + list(zip(sampled, reversed(sampled)))
+        for name, text in texts.items():
+            (tmp_path / f"{name}.sg").write_text(text)
+
+        runs = [["spectrum", "c4m", "k2", "c4m"], ["spectrum", "c4m", "--closed-form"]]
+        for kind in ("adj", "lap", "netlap"):
+            for fmt in ([], ["--json"]):
+                runs += [[cmd, name, "--kind", kind, *fmt] for name in texts for cmd in ("spectrum", "charpoly")]
+                for a, b in pairs:
+                    runs += [["spectrum", a, b, "--kind", kind, *fmt, *cf] for cf in ([], ["--closed-form"])]
+        digest = hashlib.sha256()
+        for argv in runs:
+            code, out, err = run(capsys, *(str(tmp_path / f"{a}.sg") if a in texts else a for a in argv))
+            if "--json" in argv and code != 2:
+                # a float's last bits differ between Python versions (3.12 sums
+                # floats with compensation), so JSON floats count to 9 decimals
+                doc = json.loads(out, parse_float=lambda text: round(float(text), 9) + 0.0)
+                out = json.dumps(doc, indent=2) + "\n"
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
+        assert digest.hexdigest() == "4e4f0fe58e5d87bf02346e9a4e7b89a3e45a9389c429b5f65c42c6002adf7cd0"
 
     def test_three_graphs_refused(self, capsys, c4m_file, k2_file):
         code, out, err = run(capsys, "spectrum", c4m_file, k2_file, c4m_file)
