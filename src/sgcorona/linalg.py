@@ -1,18 +1,17 @@
-"""Exact dense linear algebra over the rationals plus the numeric kernels:
-characteristic polynomials, determinant point evaluation, a symmetric
-eigensolver (Householder tridiagonalisation plus implicit-shift QL),
-Kronecker algebra, and real root extraction for monic quadratics and
+"""Exact dense linear algebra on integer matrices plus the numeric kernels:
+characteristic polynomials, determinant evaluation at rational points, a
+symmetric eigensolver (Householder tridiagonalisation plus implicit-shift
+QL), Kronecker algebra, and real root extraction for monic quadratics and
 cubics."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 Scalar = int | Fraction
 
@@ -22,7 +21,8 @@ class ComplexRootsError(ArithmeticError):
 
 
 class Matrix:
-    """Immutable dense matrix with exact integer or rational entries."""
+    """Immutable dense matrix with exact integer or rational entries; the
+    exact kernels, char_poly_exact and det_exact_at, take int entries only."""
 
     __slots__ = ("_rows",)
 
@@ -137,7 +137,8 @@ def format_poly(coeffs: Iterable, fmt: Callable[[object], str]) -> str:
 
 # Proven primes (Mersenne 2^61-1, 2^127-1, 2^521-1, 2^607-1; the Poly1305
 # prime 2^130-5; the NIST P-192 and P-224 primes; 2^255-19), ascending: the
-# moduli of char_poly_exact.  Past their product, _word_primes.
+# moduli of char_poly_exact.  Their product, of 2117 bits, covers the bound
+# of _char_poly_int up to the Laplacian of K_263.
 _PRIME_LADDER = (
     2**61 - 1,
     2**127 - 1,
@@ -148,34 +149,12 @@ _PRIME_LADDER = (
     2**521 - 1,
     2**607 - 1,
 )
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _word_primes() -> Iterator[int]:
-    """The primes below 2^64, descending.  Miller-Rabin to the first twelve
-    prime bases proves primality below 3.18e23 (Sorenson & Webster, Math.
-    Comp. 86, 2017), so each one is proven, not probable."""
-    for n in itertools.count(2**64 - 1, -2):
-        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
-        d = (n - 1) >> s
-        for a in _MR_BASES:
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                break  # a witnesses that n is composite
-        else:
-            yield n
 
 
 def _moduli(bound: int) -> list[int]:
     """Primes whose product exceeds 2*bound: the smallest single ladder prime
-    that does, or else the ladder from the largest down, then as many of
-    _word_primes as it takes.
+    that does, or else the ladder from the largest down, as many as it
+    takes.  A bound past the whole ladder raises ValueError.
 
     A pass of _char_poly_mod costs more the larger its prime (about 10, 20
     and 45 ms at 61, 255 and 521 bits on an order-48 Laplacian), and a pass
@@ -186,11 +165,14 @@ def _moduli(bound: int) -> list[int]:
         if p > 2 * bound:
             return [p]
     out, prod = [], 1
-    for p in itertools.chain(reversed(_PRIME_LADDER), _word_primes()):
+    for p in reversed(_PRIME_LADDER):
         out.append(p)
         prod *= p
         if prod > 2 * bound:
             return out
+    raise ValueError(
+        f"a coefficient bound of {bound.bit_length()} bits is past the prime ladder's {prod.bit_length()}"
+    )
 
 
 def _char_poly_mod(a, p: int) -> list[int]:
@@ -279,31 +261,19 @@ def _char_poly_int(a) -> list[int]:
     return [c - big if c > half else c for c in (c % big for c in coeffs)]
 
 
-def _denominator(x) -> int:
-    if type(x) is not Fraction:
-        raise ValueError(f"exact kernels take int or Fraction entries, got {x!r}")
-    return x.denominator
-
-
-def _integer_rows(m: Matrix, *extra: int) -> tuple[int, list[list[int]]]:
-    """(D, the rows of D*M), D the least common multiple of extra and of the
-    denominators of M's entries.  Only the entries that are not ints
-    contribute a denominator, so an integer matrix touches no Fraction."""
-    dens = {_denominator(x) for row in m._rows for x in row if type(x) is not int}
-    d = math.lcm(*extra, *dens)
-    if dens:
-        return d, [[x.numerator * (d // x.denominator) for x in row] for row in m._rows]
-    return d, [[d * x for x in row] for row in m._rows]
+def _int_rows(m: Matrix) -> tuple[tuple[int, ...], ...]:
+    """M's rows, once every entry is checked to be an int."""
+    bad = [x for row in m._rows for x in row if type(x) is not int]
+    if bad:
+        raise ValueError(f"exact kernels take int entries, got {bad[0]!r}")
+    return m._rows
 
 
 def char_poly_exact(m: Matrix) -> Polynomial:
-    """det(tI - M) with exact coefficients, by _char_poly_int on D*M, D the
-    common denominator of M's entries: det(tI - D*M) has the coefficients
-    D^(n-k) * c_k, where c_k are those of det(tI - M)."""
+    """det(tI - M) with exact coefficients for a square integer matrix M, by
+    _char_poly_int."""
     m.require_square("char_poly_exact")
-    d, rows = _integer_rows(m)
-    n = m.rows
-    return Polynomial(Fraction(c, d ** (n - k)) for k, c in enumerate(_char_poly_int(rows)))
+    return Polynomial(_char_poly_int(_int_rows(m)))
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -365,21 +335,20 @@ def _bareiss_det(a: list[list[int]]) -> int:
 
 
 def det_exact_at(m: Matrix, t0) -> Fraction:
-    """Exact evaluation of det(t0*I - M) by fraction-free elimination.
-
-    With D the common denominator of t0 and every entry, D*(M - t0*I) is an
-    integer matrix, so det(t0*I - M) = (-1)^n det(D*(M - t0*I)) / D^n.  The
-    determinant of the integer matrix is _bareiss_det's, which skips the
-    zeros of a sparse matrix such as a corona's.
+    """Exact evaluation of det(t0*I - M), for a square integer matrix M and a
+    rational t0 = a/b, by fraction-free elimination:
+    det(t0*I - M) = (-1)^n det(b*M - a*I) / b^n.  The determinant of the
+    integer matrix is _bareiss_det's, which skips the zeros of a sparse
+    matrix such as a corona's.
     """
     m.require_square("det_exact_at")
     t0 = Fraction(t0)
-    d, rows = _integer_rows(m, t0.denominator)
-    p = t0.numerator * (d // t0.denominator)
+    a, b = t0.numerator, t0.denominator
+    rows = [[b * x for x in row] for row in _int_rows(m)]
     for i, row in enumerate(rows):
-        row[i] -= p
+        row[i] -= a
     n = m.rows
-    return Fraction((-1) ** n * _bareiss_det(rows), d**n)
+    return Fraction((-1) ** n * _bareiss_det(rows), b**n)
 
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:
@@ -424,7 +393,7 @@ class SpectrumMultiset:
                 clusters[-1].append(v)
             else:
                 clusters.append([v])
-        return cls(tuple((sum(c) / len(c), len(c)) for c in clusters))
+        return cls(tuple((math.fsum(c) / len(c), len(c)) for c in clusters))
 
     @property
     def total(self) -> int:
@@ -507,8 +476,8 @@ def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
         x[0] -= alpha  # x - alpha e_1, with no cancellation
         length = math.hypot(*x)
         v = [xi / length for xi in x]
-        p = [2.0 * sum(map(operator.mul, row, v)) for row in rest]
-        vtp = sum(map(operator.mul, v, p))
+        p = [2.0 * math.fsum(map(operator.mul, row, v)) for row in rest]
+        vtp = math.fsum(map(operator.mul, v, p))
         w = [pi - vtp * vi for pi, vi in zip(p, v)]
         e.append(alpha)
         b = [

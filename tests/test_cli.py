@@ -221,6 +221,28 @@ class TestSpectrum:
             digest.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
         assert digest.hexdigest() == "4e4f0fe58e5d87bf02346e9a4e7b89a3e45a9389c429b5f65c42c6002adf7cd0"
 
+    def test_raw_json_floats_are_pinned(self, capsys, tmp_path):
+        # the --json of spectrum --closed-form, distinct and paper-example as
+        # printed, every float to its last bit: linalg sums its Householder
+        # products and cluster means with math.fsum, which rounds the same on
+        # every Python version, so this digest holds on 3.10 to 3.13
+        texts = {"k2": K2_TEXT, "c4m": C4M_TEXT, "k23m": format_graph(graphs.complete_bipartite(2, 3, -1))}
+        rng = random.Random(2025)
+        for i in range(2):
+            texts[f"signed{i}"] = format_graph(experiments.random_signed_graph(rng, 7))
+            texts[f"netreg{i}"] = format_graph(experiments.random_net_regular(rng, 6))
+        for name, text in texts.items():
+            (tmp_path / f"{name}.sg").write_text(text)
+        runs = [["paper-example", "--json"]]
+        for kind in ("adj", "lap", "netlap"):
+            runs += [["distinct", name, "--kind", kind, "--json"] for name in texts]
+            runs += [["spectrum", a, b, "--kind", kind, "--closed-form", "--json"] for a in texts for b in texts]
+        digest = hashlib.sha256()
+        for argv in runs:
+            code, out, _ = run(capsys, *(str(tmp_path / f"{a}.sg") if a in texts else a for a in argv))
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
+        assert digest.hexdigest() == "be7b3cd3e557c77e394cec95236548dfe18176117d403d43aa4d0357aaeb1d8f"
+
     def test_three_graphs_refused(self, capsys, c4m_file, k2_file):
         code, out, err = run(capsys, "spectrum", c4m_file, k2_file, c4m_file)
         assert code == 2
