@@ -3,7 +3,6 @@ cospectral corona certificates, and the published 12-vertex worked example."""
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -423,12 +422,11 @@ def published_example_values() -> tuple[tuple[float, int, tuple[int, ...]], ...]
 
 def _factor_multiplicity(poly: Polynomial, factor: tuple[int, ...]) -> int:
     """How many times the monic factor (ascending integer coefficients, degree
-    at least 1) divides poly: long division in integers, poly scaled to
-    integer coefficients first, until a remainder is nonzero."""
+    at least 1) divides poly: long division on its exact coefficients, until
+    a remainder is nonzero."""
     f = factor[::-1]  # descending, f[0] == 1
     d = len(f) - 1
-    scale = math.lcm(*(c.denominator for c in poly.coeffs))
-    coeffs = [int(c * scale) for c in reversed(poly.coeffs)]  # descending
+    coeffs = list(reversed(poly.coeffs))  # descending
     count = 0
     while len(coeffs) > d:
         for i in range(len(coeffs) - d):

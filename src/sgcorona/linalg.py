@@ -83,12 +83,8 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = other.cols
-        bt = list(zip(*other._rows)) if other._rows else [()] * cols
-        return Matrix(
-            [sum(a * b for a, b in zip(row, bt[j])) for j in range(cols)]
-            for row in self._rows
-        )
+        cols = list(zip(*other._rows))
+        return Matrix([sum(map(operator.mul, row, col)) for col in cols] for row in self._rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matrix) and self._rows == other._rows
@@ -98,19 +94,19 @@ class Matrix:
 
 
 class Polynomial:
-    """Univariate polynomial with exact rational coefficients, stored in
-    ascending order with no trailing zeros."""
+    """Univariate polynomial, its coefficients stored as given (the ints of
+    char_poly_exact) in ascending order with no trailing zeros."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Scalar, ...]:
         return self._coeffs
 
     @property
@@ -334,6 +330,14 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] * prev // stamp[n - 1]
 
 
+def _point(t0) -> Fraction:
+    """t0 as a Fraction; NaN, an infinity or a non-rational string raises ValueError."""
+    try:
+        return Fraction(t0)
+    except (OverflowError, ValueError):
+        raise ValueError(f"evaluation point must be a finite rational, got {t0!r}") from None
+
+
 def det_exact_at(m: Matrix, t0) -> Fraction:
     """Exact evaluation of det(t0*I - M), for a square integer matrix M and a
     rational t0 = a/b, by fraction-free elimination:
@@ -342,7 +346,7 @@ def det_exact_at(m: Matrix, t0) -> Fraction:
     matrix such as a corona's.
     """
     m.require_square("det_exact_at")
-    t0 = Fraction(t0)
+    t0 = _point(t0)
     a, b = t0.numerator, t0.denominator
     rows = [[b * x for x in row] for row in _int_rows(m)]
     for i, row in enumerate(rows):
@@ -384,12 +388,10 @@ class SpectrumMultiset:
         if not 0 <= tol < math.inf:
             raise ValueError(f"clustering tolerance must be finite and non-negative, got {tol!r}")
         vals = sorted(float(v) for v in values)
-        if not vals:
-            return cls(())
-        gap = _closeness_bound(tol, (vals[0], vals[-1]))
-        clusters: list[list[float]] = [[vals[0]]]
-        for v in vals[1:]:
-            if v - clusters[-1][-1] <= gap:
+        gap = _closeness_bound(tol, vals)
+        clusters: list[list[float]] = []
+        for v in vals:
+            if clusters and v - clusters[-1][-1] <= gap:
                 clusters[-1].append(v)
             else:
                 clusters.append([v])
@@ -621,13 +623,11 @@ def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
 
     The sorted eigenvalues are checked against the trace and then clustered
     into multiplicities with an absolute tolerance scaled by the spectral
-    radius.
+    radius.  Order 0 has no classes and no blocks: the empty multiset.
     """
     m.require_square("sym_eigenvalues")
     rows = m._rows
     n = len(rows)
-    if n == 0:
-        raise ValueError("sym_eigenvalues needs order >= 1")
     if rows != tuple(zip(*rows)):
         i, j = next(
             (i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i]

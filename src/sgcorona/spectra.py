@@ -16,6 +16,7 @@ from .linalg import (
     SpectrumMultiset,
     _bareiss_det,
     _char_poly_int,
+    _point,
     format_poly,
     real_roots_cubic,
     real_roots_quadratic,
@@ -59,9 +60,7 @@ def matrix_of(s: SignedGraph, kind: MatrixKind) -> Matrix:
 
 
 def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> SpectrumMultiset:
-    """Numeric eigenvalue multiset of the chosen matrix."""
-    if s.n == 0:
-        return SpectrumMultiset.from_values((), tol)
+    """Numeric eigenvalue multiset of the chosen matrix; empty for order 0."""
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
@@ -109,7 +108,7 @@ def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Frac
     t0 must avoid the eigenvalues of s2's adjacency matrix, where the coronal
     has its poles.
     """
-    t0 = Fraction(t0)
+    t0 = _point(t0)
     n1, n2 = s1.n, s2.n
     if n1 < 1:
         raise GraphError("corona needs a non-empty first factor")

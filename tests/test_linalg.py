@@ -30,6 +30,7 @@ from sgcorona import (
     kronecker_sum,
     matrix_of,
     neighbourhood_corona,
+    numeric_spectrum,
     real_roots_cubic,
     real_roots_quadratic,
     spectra_equal,
@@ -173,6 +174,12 @@ class TestCharPoly:
         for _ in range(25):
             m = random_int_matrix(rng, rng.randint(1, 5))
             assert char_poly_exact(m) == charpoly_cofactor(m)
+
+    def test_coefficients_are_ints(self):
+        # Polynomial keeps the kernel's ints as they are
+        coeffs = char_poly_exact(A_C4M).coeffs
+        assert coeffs == (4, 0, -4, 0, 1)
+        assert all(type(c) is int for c in coeffs)
 
     def test_order_zero_and_one(self):
         assert char_poly_exact(Matrix([])) == Polynomial([1])
@@ -491,6 +498,11 @@ class TestSymEigenvalues:
         assert abs(spec.pairs[0][0] + math.sqrt(2)) < 1e-9
         assert abs(spec.pairs[1][0] - math.sqrt(2)) < 1e-9
 
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    def test_order_zero_is_the_empty_multiset(self, kind):
+        # no twin classes, no blocks and trace 0
+        assert numeric_spectrum(edgeless(0), kind) == sym_eigenvalues(Matrix([])) == SpectrumMultiset(())
+
     def test_not_symmetric(self):
         with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
             sym_eigenvalues(Matrix([[0, 1], [0, 0]]))
@@ -667,6 +679,12 @@ class TestDeflation:
         assert sum(sum(len(members) for members, _ in b) for b in blocks) == m.rows
         assert len(blocks) >= 2  # not one per part: isolated vertices with equal diagonals in two parts are twins
         self.check(m)
+
+    def test_isolated_vertex_keeps_its_exact_zero(self):
+        # vertex 1 is a block of its own, solved exactly; solved together with
+        # the path 0-2-3 its eigenvalue came out as rounding noise near 0
+        s = SignedGraph(4, ((0, 2, 1), (2, 3, -1)))
+        assert 0.0 in numeric_spectrum(s, MatrixKind.ADJACENCY, 0.0).values()
 
     def test_no_twins_one_block_is_solved_as_it_stands(self):
         rng = random.Random(401)

@@ -196,6 +196,19 @@ class TestCharpolyFactorisation:
         psi2 = det_exact_at(matrix_of(s2, ADJ), t0)
         assert corona_adjacency_charpoly_eval(s1, s2, t0) == psi2**3 * t0**3
 
+    @pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan, "abc"])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda t0: det_exact_at(Matrix([[1]]), t0),
+            lambda t0: corona_adjacency_charpoly_eval(complete_graph(2), complete_graph(2), t0),
+        ],
+        ids=["det_exact_at", "corona_adjacency_charpoly_eval"],
+    )
+    def test_point_that_is_no_finite_rational(self, evaluate, t0):
+        with pytest.raises(ValueError, match="evaluation point must be a finite rational"):
+            evaluate(t0)
+
     def test_pole_detected(self):
         with pytest.raises(PoleError):
             corona_adjacency_charpoly_eval(complete_graph(2), complete_graph(2), 1)
@@ -647,8 +660,9 @@ class TestClusteringTolerance:
         lambda tol: numeric_spectrum(edgeless(0), ADJ, tol),
         lambda tol: sym_eigenvalues(matrix_of(complete_graph(3), ADJ), tol),
         lambda tol: realize(closed_form_adjacency(complete_graph(2), complete_graph(2)), tol),
+        lambda tol: SpectrumMultiset.from_values([], tol),
     ]
-    IDS = ["numeric_spectrum", "numeric_spectrum_empty", "sym_eigenvalues", "realize"]
+    IDS = ["numeric_spectrum", "numeric_spectrum_empty", "sym_eigenvalues", "realize", "from_values_empty"]
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6])
     @pytest.mark.parametrize("call", CALLS, ids=IDS)
