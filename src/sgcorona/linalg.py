@@ -22,9 +22,11 @@ class ComplexRootsError(ArithmeticError):
 
 class Matrix:
     """Immutable dense matrix with exact integer or rational entries; the
-    exact kernels, char_poly_exact and det_exact_at, take int entries only."""
+    exact kernels, char_poly_exact and det_exact_at, take int entries only.
+    _det_rows holds the rows det_exact_at has checked and ordered, once it
+    has been called on the matrix."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_det_rows")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         data = tuple(tuple(row) for row in rows)
@@ -33,6 +35,7 @@ class Matrix:
             if any(len(row) != width for row in data):
                 raise ValueError("all rows must have the same length")
         self._rows = data
+        self._det_rows = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -272,13 +275,24 @@ def char_poly_exact(m: Matrix) -> Polynomial:
     return Polynomial(_char_poly_int(_int_rows(m)))
 
 
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss, Math. Comp.
-    22, 1968), ordered and scaled to skip zeros.
+def _sparse_first(a) -> list[list[int]]:
+    """A's rows and columns permuted symmetrically by ascending nonzero
+    count, as fresh lists.  A symmetric permutation keeps the diagonal on
+    the diagonal and leaves the determinant unchanged, and it puts sparse
+    rows first, so they are eliminated before they fill in (Markowitz,
+    Management Science 3, 1957)."""
+    n = len(a)
+    order = sorted(range(n), key=[n - row.count(0) for row in a].__getitem__)
+    if n < 2:  # itemgetter of a single index returns the entry, not a tuple
+        return [list(row) for row in a]
+    take = operator.itemgetter(*order)
+    return [list(take(a[i])) for i in order]
 
-    Rows and columns are first permuted symmetrically by ascending nonzero
-    count, which leaves the determinant unchanged: sparse rows are
-    eliminated before they fill in (Markowitz, Management Science 3, 1957).
+
+def _eliminate(a: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix, given as rows it may
+    overwrite (Bareiss, Math. Comp. 22, 1968), scaled to skip zeros.
+
     Step k of Bareiss multiplies a row whose entry in column k is 0 by
     pivot_k / prev_k and changes nothing else; since prev_(k+1) = pivot_k
     those factors telescope, so such a row is skipped and stamp[i] keeps
@@ -298,10 +312,6 @@ def _bareiss_det(a: list[list[int]]) -> int:
     n = len(a)
     if n == 0:
         return 1
-    order = sorted(range(n), key=[n - row.count(0) for row in a].__getitem__)
-    if n > 1:  # itemgetter of a single index returns the entry, not a tuple
-        take = operator.itemgetter(*order)
-        a = [list(take(a[i])) for i in order]
     stamp = [1] * n
     sign = 1
     prev = 1
@@ -330,29 +340,45 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] * prev // stamp[n - 1]
 
 
+def _bareiss_det(a) -> int:
+    """Determinant of an integer matrix: _eliminate on _sparse_first's
+    ordering of its rows."""
+    return _eliminate(_sparse_first(a))
+
+
 def _point(t0) -> Fraction:
-    """t0 as a Fraction; NaN, an infinity or a non-rational string raises ValueError."""
+    """t0 as a Fraction; anything that is no finite rational (NaN, an
+    infinity, "1/0", a non-rational string, None, a complex, a list) raises
+    ValueError."""
     try:
         return Fraction(t0)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"evaluation point must be a finite rational, got {t0!r}") from None
 
 
 def det_exact_at(m: Matrix, t0) -> Fraction:
     """Exact evaluation of det(t0*I - M), for a square integer matrix M and a
     rational t0 = a/b, by fraction-free elimination:
-    det(t0*I - M) = (-1)^n det(b*M - a*I) / b^n.  The determinant of the
-    integer matrix is _bareiss_det's, which skips the zeros of a sparse
-    matrix such as a corona's.
+    det(t0*I - M) = (-1)^n det(b*M - a*I) / b^n, by _eliminate, which skips
+    the zeros of a sparse matrix such as a corona's.
+
+    The first call on a matrix checks its entries and orders its rows and
+    columns sparse first (_int_rows, _sparse_first); the matrix keeps those
+    rows, so each later point only scales them by b and subtracts a on the
+    diagonal, which the symmetric permutation left in place.  A matrix
+    whose check fails keeps nothing and fails again at the next call.
     """
     m.require_square("det_exact_at")
     t0 = _point(t0)
     a, b = t0.numerator, t0.denominator
-    rows = [[b * x for x in row] for row in _int_rows(m)]
+    base = m._det_rows
+    if base is None:
+        base = m._det_rows = _sparse_first(_int_rows(m))
+    rows = [row[:] for row in base] if b == 1 else [[b * x for x in row] for row in base]
     for i, row in enumerate(rows):
         row[i] -= a
     n = m.rows
-    return Fraction((-1) ** n * _bareiss_det(rows), b**n)
+    return Fraction((-1) ** n * _eliminate(rows), b**n)
 
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:

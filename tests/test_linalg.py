@@ -362,6 +362,37 @@ class TestDetExactAt:
             for t in range(-3, 4):
                 assert det_exact_at(m, t) == poly_at(p, t)
 
+    # t0 = a/b with b = 1, 2 and 3 and with a = 0; integer points that equal
+    # a (net) Laplacian diagonal entry make b*M - a*I sparser than M
+    MANY_POINTS = [
+        0, 1, -2, 3, 4, 5, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(9, 2), Fraction(7, 3), Fraction(-1, 3)
+    ]
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    def test_one_matrix_at_many_points(self, kind):
+        # the checked, sparse-first rows kept after the first point serve
+        # every later one; a fresh matrix per point recomputes them
+        rng = random.Random(59)
+        for n1, n2 in ((4, 3), (1, 5), (5, 2)):
+            corona = neighbourhood_corona(random_signed_graph(rng, n1), random_signed_graph(rng, n2))
+            m = matrix_of(corona, kind)
+            for t0 in self.MANY_POINTS:
+                expected = det_at_oracle(m, t0)
+                assert det_exact_at(m, t0) == expected
+                assert det_exact_at(Matrix(m._rows), t0) == expected
+
+    @pytest.mark.parametrize("entry", [True, 1.0, Fraction(1)], ids=["bool", "float", "Fraction"])
+    def test_entry_equal_to_an_int_still_refused(self, entry):
+        # Matrix([[entry]]) equals and hashes like Matrix([[1]]), which has
+        # already been evaluated; a failed check keeps nothing, so it fails
+        # again
+        assert det_exact_at(Matrix([[1]]), 2) == 1
+        m = Matrix([[entry]])
+        assert m == Matrix([[1]]) and hash(m) == hash(Matrix([[1]]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(f"exact kernels take int entries, got {entry!r}")):
+                det_exact_at(m, 2)
+
 
 @st.composite
 def int_matrices(draw):

@@ -196,7 +196,7 @@ class TestCharpolyFactorisation:
         psi2 = det_exact_at(matrix_of(s2, ADJ), t0)
         assert corona_adjacency_charpoly_eval(s1, s2, t0) == psi2**3 * t0**3
 
-    @pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan, "abc"])
+    @pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan, "abc", "1/0", None, 1j, [1]])
     @pytest.mark.parametrize(
         "evaluate",
         [
