@@ -26,16 +26,16 @@ from .graphs import (
     star_graph,
     unbalanced_c4,
 )
-from .linalg import Polynomial, SpectrumMultiset, _check_tol, _fmt, char_poly_exact, det_exact_at, spectra_equal
+from .linalg import Polynomial, SpectrumMultiset, _check_tol, _det_points, _fmt, char_poly_exact, spectra_equal
 from .spectra import (
     CLOSED_FORMS,
     ClosedFormError,
     ClosedFormSpectrum,
     MatrixKind,
     PoleError,
+    _factored_points,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
-    corona_adjacency_charpoly_eval,
     matrix_of,
     numeric_spectrum,
     realize,
@@ -264,9 +264,9 @@ def few_distinct_construct(
     """Corona of a 2-distinct-adjacency-eigenvalue graph with a one- or
     two-vertex companion; the result should show exactly 4 (K1) or 5 (K2)
     distinct adjacency eigenvalues, and the report records whether it does."""
+    if not isinstance(companion, str) or companion.upper() not in ("K1", "K2"):
+        raise ValueError(f"companion must be K1 or K2, got {companion!r}")
     companion = companion.upper()
-    if companion not in ("K1", "K2"):
-        raise ValueError("companion must be K1 or K2")
     seed_distinct = numeric_spectrum(s, MatrixKind.ADJACENCY, tol).distinct_count
     if seed_distinct != 2:
         raise ValueError(
@@ -617,18 +617,19 @@ def _any_signed(rng: random.Random, max_n: int) -> SignedGraph:
 
 def _check_factorisation(case, rng, tol):
     s1, s2 = case
-    corona_matrix = matrix_of(neighbourhood_corona(s1, s2), MatrixKind.ADJACENCY)
+    factored = _factored_points(s1, s2)
+    det_at = _det_points(matrix_of(neighbourhood_corona(s1, s2), MatrixKind.ADJACENCY))
     points = 0
     guard = 0
     while points < 5 and guard < 200:
         guard += 1
         t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         try:
-            lhs = corona_adjacency_charpoly_eval(s1, s2, t0)
+            lhs = factored(t0)
         except PoleError:
             continue
         points += 1
-        rhs = det_exact_at(corona_matrix, t0)
+        rhs = det_at(t0)
         if lhs != rhs:
             return f"factored value {lhs} != determinant {rhs} at t0={t0}", {"s1": s1, "s2": s2}
     if points < 5:
@@ -760,10 +761,9 @@ def verify_theorem(
     """Run the randomised property suite for one catalogued identity."""
     if label not in THEOREMS:
         raise ValueError(f"unknown theorem {label!r}; choose from {', '.join(THEOREM_LABELS)}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if max_n < 1:
-        raise ValueError("max-n must be positive")
+    for name, value in (("trials", trials), ("max-n", max_n)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be a positive int, got {value!r}")
     _check_tol(tol)
     theorem = THEOREMS[label]
     rng = random.Random(seed)

@@ -22,11 +22,9 @@ class ComplexRootsError(ArithmeticError):
 
 class Matrix:
     """Immutable dense matrix with exact integer or rational entries; the
-    exact kernels, char_poly_exact and det_exact_at, take int entries only.
-    _det_rows holds the rows det_exact_at has checked and ordered, once it
-    has been called on the matrix."""
+    exact kernels, char_poly_exact and det_exact_at, take int entries only."""
 
-    __slots__ = ("_rows", "_det_rows")
+    __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         data = tuple(tuple(row) for row in rows)
@@ -35,7 +33,6 @@ class Matrix:
             if any(len(row) != width for row in data):
                 raise ValueError("all rows must have the same length")
         self._rows = data
-        self._det_rows = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -340,12 +337,6 @@ def _eliminate(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] * prev // stamp[n - 1]
 
 
-def _bareiss_det(a) -> int:
-    """Determinant of an integer matrix: _eliminate on _sparse_first's
-    ordering of its rows."""
-    return _eliminate(_sparse_first(a))
-
-
 def _point(t0) -> Fraction:
     """t0 as a Fraction; anything that is no finite rational (NaN, an
     infinity, "1/0", a non-rational string, None, a complex, a list) raises
@@ -356,29 +347,33 @@ def _point(t0) -> Fraction:
         raise ValueError(f"evaluation point must be a finite rational, got {t0!r}") from None
 
 
-def det_exact_at(m: Matrix, t0) -> Fraction:
-    """Exact evaluation of det(t0*I - M), for a square integer matrix M and a
-    rational t0 = a/b, by fraction-free elimination:
-    det(t0*I - M) = (-1)^n det(b*M - a*I) / b^n, by _eliminate, which skips
-    the zeros of a sparse matrix such as a corona's.
+def _det_points(m: Matrix) -> Callable[[Fraction], Fraction]:
+    """t0 -> det(t0*I - M) for a square integer matrix M and a Fraction t0 =
+    a/b: (-1)^n det(b*M - a*I) / b^n by _eliminate, which skips the zeros of
+    a sparse matrix such as a corona's.  M's entries are checked and its rows
+    and columns ordered sparse first (_int_rows, _sparse_first) here, once;
+    each point only scales them by b and subtracts a on the diagonal, which
+    the symmetric permutation left in place."""
+    m.require_square("det_exact_at")
+    base = _sparse_first(_int_rows(m))
+    n = len(base)
 
-    The first call on a matrix checks its entries and orders its rows and
-    columns sparse first (_int_rows, _sparse_first); the matrix keeps those
-    rows, so each later point only scales them by b and subtracts a on the
-    diagonal, which the symmetric permutation left in place.  A matrix
-    whose check fails keeps nothing and fails again at the next call.
-    """
+    def at(t0: Fraction) -> Fraction:
+        a, b = t0.numerator, t0.denominator
+        rows = [row[:] for row in base] if b == 1 else [[b * x for x in row] for row in base]
+        for i, row in enumerate(rows):
+            row[i] -= a
+        return Fraction((-1) ** n * _eliminate(rows), b**n)
+
+    return at
+
+
+def det_exact_at(m: Matrix, t0) -> Fraction:
+    """det(t0*I - M) exactly, for a square integer matrix M and a rational t0:
+    _det_points at one point, with M's shape checked before the point."""
     m.require_square("det_exact_at")
     t0 = _point(t0)
-    a, b = t0.numerator, t0.denominator
-    base = m._det_rows
-    if base is None:
-        base = m._det_rows = _sparse_first(_int_rows(m))
-    rows = [row[:] for row in base] if b == 1 else [[b * x for x in row] for row in base]
-    for i, row in enumerate(rows):
-        row[i] -= a
-    n = m.rows
-    return Fraction((-1) ** n * _eliminate(rows), b**n)
+    return _det_points(m)(t0)
 
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:

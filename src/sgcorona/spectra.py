@@ -6,17 +6,18 @@ K_{p,p}, and a cubic for 2.4/2.5 on K_{p,q} with p != q."""
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .graphs import GraphError, SignedGraph, complete_bipartite
 from .linalg import (
     Matrix,
     SpectrumMultiset,
-    _bareiss_det,
     _char_poly_int,
+    _eliminate,
     _point,
+    _sparse_first,
     format_poly,
     real_roots_cubic,
     real_roots_quadratic,
@@ -42,6 +43,8 @@ class PoleError(ValueError):
 
 def matrix_of(s: SignedGraph, kind: MatrixKind) -> Matrix:
     """The adjacency, Laplacian, or net-Laplacian matrix, with exact entries."""
+    if not isinstance(kind, MatrixKind):
+        raise ValueError(f"matrix kind must be a MatrixKind, got {kind!r}")
     n = s.n
     adj = [[0] * n for _ in range(n)]
     for u, v, sg in s.edges:
@@ -64,24 +67,7 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
-@functools.lru_cache(maxsize=1)
-def _factor_pair(s1: SignedGraph, s2: SignedGraph):
-    """What the factored 2.2 side needs of a pair, independent of the point:
-    the rows of A1 and A1^2, and the ascending integer coefficients of
-    psi2(t) = det(tI - A2) and of det(tI - A2 + J), J the all-ones matrix,
-    straight from the integer char poly routine.  A trial evaluates one pair
-    at several points, so the last pair is kept."""
-    a1 = matrix_of(s1, MatrixKind.ADJACENCY)
-    a2 = matrix_of(s2, MatrixKind.ADJACENCY)
-    return (
-        a1._rows,
-        (a1 @ a1)._rows,
-        tuple(_char_poly_int(a2._rows)),
-        tuple(_char_poly_int((a2 - Matrix.ones(s2.n, s2.n))._rows)),
-    )
-
-
-def _homogeneous_at(coeffs: tuple[int, ...], a: int, b: int) -> int:
+def _homogeneous_at(coeffs: list[int], a: int, b: int) -> int:
     """b^d * p(a/b) for p of degree d with ascending coefficients, by Horner
     in integers."""
     acc = coeffs[-1]
@@ -92,36 +78,50 @@ def _homogeneous_at(coeffs: tuple[int, ...], a: int, b: int) -> int:
     return acc
 
 
-def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Fraction:
-    """Exact evaluation at t0 of the factored corona adjacency characteristic
-    polynomial: psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2), with kappa the
-    coronal of s2's adjacency matrix.
+def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[[Fraction], Fraction]:
+    """t0 -> psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2) for a Fraction t0,
+    with kappa the coronal of s2's adjacency matrix: the factored corona
+    adjacency characteristic polynomial.
 
-    psi2 and det(tI - A2 + J), J the all-ones matrix, are exact integer char
-    polys taken once per pair; each point t0 = a/b is then integer work.
-    Homogeneous Horner gives hp = b^n2 * psi2(t0) and hs = b^n2 *
-    det(t0*I - A2 + J), and the rank-one identity gives hp*kappa = hs - hp =
-    hk.  Taking psi2(t0) = hp / b^n2 inside the n1 x n1 determinant leaves
+    The pair's part is done here, once: the rows of A1 and A1^2, and psi2
+    and det(tI - A2 + J), J the all-ones matrix, as exact integer char
+    polys.  Each point t0 = a/b is then integer work.  Homogeneous Horner
+    gives hp = b^n2 * psi2(t0) and hs = b^n2 * det(t0*I - A2 + J), and the
+    rank-one identity gives hp*kappa = hs - hp = hk.  Taking psi2(t0) =
+    hp / b^n2 inside the n1 x n1 determinant leaves
     det(a*hp*I - b*(hp*A1 + hk*A1^2)) / b^(n1*(n2+1)), an integer matrix's
-    determinant over a power of b.
-
-    t0 must avoid the eigenvalues of s2's adjacency matrix, where the coronal
-    has its poles.
+    determinant over a power of b.  A point where hp = 0, an eigenvalue of
+    s2's adjacency matrix and a pole of the coronal, raises PoleError.
     """
-    t0 = _point(t0)
     n1, n2 = s1.n, s2.n
     if n1 < 1:
         raise GraphError("corona needs a non-empty first factor")
-    a1, a1_sq, psi2, shifted = _factor_pair(s1, s2)
-    a, b = t0.numerator, t0.denominator
-    hp = _homogeneous_at(psi2, a, b)
-    if hp == 0:
-        raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
-    hk = _homogeneous_at(shifted, a, b) - hp
-    inner = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in zip(a1, a1_sq)]
-    for i, row in enumerate(inner):
-        row[i] += a * hp
-    return Fraction(_bareiss_det(inner), b ** (n1 * (n2 + 1)))
+    a1 = matrix_of(s1, MatrixKind.ADJACENCY)
+    a2 = matrix_of(s2, MatrixKind.ADJACENCY)
+    row_pairs = tuple(zip(a1._rows, (a1 @ a1)._rows))
+    psi2 = _char_poly_int(a2._rows)
+    shifted = _char_poly_int((a2 - Matrix.ones(n2, n2))._rows)
+
+    def at(t0: Fraction) -> Fraction:
+        a, b = t0.numerator, t0.denominator
+        hp = _homogeneous_at(psi2, a, b)
+        if hp == 0:
+            raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
+        hk = _homogeneous_at(shifted, a, b) - hp
+        inner = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in row_pairs]
+        for i, row in enumerate(inner):
+            row[i] += a * hp
+        return Fraction(_eliminate(_sparse_first(inner)), b ** (n1 * (n2 + 1)))
+
+    return at
+
+
+def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Fraction:
+    """The factored corona adjacency char poly at a rational t0: _factored_points
+    at one point, with t0 checked first.  t0 must avoid the adjacency
+    eigenvalues of s2, where the coronal has its poles."""
+    t0 = _point(t0)
+    return _factored_points(s1, s2)(t0)
 
 
 @dataclass(frozen=True)

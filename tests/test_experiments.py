@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,6 +148,28 @@ class TestFewDistinct:
             for companion, sign, expected in (("K1", 1, 4), ("K2", 1, 5), ("K2", -1, 5)):
                 _, report = few_distinct_construct(seed, companion, sign)
                 assert report.distinct_count == expected, (name, companion, sign)
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: few_distinct_construct(unbalanced_c4(), None), "companion must be K1 or K2, got None"),
+            (lambda: few_distinct_construct(unbalanced_c4(), 1), "companion must be K1 or K2, got 1"),
+            (lambda: verify_theorem("2.3", trials=2.5), "trials must be a positive int, got 2.5"),
+            (lambda: verify_theorem("2.3", trials=True), "trials must be a positive int, got True"),
+            (lambda: verify_theorem("2.3", trials=0), "trials must be a positive int, got 0"),
+            (lambda: verify_theorem("2.3", max_n=2.5), "max-n must be a positive int, got 2.5"),
+            (lambda: verify_theorem("2.3", max_n=True), "max-n must be a positive int, got True"),
+            (lambda: verify_theorem("2.3", max_n=-1), "max-n must be a positive int, got -1"),
+        ],
+        ids=["companion None", "companion 1", "trials 2.5", "trials True", "trials 0",
+             "max_n 2.5", "max_n True", "max_n -1"],
+    )
+    def test_bad_argument_is_a_value_error(self, call, message):
+        # a bool is an int to Python, but no count
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestCospectralDemo:
@@ -368,10 +391,13 @@ class TestVerify:
         assert result.ok, result.render()
 
     def test_factorisation_trial_fails_when_every_point_is_a_pole(self, monkeypatch):
-        def pole(s1, s2, t0):
-            raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
+        def poles(s1, s2):
+            def at(t0):
+                raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
 
-        monkeypatch.setattr(experiments, "corona_adjacency_charpoly_eval", pole)
+            return at
+
+        monkeypatch.setattr(experiments, "_factored_points", poles)
         result = verify_theorem("2.2", trials=3, seed=0, max_n=4)
         assert result.passed == 0
         assert [f.detail for f in result.failures] == [
@@ -379,10 +405,13 @@ class TestVerify:
         ] * 3
 
     def test_factorisation_check_lets_other_errors_through(self, monkeypatch):
-        def broken(s1, s2, t0):
-            raise ValueError("not a pole")
+        def broken(s1, s2):
+            def at(t0):
+                raise ValueError("not a pole")
 
-        monkeypatch.setattr(experiments, "corona_adjacency_charpoly_eval", broken)
+            return at
+
+        monkeypatch.setattr(experiments, "_factored_points", broken)
         with pytest.raises(ValueError, match="not a pole"):
             verify_theorem("2.2", trials=3, seed=0, max_n=4)
 

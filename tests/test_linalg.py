@@ -40,7 +40,15 @@ from sgcorona import (
 )
 from sgcorona.experiments import random_signed_graph
 from sgcorona import linalg
-from sgcorona.linalg import _bareiss_det, _blocks, _ql_implicit, _tridiagonalize, _twin_classes
+from sgcorona.linalg import (
+    _blocks,
+    _det_points,
+    _eliminate,
+    _ql_implicit,
+    _sparse_first,
+    _tridiagonalize,
+    _twin_classes,
+)
 from sgcorona.spectra import MatrixKind
 
 A_C4M = matrix_of(unbalanced_c4(), MatrixKind.ADJACENCY)
@@ -370,16 +378,17 @@ class TestDetExactAt:
 
     @pytest.mark.parametrize("kind", list(MatrixKind))
     def test_one_matrix_at_many_points(self, kind):
-        # the checked, sparse-first rows kept after the first point serve
-        # every later one; a fresh matrix per point recomputes them
+        # one _det_points evaluator, its checked, sparse-first rows set up
+        # once, serves all twelve points; det_exact_at sets up at each call
         rng = random.Random(59)
         for n1, n2 in ((4, 3), (1, 5), (5, 2)):
             corona = neighbourhood_corona(random_signed_graph(rng, n1), random_signed_graph(rng, n2))
             m = matrix_of(corona, kind)
+            at = _det_points(m)
             for t0 in self.MANY_POINTS:
                 expected = det_at_oracle(m, t0)
+                assert at(Fraction(t0)) == expected
                 assert det_exact_at(m, t0) == expected
-                assert det_exact_at(Matrix(m._rows), t0) == expected
 
     @pytest.mark.parametrize("entry", [True, 1.0, Fraction(1)], ids=["bool", "float", "Fraction"])
     def test_entry_equal_to_an_int_still_refused(self, entry):
@@ -435,7 +444,7 @@ class TestSparseBareiss:
     def test_equals_dense_oracle(self, case):
         shape, rows = case
         expected = det_bareiss_dense([row[:] for row in rows])
-        assert _bareiss_det([row[:] for row in rows]) == expected
+        assert _eliminate(_sparse_first(rows)) == expected
         if shape in ("zero row", "rank deficient") and len(rows) >= 3:
             assert expected == 0
 
@@ -455,7 +464,7 @@ class TestSparseBareiss:
     )
     def test_stale_rows(self, rows, det):
         assert det_bareiss_dense([row[:] for row in rows]) == det
-        assert _bareiss_det([row[:] for row in rows]) == det
+        assert _eliminate(_sparse_first(rows)) == det
 
     @pytest.mark.parametrize("kind", list(MatrixKind))
     def test_corona_matrices(self, kind):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from sgcorona import (
     corona_adjacency_charpoly_eval,
     cycle_graph,
     det_exact_at,
+    distinct_count,
     edgeless,
     kronecker_product,
     kronecker_sum,
@@ -38,8 +40,9 @@ from sgcorona import (
     sym_eigenvalues,
     unbalanced_c4,
 )
-from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph
-from sgcorona.linalg import _char_poly_int
+from sgcorona import experiments, linalg
+from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph, verify_theorem
+from sgcorona.linalg import _char_poly_int, _int_rows
 from sgcorona.spectra import MatrixKind, _two_root_form
 
 ADJ = MatrixKind.ADJACENCY
@@ -76,6 +79,13 @@ class TestMatrixOf:
         assert MatrixKind("netlap") is NET
         with pytest.raises(ValueError):
             MatrixKind("spectral")
+
+    @pytest.mark.parametrize("kind", ["adj", "lap", None, 0])
+    @pytest.mark.parametrize("call", [matrix_of, numeric_spectrum, distinct_count])
+    def test_kind_that_is_no_matrix_kind_refused(self, call, kind):
+        # kind names are for the command line; the library takes MatrixKind
+        with pytest.raises(ValueError, match=re.escape(f"matrix kind must be a MatrixKind, got {kind!r}")):
+            call(unbalanced_c4(), kind)
 
 
 class TestNumericSpectrum:
@@ -273,23 +283,34 @@ class TestCharpolyFactorisation:
                         assert evaluate(k, t0) == poly_at(corona, t0)
         assert poles > 0
 
-    def test_set_up_once_per_pair_value(self, monkeypatch):
-        calls = []
+    def test_set_up_once_per_trial(self, monkeypatch):
+        # verify 2.2 sets each side up once per trial, before its points: two
+        # char polys of S2 for the factored side and one int check of the
+        # corona's matrix for the determinant
+        trials = 6
+        coronas, char_polys, checked = [], [], []
 
-        def counted(rows):
-            calls.append(len(rows))
+        def corona(s1, s2):
+            coronas.append(neighbourhood_corona(s1, s2))
+            return coronas[-1]
+
+        def counted_char_poly(rows):
+            char_polys.append(len(rows))
             return _char_poly_int(rows)
 
-        def copy(pair):
-            return tuple(SignedGraph(g.n, g.edges) for g in pair)
+        def counted_int_rows(m):
+            checked.append(m)
+            return _int_rows(m)
 
-        a = (path_graph(4), cycle_graph(5, -1))
-        b = (complete_graph(3), star_graph(3))
-        corona_adjacency_charpoly_eval(*a, 2)
-        monkeypatch.setattr(spectra, "_char_poly_int", counted)
-        for pair, t0 in ((copy(a), 3), (copy(b), 3), (copy(b), 7), (copy(a), 5)):
-            corona_adjacency_charpoly_eval(*pair, t0)
-        assert calls == [4, 4, 5, 5]
+        monkeypatch.setattr(experiments, "neighbourhood_corona", corona)
+        monkeypatch.setattr(spectra, "_char_poly_int", counted_char_poly)
+        monkeypatch.setattr(linalg, "_int_rows", counted_int_rows)
+        result = verify_theorem("2.2", trials=trials, seed=0, max_n=4)
+        assert result.ok and result.trials == trials
+        assert len(char_polys) == 2 * trials
+        assert char_polys[::2] == char_polys[1::2]
+        assert len(coronas) == trials
+        assert checked == [matrix_of(g, ADJ) for g in coronas]
 
     def test_pole_exactly_at_psi2_roots(self):
         cases = ((complete_graph(2), {-1, 1}), (complete_graph(3, -1), {-2, 1}), (edgeless(2), {0}))
