@@ -44,12 +44,12 @@ class UsageError(Exception):
 
 # Largest matrix order that spectrum, charpoly, distinct and cospectral-demo
 # accept, and the largest corona order verify samples. The slowest dense
-# kernel, the exact char poly (Hessenberg reduction modulo four primes of 224
-# to 607 bits, cubic in the order per prime), takes 10-12 s on a dense signed
-# Laplacian of this order on a 2-vCPU AMD EPYC guest under Python 3.11, which
-# runs pure Python 2.5 times as fast as the benchmark's reference machine:
-# 25-30 s there. The Householder + QL eigensolver (cubic) takes 0.19 s on
-# the guest.
+# kernel is the exact char poly. On a twin-free dense signed Laplacian of this
+# order it takes three primes of 255 to 607 bits, and `charpoly` takes
+# 2.2-2.6 s by Lanczos on a 2-vCPU Intel Xeon guest under Python 3.11, near
+# the benchmark's reference speed; by Hessenberg reduction, which still
+# serves a block whose Lanczos falls back, it took 22-23 s there. The
+# Householder + QL eigensolver (cubic) takes 0.5 s there.
 MAX_DENSE_ORDER = 200
 
 # Largest corona, in vertices plus edges, that `corona` builds. On the same

@@ -1,13 +1,16 @@
 """Exact dense linear algebra on integer matrices plus the numeric kernels:
-characteristic polynomials, determinant evaluation at rational points, a
-symmetric eigensolver (Householder tridiagonalisation plus implicit-shift
-QL), Kronecker algebra, and real root extraction for monic quadratics and
-cubics."""
+characteristic polynomials (modulo primes, by Hessenberg reduction or, for
+the twin quotient blocks of a large symmetric matrix, by Lanczos),
+determinant evaluation at rational points, a symmetric eigensolver
+(Householder tridiagonalisation plus implicit-shift QL), Kronecker algebra,
+and real root extraction for monic quadratics and cubics."""
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,10 +155,12 @@ def _moduli(bound: int) -> list[int]:
     that does, or else the ladder from the largest down, as many as it
     takes.  A bound past the whole ladder raises ValueError.
 
-    A pass of _char_poly_mod costs more the larger its prime (about 10, 20
-    and 45 ms at 61, 255 and 521 bits on an order-48 Laplacian), and a pass
-    mod 2^2203-1 at order 200 costs more than four passes mod the ladder's
-    top primes, hence a ladder of moderate primes rather than one huge one.
+    A pass costs more the larger its prime.  On a dense signed Laplacian of
+    order 48 it takes about 9, 17 and 30 ms by Lanczos (33, 63 and 151 ms by
+    Hessenberg) at 61, 255 and 521 bits, on a 2-vCPU Intel Xeon guest under
+    Python 3.11.  At order 200 a Lanczos pass mod 2^2203-1 takes 3.8 s, more
+    than four passes mod the ladder's top primes (2.0 s), hence a ladder of
+    moderate primes rather than one huge one.
     """
     for p in _PRIME_LADDER:
         if p > 2 * bound:
@@ -231,6 +236,176 @@ def _char_poly_mod(a, p: int) -> list[int]:
     return polys[n]
 
 
+def _poly_mul_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """Ascending coefficients of f * g mod p."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            out[i : i + len(g)] = [o + x * y for o, y in zip(out[i : i + len(g)], g)]
+    return [o % p for o in out]
+
+
+# Order from which _char_poly_int takes a symmetric matrix through the twin
+# reduction and Lanczos; below it Hessenberg is faster (crossover table in
+# CHANGES.md).  A block falls back to Hessenberg after this many isotropic
+# start vectors in a row, or once it is bound to need more than one
+# invariant subspace per _LANCZOS_ORDER_PER_SPACE of its order.
+_LANCZOS_MIN_ORDER = 24
+_LANCZOS_BREAKDOWNS = 4
+_LANCZOS_ORDER_PER_SPACE = 8
+
+
+def _draw(rng: random.Random, r: int) -> list[int]:
+    """A Lanczos start vector: r random entries below 2^60, so residues mod
+    every ladder prime, and cheap to project.  Whether Lanczos breaks down
+    depends on the draw; the polynomial it returns does not."""
+    return [rng.getrandbits(60) for _ in range(r)]
+
+
+def _matvec(q) -> Callable[[list[int]], list[int]]:
+    """v -> Qv, unreduced, for an integer matrix Q given as rows.  A row's
+    +-1 entries off the diagonal are one itemgetter over v + (-v) + [0], so
+    each costs one addition; its other off-diagonal entries are grouped by
+    value, each group one sum and one product, and the diagonal is one
+    product."""
+    r = len(q)
+    getters, extras = [], []
+    for i, row in enumerate(q):
+        picks = [2 * r, 2 * r]  # two zeros: the getter returns a tuple
+        by_value: dict[int, list[int]] = {}
+        for j, x in enumerate(row):
+            if j == i or not x:
+                continue
+            if x == 1:
+                picks.append(j)
+            elif x == -1:
+                picks.append(r + j)
+            else:
+                by_value.setdefault(x, []).append(j)
+        getters.append(operator.itemgetter(*picks))
+        extras += [(i, x, cols) for x, cols in by_value.items()]
+    diag = [row[i] for i, row in enumerate(q)]
+
+    def apply(v: list[int]) -> list[int]:
+        z = v + [-x for x in v] + [0]
+        z = [sum(g(z)) + d * x for g, d, x in zip(getters, diag, v)]
+        for i, x, cols in extras:
+            z[i] += x * sum(map(v.__getitem__, cols))
+        return z
+
+    return apply
+
+
+def _lanczos_mod(apply, weights, p: int) -> list[int] | None:
+    """Ascending coefficients of det(tI - Q) mod p by three-term Lanczos
+    (Lanczos, J. Res. Nat. Bur. Standards 45, 1950; Eberly & Kaltofen,
+    ISSAC 1997), for Q self-adjoint under <u, v> = sum weights_i u_i v_i,
+    or None, for the caller to fall back to _char_poly_mod.  Q is given as
+    its product v -> Qv (_matvec), and weights has its order r.
+
+    From a start vector q_0 the recurrence
+    q_(j+1) = Q q_j - a_j q_j - b_j q_(j-1), with
+    a_j = <Q q_j, q_j> / <q_j, q_j> and b_j = <q_j, q_j> / <q_(j-1), q_(j-1)>,
+    keeps the q_j orthogonal and gives q_j = P_j(Q) q_0 with
+    P_(j+1) = (t - a_j) P_j - b_j P_(j-1).  When q_m = 0 the q_j span an
+    invariant subspace, on which det(tI - Q) is P_m; its orthogonal
+    complement is invariant too, and the next start vector is a fresh draw
+    projected onto it.  A draw that meets <q_j, q_j> = 0 with q_j != 0 (or
+    projects to 0) is dropped; an eigenvector isotropic mod p makes every
+    draw do so, hence None after _LANCZOS_BREAKDOWNS such draws in a row.
+
+    Each further subspace costs a projection against all the q_j found, 2r
+    products per q_j, so eigenvalues of high multiplicity, one subspace per
+    copy, make Lanczos dearer than Hessenberg (the line graph of K_20: 170
+    subspaces, 34 times Hessenberg's time).  A generic draw's subspace is
+    no larger than the one before, so at least left / m more are needed
+    when m was the last one's dimension and left of the r dimensions
+    remain; None as soon as that makes more than r / _LANCZOS_ORDER_PER_SPACE.
+    """
+    r = len(weights)
+    rng = random.Random(p)
+    duals = []  # weights * q / <q, q> for each q found: <v, dual> is v's coefficient on q
+    cols = [[] for _ in range(r)]  # cols[i] holds entry i of each q found
+    poly = [1]
+    left, spaces, breakdowns = r, 0, 0
+    unweighted = max(weights, default=1) == 1
+    while True:
+        q = _draw(rng, r)
+        if duals:
+            cs = [sum(map(operator.mul, q, d)) % p for d in duals]
+            q = [(x - sum(map(operator.mul, cs, col))) % p for x, col in zip(q, cols)]
+        found, prev, prev_inv = [], [0] * r, 0
+        lo, hi = [], [1]  # P_(j-1), P_j
+        for _ in range(left):  # independent q_j: at most left of them
+            wq = q if unweighted else list(map(operator.mul, weights, q))
+            norm = sum(map(operator.mul, q, wq)) % p
+            if not norm:
+                break
+            inv = pow(norm, -1, p)
+            z = apply(q)
+            a = sum(map(operator.mul, z, wq)) * inv % p
+            b = norm * prev_inv % p
+            found.append((q, wq, inv))
+            lo, hi = hi, [(x - a * y - b * w) % p for x, y, w in zip([0] + hi, hi + [0], lo + [0, 0])]
+            q, prev, prev_inv = [(x - a * y - b * w) % p for x, y, w in zip(z, q, prev)], q, inv
+        if found and not any(q):
+            poly = _poly_mul_mod(poly, hi, p)
+            left -= len(found)
+            spaces += 1
+            if not left:
+                return poly
+            if (spaces + -(-left // len(found))) * _LANCZOS_ORDER_PER_SPACE > r:
+                return None
+            for v, wv, inv in found:
+                duals.append([x * inv % p for x in wv])
+                for col, x in zip(cols, v):
+                    col.append(x)
+            breakdowns = 0
+        else:
+            breakdowns += 1
+            if breakdowns == _LANCZOS_BREAKDOWNS:
+                return None
+
+
+def _twin_reduced(a) -> tuple[list[int], list[tuple[list[list[int]], list[int], Callable | None]]]:
+    """A symmetric integer matrix's char poly split by its twin classes and
+    blocks (_twin_classes, _blocks): the roots of the linear factors,
+    d - c once per twin beyond the first, and for each block its integer
+    quotient Q, the weights of the form Q is self-adjoint under, and, from
+    order _LANCZOS_MIN_ORDER, Q's product (_matvec) for _lanczos_mod.
+
+    Q[X][Y] = |Y| M[x][y] and Q[X][X] = d + (k - 1) c, x and y first
+    members, is the map M induces on vectors constant on each class, so
+    det(tI - M) is the product of the linear factors and the blocks'
+    det(tI - Q).  Q is self-adjoint under <u, v> = sum |X| u_X v_X: the
+    weights are the class sizes.
+    """
+    classes = _twin_classes(a)
+    roots = [a[m[0]][m[0]] - c for m, c in classes for _ in m[1:]]
+    blocks = []
+    for block in _blocks(a, classes):
+        cols = [m[0] for m, _ in block]
+        sizes = [len(m) for m, _ in block]
+        q = [[k * a[x][y] for k, y in zip(sizes, cols)] for x in cols]
+        for i, (m, c) in enumerate(block):
+            q[i][i] = a[m[0]][m[0]] + (len(m) - 1) * c
+        blocks.append((q, sizes, _matvec(q) if len(q) >= _LANCZOS_MIN_ORDER else None))
+    return roots, blocks
+
+
+def _twin_char_poly_mod(roots, blocks, p: int) -> list[int]:
+    """Ascending coefficients of det(tI - M) mod p from M's split by
+    _twin_reduced: each block by _lanczos_mod when it has a product, and
+    by _char_poly_mod when it has none or _lanczos_mod falls back."""
+    poly = [1]
+    for root in roots:
+        poly = _poly_mul_mod(poly, [-root, 1], p)
+    for q, sizes, apply in blocks:
+        f = _lanczos_mod(apply, sizes, p) if apply else None
+        poly = _poly_mul_mod(poly, _char_poly_mod(q, p) if f is None else f, p)
+    return poly
+
+
 def _char_poly_int(a) -> list[int]:
     """Ascending coefficients of det(tI - A) for a square integer matrix A,
     given as rows: computed mod each prime of _moduli and lifted to Z by
@@ -240,6 +415,10 @@ def _char_poly_int(a) -> list[int]:
     Hadamard's inequality |c_k| <= e_k(r) <= prod(1 + r_i), r_i the 2-norm
     of row i rounded up; moduli whose product exceeds twice that bound fix
     every coefficient.
+
+    A symmetric matrix of order _LANCZOS_MIN_ORDER or more is split once by
+    _twin_reduced and taken mod each prime by _twin_char_poly_mod; any
+    other matrix takes _char_poly_mod as it stands.
     """
     bound = 1
     for row in a:
@@ -247,12 +426,17 @@ def _char_poly_int(a) -> list[int]:
         if s:
             bound *= math.isqrt(s - 1) + 2
     mods = _moduli(bound)
+    n = len(a)
+    if n >= _LANCZOS_MIN_ORDER and list(map(tuple, a)) == list(zip(*a)):
+        residues = functools.partial(_twin_char_poly_mod, *_twin_reduced(a))
+    else:
+        residues = functools.partial(_char_poly_mod, a)
     big = math.prod(mods)
-    coeffs = [0] * (len(a) + 1)
+    coeffs = [0] * (n + 1)
     for p in mods:
         q = big // p
         w = q * pow(q, -1, p)
-        coeffs = [c + w * r for c, r in zip(coeffs, _char_poly_mod(a, p))]
+        coeffs = [c + w * r for c, r in zip(coeffs, residues(p))]
     half = big // 2
     return [c - big if c > half else c for c in (c % big for c in coeffs)]
 

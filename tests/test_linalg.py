@@ -38,7 +38,7 @@ from sgcorona import (
     sym_eigenvalues,
     unbalanced_c4,
 )
-from sgcorona.experiments import random_signed_graph
+from sgcorona.experiments import THEOREMS, random_signed_graph
 from sgcorona import linalg
 from sgcorona.linalg import (
     _blocks,
@@ -319,6 +319,207 @@ class TestCharPoly:
             with pytest.raises(ValueError, match="past the prime ladder"):
                 char_poly_exact(m)
         assert seen == moduli
+
+
+N0 = linalg._LANCZOS_MIN_ORDER
+
+
+def hessenberg_only(m: Matrix) -> Polynomial:
+    """char_poly_exact with the Lanczos path switched off: _char_poly_mod on
+    the whole matrix, mod each prime of _moduli."""
+    saved = linalg._LANCZOS_MIN_ORDER
+    linalg._LANCZOS_MIN_ORDER = math.inf
+    try:
+        return char_poly_exact(m)
+    finally:
+        linalg._LANCZOS_MIN_ORDER = saved
+
+
+class TestLanczos:
+    """Symmetric matrices from order N0 take the twin reduction and Lanczos
+    mod p; each residue must equal Hessenberg's."""
+
+    @staticmethod
+    def assert_residues_agree(m: Matrix, primes=linalg._PRIME_LADDER) -> tuple[int, int]:
+        """Each block of order N0 or more: Lanczos equals Hessenberg unless
+        it falls back (None).  The product of the split equals Hessenberg on
+        the whole matrix; a matrix that is one twin-free block is its own
+        quotient.  Returns how many Lanczos runs there were and how many of
+        them fell back."""
+        rows = m._rows
+        roots, blocks = linalg._twin_reduced(rows)
+        assert len(roots) + sum(len(q) for q, _, _ in blocks) == m.rows
+        split = roots or len(blocks) > 1
+        runs = fell_back = 0
+        for p in primes:
+            for q, sizes, apply in blocks:
+                if apply:
+                    f = linalg._lanczos_mod(apply, sizes, p)
+                    runs += 1
+                    fell_back += f is None
+                    assert f in (None, linalg._char_poly_mod(q, p))
+            if split:
+                assert linalg._twin_char_poly_mod(roots, blocks, p) == linalg._char_poly_mod(rows, p)
+            else:
+                assert blocks[0][0] == list(map(list, rows))
+        return runs, fell_back
+
+    @pytest.mark.parametrize("n", [N0, 37, 60])
+    def test_random_graphs(self, n):
+        # past order N0 the three kinds share the ladder's primes out
+        g = random_signed_graph(random.Random(500 + n), n)
+        ladder = linalg._PRIME_LADDER
+        for i, kind in enumerate(MatrixKind):
+            runs, fell_back = self.assert_residues_agree(matrix_of(g, kind), ladder if n == N0 else ladder[i::3])
+            assert runs and not fell_back
+
+    @pytest.mark.parametrize("label", ["2.3", "3.3"])
+    def test_coronas_at_max_n_13(self, label):
+        # the first four corona pairs of order at most 70 that keep a block
+        # of order N0 or more: some with twins, some without; Lanczos may
+        # fall back on a block with repeated eigenvalues, but not on all
+        twins, runs, fell_back = [], 0, 0
+        for s1, s2 in THEOREMS[label].cases(random.Random(7), 40, 13):
+            if len(twins) == 4:
+                break
+            corona = neighbourhood_corona(s1, s2)
+            if corona.n > 70:
+                continue
+            for kind in MatrixKind:
+                m = matrix_of(corona, kind)
+                roots, blocks = linalg._twin_reduced(m._rows)
+                if not any(apply for _, _, apply in blocks):
+                    break
+                counts = self.assert_residues_agree(m, [linalg._PRIME_LADDER[0], *linalg._moduli(2 ** (3 * m.rows))])
+                runs, fell_back = runs + counts[0], fell_back + counts[1]
+            else:
+                twins.append(len(roots))
+        assert len(twins) == 4
+        assert min(twins) == 0 < max(twins)
+        assert fell_back < runs
+
+    def test_complete_edgeless_and_disconnected(self):
+        rng = random.Random(N0)
+        parts = [random_signed_graph(rng, N0), random_signed_graph(rng, 5), edgeless(2)]
+        for kind in MatrixKind:
+            disconnected = direct_sum(*(matrix_of(g, kind) for g in parts))
+            for m in [matrix_of(g, kind) for g in (complete_graph(N0), complete_graph(N0, -1), edgeless(N0))] + [disconnected]:
+                assert self.assert_residues_agree(m)[1] == 0
+                assert char_poly_exact(m) == hessenberg_only(m)
+        assert char_poly_exact(matrix_of(edgeless(N0), MatrixKind.ADJACENCY)).coeffs == (0,) * N0 + (1,)
+
+    def test_weighted_quotient_block(self):
+        # N0 + 4 classes of sizes 1 to 3 with a degree diagonal: one quotient
+        # block of order N0 + 4 whose form has weights above 1
+        rng = random.Random(600)
+        m, _ = twin_matrix(rng, [rng.randint(1, 3) for _ in range(N0 + 4)], lambda rng: rng.choice((-1, 1)))
+        m = with_degree_diagonal(m)
+        ((q, sizes, apply),) = linalg._twin_reduced(m._rows)[1]
+        assert len(q) == N0 + 4 and max(sizes) > 1 and apply
+        assert self.assert_residues_agree(m) == (len(linalg._PRIME_LADDER), 0)
+
+    def test_selection(self, monkeypatch):
+        calls = []
+        real_mod, real_lanczos = linalg._char_poly_mod, linalg._lanczos_mod
+
+        def spy_mod(a, p):
+            calls.append(("hessenberg", len(a)))
+            return real_mod(a, p)
+
+        def spy_lanczos(apply, weights, p):
+            calls.append(("lanczos", len(weights)))
+            return real_lanczos(apply, weights, p)
+
+        monkeypatch.setattr(linalg, "_char_poly_mod", spy_mod)
+        monkeypatch.setattr(linalg, "_lanczos_mod", spy_lanczos)
+        rng = random.Random(71)
+        symmetric = matrix_of(random_signed_graph(rng, N0), MatrixKind.LAPLACIAN)
+        small = matrix_of(random_signed_graph(rng, N0 - 1), MatrixKind.LAPLACIAN)
+        nonsymmetric = random_int_matrix(rng, N0 + 6, -1, 1)
+        for m, expected in [
+            (nonsymmetric, [("hessenberg", N0 + 6)]),
+            (small, [("hessenberg", N0 - 1)]),
+            (symmetric, [("lanczos", N0)]),
+        ]:
+            calls.clear()
+            p = char_poly_exact(m)
+            assert calls == expected, calls
+            assert p == charpoly_faddeev(m)
+
+    def test_forced_breakdown_falls_back(self, monkeypatch):
+        # an isotropic start vector: a^2 + b^2 + c^2 = 0 mod 2^61 - 1
+        p = linalg._PRIME_LADDER[0]
+        a, b = 1, next(b for b in range(1, 100) if pow(-(1 + b * b) % p, (p - 1) // 2, p) == 1)
+        c = pow(-(1 + b * b) % p, (p + 1) // 4, p)  # p = 3 mod 4
+        assert (a * a + b * b + c * c) % p == 0
+        draws, fallbacks = [], []
+        real_mod = linalg._char_poly_mod
+
+        def isotropic(rng, r):
+            draws.append(r)
+            return [a, b, c] + [0] * (r - 3)
+
+        def spy_mod(rows, p):
+            fallbacks.append(len(rows))
+            return real_mod(rows, p)
+
+        monkeypatch.setattr(linalg, "_draw", isotropic)
+        monkeypatch.setattr(linalg, "_char_poly_mod", spy_mod)
+        # sparse enough that 2^61 - 1 alone covers the coefficient bound
+        m = matrix_of(random_signed_graph_with_density(random.Random(73), N0 + 2, 0.2), MatrixKind.ADJACENCY)
+        ((q, _, _),) = linalg._twin_reduced(m._rows)[1]
+        assert len(q) == N0 + 2  # twin-free and connected: one block, unit weights
+        assert char_poly_exact(m) == charpoly_faddeev(m)
+        assert draws == [N0 + 2] * linalg._LANCZOS_BREAKDOWNS
+        assert fallbacks == [N0 + 2]
+
+    def test_high_multiplicity_falls_back(self, monkeypatch):
+        # the line graph of K_9 has no twins and three eigenvalues, 14, 5 and
+        # -2 (27 times): its first invariant subspace has dimension 3, so at
+        # least 12 are needed, more than 36 / 8, and one draw decides
+        pairs = [(a, b) for a in range(9) for b in range(a + 1, 9)]
+        edges = [(i, j, 1) for i in range(36) for j in range(i + 1, 36) if set(pairs[i]) & set(pairs[j])]
+        m = matrix_of(SignedGraph(36, tuple(edges)), MatrixKind.ADJACENCY)
+        ((q, _, _),) = linalg._twin_reduced(m._rows)[1]
+        assert len(q) == 36
+        draws, fallbacks = [], []
+        real_draw, real_mod = linalg._draw, linalg._char_poly_mod
+
+        def spy_draw(rng, r):
+            draws.append(r)
+            return real_draw(rng, r)
+
+        def spy_mod(rows, p):
+            fallbacks.append(len(rows))
+            return real_mod(rows, p)
+
+        monkeypatch.setattr(linalg, "_draw", spy_draw)
+        monkeypatch.setattr(linalg, "_char_poly_mod", spy_mod)
+        p = char_poly_exact(m)
+        assert draws == [36] and fallbacks == [36]  # one prime, one draw
+        expected = [1]
+        for root in [14] + [5] * 8 + [-2] * 27:
+            expected = [a - root * b for a, b in zip([0] + expected, expected + [0])]
+        assert p == Polynomial(expected)
+
+    def test_huge_entries_take_several_primes(self, monkeypatch):
+        rng = random.Random(79)
+        m = random_symmetric(rng, N0, -(10**12), 10**12)
+        moduli = []
+        real = linalg._lanczos_mod
+
+        def spy(apply, weights, p):
+            moduli.append(p)
+            return real(apply, weights, p)
+
+        monkeypatch.setattr(linalg, "_lanczos_mod", spy)
+        assert char_poly_exact(m) == charpoly_faddeev(m)
+        assert len(moduli) > 1
+
+    def test_module_random_state_untouched(self):
+        state = random.getstate()
+        char_poly_exact(matrix_of(random_signed_graph(random.Random(83), 40), MatrixKind.LAPLACIAN))
+        assert random.getstate() == state
 
 
 class TestDetExactAt:
