@@ -2,12 +2,13 @@
 characteristic polynomials (modulo primes, by Hessenberg reduction or, for
 the twin quotient blocks of a large symmetric matrix, by Lanczos),
 determinant evaluation at rational points, a symmetric eigensolver
-(Householder tridiagonalisation plus implicit-shift QL), Kronecker algebra,
-and real root extraction for monic quadratics and cubics."""
+(Householder tridiagonalisation plus implicit-shift QL on the twin quotient
+blocks), Kronecker algebra, and real root extraction for monic quadratics
+and cubics.  Both kernels read the twin split from one function,
+_twin_quotient."""
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import random
@@ -367,45 +368,6 @@ def _lanczos_mod(apply, weights, p: int) -> list[int] | None:
                 return None
 
 
-def _twin_reduced(a) -> tuple[list[int], list[tuple[list[list[int]], list[int], Callable | None]]]:
-    """A symmetric integer matrix's char poly split by its twin classes and
-    blocks (_twin_classes, _blocks): the roots of the linear factors,
-    d - c once per twin beyond the first, and for each block its integer
-    quotient Q, the weights of the form Q is self-adjoint under, and, from
-    order _LANCZOS_MIN_ORDER, Q's product (_matvec) for _lanczos_mod.
-
-    Q[X][Y] = |Y| M[x][y] and Q[X][X] = d + (k - 1) c, x and y first
-    members, is the map M induces on vectors constant on each class, so
-    det(tI - M) is the product of the linear factors and the blocks'
-    det(tI - Q).  Q is self-adjoint under <u, v> = sum |X| u_X v_X: the
-    weights are the class sizes.
-    """
-    classes = _twin_classes(a)
-    roots = [a[m[0]][m[0]] - c for m, c in classes for _ in m[1:]]
-    blocks = []
-    for block in _blocks(a, classes):
-        cols = [m[0] for m, _ in block]
-        sizes = [len(m) for m, _ in block]
-        q = [[k * a[x][y] for k, y in zip(sizes, cols)] for x in cols]
-        for i, (m, c) in enumerate(block):
-            q[i][i] = a[m[0]][m[0]] + (len(m) - 1) * c
-        blocks.append((q, sizes, _matvec(q) if len(q) >= _LANCZOS_MIN_ORDER else None))
-    return roots, blocks
-
-
-def _twin_char_poly_mod(roots, blocks, p: int) -> list[int]:
-    """Ascending coefficients of det(tI - M) mod p from M's split by
-    _twin_reduced: each block by _lanczos_mod when it has a product, and
-    by _char_poly_mod when it has none or _lanczos_mod falls back."""
-    poly = [1]
-    for root in roots:
-        poly = _poly_mul_mod(poly, [-root, 1], p)
-    for q, sizes, apply in blocks:
-        f = _lanczos_mod(apply, sizes, p) if apply else None
-        poly = _poly_mul_mod(poly, _char_poly_mod(q, p) if f is None else f, p)
-    return poly
-
-
 def _char_poly_int(a) -> list[int]:
     """Ascending coefficients of det(tI - A) for a square integer matrix A,
     given as rows: computed mod each prime of _moduli and lifted to Z by
@@ -417,8 +379,10 @@ def _char_poly_int(a) -> list[int]:
     every coefficient.
 
     A symmetric matrix of order _LANCZOS_MIN_ORDER or more is split once by
-    _twin_reduced and taken mod each prime by _twin_char_poly_mod; any
-    other matrix takes _char_poly_mod as it stands.
+    _twin_quotient; mod each prime its linear factors are multiplied in,
+    and each quotient block of that order takes _lanczos_mod.  Smaller
+    blocks, a block that falls back and any other matrix take
+    _char_poly_mod.
     """
     bound = 1
     for row in a:
@@ -427,16 +391,24 @@ def _char_poly_int(a) -> list[int]:
             bound *= math.isqrt(s - 1) + 2
     mods = _moduli(bound)
     n = len(a)
+    roots, blocks = [], [(a, None, None)]
     if n >= _LANCZOS_MIN_ORDER and list(map(tuple, a)) == list(zip(*a)):
-        residues = functools.partial(_twin_char_poly_mod, *_twin_reduced(a))
-    else:
-        residues = functools.partial(_char_poly_mod, a)
+        roots, blocks = _twin_quotient(a)
+        blocks = [
+            (q, sizes, _matvec(q) if len(q) >= _LANCZOS_MIN_ORDER else None) for _, sizes, q in blocks
+        ]
     big = math.prod(mods)
     coeffs = [0] * (n + 1)
     for p in mods:
+        residues = [1]
+        for root in roots:
+            residues = _poly_mul_mod(residues, [-root, 1], p)
+        for rows, sizes, apply in blocks:
+            f = _lanczos_mod(apply, sizes, p) if apply else None
+            residues = _poly_mul_mod(residues, _char_poly_mod(rows, p) if f is None else f, p)
         q = big // p
         w = q * pow(q, -1, p)
-        coeffs = [c + w * r for c, r in zip(coeffs, residues(p))]
+        coeffs = [c + w * r for c, r in zip(coeffs, residues)]
     half = big // 2
     return [c - big if c > half else c for c in (c % big for c in coeffs)]
 
@@ -812,19 +784,42 @@ def _blocks(rows, classes: list[TwinClass]) -> list[list[TwinClass]]:
     return out
 
 
+def _twin_quotient(rows) -> tuple[list[Scalar], list[tuple[list[int], list[int], list[list[Scalar]]]]]:
+    """A symmetric matrix M split by its twin classes and blocks
+    (_twin_classes, _blocks): the roots of its linear factors, and for each
+    block the first member of each class, the class sizes and the quotient
+    Q the block induces on vectors constant on each class.
+
+    A class of size k with diagonal d and mutual entry c spans the
+    eigenvectors e_u - e_v of eigenvalue d - c, so that root appears k - 1
+    times.  Q[X][Y] = |Y| M[x][y] and Q[X][X] = d + (k - 1) c, x and y first
+    members, so det(tI - M) is the product of the linear factors and the
+    blocks' det(tI - Q) (Cvetkovic, Rowlinson & Simic, An Introduction to
+    the Theory of Graph Spectra, 2010).  Q is self-adjoint under
+    <u, v> = sum |X| u_X v_X, and similar to the symmetric matrix with
+    entries sqrt(|X| |Y|) M[x][y] off the diagonal.
+    """
+    classes = _twin_classes(rows)
+    roots = [rows[m[0]][m[0]] - c for m, c in classes for _ in m[1:]]
+    blocks = []
+    for block in _blocks(rows, classes):
+        cols = [m[0] for m, _ in block]
+        sizes = [len(m) for m, _ in block]
+        q = [[k * rows[x][y] for k, y in zip(sizes, cols)] for x in cols]
+        for i, (m, c) in enumerate(block):
+            q[i][i] = rows[m[0]][m[0]] + (len(m) - 1) * c
+        blocks.append((cols, sizes, q))
+    return roots, blocks
+
+
 def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
     """All eigenvalues of a real symmetric matrix by Householder
     tridiagonalisation followed by implicit-shift QL (Golub & Van Loan 8.3),
     after two exact reductions read from the entries.
 
-    A twin class (see _twin_classes) of size k with diagonal d and mutual
-    entry c spans the eigenvectors e_u - e_v of eigenvalue d - c, k - 1
-    times; the rest of the spectrum is that of the symmetric quotient of the
-    equitable partition into twin classes, with diagonal d + (k - 1) c and
-    off-diagonal entries sqrt(k l) M[u][w] (Cvetkovic, Rowlinson & Simic,
-    An Introduction to the Theory of Graph Spectra, 2010).  The quotient is
-    split into connected blocks, each solved on its own; a matrix with no
-    twins and one block is solved as it stands.
+    Each twin class gives its linear factors' roots exactly, and each
+    quotient block (_twin_quotient) is symmetrised and solved on its own; a
+    matrix with no twins and one block is solved as it stands.
 
     The sorted eigenvalues are checked against the trace and then clustered
     into multiplicities with an absolute tolerance scaled by the spectral
@@ -840,22 +835,15 @@ def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
         raise ValueError(
             f"entries ({i},{j}) and ({j},{i}) differ by {abs(float(rows[i][j] - rows[j][i])):.3e}"
         )
-    classes = _twin_classes(rows)
-    eigs: list[float] = []
-    for members, c in classes:
-        u = members[0]
-        eigs += [float(rows[u][u] - c)] * (len(members) - 1)
-    for block in _blocks(rows, classes):
-        cols = [members[0] for members, _ in block]
-        a = [[float(rows[u][w]) for w in cols] for u in cols]
-        for i, (members, c) in enumerate(block):
-            k = len(members)
-            if k > 1:
-                row = rows[cols[i]]
-                a[i][i] = float(row[cols[i]] + (k - 1) * c)
-                for j, (others, _) in enumerate(block):
-                    if j != i:
-                        a[i][j] = a[j][i] = math.sqrt(k * len(others)) * float(row[cols[j]])
+    roots, blocks = _twin_quotient(rows)
+    eigs = [float(x) for x in roots]
+    for cols, sizes, q in blocks:
+        a = [
+            [math.sqrt(k * l) * float(rows[x][y]) for l, y in zip(sizes, cols)]
+            for k, x in zip(sizes, cols)
+        ]
+        for i, row in enumerate(q):
+            a[i][i] = float(row[i])
         eigs += _ql_implicit(*_tridiagonalize(a))
     trace0 = sum(float(rows[i][i]) for i in range(n))
     eigs.sort()

@@ -347,21 +347,26 @@ class TestLanczos:
         quotient.  Returns how many Lanczos runs there were and how many of
         them fell back."""
         rows = m._rows
-        roots, blocks = linalg._twin_reduced(rows)
-        assert len(roots) + sum(len(q) for q, _, _ in blocks) == m.rows
+        roots, blocks = linalg._twin_quotient(rows)
+        assert len(roots) + sum(len(q) for _, _, q in blocks) == m.rows
         split = roots or len(blocks) > 1
         runs = fell_back = 0
         for p in primes:
-            for q, sizes, apply in blocks:
-                if apply:
-                    f = linalg._lanczos_mod(apply, sizes, p)
+            product = [1]
+            for root in roots:
+                product = linalg._poly_mul_mod(product, [-root, 1], p)
+            for _, sizes, q in blocks:
+                f = None
+                if len(q) >= N0:
+                    f = linalg._lanczos_mod(linalg._matvec(q), sizes, p)
                     runs += 1
                     fell_back += f is None
                     assert f in (None, linalg._char_poly_mod(q, p))
+                product = linalg._poly_mul_mod(product, linalg._char_poly_mod(q, p) if f is None else f, p)
             if split:
-                assert linalg._twin_char_poly_mod(roots, blocks, p) == linalg._char_poly_mod(rows, p)
+                assert product == linalg._char_poly_mod(rows, p)
             else:
-                assert blocks[0][0] == list(map(list, rows))
+                assert blocks[0][2] == list(map(list, rows))
         return runs, fell_back
 
     @pytest.mark.parametrize("n", [N0, 37, 60])
@@ -387,8 +392,8 @@ class TestLanczos:
                 continue
             for kind in MatrixKind:
                 m = matrix_of(corona, kind)
-                roots, blocks = linalg._twin_reduced(m._rows)
-                if not any(apply for _, _, apply in blocks):
+                roots, blocks = linalg._twin_quotient(m._rows)
+                if not any(len(q) >= N0 for _, _, q in blocks):
                     break
                 counts = self.assert_residues_agree(m, [linalg._PRIME_LADDER[0], *linalg._moduli(2 ** (3 * m.rows))])
                 runs, fell_back = runs + counts[0], fell_back + counts[1]
@@ -414,9 +419,25 @@ class TestLanczos:
         rng = random.Random(600)
         m, _ = twin_matrix(rng, [rng.randint(1, 3) for _ in range(N0 + 4)], lambda rng: rng.choice((-1, 1)))
         m = with_degree_diagonal(m)
-        ((q, sizes, apply),) = linalg._twin_reduced(m._rows)[1]
-        assert len(q) == N0 + 4 and max(sizes) > 1 and apply
+        ((_, sizes, q),) = linalg._twin_quotient(m._rows)[1]
+        assert len(q) == N0 + 4 and max(sizes) > 1
         assert self.assert_residues_agree(m) == (len(linalg._PRIME_LADDER), 0)
+
+    def test_unequal_classes_in_one_block(self):
+        # the corona of the unbalanced C4 with six vertices and the one edge
+        # 0 1 -: order 28, 12 classes of sizes 1, 2 and 4 in one block; the
+        # four classes of four isolated copies give 0 three times each
+        corona = neighbourhood_corona(unbalanced_c4(), SignedGraph(6, ((0, 1, -1),)))
+        p = 2**61 - 1
+        for kind in MatrixKind:
+            m = matrix_of(corona, kind)
+            ((_, sizes, q),) = linalg._twin_quotient(m._rows)[1]
+            assert m.rows == 28 and len(q) == 12 and set(sizes) == {1, 2, 4}
+            assert [x % p for x in char_poly_exact(m).coeffs] == linalg._char_poly_mod(m._rows, p)
+        m = matrix_of(corona, MatrixKind.ADJACENCY)
+        coeffs = char_poly_exact(m).coeffs
+        assert not any(coeffs[:12]) and coeffs[12]
+        assert (0.0, 12) in sym_eigenvalues(m, 0.0).pairs
 
     def test_selection(self, monkeypatch):
         calls = []
@@ -467,7 +488,7 @@ class TestLanczos:
         monkeypatch.setattr(linalg, "_char_poly_mod", spy_mod)
         # sparse enough that 2^61 - 1 alone covers the coefficient bound
         m = matrix_of(random_signed_graph_with_density(random.Random(73), N0 + 2, 0.2), MatrixKind.ADJACENCY)
-        ((q, _, _),) = linalg._twin_reduced(m._rows)[1]
+        ((_, _, q),) = linalg._twin_quotient(m._rows)[1]
         assert len(q) == N0 + 2  # twin-free and connected: one block, unit weights
         assert char_poly_exact(m) == charpoly_faddeev(m)
         assert draws == [N0 + 2] * linalg._LANCZOS_BREAKDOWNS
@@ -480,7 +501,7 @@ class TestLanczos:
         pairs = [(a, b) for a in range(9) for b in range(a + 1, 9)]
         edges = [(i, j, 1) for i in range(36) for j in range(i + 1, 36) if set(pairs[i]) & set(pairs[j])]
         m = matrix_of(SignedGraph(36, tuple(edges)), MatrixKind.ADJACENCY)
-        ((q, _, _),) = linalg._twin_reduced(m._rows)[1]
+        ((_, _, q),) = linalg._twin_quotient(m._rows)[1]
         assert len(q) == 36
         draws, fallbacks = [], []
         real_draw, real_mod = linalg._draw, linalg._char_poly_mod
