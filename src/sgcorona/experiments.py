@@ -591,18 +591,25 @@ class VerifyResult:
         return "\n".join(lines)
 
 
+def _factor_pair(case: tuple) -> dict[str, SignedGraph]:
+    """The graphs a failed trial dumps when its case starts with the two
+    factors."""
+    return {"s1": case[0], "s2": case[1]}
+
+
 @dataclass(frozen=True)
 class Theorem:
     """One row of the verification table. `cases(rng, trials, max_n)` yields
     each trial's input only when the loop asks for it, so the draws from rng
     keep their order; `check(case, rng, tol)` returns None when the identity
-    holds on the case, else the failure detail and the graphs to dump. Rows
-    call samplers and the corona by their names in this module, and look
-    closed forms up in `CLOSED_FORMS` at call time, so a wrapper bound to one
-    of those names or table values sees every call."""
+    holds on the case, else the failure detail, and a failed trial dumps
+    `graphs(case)`. Rows call samplers and the corona by their names in this
+    module, and look closed forms up in `CLOSED_FORMS` at call time, so a
+    wrapper bound to one of those names or table values sees every call."""
 
     cases: Callable[[random.Random, int, int], Iterable[tuple]]
-    check: Callable[[tuple, random.Random, float], tuple[str, dict[str, SignedGraph]] | None]
+    check: Callable[[tuple, random.Random, float], str | None]
+    graphs: Callable[[tuple], dict[str, SignedGraph]] = _factor_pair
     notes: tuple[str, ...] = ()
 
 
@@ -631,9 +638,9 @@ def _check_factorisation(case, rng, tol):
         points += 1
         rhs = det_at(t0)
         if lhs != rhs:
-            return f"factored value {lhs} != determinant {rhs} at t0={t0}", {"s1": s1, "s2": s2}
+            return f"factored value {lhs} != determinant {rhs} at t0={t0}"
     if points < 5:
-        return f"only {points} of 5 points avoided the poles of the second factor", {"s1": s1, "s2": s2}
+        return f"only {points} of 5 points avoided the poles of the second factor"
 
 
 def _closed_form_check(kind: MatrixKind, closed_form=None):
@@ -647,11 +654,11 @@ def _closed_form_check(kind: MatrixKind, closed_form=None):
         try:
             cf = (closed_form or CLOSED_FORMS[kind])(s1, s2, tol)
         except ClosedFormError as exc:
-            return f"closed form refused the factors: {exc}", {"s1": s1, "s2": s2}
+            return f"closed form refused the factors: {exc}"
         oracle = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
         realized = realize(cf, tol)
         if not spectra_equal(realized, oracle, tol):
-            return f"closed form {realized} differs from oracle {oracle}", {"s1": s1, "s2": s2}
+            return f"closed form {realized} differs from oracle {oracle}"
 
     return check
 
@@ -684,10 +691,9 @@ def _check_bound(case, rng, tol):
     s1, s2, kind = case
     report = corona_distinct_report(s1, s2, kind, tol)
     if report.bound is None:
-        return "bound hypotheses unexpectedly unmet", {"s1": s1, "s2": s2}
+        return "bound hypotheses unexpectedly unmet"
     if not report.bound_satisfied:
-        detail = f"{report.distinct_count} distinct {kind.value} eigenvalues exceed bound {report.bound}"
-        return detail, {"s1": s1, "s2": s2}
+        return f"{report.distinct_count} distinct {kind.value} eigenvalues exceed bound {report.bound}"
 
 
 # Theorem 5.2 runs this fixed catalog, whatever trial count is asked for.
@@ -704,11 +710,9 @@ def _check_few_distinct(case, rng, tol):
     try:
         _, report = few_distinct_construct(seed_graph, companion, sign, tol)
     except ValueError as exc:  # tol merged or split the seed's two eigenvalues
-        return f"{what}: {exc}", {"seed": seed_graph}
-    if report.matches_expected:
-        return None
-    detail = f"{what}: {report.distinct_count} distinct, expected {report.expected_distinct}"
-    return detail, {"seed": seed_graph}
+        return f"{what}: {exc}"
+    if not report.matches_expected:
+        return f"{what}: {report.distinct_count} distinct, expected {report.expected_distinct}"
 
 
 THEOREMS = {
@@ -744,6 +748,7 @@ THEOREMS = {
     "5.2": Theorem(
         lambda rng, trials, max_n: _FEW_DISTINCT_CASES,
         _check_few_distinct,
+        graphs=lambda case: {"seed": case[1]},
         notes=(f"catalog run: {len(_FEW_DISTINCT_CASES)} seed/companion combinations",),
     ),
 }
@@ -770,10 +775,12 @@ def verify_theorem(
     failures = []
     run = 0
     for run, case in enumerate(theorem.cases(rng, trials, max_n), start=1):
-        failure = theorem.check(case, rng, tol)
-        if failure is not None:
-            detail, graphs = failure
-            dump = {name: format_graph(g) for name, g in graphs.items()}
+        try:
+            detail = theorem.check(case, rng, tol)
+        except ArithmeticError as exc:  # a wrong formula or a kernel fault fails the trial
+            detail = f"check raised {type(exc).__name__}: {exc}"
+        if detail is not None:
+            dump = {name: format_graph(g) for name, g in theorem.graphs(case).items()}
             failures.append(TrialFailure(run - 1, detail, dump))
     return VerifyResult(
         theorem=label,

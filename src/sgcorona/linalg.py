@@ -1,7 +1,8 @@
 """Exact dense linear algebra on integer matrices plus the numeric kernels:
 characteristic polynomials (modulo primes, by Hessenberg reduction or, for
 the twin quotient blocks of a large symmetric matrix, by Lanczos),
-determinant evaluation at rational points, a symmetric eigensolver
+determinant evaluation at rational points (fraction-free elimination, on
+the upper triangle alone for a symmetric matrix), a symmetric eigensolver
 (Householder tridiagonalisation plus implicit-shift QL on the twin quotient
 blocks), Kronecker algebra, and real root extraction for monic quadratics
 and cubics.  Both kernels read the twin split from one function,
@@ -493,6 +494,46 @@ def _eliminate(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] * prev // stamp[n - 1]
 
 
+def _eliminate_symmetric(a: list[list[int]]) -> int | None:
+    """_eliminate for a symmetric integer matrix given as its upper triangle,
+    row i holding columns i..n-1, or None at a zero pivot, for the caller to
+    restart in _eliminate on full rows.
+
+    With diagonal pivots every trailing matrix of Bareiss is symmetric, its
+    entry (i, j) a minor bordered by row i and column j (Bareiss, Math.
+    Comp. 22, 1968), so only entries on and above the diagonal are updated:
+    about half of _eliminate's work.  Rows are skipped and stamped as there.
+    Row i's lead at step k, entry (i, k), is not stored; the up-to-date pivot
+    row holds its mirror (k, i), and a row stamped s takes it as
+    lead * s // prev, the value a stale full row would hold in column k.
+    No row is swapped, so a zero pivot, a zero leading principal minor,
+    ends the pass.
+    """
+    n = len(a)
+    if n == 0:
+        return 1
+    stamp = [1] * n
+    prev = 1
+    for k in range(n - 1):
+        tail = a[k]
+        if tail[0] == 0:
+            return None
+        s = stamp[k]
+        if s != prev:
+            tail = [x * prev // s for x in tail]
+        pivot = tail[0]
+        for i in range(k + 1, n):
+            lead = tail[i - k]
+            if lead:
+                s = stamp[i]
+                if s != prev:
+                    lead = lead * s // prev
+                a[i] = [(x * pivot - lead * y) // s for x, y in zip(a[i], tail[i - k :])]
+                stamp[i] = pivot
+        prev = pivot
+    return a[n - 1][0] * prev // stamp[n - 1]
+
+
 def _point(t0) -> Fraction:
     """t0 as a Fraction; anything that is no finite rational (NaN, an
     infinity, "1/0", a non-rational string, None, a complex, a list) raises
@@ -509,13 +550,29 @@ def _det_points(m: Matrix) -> Callable[[Fraction], Fraction]:
     a sparse matrix such as a corona's.  M's entries are checked and its rows
     and columns ordered sparse first (_int_rows, _sparse_first) here, once;
     each point only scales them by b and subtracts a on the diagonal, which
-    the symmetric permutation left in place."""
+    the symmetric permutation left in place.
+
+    A symmetric M, as every graph matrix is, is also kept as its upper
+    triangle, and each point first takes _eliminate_symmetric on that
+    alone.  At a zero pivot it restarts in _eliminate.  That needs an
+    integer t0, such as 0 on an adjacency matrix, whose diagonal is zero: a
+    leading minor of b*M - a*I vanishes only where a/b is an eigenvalue of
+    an integer matrix, and such an eigenvalue, if rational, is an integer."""
     m.require_square("det_exact_at")
     base = _sparse_first(_int_rows(m))
     n = len(base)
+    symmetric = base == [list(col) for col in zip(*base)]
+    upper = [row[i:] for i, row in enumerate(base)] if symmetric else None
 
     def at(t0: Fraction) -> Fraction:
         a, b = t0.numerator, t0.denominator
+        if upper is not None:
+            rows = [row[:] for row in upper] if b == 1 else [[b * x for x in row] for row in upper]
+            for row in rows:
+                row[0] -= a
+            det = _eliminate_symmetric(rows)
+            if det is not None:
+                return Fraction((-1) ** n * det, b**n)
         rows = [row[:] for row in base] if b == 1 else [[b * x for x in row] for row in base]
         for i, row in enumerate(rows):
             row[i] -= a

@@ -16,6 +16,7 @@ from .linalg import (
     SpectrumMultiset,
     _char_poly_int,
     _eliminate,
+    _eliminate_symmetric,
     _point,
     _sparse_first,
     format_poly,
@@ -90,8 +91,11 @@ def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[[Fraction], F
     rank-one identity gives hp*kappa = hs - hp = hk.  Taking psi2(t0) =
     hp / b^n2 inside the n1 x n1 determinant leaves
     det(a*hp*I - b*(hp*A1 + hk*A1^2)) / b^(n1*(n2+1)), an integer matrix's
-    determinant over a power of b.  A point where hp = 0, an eigenvalue of
-    s2's adjacency matrix and a pole of the coronal, raises PoleError.
+    determinant over a power of b.  That matrix is symmetric, as A1 and A1^2
+    are, so it is ordered sparse first and eliminated on its upper triangle
+    by _eliminate_symmetric, restarting in _eliminate on its full rows at a
+    zero pivot.  A point where hp = 0, an eigenvalue of s2's adjacency
+    matrix and a pole of the coronal, raises PoleError.
     """
     n1, n2 = s1.n, s2.n
     if n1 < 1:
@@ -111,7 +115,11 @@ def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[[Fraction], F
         inner = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in row_pairs]
         for i, row in enumerate(inner):
             row[i] += a * hp
-        return Fraction(_eliminate(_sparse_first(inner)), b ** (n1 * (n2 + 1)))
+        inner = _sparse_first(inner)
+        det = _eliminate_symmetric([row[i:] for i, row in enumerate(inner)])
+        if det is None:
+            det = _eliminate(inner)
+        return Fraction(det, b ** (n1 * (n2 + 1)))
 
     return at
 

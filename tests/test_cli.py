@@ -22,6 +22,7 @@ import sgcorona
 from sgcorona import format_graph, parse_graph, read_graph, unbalanced_c4, complete_graph, cycle_graph, experiments, graphs
 from sgcorona.cli import MAX_CORONA_SIZE, MAX_DENSE_ORDER, main
 from sgcorona.experiments import THEOREM_LABELS
+from sgcorona.linalg import ComplexRootsError
 from sgcorona.spectra import CLOSED_FORMS, ClosedFormError, MatrixKind
 
 C4M_TEXT = "4\n0 1 +\n1 2 +\n2 3 +\n0 3 -\n"
@@ -301,6 +302,27 @@ class TestVerify:
         failure = json.loads(out)["failures"][0]
         assert parse_graph(failure["graphs"]["s1"]).n >= 1
         assert set(failure["graphs"]) == {"s1", "s2"}
+
+    def test_arithmetic_error_in_a_check_is_a_failed_trial(self, capsys, monkeypatch):
+        # a wrong formula can give a quadratic complex roots, and a kernel
+        # fault can trip the eigensolver's trace check; either fails its
+        # trial with the pair dumped, and the run goes on
+        def complex_roots(s1, s2, tol):
+            raise ComplexRootsError("quadratic discriminant -1.000e+00 is negative")
+
+        monkeypatch.setitem(CLOSED_FORMS, MatrixKind.ADJACENCY, complex_roots)
+        result = experiments.verify_theorem("2.3", trials=3)
+        assert (result.passed, result.trials) == (0, 3)
+        assert [f.trial for f in result.failures] == [0, 1, 2]
+        for failure in result.failures:
+            assert failure.detail == "check raised ComplexRootsError: quadratic discriminant -1.000e+00 is negative"
+            assert set(failure.graphs) == {"s1", "s2"}
+            assert parse_graph(failure.graphs["s2"]).n >= 1
+        code, out, err = run(capsys, "verify", "--theorem", "2.3", "--trials", "3")
+        assert code == 1
+        assert "FAIL 0/3" in out
+        assert out.count("counterexample at trial") == 3
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("theorem, trials, seed", [("3.4", "15", "0"), ("4.2", "20", "3")])
     def test_coarse_tol_refuses_no_closed_form(self, capsys, theorem, trials, seed):

@@ -415,6 +415,20 @@ class TestVerify:
         with pytest.raises(ValueError, match="not a pole"):
             verify_theorem("2.2", trials=3, seed=0, max_n=4)
 
+    @pytest.mark.parametrize("label, names", [("5.1", {"s1", "s2"}), ("5.2", {"seed"})])
+    def test_kernel_fault_is_a_failed_trial(self, monkeypatch, label, names):
+        # a fault that trips sym_eigenvalues' trace check fails every trial,
+        # each dumping its graphs under the names the row's failures use
+        def drifted(*args):
+            raise ArithmeticError("eigenvalue sum drifted away from the trace")
+
+        monkeypatch.setattr(experiments, "numeric_spectrum", drifted)
+        result = verify_theorem(label, trials=3, seed=0)
+        assert result.passed == 0 and len(result.failures) == result.trials
+        for failure in result.failures:
+            assert failure.detail == "check raised ArithmeticError: eigenvalue sum drifted away from the trace"
+            assert set(failure.graphs) == names
+
     def test_failure_dump_contains_graphs(self):
         # force a failure by abusing the result type directly
         from sgcorona.experiments import TrialFailure, VerifyResult

@@ -44,6 +44,7 @@ from sgcorona.linalg import (
     _blocks,
     _det_points,
     _eliminate,
+    _eliminate_symmetric,
     _ql_implicit,
     _sparse_first,
     _tridiagonalize,
@@ -706,6 +707,15 @@ class TestSparseBareiss:
         assert m.rows == 182
         assert det_exact_at(m, 0) == det_at_oracle(m, 0)
 
+    def test_largest_corona_at_a_nonzero_point(self):
+        # the same order 182 at a non-integer point, where no pivot of the
+        # symmetric pass is zero, so it runs to the end
+        rng = random.Random(43)
+        corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
+        m = matrix_of(corona, MatrixKind.ADJACENCY)
+        assert m.rows == 182
+        assert det_exact_at(m, Fraction(-9, 2)) == det_at_oracle(m, Fraction(-9, 2))
+
     @staticmethod
     def sympy_det_at(m: Matrix, t0: Fraction) -> Fraction:
         sympy = pytest.importorskip("sympy")
@@ -742,6 +752,106 @@ class TestSparseBareiss:
             m = random_int_matrix(rng, rng.randint(1, 12), -9, 9)
             for t0 in (0, Fraction(7, 3), Fraction(-9, 2)):
                 assert det_exact_at(m, t0) == det_at_oracle(m, t0)
+
+
+@st.composite
+def sym_int_matrices(draw):
+    """int_matrices for symmetric matrices: order 0-25 at a random density,
+    some of them with a zero row and column, a zero diagonal or a row and
+    column that combine two others."""
+    n = draw(st.integers(0, 25))
+    density = draw(st.floats(0.0, 1.0))
+    shape = draw(st.sampled_from(["plain", "zero row", "zero diagonal", "rank deficient"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-4, 4) if rng.random() < density else 0
+    if shape == "zero row" and n:
+        k = rng.randrange(n)
+        rows[k] = [0] * n
+        for row in rows:
+            row[k] = 0
+    elif shape == "zero diagonal":
+        for i in range(n):
+            rows[i][i] = 0
+    elif shape == "rank deficient" and n >= 3:
+        # T^T M T, T the identity with column k replaced by c1 e_i + c2 e_j:
+        # column k becomes c1 times column i plus c2 times column j
+        i, j, k = rng.sample(range(n), 3)
+        c1, c2 = rng.randint(-3, 3), rng.randint(-3, 3)
+        cols = [[(u, 1)] if u != k else [(i, c1), (j, c2)] for u in range(n)]
+        rows = [
+            [sum(x * y * rows[p][q] for p, x in cols[u] for q, y in cols[v]) for v in range(n)]
+            for u in range(n)
+        ]
+    return shape, rows
+
+
+def upper(rows: list[list[int]]) -> list[list[int]]:
+    """The upper triangle that _eliminate_symmetric takes: row i from column i."""
+    return [row[i:] for i, row in enumerate(rows)]
+
+
+class TestSymmetricBareiss:
+    """The symmetric pass against dense Bareiss, and its restart."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sym_int_matrices())
+    def test_equals_dense_oracle_or_stops_at_a_zero_pivot(self, case):
+        shape, rows = case
+        expected = det_bareiss_dense([row[:] for row in rows])
+        ordered = _sparse_first(rows)
+        got = _eliminate_symmetric(upper(ordered))
+        # its pivots are the leading principal minors of orders 1 to n - 1
+        minors = [det_bareiss_dense([row[:k] for row in ordered[:k]]) for k in range(1, len(rows))]
+        assert (got is None) == (0 in minors)
+        if got is not None:
+            assert got == expected
+        if shape in ("zero row", "rank deficient") and len(rows) >= 3:
+            assert expected == 0
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            # test_stale_rows' third case mirrored from its upper triangle;
+            # sparse first it is [[3, 0, 0], [0, 2, -2], [0, -2, 1]]: both
+            # rows skip step 0, so at step 1 the pivot row is brought up to
+            # date and row 2, a pivot behind, rescales its lead to its stamp
+            ([[2, 0, -2], [0, 3, 0], [-2, 0, 1]], -6),
+            # the same case mirrored from its lower triangle; sparse first it
+            # is [[2, 0, 2], [0, 1, -2], [2, -2, 3]]: row 1 skips step 0 and
+            # is the pivot at step 1, whose up-to-date row gives row 2 its lead
+            ([[2, 2, 0], [2, 3, -2], [0, -2, 1]], -6),
+            # the fourth case mirrored from its lower triangle, kept in order:
+            # row 2 skips step 0 and rescales its lead at step 1
+            ([[-2, -2, 0, 1], [-2, 0, 3, 2], [0, 3, 3, 1], [1, 2, 1, 0]], 1),
+            # test_stale_row_updated_after_two_skips' matrix: row 3 skips
+            # steps 0 and 1 and rescales its lead from stamp 1 at step 2
+            ([[2, 1, 0, 0, 1], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1], [1, 0, 0, 1, 3]], 20),
+        ],
+    )
+    def test_stale_rows(self, rows, det):
+        assert det_bareiss_dense([row[:] for row in rows]) == det
+        assert _eliminate_symmetric(upper(_sparse_first(rows))) == det
+
+    def test_det_points_restarts_only_at_a_zero_pivot(self, monkeypatch):
+        calls = []
+        for name in ("_eliminate", "_eliminate_symmetric"):
+            def spy(a, kernel=getattr(linalg, name), name=name):
+                calls.append(name)
+                return kernel(a)
+
+            monkeypatch.setattr(linalg, name, spy)
+        rng = random.Random(67)
+        m = matrix_of(neighbourhood_corona(random_signed_graph(rng, 6), random_signed_graph(rng, 4)), MatrixKind.ADJACENCY)
+        at = _det_points(m)
+        # at 7/3 no pivot is zero; at 0 the adjacency diagonal is zero, so
+        # the first pivot is, and the pass restarts in the general kernel
+        for t0, ran in ((Fraction(7, 3), ["_eliminate_symmetric"]), (Fraction(0), ["_eliminate_symmetric", "_eliminate"])):
+            calls.clear()
+            assert at(t0) == det_at_oracle(m, t0)
+            assert calls == ran
 
 
 class TestSymEigenvalues:
