@@ -769,6 +769,8 @@ def verify_theorem(
     for name, value in (("trials", trials), ("max-n", max_n)):
         if type(value) is not int or value < 1:
             raise ValueError(f"{name} must be a positive int, got {value!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     _check_tol(tol)
     theorem = THEOREMS[label]
     rng = random.Random(seed)

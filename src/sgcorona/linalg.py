@@ -1,8 +1,8 @@
 """Exact dense linear algebra on integer matrices plus the numeric kernels:
 characteristic polynomials (modulo primes, by Hessenberg reduction or, for
 the twin quotient blocks of a large symmetric matrix, by Lanczos),
-determinant evaluation at rational points (fraction-free elimination, on
-the upper triangle alone for a symmetric matrix), a symmetric eigensolver
+determinant evaluation at rational points (fraction-free elimination on
+the upper triangle of a symmetric matrix), a symmetric eigensolver
 (Householder tridiagonalisation plus implicit-shift QL on the twin quotient
 blocks), Kronecker algebra, and real root extraction for monic quadratics
 and cubics.  Both kernels read the twin split from one function,
@@ -27,7 +27,8 @@ class ComplexRootsError(ArithmeticError):
 
 class Matrix:
     """Immutable dense matrix with exact integer or rational entries; the
-    exact kernels, char_poly_exact and det_exact_at, take int entries only."""
+    exact kernels, char_poly_exact and det_exact_at, take int entries only,
+    and det_exact_at a symmetric matrix only."""
 
     __slots__ = ("_rows",)
 
@@ -443,71 +444,32 @@ def _sparse_first(a) -> list[list[int]]:
     return [list(take(a[i])) for i in order]
 
 
-def _eliminate(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix, given as rows it may
-    overwrite (Bareiss, Math. Comp. 22, 1968), scaled to skip zeros.
+def _eliminate_symmetric(a: list[list[int]]) -> int:
+    """Fraction-free determinant of a symmetric integer matrix given as its
+    upper triangle, row i holding columns i..n-1, as lists it may overwrite
+    (Bareiss, Math. Comp. 22, 1968), with diagonal pivots and scaled to skip
+    zeros.
 
-    Step k of Bareiss multiplies a row whose entry in column k is 0 by
-    pivot_k / prev_k and changes nothing else; since prev_(k+1) = pivot_k
-    those factors telescope, so such a row is skipped and stamp[i] keeps
-    the prev it is exact for.  It is brought up to date, by one exact
-    division by its stamp, when it is next touched: as the pivot row, at
-    the next step where its entry in the pivot column is nonzero, or as the
-    last entry.  A zero pivot is swapped for a lower row with a nonzero
-    entry in its column, and the stamps are swapped with the rows.
+    Each trailing matrix of Bareiss holds minors bordered by a row and a
+    column, so with diagonal pivots it is symmetric and only entries on and
+    above the diagonal are updated.  Step k multiplies a row whose entry in
+    column k is 0 by pivot_k / prev_k and changes nothing else; since
+    prev_(k+1) = pivot_k those factors telescope, so such a row is skipped
+    and stamp[i] keeps the prev it is exact for.  A row stamped s holds
+    entries x whose up-to-date value is x*prev/s, so the update
+    (x'*pivot - lead'*y)/prev of up-to-date entries equals
+    (x*pivot - lead*y)/s: one formula, exact because its value is an
+    integer, serves fresh rows (s = prev) and stale ones.  Row i's lead at
+    step k, entry (i, k), is not stored; the up-to-date pivot row holds its
+    mirror (k, i), and a row stamped s takes it as lead * s // prev.
 
-    A row stamped s holds entries x whose up-to-date value is x*prev/s, so
-    the Bareiss update of an up-to-date entry, (x'*pivot - lead'*y)/prev
-    with x' = x*prev/s and lead' = lead*prev/s, equals
-    (x*pivot - lead*y)/s.  One formula serves fresh rows (s = prev) and
-    stale ones, and its division is exact because the update's value is an
-    integer.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    stamp = [1] * n
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    stamp[k], stamp[r] = stamp[r], stamp[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        s = stamp[k]
-        tail = a[k][k:] if s == prev else [x * prev // s for x in a[k][k:]]
-        pivot = tail.pop(0)
-        k1 = k + 1
-        for i in range(k1, n):
-            row = a[i]
-            lead = row[k]
-            if lead:
-                s = stamp[i]
-                row[k1:] = [(x * pivot - lead * y) // s for x, y in zip(row[k1:], tail)]
-                stamp[i] = pivot
-        prev = pivot
-    return sign * a[n - 1][n - 1] * prev // stamp[n - 1]
-
-
-def _eliminate_symmetric(a: list[list[int]]) -> int | None:
-    """_eliminate for a symmetric integer matrix given as its upper triangle,
-    row i holding columns i..n-1, or None at a zero pivot, for the caller to
-    restart in _eliminate on full rows.
-
-    With diagonal pivots every trailing matrix of Bareiss is symmetric, its
-    entry (i, j) a minor bordered by row i and column j (Bareiss, Math.
-    Comp. 22, 1968), so only entries on and above the diagonal are updated:
-    about half of _eliminate's work.  Rows are skipped and stamped as there.
-    Row i's lead at step k, entry (i, k), is not stored; the up-to-date pivot
-    row holds its mirror (k, i), and a row stamped s takes it as
-    lead * s // prev, the value a stale full row would hold in column k.
-    No row is swapped, so a zero pivot, a zero leading principal minor,
-    ends the pass.
+    A zero pivot with a nonzero entry (k, j), j the first such, is replaced
+    by the congruence E A E^T, E = I + e e_k e_j^T of determinant 1: row
+    and column k gain e times row and column j, which only changes the
+    stored row k, and the new pivot 2e*a_kj + a_jj is nonzero for e = -1
+    if a_jj = -2*a_kj and for e = 1 otherwise.  The bordered minors are
+    linear in each border row and column, so the stored rows stay exact.
+    A zero pivot with no such entry leaves column k zero, and det A = 0.
     """
     n = len(a)
     if n == 0:
@@ -516,11 +478,21 @@ def _eliminate_symmetric(a: list[list[int]]) -> int | None:
     prev = 1
     for k in range(n - 1):
         tail = a[k]
-        if tail[0] == 0:
-            return None
         s = stamp[k]
         if s != prev:
             tail = [x * prev // s for x in tail]
+        if tail[0] == 0:
+            j = next((j for j in range(k + 1, n) if tail[j - k]), None)
+            if j is None:
+                return 0
+            # row j over columns k..n-1, up to date: (j, k) mirrored in the
+            # pivot row, (j, c) for k < c < j mirrored in row c, then row j
+            partner = [tail[j - k]]
+            partner += [a[c][j - c] * prev // stamp[c] for c in range(k + 1, j)]
+            partner += [x * prev // stamp[j] for x in a[j]]
+            e = -1 if partner[j - k] == -2 * tail[j - k] else 1
+            tail = [x + e * y for x, y in zip(tail, partner)]
+            tail[0] += e * tail[j - k]
         pivot = tail[0]
         for i in range(k + 1, n):
             lead = tail[i - k]
@@ -545,45 +517,35 @@ def _point(t0) -> Fraction:
 
 
 def _det_points(m: Matrix) -> Callable[[Fraction], Fraction]:
-    """t0 -> det(t0*I - M) for a square integer matrix M and a Fraction t0 =
-    a/b: (-1)^n det(b*M - a*I) / b^n by _eliminate, which skips the zeros of
-    a sparse matrix such as a corona's.  M's entries are checked and its rows
-    and columns ordered sparse first (_int_rows, _sparse_first) here, once;
-    each point only scales them by b and subtracts a on the diagonal, which
-    the symmetric permutation left in place.
-
-    A symmetric M, as every graph matrix is, is also kept as its upper
-    triangle, and each point first takes _eliminate_symmetric on that
-    alone.  At a zero pivot it restarts in _eliminate.  That needs an
-    integer t0, such as 0 on an adjacency matrix, whose diagonal is zero: a
-    leading minor of b*M - a*I vanishes only where a/b is an eigenvalue of
-    an integer matrix, and such an eigenvalue, if rational, is an integer."""
+    """t0 -> det(t0*I - M) for a symmetric integer matrix M, as every graph
+    matrix is, and a Fraction t0 = a/b: (-1)^n det(b*M - a*I) / b^n by
+    _eliminate_symmetric, which skips the zeros of a sparse matrix such as a
+    corona's.  M's entries are checked, its rows and columns ordered sparse
+    first (_int_rows, _sparse_first), its symmetry checked and its upper
+    triangle kept here, once; each point only scales that by b and
+    subtracts a on the diagonal, which the symmetric permutation left in
+    place.  A non-symmetric M raises ValueError."""
     m.require_square("det_exact_at")
-    base = _sparse_first(_int_rows(m))
-    n = len(base)
-    symmetric = base == [list(col) for col in zip(*base)]
-    upper = [row[i:] for i, row in enumerate(base)] if symmetric else None
+    ordered = _sparse_first(_int_rows(m))
+    if ordered != [list(col) for col in zip(*ordered)]:
+        raise ValueError("det_exact_at needs a symmetric matrix")
+    n = len(ordered)
+    upper = [row[i:] for i, row in enumerate(ordered)]
 
     def at(t0: Fraction) -> Fraction:
         a, b = t0.numerator, t0.denominator
-        if upper is not None:
-            rows = [row[:] for row in upper] if b == 1 else [[b * x for x in row] for row in upper]
-            for row in rows:
-                row[0] -= a
-            det = _eliminate_symmetric(rows)
-            if det is not None:
-                return Fraction((-1) ** n * det, b**n)
-        rows = [row[:] for row in base] if b == 1 else [[b * x for x in row] for row in base]
-        for i, row in enumerate(rows):
-            row[i] -= a
-        return Fraction((-1) ** n * _eliminate(rows), b**n)
+        rows = [row[:] for row in upper] if b == 1 else [[b * x for x in row] for row in upper]
+        for row in rows:
+            row[0] -= a
+        return Fraction((-1) ** n * _eliminate_symmetric(rows), b**n)
 
     return at
 
 
 def det_exact_at(m: Matrix, t0) -> Fraction:
-    """det(t0*I - M) exactly, for a square integer matrix M and a rational t0:
-    _det_points at one point, with M's shape checked before the point."""
+    """det(t0*I - M) exactly, for a symmetric integer matrix M and a
+    rational t0: _det_points at one point, with M's shape checked before the
+    point."""
     m.require_square("det_exact_at")
     t0 = _point(t0)
     return _det_points(m)(t0)

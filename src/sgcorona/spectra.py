@@ -15,7 +15,6 @@ from .linalg import (
     Matrix,
     SpectrumMultiset,
     _char_poly_int,
-    _eliminate,
     _eliminate_symmetric,
     _point,
     _sparse_first,
@@ -93,9 +92,8 @@ def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[[Fraction], F
     det(a*hp*I - b*(hp*A1 + hk*A1^2)) / b^(n1*(n2+1)), an integer matrix's
     determinant over a power of b.  That matrix is symmetric, as A1 and A1^2
     are, so it is ordered sparse first and eliminated on its upper triangle
-    by _eliminate_symmetric, restarting in _eliminate on its full rows at a
-    zero pivot.  A point where hp = 0, an eigenvalue of s2's adjacency
-    matrix and a pole of the coronal, raises PoleError.
+    by _eliminate_symmetric.  A point where hp = 0, an eigenvalue of s2's
+    adjacency matrix and a pole of the coronal, raises PoleError.
     """
     n1, n2 = s1.n, s2.n
     if n1 < 1:
@@ -117,8 +115,6 @@ def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[[Fraction], F
             row[i] += a * hp
         inner = _sparse_first(inner)
         det = _eliminate_symmetric([row[i:] for i, row in enumerate(inner)])
-        if det is None:
-            det = _eliminate(inner)
         return Fraction(det, b ** (n1 * (n2 + 1)))
 
     return at

@@ -162,9 +162,17 @@ class TestArgumentTypes:
             (lambda: verify_theorem("2.3", max_n=2.5), "max-n must be a positive int, got 2.5"),
             (lambda: verify_theorem("2.3", max_n=True), "max-n must be a positive int, got True"),
             (lambda: verify_theorem("2.3", max_n=-1), "max-n must be a positive int, got -1"),
+            # random.Random takes these, but None is unseeded, "7" hashes
+            # the string rather than replaying seed 7, and [1] is unhashable
+            (lambda: verify_theorem("2.3", seed=None), "seed must be an int, got None"),
+            (lambda: verify_theorem("2.3", seed="7"), "seed must be an int, got '7'"),
+            (lambda: verify_theorem("2.3", seed=[1]), "seed must be an int, got [1]"),
+            (lambda: verify_theorem("2.3", seed=True), "seed must be an int, got True"),
+            (lambda: verify_theorem("2.3", seed=7.0), "seed must be an int, got 7.0"),
         ],
         ids=["companion None", "companion 1", "trials 2.5", "trials True", "trials 0",
-             "max_n 2.5", "max_n True", "max_n -1"],
+             "max_n 2.5", "max_n True", "max_n -1",
+             "seed None", "seed str", "seed list", "seed True", "seed 7.0"],
     )
     def test_bad_argument_is_a_value_error(self, call, message):
         # a bool is an int to Python, but no count

@@ -43,7 +43,6 @@ from sgcorona import linalg
 from sgcorona.linalg import (
     _blocks,
     _det_points,
-    _eliminate,
     _eliminate_symmetric,
     _ql_implicit,
     _sparse_first,
@@ -564,7 +563,7 @@ class TestDetExactAt:
         assert det_exact_at(Matrix([[5]]), Fraction(1, 3)) == Fraction(-14, 3)
 
     def test_zero_first_pivot(self):
-        # t0 equals the (0, 0) entry, so elimination must swap rows first
+        # t0 equals the (0, 0) entry, so elimination takes a congruence first
         m = Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
         assert det_exact_at(m, 2) == poly_at(charpoly_cofactor(m), 2)
         assert det_exact_at(Matrix([[2, 0], [0, 5]]), 2) == 0
@@ -579,7 +578,7 @@ class TestDetExactAt:
         for _ in range(12):
             a = random_symmetric(rng, rng.randint(1, 9), -1, 1)
             kappa = rng.randint(-7, 7)
-            for m in (a + scaled(kappa, a @ a), random_int_matrix(rng, a.rows, -9, 9)):
+            for m in (a + scaled(kappa, a @ a), random_symmetric(rng, a.rows, -9, 9)):
                 p = char_poly_exact(m)
                 for _ in range(3):
                     t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -588,7 +587,7 @@ class TestDetExactAt:
     def test_matches_char_poly_on_random_matrices(self):
         rng = random.Random(5)
         for _ in range(20):
-            m = random_int_matrix(rng, rng.randint(1, 8))
+            m = random_symmetric(rng, rng.randint(1, 8))
             p = char_poly_exact(m)
             for t in range(-3, 4):
                 assert det_exact_at(m, t) == poly_at(p, t)
@@ -613,6 +612,14 @@ class TestDetExactAt:
                 assert at(Fraction(t0)) == expected
                 assert det_exact_at(m, t0) == expected
 
+    @pytest.mark.parametrize("rows", [[[0, 1], [0, 0]], [[1, 2, 0], [2, 0, 3], [0, -3, 1]]])
+    def test_non_symmetric_matrix_refused(self, rows):
+        # every graph matrix is symmetric; the check runs on the sparse-first
+        # rows, before any point
+        for call in (lambda m: det_exact_at(m, 2), _det_points):
+            with pytest.raises(ValueError, match="det_exact_at needs a symmetric matrix"):
+                call(Matrix(rows))
+
     @pytest.mark.parametrize("entry", [True, 1.0, Fraction(1)], ids=["bool", "float", "Fraction"])
     def test_entry_equal_to_an_int_still_refused(self, entry):
         # Matrix([[entry]]) equals and hashes like Matrix([[1]]), which has
@@ -627,138 +634,10 @@ class TestDetExactAt:
 
 
 @st.composite
-def int_matrices(draw):
-    """Integer matrices of order 0-25 at a random density, some of them with
-    a zero row, a zero diagonal or a row that combines two others."""
-    n = draw(st.integers(0, 25))
-    density = draw(st.floats(0.0, 1.0))
-    shape = draw(st.sampled_from(["plain", "zero row", "zero diagonal", "rank deficient"]))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    rows = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
-    if shape == "zero row" and n:
-        rows[rng.randrange(n)] = [0] * n
-    elif shape == "zero diagonal":
-        for i in range(n):
-            rows[i][i] = 0
-    elif shape == "rank deficient" and n >= 3:
-        i, j, k = rng.sample(range(n), 3)
-        c1, c2 = rng.randint(-3, 3), rng.randint(-3, 3)
-        rows[k] = [c1 * x + c2 * y for x, y in zip(rows[i], rows[j])]
-    return shape, rows
-
-
-def det_at_oracle(m: Matrix, t0) -> Fraction:
-    """det(t0*I - M) from the dense Bareiss oracle, scaled in Fractions."""
-    t0 = Fraction(t0)
-    n = m.rows
-    d = math.lcm(t0.denominator, *(Fraction(m[i, j]).denominator for i in range(n) for j in range(n)))
-    rows = [
-        [int(d * ((t0 if i == j else 0) - Fraction(m[i, j]))) for j in range(n)]
-        for i in range(n)
-    ]
-    return Fraction(det_bareiss_dense(rows), d**n)
-
-
-class TestSparseBareiss:
-    """The sparsity-ordered, lazily scaled kernel against dense Bareiss."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(int_matrices())
-    def test_equals_dense_oracle(self, case):
-        shape, rows = case
-        expected = det_bareiss_dense([row[:] for row in rows])
-        assert _eliminate(_sparse_first(rows)) == expected
-        if shape in ("zero row", "rank deficient") and len(rows) >= 3:
-            assert expected == 0
-
-    @pytest.mark.parametrize(
-        "rows, det",
-        [
-            # the row with a zero lead skips step 0 and is caught up last
-            ([[2, 3], [-2, 0]], 6),
-            # a row skipped at step 0 becomes the pivot row at step 1
-            ([[2, 2, -2], [2, 0, 0], [2, 0, 2]], -8),
-            # a row skipped at step 0 is updated again at step 1
-            ([[2, 0, -2], [2, 3, 0], [0, -2, 1]], 14),
-            # a zero pivot is swapped for a row that is behind (stamp != prev):
-            # its stamp must travel with it
-            ([[-2, 0, 3, 0], [-2, 0, 0, 3], [0, 3, 3, -2], [1, 2, 1, 0]], -33),
-        ],
-    )
-    def test_stale_rows(self, rows, det):
-        assert det_bareiss_dense([row[:] for row in rows]) == det
-        assert _eliminate(_sparse_first(rows)) == det
-
-    @pytest.mark.parametrize("kind", list(MatrixKind))
-    def test_corona_matrices(self, kind):
-        rng = random.Random(41)
-        for n1, n2 in ((13, 3), (3, 13), (6, 6), (1, 13), (13, 1)):
-            corona = neighbourhood_corona(random_signed_graph(rng, n1), random_signed_graph(rng, n2))
-            m = matrix_of(corona, kind)
-            for t0 in (0, Fraction(7, 3), Fraction(-9, 2)):
-                assert det_exact_at(m, t0) == det_at_oracle(m, t0)
-
-    def test_largest_corona_at_zero(self):
-        # order 182, the largest corona verify samples; t0 = 0 leaves the
-        # adjacency diagonal zero, so every pivot is found by a row swap
-        rng = random.Random(43)
-        corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
-        m = matrix_of(corona, MatrixKind.ADJACENCY)
-        assert m.rows == 182
-        assert det_exact_at(m, 0) == det_at_oracle(m, 0)
-
-    def test_largest_corona_at_a_nonzero_point(self):
-        # the same order 182 at a non-integer point, where no pivot of the
-        # symmetric pass is zero, so it runs to the end
-        rng = random.Random(43)
-        corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
-        m = matrix_of(corona, MatrixKind.ADJACENCY)
-        assert m.rows == 182
-        assert det_exact_at(m, Fraction(-9, 2)) == det_at_oracle(m, Fraction(-9, 2))
-
-    @staticmethod
-    def sympy_det_at(m: Matrix, t0: Fraction) -> Fraction:
-        sympy = pytest.importorskip("sympy")
-        t = sympy.Rational(t0.numerator, t0.denominator)
-        n = m.rows
-        value = sympy.Matrix(n, n, lambda i, j: (t if i == j else 0) - int(m[i, j])).det(method="bareiss")
-        return Fraction(int(value.p), int(value.q))
-
-    def test_stale_row_updated_after_two_skips(self):
-        # every row has three nonzeros, so the sparsity order keeps this
-        # order; row 3 skips steps 0 and 1 with a zero lead, so at step 2 it
-        # is two pivots behind and is updated from its stamp 1, not from prev
-        m = Matrix([[2, 1, 0, 0, 1], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1], [1, 0, 0, 1, 3]])
-        for t0 in (Fraction(0), Fraction(7, 3)):
-            expected = self.sympy_det_at(m, t0)
-            assert det_at_oracle(m, t0) == expected
-            assert det_exact_at(m, t0) == expected
-
-    def test_sparse_matrices_against_sympy(self):
-        rng = random.Random(53)
-        for _ in range(40):
-            n = rng.randint(1, 12)
-            m = Matrix(
-                [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.25 else 0 for _ in range(n)] for _ in range(n)]
-            )
-            for t0 in (Fraction(0), Fraction(7, 3)):
-                expected = self.sympy_det_at(m, t0)
-                assert det_at_oracle(m, t0) == expected
-                assert det_exact_at(m, t0) == expected
-
-    def test_int_matrices_at_rational_points(self):
-        rng = random.Random(47)
-        for _ in range(20):
-            m = random_int_matrix(rng, rng.randint(1, 12), -9, 9)
-            for t0 in (0, Fraction(7, 3), Fraction(-9, 2)):
-                assert det_exact_at(m, t0) == det_at_oracle(m, t0)
-
-
-@st.composite
 def sym_int_matrices(draw):
-    """int_matrices for symmetric matrices: order 0-25 at a random density,
-    some of them with a zero row and column, a zero diagonal or a row and
-    column that combine two others."""
+    """Symmetric integer matrices of order 0-25 at a random density, some of
+    them with a zero row and column, a zero diagonal or a row and column
+    that combine two others."""
     n = draw(st.integers(0, 25))
     density = draw(st.floats(0.0, 1.0))
     shape = draw(st.sampled_from(["plain", "zero row", "zero diagonal", "rank deficient"]))
@@ -793,38 +672,145 @@ def upper(rows: list[list[int]]) -> list[list[int]]:
     return [row[i:] for i, row in enumerate(rows)]
 
 
-class TestSymmetricBareiss:
-    """The symmetric pass against dense Bareiss, and its restart."""
+def det_at_oracle(m: Matrix, t0) -> Fraction:
+    """det(t0*I - M) from the dense Bareiss oracle, scaled in Fractions."""
+    t0 = Fraction(t0)
+    n = m.rows
+    d = math.lcm(t0.denominator, *(Fraction(m[i, j]).denominator for i in range(n) for j in range(n)))
+    rows = [
+        [int(d * ((t0 if i == j else 0) - Fraction(m[i, j]))) for j in range(n)]
+        for i in range(n)
+    ]
+    return Fraction(det_bareiss_dense(rows), d**n)
+
+
+class TestSparseBareiss:
+    """The sparsity-ordered, lazily scaled kernel against dense Bareiss."""
 
     @settings(max_examples=200, deadline=None)
     @given(sym_int_matrices())
-    def test_equals_dense_oracle_or_stops_at_a_zero_pivot(self, case):
+    def test_equals_dense_oracle(self, case):
         shape, rows = case
         expected = det_bareiss_dense([row[:] for row in rows])
-        ordered = _sparse_first(rows)
-        got = _eliminate_symmetric(upper(ordered))
-        # its pivots are the leading principal minors of orders 1 to n - 1
-        minors = [det_bareiss_dense([row[:k] for row in ordered[:k]]) for k in range(1, len(rows))]
-        assert (got is None) == (0 in minors)
-        if got is not None:
-            assert got == expected
+        assert _eliminate_symmetric(upper(_sparse_first(rows))) == expected
         if shape in ("zero row", "rank deficient") and len(rows) >= 3:
             assert expected == 0
 
     @pytest.mark.parametrize(
         "rows, det",
         [
-            # test_stale_rows' third case mirrored from its upper triangle;
+            # the row with a zero lead skips step 0 and is caught up last
+            ([[2, 0], [0, 3]], 6),
+            # a row skipped at step 0 becomes the pivot row at step 1
+            ([[-2, 0, -1], [0, -1, -1], [-1, -1, 0]], 3),
+            # a row skipped at step 0 is updated again at step 1
+            ([[2, -1, 0], [-1, 0, -1], [0, -1, -1]], -1),
+            # rows 1 and 2 skip step 0; row 1's pivot is then zero and takes
+            # its congruence with row 2, which is behind (stamp != prev), so
+            # it is read up to date from its stamp
+            ([[2, 0, 0, 1], [0, 0, -1, -1], [0, -1, 1, 0], [1, -1, 0, 0]], -1),
+        ],
+    )
+    def test_stale_rows(self, rows, det):
+        # every row has the same nonzero count, so sparse first keeps the order
+        assert _sparse_first(rows) == rows
+        assert det_bareiss_dense([row[:] for row in rows]) == det
+        assert _eliminate_symmetric(upper(rows)) == det
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    def test_corona_matrices(self, kind):
+        rng = random.Random(41)
+        for n1, n2 in ((13, 3), (3, 13), (6, 6), (1, 13), (13, 1)):
+            corona = neighbourhood_corona(random_signed_graph(rng, n1), random_signed_graph(rng, n2))
+            m = matrix_of(corona, kind)
+            for t0 in (0, Fraction(7, 3), Fraction(-9, 2)):
+                assert det_exact_at(m, t0) == det_at_oracle(m, t0)
+
+    def test_largest_corona_at_zero(self):
+        # order 182, the largest corona verify samples; t0 = 0 leaves the
+        # adjacency diagonal zero, so the pass meets zero pivots and takes a
+        # congruence at each
+        rng = random.Random(43)
+        corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
+        m = matrix_of(corona, MatrixKind.ADJACENCY)
+        assert m.rows == 182
+        assert det_exact_at(m, 0) == det_at_oracle(m, 0)
+
+    def test_largest_corona_at_a_nonzero_point(self):
+        # the same order 182 at a non-integer point, where no pivot of the
+        # symmetric pass is zero
+        rng = random.Random(43)
+        corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
+        m = matrix_of(corona, MatrixKind.ADJACENCY)
+        assert m.rows == 182
+        assert det_exact_at(m, Fraction(-9, 2)) == det_at_oracle(m, Fraction(-9, 2))
+
+    @staticmethod
+    def sympy_det_at(m: Matrix, t0: Fraction) -> Fraction:
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Rational(t0.numerator, t0.denominator)
+        n = m.rows
+        value = sympy.Matrix(n, n, lambda i, j: (t if i == j else 0) - int(m[i, j])).det(method="bareiss")
+        return Fraction(int(value.p), int(value.q))
+
+    def test_stale_row_updated_after_two_skips(self):
+        # every row has three nonzeros, so the sparsity order keeps this
+        # order; row 3 skips steps 0 and 1 with a zero lead, so at step 2 it
+        # is two pivots behind and is updated from its stamp 1, not from prev
+        m = Matrix([[2, 1, 0, 0, 1], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1], [1, 0, 0, 1, 3]])
+        for t0 in (Fraction(0), Fraction(7, 3)):
+            expected = self.sympy_det_at(m, t0)
+            assert det_at_oracle(m, t0) == expected
+            assert det_exact_at(m, t0) == expected
+
+    def test_sparse_matrices_against_sympy(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.25 else 0
+            m = Matrix(rows)
+            for t0 in (Fraction(0), Fraction(7, 3)):
+                expected = self.sympy_det_at(m, t0)
+                assert det_at_oracle(m, t0) == expected
+                assert det_exact_at(m, t0) == expected
+
+    def test_int_matrices_at_rational_points(self):
+        rng = random.Random(47)
+        for _ in range(20):
+            m = random_symmetric(rng, rng.randint(1, 12), -9, 9)
+            for t0 in (0, Fraction(7, 3), Fraction(-9, 2)):
+                assert det_exact_at(m, t0) == det_at_oracle(m, t0)
+
+
+class TestSymmetricBareiss:
+    """The symmetric pass against dense Bareiss, and its congruence at a zero
+    pivot."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sym_int_matrices())
+    def test_equals_dense_oracle_through_zero_pivots(self, case):
+        # in the natural order, where a zero diagonal or a zero leading
+        # principal minor makes a zero pivot
+        shape, rows = case
+        expected = det_bareiss_dense([row[:] for row in rows])
+        assert _eliminate_symmetric(upper(rows)) == expected
+        if shape in ("zero row", "rank deficient") and len(rows) >= 3:
+            assert expected == 0
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
             # sparse first it is [[3, 0, 0], [0, 2, -2], [0, -2, 1]]: both
             # rows skip step 0, so at step 1 the pivot row is brought up to
             # date and row 2, a pivot behind, rescales its lead to its stamp
             ([[2, 0, -2], [0, 3, 0], [-2, 0, 1]], -6),
-            # the same case mirrored from its lower triangle; sparse first it
-            # is [[2, 0, 2], [0, 1, -2], [2, -2, 3]]: row 1 skips step 0 and
+            # sparse first it is [[2, 0, 2], [0, 1, -2], [2, -2, 3]]: row 1 skips step 0 and
             # is the pivot at step 1, whose up-to-date row gives row 2 its lead
             ([[2, 2, 0], [2, 3, -2], [0, -2, 1]], -6),
-            # the fourth case mirrored from its lower triangle, kept in order:
-            # row 2 skips step 0 and rescales its lead at step 1
+            # kept in order: row 2 skips step 0 and rescales its lead at step 1
             ([[-2, -2, 0, 1], [-2, 0, 3, 2], [0, 3, 3, 1], [1, 2, 1, 0]], 1),
             # test_stale_row_updated_after_two_skips' matrix: row 3 skips
             # steps 0 and 1 and rescales its lead from stamp 1 at step 2
@@ -835,23 +821,47 @@ class TestSymmetricBareiss:
         assert det_bareiss_dense([row[:] for row in rows]) == det
         assert _eliminate_symmetric(upper(_sparse_first(rows))) == det
 
-    def test_det_points_restarts_only_at_a_zero_pivot(self, monkeypatch):
-        calls = []
-        for name in ("_eliminate", "_eliminate_symmetric"):
-            def spy(a, kernel=getattr(linalg, name), name=name):
-                calls.append(name)
-                return kernel(a)
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            # e = 1: the new pivot is 2*a_01 + a_11 = 4, where -2*a_01 + a_11 is 0
+            ([[0, 1], [1, 2]], -1),
+            # e = -1: 2*a_01 + a_11 would be 0, so the new pivot is -2*a_01 + a_11 = -4
+            ([[0, 1], [1, -2]], -1),
+            # step 0 leaves column 1 of the trailing matrix zero
+            ([[-1, 1, 1], [1, -1, -1], [1, -1, -1]], 0),
+            # a congruence at step 0 with row 3, then a zero column at step 2
+            ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [1, 1, 1, -1]], 0),
+            # rows 1 to 3 skip step 0; row 1's pivot is zero and its first
+            # nonzero is in column 3, so its congruence reads entry (3, 2)
+            # from its mirror (2, 3) in row 2, which is behind (stamp != prev)
+            (
+                [[3, 0, 0, 0, 2], [0, 0, 0, -1, 1], [0, 0, -2, -2, 0], [0, -1, -2, 0, 0], [2, 1, 0, 0, 0]],
+                4,
+            ),
+        ],
+    )
+    def test_zero_pivot(self, rows, det):
+        assert det_bareiss_dense([row[:] for row in rows]) == det
+        assert _eliminate_symmetric(upper(rows)) == det
 
-            monkeypatch.setattr(linalg, name, spy)
+    def test_det_points_one_pass_through_a_zero_pivot(self, monkeypatch):
+        pivots = []
+
+        def spy(a, kernel=linalg._eliminate_symmetric):
+            pivots.append(a[0][0])
+            return kernel(a)
+
+        monkeypatch.setattr(linalg, "_eliminate_symmetric", spy)
         rng = random.Random(67)
         m = matrix_of(neighbourhood_corona(random_signed_graph(rng, 6), random_signed_graph(rng, 4)), MatrixKind.ADJACENCY)
         at = _det_points(m)
-        # at 7/3 no pivot is zero; at 0 the adjacency diagonal is zero, so
-        # the first pivot is, and the pass restarts in the general kernel
-        for t0, ran in ((Fraction(7, 3), ["_eliminate_symmetric"]), (Fraction(0), ["_eliminate_symmetric", "_eliminate"])):
-            calls.clear()
+        # at 7/3 the first pivot is 3*0 - 7; at 0 the adjacency diagonal is
+        # zero, so the first pivot is, and the same pass takes a congruence
+        for t0, first in ((Fraction(7, 3), -7), (Fraction(0), 0)):
+            pivots.clear()
             assert at(t0) == det_at_oracle(m, t0)
-            assert calls == ran
+            assert pivots == [first]
 
 
 class TestSymEigenvalues:
