@@ -65,14 +65,15 @@ def _check_order(order: int) -> None:
         raise GraphError(f"matrix order {order} exceeds the limit of {MAX_DENSE_ORDER}")
 
 
-def _positive(convert):
-    """argparse type: convert(text), which must be finite and above zero."""
+def _positive(convert, zero=False):
+    """argparse type: convert(text), which must be finite and above zero, or
+    at least zero with zero=True."""
 
     def parse(text: str):
         value = convert(text)
-        if not 0 < value < math.inf:
+        if not (0 <= value if zero else 0 < value) or value == math.inf:
             raise argparse.ArgumentTypeError(
-                f"expected a finite {convert.__name__} above 0, got {text!r}"
+                f"expected a finite {convert.__name__} {'of at least' if zero else 'above'} 0, got {text!r}"
             )
         return value
 
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomised property suite for one identity")
     p.add_argument("--theorem", required=True, choices=list(THEOREM_LABELS))
     p.add_argument("--trials", type=_positive(int), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_positive(int, zero=True), default=0)
     p.add_argument("--max-n", type=_positive(int), default=5, dest="max_n",
                    help="largest order of a sampled factor (default 5); regular factors "
                    "have at least 2 vertices, and 2.4/2.5's K_{p,q} (p, q <= 2) and "

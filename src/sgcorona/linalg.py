@@ -1,12 +1,12 @@
 """Exact dense linear algebra on integer matrices plus the numeric kernels:
-characteristic polynomials (modulo primes, by Hessenberg reduction or, for
-the twin quotient blocks of a large symmetric matrix, by Lanczos),
-determinant evaluation at rational points (fraction-free elimination on
-the upper triangle of a symmetric matrix), a symmetric eigensolver
-(Householder tridiagonalisation plus implicit-shift QL on the twin quotient
-blocks), Kronecker algebra, and real root extraction for monic quadratics
-and cubics.  Both kernels read the twin split from one function,
-_twin_quotient."""
+characteristic polynomials and determinants modulo primes, lifted to Z by
+Chinese remaindering (char polys by Hessenberg reduction or, for the twin
+quotient blocks of a large symmetric matrix, by Lanczos; determinants of
+symmetric matrices by elimination over GF(p) on the upper triangle), a
+symmetric eigensolver (Householder tridiagonalisation plus implicit-shift
+QL on the twin quotient blocks), Kronecker algebra, and real root
+extraction for monic quadratics and cubics.  The char poly and the
+eigensolver read the twin split from one function, _twin_quotient."""
 
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ class ComplexRootsError(ArithmeticError):
 
 class Matrix:
     """Immutable dense matrix with exact integer or rational entries; the
-    exact kernels, char_poly_exact and det_exact_at, take int entries only,
-    and det_exact_at a symmetric matrix only."""
+    exact kernels, char_poly_exact and det_exact_at, both modular, take int
+    entries only, and det_exact_at a symmetric matrix only."""
 
     __slots__ = ("_rows",)
 
@@ -139,8 +139,8 @@ def format_poly(coeffs: Iterable, fmt: Callable[[object], str]) -> str:
 
 # Proven primes (Mersenne 2^61-1, 2^127-1, 2^521-1, 2^607-1; the Poly1305
 # prime 2^130-5; the NIST P-192 and P-224 primes; 2^255-19), ascending: the
-# moduli of char_poly_exact.  Their product, of 2117 bits, covers the bound
-# of _char_poly_int up to the Laplacian of K_263.
+# moduli of the exact kernels.  Their product, of 2117 bits, covers the
+# bound of _char_poly_int up to the Laplacian of K_263.
 _PRIME_LADDER = (
     2**61 - 1,
     2**127 - 1,
@@ -175,8 +175,34 @@ def _moduli(bound: int) -> list[int]:
         if prod > 2 * bound:
             return out
     raise ValueError(
-        f"a coefficient bound of {bound.bit_length()} bits is past the prime ladder's {prod.bit_length()}"
+        f"a bound of {bound.bit_length()} bits is past the prime ladder's {prod.bit_length()}"
     )
+
+
+def _hadamard(squares: Iterable[int]) -> int:
+    """prod(1 + r_i), r_i the 2-norm of row i of a square integer matrix A
+    rounded up, from the rows' sums of squares: by Hadamard's inequality a
+    bound on |det A| and on each coefficient of det(tI - A), a sum of
+    principal minors up to sign (|c_k| <= e_k(r) <= prod(1 + r_i))."""
+    bound = 1
+    for s in squares:
+        if s:
+            bound *= math.isqrt(s - 1) + 2
+    return bound
+
+
+def _lift(mods: list[int], residues: list[list[int]]) -> list[int]:
+    """Chinese remaindering into symmetric residues: for each k, the integer
+    of least absolute value congruent to residues[i][k] mod mods[i] for
+    every i, exact below half the product of mods in absolute value."""
+    big = math.prod(mods)
+    values = [0] * len(residues[0])
+    for p, rs in zip(mods, residues):
+        q = big // p
+        w = q * pow(q, -1, p)
+        values = [v + w * r for v, r in zip(values, rs)]
+    half = big // 2
+    return [v - big if v > half else v for v in (v % big for v in values)]
 
 
 def _char_poly_mod(a, p: int) -> list[int]:
@@ -237,6 +263,46 @@ def _char_poly_mod(a, p: int) -> list[int]:
                 acc[: i + 1] = [x - c * y for x, y in zip(acc, polys[i])]
         polys.append([x % p for x in acc])
     return polys[n]
+
+
+def _det_mod(upper, p: int) -> int:
+    """det A mod an odd prime p for a symmetric integer matrix A given as its
+    upper triangle, row i holding columns i..n-1: elimination over GF(p)
+    with diagonal pivots.  The trailing matrix stays symmetric, so only
+    entries on and above the diagonal are updated; a row whose lead, its
+    entry in the pivot row, is 0 is left as it is; det A is the product of
+    the pivots.  Updated entries stay unreduced, below (k+1)*p^2 after k
+    steps, until their row is the pivot row.
+
+    A zero pivot with a nonzero entry (k, j), j the first such, is replaced
+    by the congruence E A E^T, E = I + e e_k e_j^T of determinant 1: row and
+    column k gain e times row and column j, which only changes the stored
+    row k (row j over columns k..j-1 is read from its mirrors), and the new
+    pivot 2e*a_kj + a_jj is nonzero for e = -1 if a_jj = -2*a_kj and for
+    e = 1 otherwise.  A zero pivot with no such entry leaves column k zero,
+    and det A = 0."""
+    a = [[x % p for x in row] for row in upper]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        tail = [x % p for x in a[k]]
+        if not tail[0]:
+            j = next((j for j in range(k + 1, n) if tail[j - k]), None)
+            if j is None:
+                return 0
+            partner = [a[c][j - c] for c in range(k, j)] + a[j]  # unreduced
+            e = -1 if (partner[j - k] + 2 * tail[j - k]) % p == 0 else 1
+            tail = [(x + e * y) % p for x, y in zip(tail, partner)]
+            tail[0] = (tail[0] + e * tail[j - k]) % p
+        pivot = tail[0]
+        det = det * pivot % p
+        inv = pow(pivot, -1, p)
+        for i in range(1, n - k):
+            lead = tail[i]
+            if lead:
+                u = lead * inv % p
+                a[k + i] = [x - u * y for x, y in zip(a[k + i], tail[i:])]
+    return det
 
 
 def _poly_mul_mod(f: list[int], g: list[int], p: int) -> list[int]:
@@ -372,13 +438,8 @@ def _lanczos_mod(apply, weights, p: int) -> list[int] | None:
 
 def _char_poly_int(a) -> list[int]:
     """Ascending coefficients of det(tI - A) for a square integer matrix A,
-    given as rows: computed mod each prime of _moduli and lifted to Z by
-    Chinese remaindering into symmetric residues.
-
-    Each coefficient is, up to sign, a sum of principal minors, so by
-    Hadamard's inequality |c_k| <= e_k(r) <= prod(1 + r_i), r_i the 2-norm
-    of row i rounded up; moduli whose product exceeds twice that bound fix
-    every coefficient.
+    given as rows: computed mod each prime of _moduli, which fix every
+    coefficient below _hadamard's bound, and lifted to Z by _lift.
 
     A symmetric matrix of order _LANCZOS_MIN_ORDER or more is split once by
     _twin_quotient; mod each prime its linear factors are multiplied in,
@@ -386,12 +447,7 @@ def _char_poly_int(a) -> list[int]:
     blocks, a block that falls back and any other matrix take
     _char_poly_mod.
     """
-    bound = 1
-    for row in a:
-        s = sum(x * x for x in row)
-        if s:
-            bound *= math.isqrt(s - 1) + 2
-    mods = _moduli(bound)
+    mods = _moduli(_hadamard(sum(x * x for x in row) for row in a))
     n = len(a)
     roots, blocks = [], [(a, None, None)]
     if n >= _LANCZOS_MIN_ORDER and list(map(tuple, a)) == list(zip(*a)):
@@ -399,8 +455,7 @@ def _char_poly_int(a) -> list[int]:
         blocks = [
             (q, sizes, _matvec(q) if len(q) >= _LANCZOS_MIN_ORDER else None) for _, sizes, q in blocks
         ]
-    big = math.prod(mods)
-    coeffs = [0] * (n + 1)
+    per_prime = []
     for p in mods:
         residues = [1]
         for root in roots:
@@ -408,11 +463,8 @@ def _char_poly_int(a) -> list[int]:
         for rows, sizes, apply in blocks:
             f = _lanczos_mod(apply, sizes, p) if apply else None
             residues = _poly_mul_mod(residues, _char_poly_mod(rows, p) if f is None else f, p)
-        q = big // p
-        w = q * pow(q, -1, p)
-        coeffs = [c + w * r for c, r in zip(coeffs, residues)]
-    half = big // 2
-    return [c - big if c > half else c for c in (c % big for c in coeffs)]
+        per_prime.append(residues)
+    return _lift(mods, per_prime)
 
 
 def _int_rows(m: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -425,7 +477,8 @@ def _int_rows(m: Matrix) -> tuple[tuple[int, ...], ...]:
 
 def char_poly_exact(m: Matrix) -> Polynomial:
     """det(tI - M) with exact coefficients for a square integer matrix M, by
-    _char_poly_int."""
+    _char_poly_int, modulo primes of _moduli and lifted by _lift, the two
+    helpers it shares with det_exact_at."""
     m.require_square("char_poly_exact")
     return Polynomial(_char_poly_int(_int_rows(m)))
 
@@ -444,68 +497,6 @@ def _sparse_first(a) -> list[list[int]]:
     return [list(take(a[i])) for i in order]
 
 
-def _eliminate_symmetric(a: list[list[int]]) -> int:
-    """Fraction-free determinant of a symmetric integer matrix given as its
-    upper triangle, row i holding columns i..n-1, as lists it may overwrite
-    (Bareiss, Math. Comp. 22, 1968), with diagonal pivots and scaled to skip
-    zeros.
-
-    Each trailing matrix of Bareiss holds minors bordered by a row and a
-    column, so with diagonal pivots it is symmetric and only entries on and
-    above the diagonal are updated.  Step k multiplies a row whose entry in
-    column k is 0 by pivot_k / prev_k and changes nothing else; since
-    prev_(k+1) = pivot_k those factors telescope, so such a row is skipped
-    and stamp[i] keeps the prev it is exact for.  A row stamped s holds
-    entries x whose up-to-date value is x*prev/s, so the update
-    (x'*pivot - lead'*y)/prev of up-to-date entries equals
-    (x*pivot - lead*y)/s: one formula, exact because its value is an
-    integer, serves fresh rows (s = prev) and stale ones.  Row i's lead at
-    step k, entry (i, k), is not stored; the up-to-date pivot row holds its
-    mirror (k, i), and a row stamped s takes it as lead * s // prev.
-
-    A zero pivot with a nonzero entry (k, j), j the first such, is replaced
-    by the congruence E A E^T, E = I + e e_k e_j^T of determinant 1: row
-    and column k gain e times row and column j, which only changes the
-    stored row k, and the new pivot 2e*a_kj + a_jj is nonzero for e = -1
-    if a_jj = -2*a_kj and for e = 1 otherwise.  The bordered minors are
-    linear in each border row and column, so the stored rows stay exact.
-    A zero pivot with no such entry leaves column k zero, and det A = 0.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    stamp = [1] * n
-    prev = 1
-    for k in range(n - 1):
-        tail = a[k]
-        s = stamp[k]
-        if s != prev:
-            tail = [x * prev // s for x in tail]
-        if tail[0] == 0:
-            j = next((j for j in range(k + 1, n) if tail[j - k]), None)
-            if j is None:
-                return 0
-            # row j over columns k..n-1, up to date: (j, k) mirrored in the
-            # pivot row, (j, c) for k < c < j mirrored in row c, then row j
-            partner = [tail[j - k]]
-            partner += [a[c][j - c] * prev // stamp[c] for c in range(k + 1, j)]
-            partner += [x * prev // stamp[j] for x in a[j]]
-            e = -1 if partner[j - k] == -2 * tail[j - k] else 1
-            tail = [x + e * y for x, y in zip(tail, partner)]
-            tail[0] += e * tail[j - k]
-        pivot = tail[0]
-        for i in range(k + 1, n):
-            lead = tail[i - k]
-            if lead:
-                s = stamp[i]
-                if s != prev:
-                    lead = lead * s // prev
-                a[i] = [(x * pivot - lead * y) // s for x, y in zip(a[i], tail[i - k :])]
-                stamp[i] = pivot
-        prev = pivot
-    return a[n - 1][0] * prev // stamp[n - 1]
-
-
 def _point(t0) -> Fraction:
     """t0 as a Fraction; anything that is no finite rational (NaN, an
     infinity, "1/0", a non-rational string, None, a complex, a list) raises
@@ -516,39 +507,49 @@ def _point(t0) -> Fraction:
         raise ValueError(f"evaluation point must be a finite rational, got {t0!r}") from None
 
 
-def _det_points(m: Matrix) -> Callable[[Fraction], Fraction]:
-    """t0 -> det(t0*I - M) for a symmetric integer matrix M, as every graph
-    matrix is, and a Fraction t0 = a/b: (-1)^n det(b*M - a*I) / b^n by
-    _eliminate_symmetric, which skips the zeros of a sparse matrix such as a
-    corona's.  M's entries are checked, its rows and columns ordered sparse
-    first (_int_rows, _sparse_first), its symmetry checked and its upper
-    triangle kept here, once; each point only scales that by b and
-    subtracts a on the diagonal, which the symmetric permutation left in
-    place.  A non-symmetric M raises ValueError."""
+def _det_int(upper) -> int:
+    """det A for a symmetric integer matrix A given as its upper triangle:
+    _det_mod mod each prime of _moduli, which fix every value below
+    _hadamard's bound on the rows of A, lifted to Z by _lift."""
+    squares = [sum(x * x for x in row) for row in upper]
+    for i, row in enumerate(upper):
+        for j, x in enumerate(row[1:], i + 1):
+            squares[j] += x * x
+    mods = _moduli(_hadamard(squares))
+    return _lift(mods, [[_det_mod(upper, p)] for p in mods])[0]
+
+
+def _pencil(m: Matrix) -> Callable[[int, int], list[list[int]]]:
+    """(a, b) -> the upper triangle of a*I - b*M, for a symmetric integer
+    matrix M, as every graph matrix is: det(t0*I - M) = det(a*I - b*M) / b^n
+    at t0 = a/b.  M's entries and symmetry are checked and its rows and
+    columns ordered sparse first (_int_rows, _sparse_first) once; each point
+    scales the triangle by -b and adds a on the diagonal, which the
+    symmetric permutation left in place.  A non-symmetric M raises
+    ValueError."""
     m.require_square("det_exact_at")
     ordered = _sparse_first(_int_rows(m))
     if ordered != [list(col) for col in zip(*ordered)]:
         raise ValueError("det_exact_at needs a symmetric matrix")
-    n = len(ordered)
     upper = [row[i:] for i, row in enumerate(ordered)]
 
-    def at(t0: Fraction) -> Fraction:
-        a, b = t0.numerator, t0.denominator
-        rows = [row[:] for row in upper] if b == 1 else [[b * x for x in row] for row in upper]
+    def at(a: int, b: int) -> list[list[int]]:
+        rows = [[-b * x for x in row] for row in upper]
         for row in rows:
-            row[0] -= a
-        return Fraction((-1) ** n * _eliminate_symmetric(rows), b**n)
+            row[0] += a
+        return rows
 
     return at
 
 
 def det_exact_at(m: Matrix, t0) -> Fraction:
     """det(t0*I - M) exactly, for a symmetric integer matrix M and a
-    rational t0: _det_points at one point, with M's shape checked before the
-    point."""
+    rational t0 = a/b: _det_int of _pencil at (a, b), over b^n, with M's
+    shape checked before the point.  A point so large that the Hadamard
+    bound of a*I - b*M is past the prime ladder raises ValueError."""
     m.require_square("det_exact_at")
     t0 = _point(t0)
-    return _det_points(m)(t0)
+    return Fraction(_det_int(_pencil(m)(t0.numerator, t0.denominator)), t0.denominator**m.rows)
 
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:

@@ -15,7 +15,7 @@ from .linalg import (
     Matrix,
     SpectrumMultiset,
     _char_poly_int,
-    _eliminate_symmetric,
+    _det_int,
     _point,
     _sparse_first,
     format_poly,
@@ -78,54 +78,53 @@ def _homogeneous_at(coeffs: list[int], a: int, b: int) -> int:
     return acc
 
 
-def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[[Fraction], Fraction]:
-    """t0 -> psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2) for a Fraction t0,
-    with kappa the coronal of s2's adjacency matrix: the factored corona
-    adjacency characteristic polynomial.
+def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[[int, int], tuple[int, list[list[int]]]]:
+    """(a, b) -> (hp, upper) for the factored corona adjacency char poly
+    psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2) at t0 = a/b, with kappa the
+    coronal of s2's adjacency matrix.
 
-    The pair's part is done here, once: the rows of A1 and A1^2, and psi2
-    and det(tI - A2 + J), J the all-ones matrix, as exact integer char
-    polys.  Each point t0 = a/b is then integer work.  Homogeneous Horner
-    gives hp = b^n2 * psi2(t0) and hs = b^n2 * det(t0*I - A2 + J), and the
-    rank-one identity gives hp*kappa = hs - hp = hk.  Taking psi2(t0) =
-    hp / b^n2 inside the n1 x n1 determinant leaves
-    det(a*hp*I - b*(hp*A1 + hk*A1^2)) / b^(n1*(n2+1)), an integer matrix's
-    determinant over a power of b.  That matrix is symmetric, as A1 and A1^2
-    are, so it is ordered sparse first and eliminated on its upper triangle
-    by _eliminate_symmetric.  A point where hp = 0, an eigenvalue of s2's
-    adjacency matrix and a pole of the coronal, raises PoleError.
+    The pair's part is done here, once: A1 in sparse-first order and A1^2 in
+    the same order, cut to their upper triangles, and psi2 and
+    det(tI - A2 + J), J the all-ones matrix, as exact integer char polys.
+    Homogeneous Horner gives hp = b^n2 * psi2(t0) and
+    hs = b^n2 * det(t0*I - A2 + J), and the rank-one identity gives
+    hp*kappa = hs - hp = hk.  upper is the upper triangle of the symmetric
+    integer matrix a*hp*I - b*(hp*A1 + hk*A1^2), whose determinant is the
+    char poly times b^(n1*(n2+1)); at b = 1 it is hp*(t0*I - A1) - hk*A1^2,
+    a polynomial in t0 with no poles.  hp = 0 where t0 is an adjacency
+    eigenvalue of s2, a pole of the coronal.
     """
     n1, n2 = s1.n, s2.n
     if n1 < 1:
         raise GraphError("corona needs a non-empty first factor")
-    a1 = matrix_of(s1, MatrixKind.ADJACENCY)
+    a1 = Matrix(_sparse_first(matrix_of(s1, MatrixKind.ADJACENCY)._rows))
     a2 = matrix_of(s2, MatrixKind.ADJACENCY)
-    row_pairs = tuple(zip(a1._rows, (a1 @ a1)._rows))
+    row_pairs = tuple((r1[i:], r2[i:]) for i, (r1, r2) in enumerate(zip(a1._rows, (a1 @ a1)._rows)))
     psi2 = _char_poly_int(a2._rows)
     shifted = _char_poly_int((a2 - Matrix.ones(n2, n2))._rows)
 
-    def at(t0: Fraction) -> Fraction:
-        a, b = t0.numerator, t0.denominator
+    def at(a: int, b: int) -> tuple[int, list[list[int]]]:
         hp = _homogeneous_at(psi2, a, b)
-        if hp == 0:
-            raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
         hk = _homogeneous_at(shifted, a, b) - hp
-        inner = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in row_pairs]
-        for i, row in enumerate(inner):
-            row[i] += a * hp
-        inner = _sparse_first(inner)
-        det = _eliminate_symmetric([row[i:] for i, row in enumerate(inner)])
-        return Fraction(det, b ** (n1 * (n2 + 1)))
+        upper = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in row_pairs]
+        for row in upper:
+            row[0] += a * hp
+        return hp, upper
 
     return at
 
 
 def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Fraction:
-    """The factored corona adjacency char poly at a rational t0: _factored_points
-    at one point, with t0 checked first.  t0 must avoid the adjacency
-    eigenvalues of s2, where the coronal has its poles."""
+    """The factored corona adjacency char poly at a rational t0 = a/b:
+    _factored_points' determinant by _det_int over b^(n1*(n2+1)), with t0
+    checked first.  t0 must avoid the adjacency eigenvalues of s2, where the
+    coronal has its poles; one raises PoleError."""
     t0 = _point(t0)
-    return _factored_points(s1, s2)(t0)
+    a, b = t0.numerator, t0.denominator
+    hp, upper = _factored_points(s1, s2)(a, b)
+    if hp == 0:
+        raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
+    return Fraction(_det_int(upper), b ** (s1.n * (s2.n + 1)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 code with the modular Hessenberg implementation under test (cofactor
 expansion for small orders, the Faddeev-LeVerrier recurrence for larger
 ones), Horner evaluation of a polynomial, a dense Bareiss determinant oracle
-for the sparsity-ordered, lazily scaled kernel under test, a cyclic Jacobi
+for the modular symmetric elimination under test, a cyclic Jacobi
 eigenvalue oracle that shares no code with the Householder/QL solver under
 test, symmetric relabelling of a matrix, scaling a matrix by a scalar, a
 random signed graph of a chosen edge density, a breadth-first

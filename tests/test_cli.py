@@ -623,6 +623,7 @@ class TestUsage:
             ["verify", "--theorem", "2.3", "--max-n", "two"],
             ["verify", "--theorem", "2.3", "--tol", "-1"],
             ["verify", "--theorem", "2.3", "--tol", "nan"],
+            ["verify", "--theorem", "2.3", "--seed", "-7"],
             ["distinct", "GRAPH", "--tol", "0"],
             ["paper-example", "--tol", "0"],
             ["spectrum", "GRAPH", "--tol", "-1"],

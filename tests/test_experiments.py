@@ -10,9 +10,9 @@ import pytest
 
 from sgcorona import (
     IsomorphicInputsError,
+    Matrix,
     alternating_cycle,
     NotCospectralError,
-    PoleError,
     Polynomial,
     catalog_two_eigenvalue_seeds,
     complete_graph,
@@ -30,7 +30,7 @@ from sgcorona import (
     unbalanced_c4,
     verify_theorem,
 )
-from sgcorona import experiments
+from sgcorona import experiments, spectra
 from sgcorona.experiments import THEOREM_LABELS
 from sgcorona.spectra import MatrixKind
 
@@ -169,10 +169,12 @@ class TestArgumentTypes:
             (lambda: verify_theorem("2.3", seed=[1]), "seed must be an int, got [1]"),
             (lambda: verify_theorem("2.3", seed=True), "seed must be an int, got True"),
             (lambda: verify_theorem("2.3", seed=7.0), "seed must be an int, got 7.0"),
+            # random.Random(-7) replays seed 7, which would print as seed -7
+            (lambda: verify_theorem("2.3", seed=-7), "seed must be at least 0, got -7"),
         ],
         ids=["companion None", "companion 1", "trials 2.5", "trials True", "trials 0",
              "max_n 2.5", "max_n True", "max_n -1",
-             "seed None", "seed str", "seed list", "seed True", "seed 7.0"],
+             "seed None", "seed str", "seed list", "seed True", "seed 7.0", "seed -7"],
     )
     def test_bad_argument_is_a_value_error(self, call, message):
         # a bool is an int to Python, but no count
@@ -398,23 +400,9 @@ class TestVerify:
         result = verify_theorem(label, trials=20, seed=0, max_n=6, tol=1e-14)
         assert result.ok, result.render()
 
-    def test_factorisation_trial_fails_when_every_point_is_a_pole(self, monkeypatch):
-        def poles(s1, s2):
-            def at(t0):
-                raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
-
-            return at
-
-        monkeypatch.setattr(experiments, "_factored_points", poles)
-        result = verify_theorem("2.2", trials=3, seed=0, max_n=4)
-        assert result.passed == 0
-        assert [f.detail for f in result.failures] == [
-            "only 0 of 5 points avoided the poles of the second factor"
-        ] * 3
-
     def test_factorisation_check_lets_other_errors_through(self, monkeypatch):
         def broken(s1, s2):
-            def at(t0):
+            def at(a, b):
                 raise ValueError("not a pole")
 
             return at
@@ -422,6 +410,38 @@ class TestVerify:
         monkeypatch.setattr(experiments, "_factored_points", broken)
         with pytest.raises(ValueError, match="not a pole"):
             verify_theorem("2.2", trials=3, seed=0, max_n=4)
+
+    @pytest.mark.parametrize("mutant", ["hk sign", "J to 2J"])
+    def test_wrong_factored_side_fails_at_ci_settings(self, monkeypatch, mutant):
+        # 2.2 as CI runs it (5 trials, seed 7) against a wrong factored side:
+        # every trial whose S1 has an edge, so that kappa is read, is a FAIL
+        # line that dumps s1 and s2
+        if mutant == "J to 2J":
+            monkeypatch.setattr(Matrix, "ones", classmethod(lambda cls, rows, cols: cls([[2] * cols] * rows)))
+        else:
+            values = []
+
+            def flipped(coeffs, a, b, real=spectra._homogeneous_at):
+                # psi2 first, then det(tI - A2 + J) = hs: 2*hp - hs turns hk into -hk
+                values.append(real(coeffs, a, b))
+                return values[-1] if len(values) % 2 else 2 * values[-2] - values[-1]
+
+            monkeypatch.setattr(spectra, "_homogeneous_at", flipped)
+        firsts = []
+        corona = experiments.neighbourhood_corona
+
+        def recording(s1, s2):
+            firsts.append(s1)
+            return corona(s1, s2)
+
+        monkeypatch.setattr(experiments, "neighbourhood_corona", recording)
+        result = verify_theorem("2.2", trials=5, seed=7)
+        assert "theorem 2.2: FAIL 2/5" in result.render()
+        assert [f.trial for f in result.failures] == [i for i, s1 in enumerate(firsts) if s1.edges]
+        for failure in result.failures:
+            assert failure.detail.startswith("factored value ")
+            assert set(failure.graphs) == {"s1", "s2"}
+            assert failure.graphs["s1"] == format_graph(firsts[failure.trial])
 
     @pytest.mark.parametrize("label, names", [("5.1", {"s1", "s2"}), ("5.2", {"seed"})])
     def test_kernel_fault_is_a_failed_trial(self, monkeypatch, label, names):
@@ -470,7 +490,7 @@ class TestVerify:
                 digest.update("".join(pairs).encode())
                 digest.update(json.dumps(result.to_json(), sort_keys=True).encode())
                 digest.update(result.render().encode())
-        assert digest.hexdigest() == "0a0524a69de111afe3a9b1e5b9160cb40292a1f7ce15fba94b19787d13b6c9f3"
+        assert digest.hexdigest() == "5c1cf2b439c7797eb68c0575204011a1f0cff0e3149d4990abc702b0bf435e8a"
 
     def test_rendered_output_is_pinned(self):
         # The CLI contract: verify output is byte-identical for a given seed.

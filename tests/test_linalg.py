@@ -42,8 +42,9 @@ from sgcorona.experiments import THEOREMS, random_signed_graph
 from sgcorona import linalg
 from sgcorona.linalg import (
     _blocks,
-    _det_points,
-    _eliminate_symmetric,
+    _det_int,
+    _det_mod,
+    _pencil,
     _ql_implicit,
     _sparse_first,
     _tridiagonalize,
@@ -600,23 +601,26 @@ class TestDetExactAt:
 
     @pytest.mark.parametrize("kind", list(MatrixKind))
     def test_one_matrix_at_many_points(self, kind):
-        # one _det_points evaluator, its checked, sparse-first rows set up
-        # once, serves all twelve points; det_exact_at sets up at each call
+        # one pencil, its checked, sparse-first rows set up once, serves all
+        # twelve points in GF(p), a/b as a * b^-1 mod p; det_exact_at sets up
+        # at each call
+        p = linalg._PRIME_LADDER[0]
         rng = random.Random(59)
         for n1, n2 in ((4, 3), (1, 5), (5, 2)):
             corona = neighbourhood_corona(random_signed_graph(rng, n1), random_signed_graph(rng, n2))
             m = matrix_of(corona, kind)
-            at = _det_points(m)
-            for t0 in self.MANY_POINTS:
+            pencil = _pencil(m)
+            for t0 in map(Fraction, self.MANY_POINTS):
                 expected = det_at_oracle(m, t0)
-                assert at(Fraction(t0)) == expected
+                t = t0.numerator * pow(t0.denominator, -1, p) % p
+                assert _det_mod(pencil(t, 1), p) == expected.numerator * pow(expected.denominator, -1, p) % p
                 assert det_exact_at(m, t0) == expected
 
     @pytest.mark.parametrize("rows", [[[0, 1], [0, 0]], [[1, 2, 0], [2, 0, 3], [0, -3, 1]]])
     def test_non_symmetric_matrix_refused(self, rows):
         # every graph matrix is symmetric; the check runs on the sparse-first
         # rows, before any point
-        for call in (lambda m: det_exact_at(m, 2), _det_points):
+        for call in (lambda m: det_exact_at(m, 2), _pencil):
             with pytest.raises(ValueError, match="det_exact_at needs a symmetric matrix"):
                 call(Matrix(rows))
 
@@ -668,7 +672,7 @@ def sym_int_matrices(draw):
 
 
 def upper(rows: list[list[int]]) -> list[list[int]]:
-    """The upper triangle that _eliminate_symmetric takes: row i from column i."""
+    """The upper triangle that _det_mod and _det_int take: row i from column i."""
     return [row[i:] for i, row in enumerate(rows)]
 
 
@@ -684,38 +688,105 @@ def det_at_oracle(m: Matrix, t0) -> Fraction:
     return Fraction(det_bareiss_dense(rows), d**n)
 
 
-class TestSparseBareiss:
-    """The sparsity-ordered, lazily scaled kernel against dense Bareiss."""
+# odd primes small enough that zero pivots, and so congruences, are common,
+# and the smallest prime of the ladder, the modulus of verify 2.2
+DET_PRIMES = (3, 5, 7, linalg._PRIME_LADDER[0])
+
+
+class TestModularDeterminant:
+    """The GF(p) symmetric elimination and its Chinese-remainder lift against
+    dense Bareiss, its congruence at a zero pivot, and det_exact_at on large
+    coronas."""
 
     @settings(max_examples=200, deadline=None)
     @given(sym_int_matrices())
-    def test_equals_dense_oracle(self, case):
+    def test_det_mod_equals_dense_oracle(self, case):
+        # in the natural order, where a zero diagonal or a zero leading
+        # principal minor makes a zero pivot, and sparse first
         shape, rows = case
         expected = det_bareiss_dense([row[:] for row in rows])
-        assert _eliminate_symmetric(upper(_sparse_first(rows))) == expected
+        for ordered in (rows, _sparse_first(rows)):
+            for p in DET_PRIMES:
+                assert _det_mod(upper(ordered), p) == expected % p
         if shape in ("zero row", "rank deficient") and len(rows) >= 3:
             assert expected == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(sym_int_matrices())
+    def test_det_int_equals_dense_oracle(self, case):
+        _, rows = case
+        assert _det_int(upper(rows)) == det_bareiss_dense([row[:] for row in rows])
 
     @pytest.mark.parametrize(
         "rows, det",
         [
-            # the row with a zero lead skips step 0 and is caught up last
-            ([[2, 0], [0, 3]], 6),
-            # a row skipped at step 0 becomes the pivot row at step 1
-            ([[-2, 0, -1], [0, -1, -1], [-1, -1, 0]], 3),
-            # a row skipped at step 0 is updated again at step 1
-            ([[2, -1, 0], [-1, 0, -1], [0, -1, -1]], -1),
-            # rows 1 and 2 skip step 0; row 1's pivot is then zero and takes
-            # its congruence with row 2, which is behind (stamp != prev), so
-            # it is read up to date from its stamp
-            ([[2, 0, 0, 1], [0, 0, -1, -1], [0, -1, 1, 0], [1, -1, 0, 0]], -1),
+            # e = 1: the new pivot is 2*a_01 + a_11 = 4, where -2*a_01 + a_11 is 0
+            ([[0, 1], [1, 2]], -1),
+            # e = -1: 2*a_01 + a_11 would be 0, so the new pivot is -2*a_01 + a_11 = -4
+            ([[0, 1], [1, -2]], -1),
+            # step 0 leaves column 1 of the trailing matrix zero
+            ([[-1, 1, 1], [1, -1, -1], [1, -1, -1]], 0),
+            # a congruence at step 0 with row 3, then a zero column at step 2
+            ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [1, 1, 1, -1]], 0),
+            # rows 1 to 3 keep their zero leads at step 0; row 1's pivot is
+            # then zero and its first nonzero is in column 3, so its partner
+            # row 3 is read at column 1 from the pivot row and at column 2
+            # from its mirror (2, 3) in row 2
+            (
+                [[3, 0, 0, 0, 2], [0, 0, 0, -1, 1], [0, 0, -2, -2, 0], [0, -1, -2, 0, 0], [2, 1, 0, 0, 0]],
+                4,
+            ),
+            # the partner row 2 was updated at step 0, so its mirror in row 1
+            # and its own entries are read after that update
+            ([[1, 1, 1], [1, 1, 0], [1, 0, 0]], -1),
         ],
     )
-    def test_stale_rows(self, rows, det):
-        # every row has the same nonzero count, so sparse first keeps the order
-        assert _sparse_first(rows) == rows
+    def test_zero_pivot(self, rows, det):
         assert det_bareiss_dense([row[:] for row in rows]) == det
-        assert _eliminate_symmetric(upper(rows)) == det
+        for p in DET_PRIMES:
+            assert _det_mod(upper(rows), p) == det % p
+        assert _det_int(upper(rows)) == det
+
+    def test_sylvester_hadamard_reaches_the_bound(self):
+        # |det H16| = 4^16 is Hadamard's bound, the product of the row norms
+        h = [[1]]
+        for _ in range(4):
+            h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+        assert _det_int(upper(h)) == 4**16
+        assert det_exact_at(Matrix(h), 0) == 4**16
+
+    def test_huge_entries_take_several_primes(self, monkeypatch):
+        rng = random.Random(23)
+        rows = random_symmetric(rng, 8, -(10**30), 10**30)._rows
+        moduli = []
+        real = linalg._det_mod
+
+        def spy(a, p):
+            moduli.append(p)
+            return real(a, p)
+
+        monkeypatch.setattr(linalg, "_det_mod", spy)
+        assert _det_int(upper(rows)) == det_bareiss_dense([list(row) for row in rows])
+        assert len(moduli) > 1
+
+    @pytest.mark.parametrize(
+        "mods",
+        [[2**61 - 1], [2**607 - 1, 2**521 - 1], list(reversed(linalg._PRIME_LADDER))],
+        ids=["one prime", "two primes", "whole ladder"],
+    )
+    def test_lift_gives_symmetric_residues(self, mods):
+        # every value of absolute value up to half the product, the extremes
+        # included, comes back from its residues
+        half = math.prod(mods) // 2
+        rng = random.Random(len(mods))
+        values = [0, 1, -1, half, -half] + [rng.randint(-half, half) for _ in range(20)]
+        assert linalg._lift(mods, [[v % p for v in values] for p in mods]) == values
+
+    def test_point_past_the_ladder_refused(self):
+        # det(t0*I - M) = t0 - 1 has a bound of about 2326 bits at t0 = 10^700
+        with pytest.raises(ValueError, match="past the prime ladder's 2117"):
+            det_exact_at(Matrix([[1]]), 10**700)
+        assert det_exact_at(Matrix([[1]]), 10**600) == 10**600 - 1
 
     @pytest.mark.parametrize("kind", list(MatrixKind))
     def test_corona_matrices(self, kind):
@@ -728,8 +799,8 @@ class TestSparseBareiss:
 
     def test_largest_corona_at_zero(self):
         # order 182, the largest corona verify samples; t0 = 0 leaves the
-        # adjacency diagonal zero, so the pass meets zero pivots and takes a
-        # congruence at each
+        # adjacency diagonal zero, so the first pivot is zero and takes a
+        # congruence
         rng = random.Random(43)
         corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
         m = matrix_of(corona, MatrixKind.ADJACENCY)
@@ -737,8 +808,8 @@ class TestSparseBareiss:
         assert det_exact_at(m, 0) == det_at_oracle(m, 0)
 
     def test_largest_corona_at_a_nonzero_point(self):
-        # the same order 182 at a non-integer point, where no pivot of the
-        # symmetric pass is zero
+        # the same order 182 at a non-integer point, whose Hadamard bound
+        # takes two primes of the ladder
         rng = random.Random(43)
         corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
         m = matrix_of(corona, MatrixKind.ADJACENCY)
@@ -752,16 +823,6 @@ class TestSparseBareiss:
         n = m.rows
         value = sympy.Matrix(n, n, lambda i, j: (t if i == j else 0) - int(m[i, j])).det(method="bareiss")
         return Fraction(int(value.p), int(value.q))
-
-    def test_stale_row_updated_after_two_skips(self):
-        # every row has three nonzeros, so the sparsity order keeps this
-        # order; row 3 skips steps 0 and 1 with a zero lead, so at step 2 it
-        # is two pivots behind and is updated from its stamp 1, not from prev
-        m = Matrix([[2, 1, 0, 0, 1], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1], [1, 0, 0, 1, 3]])
-        for t0 in (Fraction(0), Fraction(7, 3)):
-            expected = self.sympy_det_at(m, t0)
-            assert det_at_oracle(m, t0) == expected
-            assert det_exact_at(m, t0) == expected
 
     def test_sparse_matrices_against_sympy(self):
         rng = random.Random(53)
@@ -784,84 +845,23 @@ class TestSparseBareiss:
             for t0 in (0, Fraction(7, 3), Fraction(-9, 2)):
                 assert det_exact_at(m, t0) == det_at_oracle(m, t0)
 
+    def test_one_pass_per_prime_through_a_zero_pivot(self, monkeypatch):
+        firsts = []
 
-class TestSymmetricBareiss:
-    """The symmetric pass against dense Bareiss, and its congruence at a zero
-    pivot."""
+        def spy(a, p, kernel=linalg._det_mod):
+            firsts.append(a[0][0])
+            return kernel(a, p)
 
-    @settings(max_examples=200, deadline=None)
-    @given(sym_int_matrices())
-    def test_equals_dense_oracle_through_zero_pivots(self, case):
-        # in the natural order, where a zero diagonal or a zero leading
-        # principal minor makes a zero pivot
-        shape, rows = case
-        expected = det_bareiss_dense([row[:] for row in rows])
-        assert _eliminate_symmetric(upper(rows)) == expected
-        if shape in ("zero row", "rank deficient") and len(rows) >= 3:
-            assert expected == 0
-
-    @pytest.mark.parametrize(
-        "rows, det",
-        [
-            # sparse first it is [[3, 0, 0], [0, 2, -2], [0, -2, 1]]: both
-            # rows skip step 0, so at step 1 the pivot row is brought up to
-            # date and row 2, a pivot behind, rescales its lead to its stamp
-            ([[2, 0, -2], [0, 3, 0], [-2, 0, 1]], -6),
-            # sparse first it is [[2, 0, 2], [0, 1, -2], [2, -2, 3]]: row 1 skips step 0 and
-            # is the pivot at step 1, whose up-to-date row gives row 2 its lead
-            ([[2, 2, 0], [2, 3, -2], [0, -2, 1]], -6),
-            # kept in order: row 2 skips step 0 and rescales its lead at step 1
-            ([[-2, -2, 0, 1], [-2, 0, 3, 2], [0, 3, 3, 1], [1, 2, 1, 0]], 1),
-            # test_stale_row_updated_after_two_skips' matrix: row 3 skips
-            # steps 0 and 1 and rescales its lead from stamp 1 at step 2
-            ([[2, 1, 0, 0, 1], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1], [1, 0, 0, 1, 3]], 20),
-        ],
-    )
-    def test_stale_rows(self, rows, det):
-        assert det_bareiss_dense([row[:] for row in rows]) == det
-        assert _eliminate_symmetric(upper(_sparse_first(rows))) == det
-
-    @pytest.mark.parametrize(
-        "rows, det",
-        [
-            # e = 1: the new pivot is 2*a_01 + a_11 = 4, where -2*a_01 + a_11 is 0
-            ([[0, 1], [1, 2]], -1),
-            # e = -1: 2*a_01 + a_11 would be 0, so the new pivot is -2*a_01 + a_11 = -4
-            ([[0, 1], [1, -2]], -1),
-            # step 0 leaves column 1 of the trailing matrix zero
-            ([[-1, 1, 1], [1, -1, -1], [1, -1, -1]], 0),
-            # a congruence at step 0 with row 3, then a zero column at step 2
-            ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [1, 1, 1, -1]], 0),
-            # rows 1 to 3 skip step 0; row 1's pivot is zero and its first
-            # nonzero is in column 3, so its congruence reads entry (3, 2)
-            # from its mirror (2, 3) in row 2, which is behind (stamp != prev)
-            (
-                [[3, 0, 0, 0, 2], [0, 0, 0, -1, 1], [0, 0, -2, -2, 0], [0, -1, -2, 0, 0], [2, 1, 0, 0, 0]],
-                4,
-            ),
-        ],
-    )
-    def test_zero_pivot(self, rows, det):
-        assert det_bareiss_dense([row[:] for row in rows]) == det
-        assert _eliminate_symmetric(upper(rows)) == det
-
-    def test_det_points_one_pass_through_a_zero_pivot(self, monkeypatch):
-        pivots = []
-
-        def spy(a, kernel=linalg._eliminate_symmetric):
-            pivots.append(a[0][0])
-            return kernel(a)
-
-        monkeypatch.setattr(linalg, "_eliminate_symmetric", spy)
+        monkeypatch.setattr(linalg, "_det_mod", spy)
         rng = random.Random(67)
         m = matrix_of(neighbourhood_corona(random_signed_graph(rng, 6), random_signed_graph(rng, 4)), MatrixKind.ADJACENCY)
-        at = _det_points(m)
-        # at 7/3 the first pivot is 3*0 - 7; at 0 the adjacency diagonal is
-        # zero, so the first pivot is, and the same pass takes a congruence
-        for t0, first in ((Fraction(7, 3), -7), (Fraction(0), 0)):
-            pivots.clear()
-            assert at(t0) == det_at_oracle(m, t0)
-            assert pivots == [first]
+        # at 7/3 the first pivot is 7 - 3*0; at 0 the adjacency diagonal is
+        # zero, so the first pivot is, and each prime's one pass takes a
+        # congruence
+        for t0, first in ((Fraction(7, 3), 7), (Fraction(0), 0)):
+            firsts.clear()
+            assert det_exact_at(m, t0) == det_at_oracle(m, t0)
+            assert firsts and firsts == [first] * len(firsts)
 
 
 class TestSymEigenvalues:

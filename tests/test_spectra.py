@@ -42,7 +42,7 @@ from sgcorona import (
 )
 from sgcorona import experiments, linalg
 from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph, verify_theorem
-from sgcorona.linalg import _char_poly_int, _int_rows
+from sgcorona.linalg import _char_poly_int, _det_int, _int_rows
 from sgcorona.spectra import MatrixKind, _two_root_form
 
 ADJ = MatrixKind.ADJACENCY
@@ -222,6 +222,21 @@ class TestCharpolyFactorisation:
     def test_pole_detected(self):
         with pytest.raises(PoleError):
             corona_adjacency_charpoly_eval(complete_graph(2), complete_graph(2), 1)
+
+    def test_cleared_form_has_no_poles(self):
+        # at an adjacency eigenvalue t of S2, hp = 0 and the evaluator raises
+        # PoleError, but the cleared determinant at b = 1 is still the
+        # corona's char poly at t: verify 2.2 needs no pole test
+        rng = random.Random(37)
+        for s2, roots in ((complete_graph(2), (-1, 1)), (complete_graph(3, -1), (-2, 1)), (edgeless(2), (0,))):
+            s1 = random_signed_graph(rng, 4)
+            m = matrix_of(neighbourhood_corona(s1, s2), ADJ)
+            for t in roots:
+                hp, upper = spectra._factored_points(s1, s2)(t, 1)
+                assert hp == 0
+                assert _det_int(upper) == det_exact_at(m, t)
+                with pytest.raises(PoleError):
+                    corona_adjacency_charpoly_eval(s1, s2, t)
 
     def test_random_rational_points(self):
         rng = random.Random(19)
