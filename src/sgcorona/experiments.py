@@ -642,16 +642,19 @@ def _closed_form_check(kind: MatrixKind, closed_form=None):
     """The check of the closed-form rows: closed_form(s1, s2, tol), realised,
     against the numeric spectrum of the corona's `kind` matrix; without
     closed_form, the paper's one for `kind`, CLOSED_FORMS[kind]. A closed
-    form that refuses the factors fails the trial."""
+    form that refuses the factors fails the trial, and so does any other
+    ValueError of the closed form or of its realisation (a wrong formula,
+    such as K_{p,p} sent to the cubic)."""
 
     def check(case, rng, tol):
         s1, s2 = case
+        oracle = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
         try:
-            cf = (closed_form or CLOSED_FORMS[kind])(s1, s2, tol)
+            realized = realize((closed_form or CLOSED_FORMS[kind])(s1, s2, tol), tol)
         except ClosedFormError as exc:
             return f"closed form refused the factors: {exc}"
-        oracle = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
-        realized = realize(cf, tol)
+        except ValueError as exc:
+            return f"check raised {type(exc).__name__}: {exc}"
         if not spectra_equal(realized, oracle, tol):
             return f"closed form {realized} differs from oracle {oracle}"
 

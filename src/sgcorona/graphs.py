@@ -59,7 +59,7 @@ def _check_edge(n: int, u, v, s) -> None:
     """The checks every edge passes, from SignedGraph or the edge-list reader:
     both indices are vertices, the edge is no self-loop, and the sign is the
     int +1 or -1 (1.0, True or "+" is refused)."""
-    if not (_is_vertex(n, u) and _is_vertex(n, v)):
+    if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
         raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
     if u == v:
         raise GraphError(f"self-loop at vertex {u}")

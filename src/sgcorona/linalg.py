@@ -6,7 +6,9 @@ symmetric matrices by elimination over GF(p) on the upper triangle), a
 symmetric eigensolver (Householder tridiagonalisation plus implicit-shift
 QL on the twin quotient blocks), Kronecker algebra, and real root
 extraction for monic quadratics and cubics.  The char poly and the
-eigensolver read the twin split from one function, _twin_quotient."""
+eigensolver read the twin split from one function, _twin_quotient, as
+classes and diagonals; the char poly builds the integer quotient from them
+(_quotient), the eigensolver its float blocks."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable
 
 Scalar = int | Fraction
@@ -442,19 +445,20 @@ def _char_poly_int(a) -> list[int]:
     coefficient below _hadamard's bound, and lifted to Z by _lift.
 
     A symmetric matrix of order _LANCZOS_MIN_ORDER or more is split once by
-    _twin_quotient; mod each prime its linear factors are multiplied in,
-    and each quotient block of that order takes _lanczos_mod.  Smaller
-    blocks, a block that falls back and any other matrix take
-    _char_poly_mod.
+    _twin_quotient, and each block's integer quotient built by _quotient;
+    mod each prime its linear factors are multiplied in, and each quotient
+    of that order takes _lanczos_mod.  Smaller quotients, a quotient that
+    falls back and any other matrix take _char_poly_mod.
     """
     mods = _moduli(_hadamard(sum(x * x for x in row) for row in a))
     n = len(a)
     roots, blocks = [], [(a, None, None)]
     if n >= _LANCZOS_MIN_ORDER and list(map(tuple, a)) == list(zip(*a)):
-        roots, blocks = _twin_quotient(a)
-        blocks = [
-            (q, sizes, _matvec(q) if len(q) >= _LANCZOS_MIN_ORDER else None) for _, sizes, q in blocks
-        ]
+        roots, split = _twin_quotient(a)
+        blocks = []
+        for cols, sizes, diag in split:
+            q = _quotient(a, cols, sizes, diag)
+            blocks.append((q, sizes, _matvec(q) if len(q) >= _LANCZOS_MIN_ORDER else None))
     per_prime = []
     for p in mods:
         residues = [1]
@@ -766,13 +770,14 @@ def _twin_classes(rows) -> list[TwinClass]:
     entries are equal, and M[u][v] = c.  Row u with its diagonal entry
     replaced by c, together with that diagonal entry, is then the same key
     for u and v; conversely two vertices with equal keys are twins with
-    that c.  Twins of u all share one c, so the classes are disjoint and
-    each row is keyed once per distinct value in it.
+    that c.  Twins of u all share one c, so the classes are disjoint.  A
+    twin's c is an entry of u's row off the diagonal, so each row is keyed
+    once per distinct value off its diagonal.
     """
     groups: dict[tuple, list[int]] = {}
     for u, row in enumerate(rows):
         head, d, tail = row[:u], row[u], row[u + 1 :]
-        for c in set(row):
+        for c in {*head, *tail}:
             groups.setdefault((d, *head, c, *tail), []).append(u)
     classes = {u: ([u], 0) for u in range(len(rows))}
     for members in groups.values():
@@ -787,28 +792,32 @@ def _twin_classes(rows) -> list[TwinClass]:
 def _blocks(rows, classes: list[TwinClass]) -> list[list[TwinClass]]:
     """The connected components of the graph on twin classes in which two
     classes are adjacent when the entry between their first members is
-    nonzero, each listing its classes in their given order."""
-    left = set(range(len(classes)))
+    nonzero, each listing its classes in their given order.  A popped
+    class's neighbours are the classes left whose first member its row
+    reaches; the search stops once no class is left."""
+    firsts = [m[0] for m, _ in classes]
+    index = range(len(classes))
+    left = set(index)
     out = []
     while left:
         start = min(left)
         left.remove(start)
         block, stack = [start], [start]
-        while stack:
-            row = rows[classes[stack.pop()][0][0]]
-            near = [j for j in left if row[classes[j][0][0]]]
-            left.difference_update(near)
+        while stack and left:
+            row = rows[firsts[stack.pop()]]
+            near = left.intersection(compress(index, map(row.__getitem__, firsts)))
+            left -= near
             block += near
             stack += near
         out.append([classes[j] for j in sorted(block)])
     return out
 
 
-def _twin_quotient(rows) -> tuple[list[Scalar], list[tuple[list[int], list[int], list[list[Scalar]]]]]:
+def _twin_quotient(rows) -> tuple[list[Scalar], list[tuple[list[int], list[int], list[Scalar]]]]:
     """A symmetric matrix M split by its twin classes and blocks
     (_twin_classes, _blocks): the roots of its linear factors, and for each
-    block the first member of each class, the class sizes and the quotient
-    Q the block induces on vectors constant on each class.
+    block the first member of each class, the class sizes and the diagonal
+    of the quotient Q the block induces on vectors constant on each class.
 
     A class of size k with diagonal d and mutual entry c spans the
     eigenvectors e_u - e_v of eigenvalue d - c, so that root appears k - 1
@@ -817,7 +826,9 @@ def _twin_quotient(rows) -> tuple[list[Scalar], list[tuple[list[int], list[int],
     blocks' det(tI - Q) (Cvetkovic, Rowlinson & Simic, An Introduction to
     the Theory of Graph Spectra, 2010).  Q is self-adjoint under
     <u, v> = sum |X| u_X v_X, and similar to the symmetric matrix with
-    entries sqrt(|X| |Y|) M[x][y] off the diagonal.
+    entries sqrt(|X| |Y|) M[x][y] off the diagonal.  Each kernel builds
+    only what it reads from this: _char_poly_int the integer Q
+    (_quotient), sym_eigenvalues the symmetric float matrix.
     """
     classes = _twin_classes(rows)
     roots = [rows[m[0]][m[0]] - c for m, c in classes for _ in m[1:]]
@@ -825,11 +836,18 @@ def _twin_quotient(rows) -> tuple[list[Scalar], list[tuple[list[int], list[int],
     for block in _blocks(rows, classes):
         cols = [m[0] for m, _ in block]
         sizes = [len(m) for m, _ in block]
-        q = [[k * rows[x][y] for k, y in zip(sizes, cols)] for x in cols]
-        for i, (m, c) in enumerate(block):
-            q[i][i] = rows[m[0]][m[0]] + (len(m) - 1) * c
-        blocks.append((cols, sizes, q))
+        diag = [rows[m[0]][m[0]] + (len(m) - 1) * c for m, c in block]
+        blocks.append((cols, sizes, diag))
     return roots, blocks
+
+
+def _quotient(rows, cols: list[int], sizes: list[int], diag: list[Scalar]) -> list[list[Scalar]]:
+    """The quotient Q of one block of _twin_quotient, as rows:
+    Q[X][Y] = |Y| M[x][y] off the diagonal and the block's diagonal on it."""
+    q = [[k * rows[x][y] for k, y in zip(sizes, cols)] for x in cols]
+    for i, d in enumerate(diag):
+        q[i][i] = d
+    return q
 
 
 def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
@@ -838,8 +856,11 @@ def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
     after two exact reductions read from the entries.
 
     Each twin class gives its linear factors' roots exactly, and each
-    quotient block (_twin_quotient) is symmetrised and solved on its own; a
-    matrix with no twins and one block is solved as it stands.
+    quotient block (_twin_quotient) is symmetrised and solved on its own: a
+    block of one class is its diagonal value, a block of single-vertex
+    classes is M's entries between them, and only a block with a class of
+    two or more scales its entries by sqrt(|X| |Y|).  A matrix with no twins
+    and one block is solved as it stands.
 
     The sorted eigenvalues are checked against the trace and then clustered
     into multiplicities with an absolute tolerance scaled by the spectral
@@ -857,13 +878,20 @@ def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
         )
     roots, blocks = _twin_quotient(rows)
     eigs = [float(x) for x in roots]
-    for cols, sizes, q in blocks:
-        a = [
-            [math.sqrt(k * l) * float(rows[x][y]) for l, y in zip(sizes, cols)]
-            for k, x in zip(sizes, cols)
-        ]
-        for i, row in enumerate(q):
-            a[i][i] = float(row[i])
+    for cols, sizes, diag in blocks:
+        if len(cols) == 1:
+            eigs.append(float(diag[0]))
+            continue
+        if max(sizes) == 1:  # M's own entries, diagonal included
+            take = operator.itemgetter(*cols)
+            a = [list(map(float, take(rows[x]))) for x in cols]
+        else:
+            a = [
+                [math.sqrt(k * l) * float(rows[x][y]) for l, y in zip(sizes, cols)]
+                for k, x in zip(sizes, cols)
+            ]
+            for i, d in enumerate(diag):
+                a[i][i] = float(d)
         eigs += _ql_implicit(*_tridiagonalize(a))
     trace0 = sum(float(rows[i][i]) for i in range(n))
     eigs.sort()

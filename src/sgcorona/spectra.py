@@ -52,14 +52,12 @@ def matrix_of(s: SignedGraph, kind: MatrixKind) -> Matrix:
         adj[v][u] = sg
     if kind is MatrixKind.ADJACENCY:
         return Matrix(adj)
-    prof = s.degrees()
-    diag = prof.degree if kind is MatrixKind.LAPLACIAN else prof.net_degree
-    return Matrix(
-        [
-            [diag[i] - adj[i][j] if i == j else -adj[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    rows = []
+    for i, row in enumerate(adj):  # -A plus the degree or net-degree diagonal
+        neg = [-x for x in row]
+        neg[i] = n - row.count(0) if kind is MatrixKind.LAPLACIAN else sum(row)
+        rows.append(neg)
+    return Matrix(rows)
 
 
 def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> SpectrumMultiset:

@@ -324,6 +324,31 @@ class TestVerify:
         assert out.count("counterexample at trial") == 3
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["closed form", "realize"])
+    def test_value_error_in_a_check_is_a_failed_trial(self, capsys, monkeypatch, where):
+        # a wrong formula, such as K_{p,p} sent to the cubic, can raise
+        # ValueError in the closed form or when its roots are realised;
+        # either fails its trial with the pair dumped, with no traceback
+        def wrong(*args):
+            raise ValueError("math domain error")
+
+        if where == "closed form":
+            monkeypatch.setitem(CLOSED_FORMS, MatrixKind.ADJACENCY, wrong)
+        else:
+            monkeypatch.setattr(experiments, "realize", wrong)
+        result = experiments.verify_theorem("2.3", trials=3)
+        assert (result.passed, result.trials) == (0, 3)
+        assert [f.trial for f in result.failures] == [0, 1, 2]
+        for failure in result.failures:
+            assert failure.detail == "check raised ValueError: math domain error"
+            assert set(failure.graphs) == {"s1", "s2"}
+            assert parse_graph(failure.graphs["s2"]).n >= 1
+        code, out, err = run(capsys, "verify", "--theorem", "2.3", "--trials", "3")
+        assert code == 1
+        assert "FAIL 0/3" in out
+        assert out.count("counterexample at trial") == 3
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("theorem, trials, seed", [("3.4", "15", "0"), ("4.2", "20", "3")])
     def test_coarse_tol_refuses_no_closed_form(self, capsys, theorem, trials, seed):
         # at tol 0.3 clustering once merged the eigenvalue k of the second
