@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -624,16 +625,18 @@ def _any_signed(rng: random.Random, max_n: int) -> SignedGraph:
 
 def _check_factorisation(case, rng, tol):
     """2.2 at two uniform points t of GF(p), p = 2^61 - 1: det(tI - M) of the
-    corona against the factored side det(hp*(tI - A1) - hk*A1^2).  Both are
+    corona against the factored side det(hp*(tI - A1) - hk*A1^2), every
+    determinant by _det_mod, hp and the hs behind hk included.  Both are
     polynomials of degree N = n1*(n2+1), so a wrong identity passes a point
     with probability at most N/p (Schwartz, JACM 27, 1980)."""
     s1, s2 = case
     p = _PRIME_LADDER[0]
+    det = partial(_det_mod, p=p)
     factored = _factored_points(s1, s2)
     pencil = _pencil(matrix_of(neighbourhood_corona(s1, s2), MatrixKind.ADJACENCY))
     for _ in range(2):
         t = rng.randrange(p)
-        lhs, rhs = _det_mod(factored(t, 1)[1], p), _det_mod(pencil(t, 1), p)
+        lhs, rhs = det(factored(t, 1, det)[1]), det(pencil(t, 1))
         if lhs != rhs:
             return f"factored value {lhs} != determinant {rhs} at t0={t} mod {p}"
 

@@ -262,7 +262,10 @@ def _find_map(s1: SignedGraph, s2: SignedGraph, switching: bool, cap: int) -> bo
     same positive degree unless switching) first.  Each component starts with
     one vertex of sign +1, since switching a whole component changes no sign.
     Every later vertex v is placed next to an already placed a, and the edge
-    (v, a) with its image forces x_v; the other placed vertices check it."""
+    (v, a) with its image forces x_v; the other placed vertices check it.
+    A cap that is no positive int raises GraphError."""
+    if type(cap) is not int or cap < 1:
+        raise GraphError(f"isomorphism cap must be a positive int, got {cap!r}")
     n = s1.n
     if n != s2.n:
         return False

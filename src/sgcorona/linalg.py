@@ -1,7 +1,8 @@
 """Exact dense linear algebra on integer matrices plus the numeric kernels:
 characteristic polynomials and determinants modulo primes, lifted to Z by
-Chinese remaindering (char polys by Hessenberg reduction or, for the twin
-quotient blocks of a large symmetric matrix, by Lanczos; determinants of
+Chinese remaindering (char polys of a symmetric matrix on its twin
+quotient blocks, each by Hessenberg reduction or, from order 24, by
+Lanczos, and of any other matrix by Hessenberg reduction; determinants of
 symmetric matrices by elimination over GF(p) on the upper triangle), a
 symmetric eigensolver (Householder tridiagonalisation plus implicit-shift
 QL on the twin quotient blocks), Kronecker algebra, and real root
@@ -13,6 +14,7 @@ classes and diagonals; the char poly builds the integer quotient from them
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import random
 import sys
@@ -47,10 +49,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[1] * cols for _ in range(rows)])
-
     @property
     def rows(self) -> int:
         return len(self._rows)
@@ -80,13 +78,6 @@ class Matrix:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         return Matrix(
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix(
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -317,11 +308,11 @@ def _poly_mul_mod(f: list[int], g: list[int], p: int) -> list[int]:
     return [o % p for o in out]
 
 
-# Order from which _char_poly_int takes a symmetric matrix through the twin
-# reduction and Lanczos; below it Hessenberg is faster (crossover table in
-# CHANGES.md).  A block falls back to Hessenberg after this many isotropic
-# start vectors in a row, or once it is bound to need more than one
-# invariant subspace per _LANCZOS_ORDER_PER_SPACE of its order.
+# Order from which a twin quotient block of _char_poly_int takes Lanczos;
+# below it Hessenberg is faster (crossover table in CHANGES.md).  A block
+# falls back to Hessenberg after this many isotropic start vectors in a row,
+# or once it is bound to need more than one invariant subspace per
+# _LANCZOS_ORDER_PER_SPACE of its order.
 _LANCZOS_MIN_ORDER = 24
 _LANCZOS_BREAKDOWNS = 4
 _LANCZOS_ORDER_PER_SPACE = 8
@@ -444,16 +435,15 @@ def _char_poly_int(a) -> list[int]:
     given as rows: computed mod each prime of _moduli, which fix every
     coefficient below _hadamard's bound, and lifted to Z by _lift.
 
-    A symmetric matrix of order _LANCZOS_MIN_ORDER or more is split once by
-    _twin_quotient, and each block's integer quotient built by _quotient;
-    mod each prime its linear factors are multiplied in, and each quotient
-    of that order takes _lanczos_mod.  Smaller quotients, a quotient that
-    falls back and any other matrix take _char_poly_mod.
+    A symmetric matrix, of any order, is split once by _twin_quotient, and
+    each block's integer quotient built by _quotient; mod each prime its
+    linear factors are multiplied in, and each quotient of order
+    _LANCZOS_MIN_ORDER or more takes _lanczos_mod.  Smaller quotients, a
+    quotient that falls back and a non-symmetric matrix take _char_poly_mod.
     """
     mods = _moduli(_hadamard(sum(x * x for x in row) for row in a))
-    n = len(a)
     roots, blocks = [], [(a, None, None)]
-    if n >= _LANCZOS_MIN_ORDER and list(map(tuple, a)) == list(zip(*a)):
+    if list(map(tuple, a)) == list(zip(*a)):
         roots, split = _twin_quotient(a)
         blocks = []
         for cols, sizes, diag in split:
@@ -584,9 +574,10 @@ class SpectrumMultiset:
     @classmethod
     def from_values(cls, values: Iterable[float], tol: float = 1e-6) -> "SpectrumMultiset":
         """Cluster values that lie within the closeness bound of tol; tol 0
-        merges only equal values, and NaN, infinite or negative tol is
+        merges only equal values, and NaN, infinite or negative tol, or one
+        that is no real number (a str, None, a complex, a bool), is
         refused."""
-        if not 0 <= tol < math.inf:
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
             raise ValueError(f"clustering tolerance must be finite and non-negative, got {tol!r}")
         vals = sorted(float(v) for v in values)
         gap = _closeness_bound(tol, vals)
@@ -637,8 +628,9 @@ def _closeness_bound(tol: float, values: Iterable[float]) -> float:
 
 
 def _check_tol(tol: float) -> None:
-    """The one rule for a tolerance argument: finite and above zero."""
-    if not 0 < tol < math.inf:
+    """The one rule for a tolerance argument: a real number, finite and above
+    zero; a bool, which Python counts as an int, is none."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
 
 

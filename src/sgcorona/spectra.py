@@ -14,8 +14,8 @@ from .graphs import GraphError, SignedGraph, complete_bipartite
 from .linalg import (
     Matrix,
     SpectrumMultiset,
-    _char_poly_int,
     _det_int,
+    _pencil,
     _point,
     _sparse_first,
     format_poly,
@@ -65,45 +65,34 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
-def _homogeneous_at(coeffs: list[int], a: int, b: int) -> int:
-    """b^d * p(a/b) for p of degree d with ascending coefficients, by Horner
-    in integers."""
-    acc = coeffs[-1]
-    bk = b
-    for c in reversed(coeffs[:-1]):
-        acc = acc * a + c * bk
-        bk *= b
-    return acc
-
-
-def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[[int, int], tuple[int, list[list[int]]]]:
-    """(a, b) -> (hp, upper) for the factored corona adjacency char poly
+def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[..., tuple[int, list[list[int]]]]:
+    """(a, b, det) -> (hp, upper) for the factored corona adjacency char poly
     psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2) at t0 = a/b, with kappa the
-    coronal of s2's adjacency matrix.
+    coronal of s2's adjacency matrix A2 and det the caller's determinant of
+    an upper triangle (_det_mod mod one prime, or _det_int).
 
     The pair's part is done here, once: A1 in sparse-first order and A1^2 in
-    the same order, cut to their upper triangles, and psi2 and
-    det(tI - A2 + J), J the all-ones matrix, as exact integer char polys.
-    Homogeneous Horner gives hp = b^n2 * psi2(t0) and
-    hs = b^n2 * det(t0*I - A2 + J), and the rank-one identity gives
-    hp*kappa = hs - hp = hk.  upper is the upper triangle of the symmetric
-    integer matrix a*hp*I - b*(hp*A1 + hk*A1^2), whose determinant is the
-    char poly times b^(n1*(n2+1)); at b = 1 it is hp*(t0*I - A1) - hk*A1^2,
-    a polynomial in t0 with no poles.  hp = 0 where t0 is an adjacency
-    eigenvalue of s2, a pole of the coronal.
+    the same order, cut to their upper triangles, and the pencils (_pencil)
+    of A2 and of A2 - J, J the all-ones matrix.  At each point det gives
+    hp = det(a*I - b*A2) = b^n2 * psi2(t0) and
+    hs = det(a*I - b*(A2 - J)) = b^n2 * det(t0*I - A2 + J), and the rank-one
+    identity gives hp*kappa = hs - hp = hk.  upper is the upper triangle of
+    the symmetric integer matrix a*hp*I - b*(hp*A1 + hk*A1^2), whose
+    determinant is the char poly times b^(n1*(n2+1)); at b = 1 it is
+    hp*(t0*I - A1) - hk*A1^2, a polynomial in t0 with no poles.  hp = 0
+    where t0 is an adjacency eigenvalue of s2, a pole of the coronal.
     """
-    n1, n2 = s1.n, s2.n
-    if n1 < 1:
+    if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
     a1 = Matrix(_sparse_first(matrix_of(s1, MatrixKind.ADJACENCY)._rows))
     a2 = matrix_of(s2, MatrixKind.ADJACENCY)
     row_pairs = tuple((r1[i:], r2[i:]) for i, (r1, r2) in enumerate(zip(a1._rows, (a1 @ a1)._rows)))
-    psi2 = _char_poly_int(a2._rows)
-    shifted = _char_poly_int((a2 - Matrix.ones(n2, n2))._rows)
+    psi2 = _pencil(a2)
+    shifted = _pencil(Matrix([x - 1 for x in row] for row in a2._rows))
 
-    def at(a: int, b: int) -> tuple[int, list[list[int]]]:
-        hp = _homogeneous_at(psi2, a, b)
-        hk = _homogeneous_at(shifted, a, b) - hp
+    def at(a: int, b: int, det: Callable[[list[list[int]]], int]) -> tuple[int, list[list[int]]]:
+        hp = det(psi2(a, b))
+        hk = det(shifted(a, b)) - hp
         upper = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in row_pairs]
         for row in upper:
             row[0] += a * hp
@@ -114,12 +103,14 @@ def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[[int, int], t
 
 def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Fraction:
     """The factored corona adjacency char poly at a rational t0 = a/b:
-    _factored_points' determinant by _det_int over b^(n1*(n2+1)), with t0
-    checked first.  t0 must avoid the adjacency eigenvalues of s2, where the
-    coronal has its poles; one raises PoleError."""
+    _factored_points at (a, b) with _det_int for every determinant, the last
+    one over b^(n1*(n2+1)), with t0 checked first.  t0 must avoid the
+    adjacency eigenvalues of s2, where the coronal has its poles; one raises
+    PoleError.  A point so large that a Hadamard bound is past the prime
+    ladder raises ValueError, as in det_exact_at."""
     t0 = _point(t0)
     a, b = t0.numerator, t0.denominator
-    hp, upper = _factored_points(s1, s2)(a, b)
+    hp, upper = _factored_points(s1, s2)(a, b, _det_int)
     if hp == 0:
         raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
     return Fraction(_det_int(upper), b ** (s1.n * (s2.n + 1)))

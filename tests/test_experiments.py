@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sgcorona import (
+    GraphError,
     IsomorphicInputsError,
     Matrix,
     alternating_cycle,
@@ -24,6 +25,8 @@ from sgcorona import (
     edgeless,
     few_distinct_construct,
     format_graph,
+    is_isomorphic,
+    is_switching_isomorphic,
     paper_example,
     path_graph,
     star_graph,
@@ -171,15 +174,37 @@ class TestArgumentTypes:
             (lambda: verify_theorem("2.3", seed=7.0), "seed must be an int, got 7.0"),
             # random.Random(-7) replays seed 7, which would print as seed -7
             (lambda: verify_theorem("2.3", seed=-7), "seed must be at least 0, got -7"),
+            # a str, None or a complex tolerance once raised TypeError, and
+            # True passed as the tolerance 1
+            (lambda: verify_theorem("2.3", tol="1e-6"), "tolerance must be finite and positive, got '1e-6'"),
+            (lambda: verify_theorem("2.3", tol=None), "tolerance must be finite and positive, got None"),
+            (lambda: verify_theorem("2.3", tol=1e-6j), "tolerance must be finite and positive, got 1e-06j"),
+            (lambda: verify_theorem("2.3", tol=True), "tolerance must be finite and positive, got True"),
         ],
         ids=["companion None", "companion 1", "trials 2.5", "trials True", "trials 0",
              "max_n 2.5", "max_n True", "max_n -1",
-             "seed None", "seed str", "seed list", "seed True", "seed 7.0", "seed -7"],
+             "seed None", "seed str", "seed list", "seed True", "seed 7.0", "seed -7",
+             "tol str", "tol None", "tol complex", "tol True"],
     )
     def test_bad_argument_is_a_value_error(self, call, message):
         # a bool is an int to Python, but no count
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
+
+    @pytest.mark.parametrize("cap", [2.5, "x", None, True, 0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cap: is_isomorphic(edgeless(3), edgeless(3), cap=cap),
+            lambda cap: is_switching_isomorphic(edgeless(3), edgeless(4), cap=cap),
+            lambda cap: cospectral_demo(*default_cospectral_pair(), edgeless(1), ADJ, cap=cap),
+        ],
+        ids=["is_isomorphic", "is_switching_isomorphic", "cospectral_demo"],
+    )
+    def test_bad_cap_is_a_graph_error(self, call, cap):
+        # 2.5 once capped the search at 2 vertices and "x" raised TypeError
+        with pytest.raises(GraphError, match=re.escape(f"isomorphism cap must be a positive int, got {cap!r}")):
+            call(cap)
 
 
 class TestCospectralDemo:
@@ -402,7 +427,7 @@ class TestVerify:
 
     def test_factorisation_check_lets_other_errors_through(self, monkeypatch):
         def broken(s1, s2):
-            def at(a, b):
+            def at(a, b, det):
                 raise ValueError("not a pole")
 
             return at
@@ -417,16 +442,30 @@ class TestVerify:
         # every trial whose S1 has an edge, so that kappa is read, is a FAIL
         # line that dumps s1 and s2
         if mutant == "J to 2J":
-            monkeypatch.setattr(Matrix, "ones", classmethod(lambda cls, rows, cols: cls([[2] * cols] * rows)))
+            def doubled(m, real=spectra._pencil):
+                # A2 - J is the one pencil whose diagonal is all -1
+                if all(m[i, i] == -1 for i in range(m.rows)):
+                    m = Matrix([x - 1 for x in row] for row in m._rows)
+                return real(m)
+
+            monkeypatch.setattr(spectra, "_pencil", doubled)
         else:
-            values = []
+            def flipped(s1, s2, real=spectra._factored_points):
+                at = real(s1, s2)
 
-            def flipped(coeffs, a, b, real=spectra._homogeneous_at):
-                # psi2 first, then det(tI - A2 + J) = hs: 2*hp - hs turns hk into -hk
-                values.append(real(coeffs, a, b))
-                return values[-1] if len(values) % 2 else 2 * values[-2] - values[-1]
+                def mutant_at(a, b, det):
+                    # hp first, then hs = det(a*I - b*(A2 - J)): 2*hp - hs turns hk into -hk
+                    values = []
 
-            monkeypatch.setattr(spectra, "_homogeneous_at", flipped)
+                    def recording(upper):
+                        values.append(det(upper))
+                        return values[0] if len(values) == 1 else 2 * values[0] - values[1]
+
+                    return at(a, b, recording)
+
+                return mutant_at
+
+            monkeypatch.setattr(experiments, "_factored_points", flipped)
         firsts = []
         corona = experiments.neighbourhood_corona
 

@@ -42,7 +42,7 @@ from sgcorona import (
 )
 from sgcorona import experiments, linalg
 from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph, verify_theorem
-from sgcorona.linalg import _char_poly_int, _det_int, _int_rows
+from sgcorona.linalg import _det_int, _det_mod, _int_rows, _pencil
 from sgcorona.spectra import MatrixKind, _two_root_form
 
 ADJ = MatrixKind.ADJACENCY
@@ -151,7 +151,7 @@ def assemble_corona_blocks(s1, s2, kind) -> Matrix:
         raise GraphError("corona needs a non-empty first factor")
     n1, n2 = s1.n, s2.n
     a1 = matrix_of(s1, MatrixKind.ADJACENCY)
-    join = kronecker_product(Matrix.ones(1, n2), a1)
+    join = kronecker_product(Matrix([[1] * n2]), a1)
     if kind is MatrixKind.ADJACENCY:
         tl = a1
         tr = join
@@ -219,6 +219,35 @@ class TestCharpolyFactorisation:
         with pytest.raises(ValueError, match="evaluation point must be a finite rational"):
             evaluate(t0)
 
+    def test_modular_route_is_the_exact_route_mod_p(self):
+        # verify 2.2 takes every determinant of _factored_points mod p; hp
+        # and the factored side must be the _det_int route's integers
+        # reduced mod p, at points with and without a denominator
+        p = linalg._PRIME_LADDER[0]
+        rng = random.Random(43)
+        for _ in range(20):
+            s1 = random_signed_graph(rng, rng.randint(1, 5))
+            s2 = random_signed_graph(rng, rng.randint(0, 5))
+            at = spectra._factored_points(s1, s2)
+            for a, b in ((rng.randrange(p), 1), (rng.randint(-40, 40), rng.randint(1, 9))):
+                hp, upper = at(a, b, _det_int)
+                hp_p, upper_p = at(a, b, lambda rows: _det_mod(rows, p))
+                assert hp_p == hp % p
+                assert _det_mod(upper_p, p) == _det_int(upper) % p
+
+    def test_empty_second_factor_and_a_pole(self):
+        # with S2 = edgeless(0) the corona is S1, hp = 1 and hk = 0; with
+        # S2 = edgeless(1) the coronal 1/t0 has its pole at 0
+        rng = random.Random(47)
+        for n1 in range(1, 6):
+            s1 = random_signed_graph(rng, n1)
+            m = matrix_of(neighbourhood_corona(s1, edgeless(0)), ADJ)
+            assert m == matrix_of(s1, ADJ)
+            for t0 in (Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 5))):
+                assert corona_adjacency_charpoly_eval(s1, edgeless(0), t0) == det_exact_at(m, t0)
+            with pytest.raises(PoleError):
+                corona_adjacency_charpoly_eval(s1, edgeless(1), 0)
+
     def test_pole_detected(self):
         with pytest.raises(PoleError):
             corona_adjacency_charpoly_eval(complete_graph(2), complete_graph(2), 1)
@@ -232,7 +261,7 @@ class TestCharpolyFactorisation:
             s1 = random_signed_graph(rng, 4)
             m = matrix_of(neighbourhood_corona(s1, s2), ADJ)
             for t in roots:
-                hp, upper = spectra._factored_points(s1, s2)(t, 1)
+                hp, upper = spectra._factored_points(s1, s2)(t, 1, _det_int)
                 assert hp == 0
                 assert _det_int(upper) == det_exact_at(m, t)
                 with pytest.raises(PoleError):
@@ -299,33 +328,45 @@ class TestCharpolyFactorisation:
         assert poles > 0
 
     def test_set_up_once_per_trial(self, monkeypatch):
-        # verify 2.2 sets each side up once per trial, before its points: two
-        # char polys of S2 for the factored side and one int check of the
-        # corona's matrix for the determinant
+        # verify 2.2 sets each side up once per trial, before its points: the
+        # pencils of A2 and A2 - J for the factored side and the pencil of the
+        # corona's matrix for the determinant, each checking its matrix's
+        # entries once; every determinant is _det_mod, and no other exact
+        # kernel runs
         trials = 6
-        coronas, char_polys, checked = [], [], []
+        coronas, second, pencils, checked = [], [], [], []
 
         def corona(s1, s2):
+            second.append(s2)
             coronas.append(neighbourhood_corona(s1, s2))
             return coronas[-1]
 
-        def counted_char_poly(rows):
-            char_polys.append(len(rows))
-            return _char_poly_int(rows)
+        def counted_pencil(m):
+            pencils.append(m)
+            return _pencil(m)
 
         def counted_int_rows(m):
             checked.append(m)
             return _int_rows(m)
 
+        def refused(*args):
+            raise AssertionError("verify 2.2 reached another exact kernel")
+
         monkeypatch.setattr(experiments, "neighbourhood_corona", corona)
-        monkeypatch.setattr(spectra, "_char_poly_int", counted_char_poly)
+        monkeypatch.setattr(experiments, "_pencil", counted_pencil)
+        monkeypatch.setattr(spectra, "_pencil", counted_pencil)
         monkeypatch.setattr(linalg, "_int_rows", counted_int_rows)
+        for name in ("_char_poly_int", "_char_poly_mod", "_det_int"):
+            monkeypatch.setattr(linalg, name, refused)
+        monkeypatch.setattr(spectra, "_det_int", refused)
         result = verify_theorem("2.2", trials=trials, seed=0, max_n=4)
         assert result.ok and result.trials == trials
-        assert len(char_polys) == 2 * trials
-        assert char_polys[::2] == char_polys[1::2]
         assert len(coronas) == trials
-        assert checked == [matrix_of(g, ADJ) for g in coronas]
+        expected = []
+        for s2, g in zip(second, coronas):
+            a2 = matrix_of(s2, ADJ)
+            expected += [a2, Matrix([x - 1 for x in row] for row in a2._rows), matrix_of(g, ADJ)]
+        assert pencils == checked == expected
 
     def test_pole_exactly_at_psi2_roots(self):
         cases = ((complete_graph(2), {-1, 1}), (complete_graph(3, -1), {-2, 1}), (edgeless(2), {0}))
@@ -700,7 +741,7 @@ class TestClusteringTolerance:
     ]
     IDS = ["numeric_spectrum", "numeric_spectrum_empty", "sym_eigenvalues", "realize", "from_values_empty"]
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6, "0.1", None, 0.1j, True, False])
     @pytest.mark.parametrize("call", CALLS, ids=IDS)
     def test_refused(self, call, tol):
         with pytest.raises(ValueError, match="clustering tolerance must be finite and non-negative"):
