@@ -3,13 +3,14 @@ characteristic polynomials and determinants modulo primes, lifted to Z by
 Chinese remaindering (char polys of a symmetric matrix on its twin
 quotient blocks, each by Hessenberg reduction or, from order 24, by
 Lanczos, and of any other matrix by Hessenberg reduction; determinants of
-symmetric matrices by elimination over GF(p) on the upper triangle), a
-symmetric eigensolver (Householder tridiagonalisation plus implicit-shift
-QL on the twin quotient blocks), Kronecker algebra, and real root
-extraction for monic quadratics and cubics.  The char poly and the
-eigensolver read the twin split from one function, _twin_quotient, as
-classes and diagonals; the char poly builds the integer quotient from them
-(_quotient), the eigensolver its float blocks."""
+symmetric matrices by elimination over GF(p) on the upper triangle, with
+rows scaled so that only large steps take an inverse), a symmetric
+eigensolver (Householder tridiagonalisation plus implicit-shift QL on the
+twin quotient blocks), Kronecker algebra, and real root extraction for
+monic quadratics and cubics.  The char poly and the eigensolver read the
+twin split from one function, _twin_quotient, as classes and diagonals;
+the char poly builds the integer quotient from them (_quotient), the
+eigensolver its float blocks."""
 
 from __future__ import annotations
 
@@ -259,44 +260,62 @@ def _char_poly_mod(a, p: int) -> list[int]:
     return polys[n]
 
 
+# A step of _det_mod whose nonzero leads times width reaches this takes an
+# inverse; a smaller one scales its rows (crossover table in CHANGES.md).
+_INVERT_MIN_WORK = 64
+
+
 def _det_mod(upper, p: int) -> int:
     """det A mod an odd prime p for a symmetric integer matrix A given as its
     upper triangle, row i holding columns i..n-1: elimination over GF(p)
-    with diagonal pivots.  The trailing matrix stays symmetric, so only
-    entries on and above the diagonal are updated; a row whose lead, its
-    entry in the pivot row, is 0 is left as it is; det A is the product of
-    the pivots.  Updated entries stay unreduced, below (k+1)*p^2 after k
-    steps, until their row is the pivot row.
+    with diagonal pivots, on and above the diagonal only, as the trailing
+    matrix stays symmetric; a row whose lead, its entry in the pivot row, is
+    0 is left as it is.  Stored row r is d[r] times the true row, so the
+    pivot P of row k, f = P*d[k], needs no inverse (Bareiss, Math. Comp. 22,
+    1968): a step below _INVERT_MIN_WORK sets a row r of lead t to
+    f*row - d[r]*t*tail mod p and d[r] to d[r]*f; a larger one subtracts
+    d[r]*t/f times the tail, one inverse, adding under p^2 to each entry.
+    The pivot row is reduced mod p unless a scaling step updated it last.
+    det A is the product of the P over that of the d: one inverse more.
 
     A zero pivot with a nonzero entry (k, j), j the first such, is replaced
     by the congruence E A E^T, E = I + e e_k e_j^T of determinant 1: row and
     column k gain e times row and column j, which only changes the stored
-    row k (row j over columns k..j-1 is read from its mirrors), and the new
-    pivot 2e*a_kj + a_jj is nonzero for e = -1 if a_jj = -2*a_kj and for
-    e = 1 otherwise.  A zero pivot with no such entry leaves column k zero,
-    and det A = 0."""
-    a = [[x % p for x in row] for row in upper]
+    row k (true row j over columns k..j-1 is read from its mirrors, each
+    nonzero one over its row's d), and the new pivot 2e*a_kj + a_jj is
+    nonzero for e = -1 if a_jj = -2*a_kj and for e = 1 otherwise.  A zero
+    pivot with no such entry leaves column k zero, and det A = 0."""
+    a = list(upper)
     n = len(a)
-    det = 1
+    d, unreduced, num = [1] * n, [True] * n, 1
     for k in range(n):
-        tail = [x % p for x in a[k]]
+        tail = [x % p for x in a[k]] if unreduced[k] else a[k]
         if not tail[0]:
             j = next((j for j in range(k + 1, n) if tail[j - k]), None)
             if j is None:
                 return 0
-            partner = [a[c][j - c] for c in range(k, j)] + a[j]  # unreduced
+            s = [1] + [d[k] * pow(d[c], -1, p) % p if c == j or a[c][j - c] else 0 for c in range(k + 1, j + 1)]
+            partner = [a[c][j - c] * s[c - k] for c in range(k, j)] + [x * s[-1] for x in a[j]]
             e = -1 if (partner[j - k] + 2 * tail[j - k]) % p == 0 else 1
             tail = [(x + e * y) % p for x, y in zip(tail, partner)]
             tail[0] = (tail[0] + e * tail[j - k]) % p
-        pivot = tail[0]
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        for i in range(1, n - k):
-            lead = tail[i]
-            if lead:
-                u = lead * inv % p
-                a[k + i] = [x - u * y for x, y in zip(a[k + i], tail[i:])]
-    return det
+        num = num * tail[0] % p
+        f = tail[0] * d[k] % p
+        if (n - k - 1 - tail.count(0)) * (n - k) >= _INVERT_MIN_WORK:
+            inv = pow(f, -1, p)
+            for i in range(1, n - k):
+                if tail[i]:
+                    u = d[k + i] * tail[i] * inv % p
+                    a[k + i] = [x - u * y for x, y in zip(a[k + i], tail[i:])]
+                    unreduced[k + i] = True
+        else:
+            for i in range(1, n - k):
+                if tail[i]:
+                    g = d[k + i] * tail[i] % p
+                    a[k + i] = [(f * x - g * y) % p for x, y in zip(a[k + i], tail[i:])]
+                    d[k + i] = d[k + i] * f % p
+                    unreduced[k + i] = False
+    return num * pow(math.prod(d), -1, p) % p
 
 
 def _poly_mul_mod(f: list[int], g: list[int], p: int) -> list[int]:

@@ -731,22 +731,31 @@ def det_at_oracle(m: Matrix, t0) -> Fraction:
 # and the smallest prime of the ladder, the modulus of verify 2.2
 DET_PRIMES = (3, 5, 7, linalg._PRIME_LADDER[0])
 
+# _det_mod's crossover: every step takes an inverse, the default mix, and
+# every step scales its rows
+CROSSOVERS = pytest.mark.parametrize(
+    "crossover", [0, linalg._INVERT_MIN_WORK, 10**9], ids=["inverting", "mixed", "scaling"]
+)
+
 
 class TestModularDeterminant:
     """The GF(p) symmetric elimination and its Chinese-remainder lift against
     dense Bareiss, its congruence at a zero pivot, and det_exact_at on large
     coronas."""
 
+    @CROSSOVERS
     @settings(max_examples=200, deadline=None)
     @given(sym_int_matrices())
-    def test_det_mod_equals_dense_oracle(self, case):
+    def test_det_mod_equals_dense_oracle(self, crossover, case):
         # in the natural order, where a zero diagonal or a zero leading
         # principal minor makes a zero pivot, and sparse first
         shape, rows = case
         expected = det_bareiss_dense([row[:] for row in rows])
-        for ordered in (rows, _sparse_first(rows)):
-            for p in DET_PRIMES:
-                assert _det_mod(upper(ordered), p) == expected % p
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_INVERT_MIN_WORK", crossover)
+            for ordered in (rows, _sparse_first(rows)):
+                for p in DET_PRIMES:
+                    assert _det_mod(upper(ordered), p) == expected % p
         if shape in ("zero row", "rank deficient") and len(rows) >= 3:
             assert expected == 0
 
@@ -778,13 +787,67 @@ class TestModularDeterminant:
             # the partner row 2 was updated at step 0, so its mirror in row 1
             # and its own entries are read after that update
             ([[1, 1, 1], [1, 1, 0], [1, 0, 0]], -1),
+            # pivot 2 at step 0 scales rows 1 to 3 by d = 2 unless it inverts;
+            # the trailing matrix is [[0, 0, 1], [0, -1, 1], [1, 1, 1]], so
+            # step 1 has a zero pivot and its partner row 3, read at column 2
+            # from its mirror in row 2, comes over d = 2 in both
+            ([[2, 2, 2, 2], [2, 2, 2, 3], [2, 2, 1, 3], [2, 3, 3, 3]], 2),
         ],
     )
-    def test_zero_pivot(self, rows, det):
+    @CROSSOVERS
+    def test_zero_pivot(self, monkeypatch, crossover, rows, det):
+        monkeypatch.setattr(linalg, "_INVERT_MIN_WORK", crossover)
         assert det_bareiss_dense([row[:] for row in rows]) == det
         for p in DET_PRIMES:
             assert _det_mod(upper(rows), p) == det % p
         assert _det_int(upper(rows)) == det
+
+    @staticmethod
+    def inverses(monkeypatch, rows, p):
+        """_det_mod of rows mod p, checked against dense Bareiss, and the
+        number of modular inverses it took."""
+        calls = []
+
+        def spy(x, e, m):
+            calls.append(e == -1)
+            return pow(x, e, m)
+
+        monkeypatch.setattr(linalg, "pow", spy, raising=False)
+        assert _det_mod(upper(rows), p) == det_bareiss_dense([row[:] for row in rows]) % p
+        assert all(calls)
+        return len(calls)
+
+    @staticmethod
+    def pivot_free(rng, n, lo, p):
+        """The first random symmetric matrix of order n and entries in
+        [-lo, lo] whose leading principal minors are all nonzero mod p, so
+        that _det_mod meets no zero pivot."""
+        while True:
+            rows = [list(row) for row in random_symmetric(rng, n, -lo, lo)._rows]
+            if all(det_bareiss_dense([row[:m] for row in rows[:m]]) % p for m in range(1, n + 1)):
+                return rows
+
+    def test_one_inverse_per_determinant(self, monkeypatch):
+        # below order 9 no step reaches the crossover, so the one inverse is
+        # the final division by the product of the row scales
+        p = linalg._PRIME_LADDER[0]
+        rng = random.Random(9)
+        for n in range(1, 9):
+            assert (n - 1) * n < linalg._INVERT_MIN_WORK
+            for lo in (1, 4, 10**12):
+                assert self.inverses(monkeypatch, self.pivot_free(rng, n, lo, p), p) == 1
+
+    @pytest.mark.parametrize("n", [9, 14, 20])
+    def test_one_inverse_per_step_above_the_crossover(self, monkeypatch, n):
+        # a step of width n - k has at most n - k - 1 nonzero leads
+        p = linalg._PRIME_LADDER[0]
+        rows = self.pivot_free(random.Random(n), n, 9, p)
+        above = sum((n - k - 1) * (n - k) >= linalg._INVERT_MIN_WORK for k in range(n))
+        assert 1 < self.inverses(monkeypatch, rows, p) <= 1 + above
+        monkeypatch.setattr(linalg, "_INVERT_MIN_WORK", 0)
+        assert self.inverses(monkeypatch, rows, p) == 1 + n
+        monkeypatch.setattr(linalg, "_INVERT_MIN_WORK", 10**9)
+        assert self.inverses(monkeypatch, rows, p) == 1
 
     def test_sylvester_hadamard_reaches_the_bound(self):
         # |det H16| = 4^16 is Hadamard's bound, the product of the row norms
