@@ -624,21 +624,22 @@ def _any_signed(rng: random.Random, max_n: int) -> SignedGraph:
 
 
 def _check_factorisation(case, rng, tol):
-    """2.2 at two uniform points t of GF(p), p = 2^61 - 1: det(tI - M) of the
+    """2.2 at one uniform point t of GF(p), p = 2^127 - 1: det(tI - M) of the
     corona against the factored side det(hp*(tI - A1) - hk*A1^2), every
     determinant by _det_mod, hp and the hs behind hk included.  Both are
-    polynomials of degree N = n1*(n2+1), so a wrong identity passes a point
-    with probability at most N/p (Schwartz, JACM 27, 1980)."""
+    polynomials of degree N = n1*(n2+1) <= 182, so a wrong identity passes
+    with probability at most N/p < 2^-119 (Schwartz, JACM 27, 1980).  The
+    draw takes four 32-bit words of the trial stream, as two draws below
+    2^61 - 1 would, so the pairs sampled after it are those of a check at
+    two points of GF(2^61 - 1)."""
     s1, s2 = case
-    p = _PRIME_LADDER[0]
+    p = _PRIME_LADDER[1]
     det = partial(_det_mod, p=p)
-    factored = _factored_points(s1, s2)
-    pencil = _pencil(matrix_of(neighbourhood_corona(s1, s2), MatrixKind.ADJACENCY))
-    for _ in range(2):
-        t = rng.randrange(p)
-        lhs, rhs = det(factored(t, 1, det)[1]), det(pencil(t, 1))
-        if lhs != rhs:
-            return f"factored value {lhs} != determinant {rhs} at t0={t} mod {p}"
+    t = rng.randrange(p)
+    lhs = det(_factored_points(s1, s2)(t, 1, det)[1])
+    rhs = det(_pencil(matrix_of(neighbourhood_corona(s1, s2), MatrixKind.ADJACENCY))(t, 1))
+    if lhs != rhs:
+        return f"factored value {lhs} != determinant {rhs} at t0={t} mod {p}"
 
 
 def _closed_form_check(kind: MatrixKind, closed_form=None):

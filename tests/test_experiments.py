@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +35,7 @@ from sgcorona import (
     verify_theorem,
 )
 from sgcorona import experiments, spectra
-from sgcorona.experiments import THEOREM_LABELS
+from sgcorona.experiments import THEOREM_LABELS, random_signed_graph
 from sgcorona.spectra import MatrixKind
 
 ADJ = MatrixKind.ADJACENCY
@@ -438,9 +439,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("mutant", ["hk sign", "J to 2J"])
     def test_wrong_factored_side_fails_at_ci_settings(self, monkeypatch, mutant):
-        # 2.2 as CI runs it (5 trials, seed 7) against a wrong factored side:
+        # 2.2 as CI runs it (5 trials, seed 7, where every S1 has an edge)
+        # and at seed 0 (one edgeless S1) against a wrong factored side:
         # every trial whose S1 has an edge, so that kappa is read, is a FAIL
-        # line that dumps s1 and s2
+        # line that dumps s1 and s2, and a trial that never reads kappa passes
         if mutant == "J to 2J":
             def doubled(m, real=spectra._pencil):
                 # A2 - J is the one pencil whose diagonal is all -1
@@ -466,21 +468,56 @@ class TestVerify:
                 return mutant_at
 
             monkeypatch.setattr(experiments, "_factored_points", flipped)
-        firsts = []
         corona = experiments.neighbourhood_corona
+        for seed in (7, 0):
+            firsts = []
 
-        def recording(s1, s2):
-            firsts.append(s1)
-            return corona(s1, s2)
+            def recording(s1, s2, firsts=firsts):
+                firsts.append(s1)
+                return corona(s1, s2)
 
-        monkeypatch.setattr(experiments, "neighbourhood_corona", recording)
-        result = verify_theorem("2.2", trials=5, seed=7)
-        assert "theorem 2.2: FAIL 2/5" in result.render()
-        assert [f.trial for f in result.failures] == [i for i, s1 in enumerate(firsts) if s1.edges]
-        for failure in result.failures:
-            assert failure.detail.startswith("factored value ")
-            assert set(failure.graphs) == {"s1", "s2"}
-            assert failure.graphs["s1"] == format_graph(firsts[failure.trial])
+            monkeypatch.setattr(experiments, "neighbourhood_corona", recording)
+            result = verify_theorem("2.2", trials=5, seed=seed)
+            assert len(firsts) == 5
+            edgeless = [i for i, s1 in enumerate(firsts) if not s1.edges]
+            assert bool(edgeless) == (seed == 0)
+            assert f"theorem 2.2: FAIL {len(edgeless)}/5" in result.render()
+            assert [f.trial for f in result.failures] == [i for i in range(5) if i not in edgeless]
+            for failure in result.failures:
+                assert failure.detail.startswith("factored value ")
+                assert set(failure.graphs) == {"s1", "s2"}
+                assert failure.graphs["s1"] == format_graph(firsts[failure.trial])
+
+    def test_factored_side_off_by_2_61_minus_1_fails(self, monkeypatch):
+        # every determinant of the factored side, hp and hs, off by 2^61 - 1:
+        # invisible modulo 2^61 - 1, so only a larger modulus fails each trial
+        def shifted(s1, s2, real=spectra._factored_points):
+            at = real(s1, s2)
+            return lambda a, b, det: at(a, b, lambda upper: det(upper) + (2**61 - 1))
+
+        monkeypatch.setattr(experiments, "_factored_points", shifted)
+        for seed in (0, 7):
+            result = verify_theorem("2.2", trials=5, seed=seed)
+            assert "theorem 2.2: FAIL 0/5" in result.render()
+            assert [f.trial for f in result.failures] == list(range(5))
+
+    def test_one_point_of_2_127_minus_1_takes_two_points_of_2_61_minus_1(self):
+        # 2.2 draws one point below 2^127 - 1; the stream then continues as
+        # after two draws below 2^61 - 1, so the pairs sampled after it are
+        # those of a check at two such points
+        for seed in range(1000):
+            one, two = random.Random(seed), random.Random(seed)
+            one.randrange(2**127 - 1)
+            two.randrange(2**61 - 1)
+            two.randrange(2**61 - 1)
+            assert one.getstate() == two.getstate()
+        rng, two = random.Random(5), random.Random()
+        pair = random_signed_graph(rng, 4), random_signed_graph(rng, 3)
+        two.setstate(rng.getstate())
+        assert experiments._check_factorisation(pair, rng, 1e-6) is None
+        two.randrange(2**61 - 1)
+        two.randrange(2**61 - 1)
+        assert rng.getstate() == two.getstate()
 
     @pytest.mark.parametrize("label, names", [("5.1", {"s1", "s2"}), ("5.2", {"seed"})])
     def test_kernel_fault_is_a_failed_trial(self, monkeypatch, label, names):

@@ -728,8 +728,8 @@ def det_at_oracle(m: Matrix, t0) -> Fraction:
 
 
 # odd primes small enough that zero pivots, and so congruences, are common,
-# and the smallest prime of the ladder, the modulus of verify 2.2
-DET_PRIMES = (3, 5, 7, linalg._PRIME_LADDER[0])
+# the smallest prime of the ladder, and the next, the modulus of verify 2.2
+DET_PRIMES = (3, 5, 7, *linalg._PRIME_LADDER[:2])
 
 # _det_mod's crossover: every step takes an inverse, the default mix, and
 # every step scales its rows

@@ -220,20 +220,23 @@ class TestCharpolyFactorisation:
             evaluate(t0)
 
     def test_modular_route_is_the_exact_route_mod_p(self):
-        # verify 2.2 takes every determinant of _factored_points mod p; hp
-        # and the factored side must be the _det_int route's integers
-        # reduced mod p, at points with and without a denominator
-        p = linalg._PRIME_LADDER[0]
+        # verify 2.2 takes every determinant of _factored_points mod p, p the
+        # ladder's second prime; hp and the factored side must be the
+        # _det_int route's integers reduced mod p, at points with and without
+        # a denominator, at that prime and at the smallest.  The points stay
+        # below 2^61 - 1: at a point of 127 bits, _det_int's bound on the
+        # factored side can pass the prime ladder's
         rng = random.Random(43)
         for _ in range(20):
             s1 = random_signed_graph(rng, rng.randint(1, 5))
             s2 = random_signed_graph(rng, rng.randint(0, 5))
             at = spectra._factored_points(s1, s2)
-            for a, b in ((rng.randrange(p), 1), (rng.randint(-40, 40), rng.randint(1, 9))):
+            for a, b in ((rng.randrange(linalg._PRIME_LADDER[0]), 1), (rng.randint(-40, 40), rng.randint(1, 9))):
                 hp, upper = at(a, b, _det_int)
-                hp_p, upper_p = at(a, b, lambda rows: _det_mod(rows, p))
-                assert hp_p == hp % p
-                assert _det_mod(upper_p, p) == _det_int(upper) % p
+                for p in linalg._PRIME_LADDER[:2]:
+                    hp_p, upper_p = at(a, b, lambda rows: _det_mod(rows, p))
+                    assert hp_p == hp % p
+                    assert _det_mod(upper_p, p) == _det_int(upper) % p
 
     def test_empty_second_factor_and_a_pole(self):
         # with S2 = edgeless(0) the corona is S1, hp = 1 and hk = 0; with
