@@ -4,13 +4,14 @@ Chinese remaindering (char polys of a symmetric matrix on its twin
 quotient blocks, each by Hessenberg reduction or, from order 24, by
 Lanczos, and of any other matrix by Hessenberg reduction; determinants of
 symmetric matrices by elimination over GF(p) on the upper triangle, with
-rows scaled so that only large steps take an inverse), a symmetric
-eigensolver (Householder tridiagonalisation plus implicit-shift QL on the
-twin quotient blocks), Kronecker algebra, and real root extraction for
-monic quadratics and cubics.  The char poly and the eigensolver read the
-twin split from one function, _twin_quotient, as classes and diagonals;
-the char poly builds the integer quotient from them (_quotient), the
-eigensolver its float blocks."""
+rows scaled so that only large steps take an inverse and the result
+projective, a pair (num, den) whose division is left to the caller), a
+symmetric eigensolver (Householder tridiagonalisation plus implicit-shift
+QL on the twin quotient blocks), Kronecker algebra, and real root
+extraction for monic quadratics and cubics.  The char poly and the
+eigensolver read the twin split from one function, _twin_quotient, as
+classes and diagonals; the char poly builds the integer quotient from them
+(_quotient), the eigensolver its float blocks."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Callable, Iterable
 
 Scalar = int | Fraction
@@ -261,40 +262,61 @@ def _char_poly_mod(a, p: int) -> list[int]:
 
 
 # A step of _det_mod whose nonzero leads times width reaches this takes an
-# inverse; a smaller one scales its rows (crossover table in CHANGES.md).
-_INVERT_MIN_WORK = 64
+# inverse; a smaller one scales its rows (crossover tables in CHANGES.md).
+_INVERT_MIN_WORK = 192
 
 
-def _det_mod(upper, p: int) -> int:
-    """det A mod an odd prime p for a symmetric integer matrix A given as its
-    upper triangle, row i holding columns i..n-1: elimination over GF(p)
-    with diagonal pivots, on and above the diagonal only, as the trailing
-    matrix stays symmetric; a row whose lead, its entry in the pivot row, is
-    0 is left as it is.  Stored row r is d[r] times the true row, so the
-    pivot P of row k, f = P*d[k], needs no inverse (Bareiss, Math. Comp. 22,
-    1968): a step below _INVERT_MIN_WORK sets a row r of lead t to
-    f*row - d[r]*t*tail mod p and d[r] to d[r]*f; a larger one subtracts
-    d[r]*t/f times the tail, one inverse, adding under p^2 to each entry.
-    The pivot row is reduced mod p unless a scaling step updated it last.
-    det A is the product of the P over that of the d: one inverse more.
+def _ratios(top: int, xs: list[int], p: int) -> list[int]:
+    """[top/x mod p for x in xs], for xs nonzero mod p, with one inverse:
+    the inverse of the product, peeled off by the prefix products
+    (Montgomery, Math. Comp. 48, 1987)."""
+    prefix = list(accumulate(xs, lambda x, y: x * y % p))
+    inv = top * pow(prefix[-1], -1, p) % p
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % p
+        inv = inv * xs[i] % p
+    out[0] = inv
+    return out
+
+
+def _det_mod(upper, p: int) -> tuple[int, int]:
+    """det A mod an odd prime p, projectively, as (num, den) with
+    det A = num/den mod p and den nonzero, for a symmetric integer matrix A
+    given as its upper triangle, row i holding columns i..n-1: elimination
+    over GF(p) with diagonal pivots, on and above the diagonal only, as the
+    trailing matrix stays symmetric; a row whose lead, its entry in the
+    pivot row, is 0 is left as it is.  Stored row r is d[r] times the true
+    row, so the pivot P of row k, f = P*d[k], needs no inverse (Bareiss,
+    Math. Comp. 22, 1968): a step below _INVERT_MIN_WORK sets a row r of
+    lead t to f*row - d[r]*t*tail mod p and d[r] to d[r]*f; a larger one
+    subtracts d[r]*t/f times the tail, one inverse, adding under p^2 to each
+    entry.  The pivot row is reduced mod p unless a scaling step updated it
+    last.  num is the product of the P and den that of the d, kept as a
+    running product, so the result takes no inverse; the caller divides or
+    cross-multiplies.  A zero determinant is (0, 1).
 
     A zero pivot with a nonzero entry (k, j), j the first such, is replaced
     by the congruence E A E^T, E = I + e e_k e_j^T of determinant 1: row and
     column k gain e times row and column j, which only changes the stored
     row k (true row j over columns k..j-1 is read from its mirrors, each
-    nonzero one over its row's d), and the new pivot 2e*a_kj + a_jj is
-    nonzero for e = -1 if a_jj = -2*a_kj and for e = 1 otherwise.  A zero
-    pivot with no such entry leaves column k zero, and det A = 0."""
+    nonzero one over its row's d, the d inverted together by _ratios), and
+    the new pivot 2e*a_kj + a_jj is nonzero for e = -1 if a_jj = -2*a_kj and
+    for e = 1 otherwise.  A zero pivot with no such entry leaves column k
+    zero, and det A = 0."""
     a = list(upper)
     n = len(a)
-    d, unreduced, num = [1] * n, [True] * n, 1
+    d, unreduced, num, den = [1] * n, [True] * n, 1, 1
     for k in range(n):
         tail = [x % p for x in a[k]] if unreduced[k] else a[k]
         if not tail[0]:
             j = next((j for j in range(k + 1, n) if tail[j - k]), None)
             if j is None:
-                return 0
-            s = [1] + [d[k] * pow(d[c], -1, p) % p if c == j or a[c][j - c] else 0 for c in range(k + 1, j + 1)]
+                return 0, 1
+            read = [c for c in range(k + 1, j) if a[c][j - c]] + [j]
+            s = [1] + [0] * (j - k)
+            for c, r in zip(read, _ratios(d[k], [d[c] for c in read], p)):
+                s[c - k] = r
             partner = [a[c][j - c] * s[c - k] for c in range(k, j)] + [x * s[-1] for x in a[j]]
             e = -1 if (partner[j - k] + 2 * tail[j - k]) % p == 0 else 1
             tail = [(x + e * y) % p for x, y in zip(tail, partner)]
@@ -314,8 +336,9 @@ def _det_mod(upper, p: int) -> int:
                     g = d[k + i] * tail[i] % p
                     a[k + i] = [(f * x - g * y) % p for x, y in zip(a[k + i], tail[i:])]
                     d[k + i] = d[k + i] * f % p
+                    den = den * f % p
                     unreduced[k + i] = False
-    return num * pow(math.prod(d), -1, p) % p
+    return num, den
 
 
 def _poly_mul_mod(f: list[int], g: list[int], p: int) -> list[int]:
@@ -523,13 +546,18 @@ def _point(t0) -> Fraction:
 def _det_int(upper) -> int:
     """det A for a symmetric integer matrix A given as its upper triangle:
     _det_mod mod each prime of _moduli, which fix every value below
-    _hadamard's bound on the rows of A, lifted to Z by _lift."""
+    _hadamard's bound on the rows of A, each divided out and lifted to Z
+    by _lift."""
     squares = [sum(x * x for x in row) for row in upper]
     for i, row in enumerate(upper):
         for j, x in enumerate(row[1:], i + 1):
             squares[j] += x * x
     mods = _moduli(_hadamard(squares))
-    return _lift(mods, [[_det_mod(upper, p)] for p in mods])[0]
+    residues = []
+    for p in mods:
+        num, den = _det_mod(upper, p)
+        residues.append([num * pow(den, -1, p) % p])
+    return _lift(mods, residues)[0]
 
 
 def _pencil(m: Matrix) -> Callable[[int, int], list[list[int]]]:

@@ -65,20 +65,24 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
-def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[..., tuple[int, list[list[int]]]]:
-    """(a, b, det) -> (hp, upper) for the factored corona adjacency char poly
-    psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2) at t0 = a/b, with kappa the
-    coronal of s2's adjacency matrix A2 and det the caller's determinant of
-    an upper triangle (_det_mod mod one prime, or _det_int).
+def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[..., tuple[int, list[list[int]], int]]:
+    """(a, b, det) -> (hp, upper, scale) for the factored corona adjacency
+    char poly psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2) at t0 = a/b, with
+    kappa the coronal of s2's adjacency matrix A2 and det the caller's
+    determinant of an upper triangle as a pair (num, den), the determinant
+    being num/den with den nonzero (_det_mod mod one prime, or _det_int
+    over 1).
 
     The pair's part is done here, once: A1 in sparse-first order and A1^2 in
     the same order, cut to their upper triangles, and the pencils (_pencil)
     of A2 and of A2 - J, J the all-ones matrix.  At each point det gives
-    hp = det(a*I - b*A2) = b^n2 * psi2(t0) and
-    hs = det(a*I - b*(A2 - J)) = b^n2 * det(t0*I - A2 + J), and the rank-one
-    identity gives hp*kappa = hs - hp = hk.  upper is the upper triangle of
-    the symmetric integer matrix a*hp*I - b*(hp*A1 + hk*A1^2), whose
-    determinant is the char poly times b^(n1*(n2+1)); at b = 1 it is
+    hn/hd = det(a*I - b*A2) = b^n2 * psi2(t0) and
+    sn/sd = det(a*I - b*(A2 - J)) = b^n2 * det(t0*I - A2 + J), and the
+    rank-one identity gives psi2*kappa = hs - hp.  Both are taken times
+    scale = hd*sd, so no division is needed: hp = hn*sd and
+    hk = sn*hd - hn*sd.  upper is the upper triangle of the symmetric integer
+    matrix a*hp*I - b*(hp*A1 + hk*A1^2), whose determinant is the char poly
+    times b^(n1*(n2+1)) * scale^n1; at b = 1 it is scale times
     hp*(t0*I - A1) - hk*A1^2, a polynomial in t0 with no poles.  hp = 0
     where t0 is an adjacency eigenvalue of s2, a pole of the coronal.
     """
@@ -90,27 +94,30 @@ def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[..., tuple[in
     psi2 = _pencil(a2)
     shifted = _pencil(Matrix([x - 1 for x in row] for row in a2._rows))
 
-    def at(a: int, b: int, det: Callable[[list[list[int]]], int]) -> tuple[int, list[list[int]]]:
-        hp = det(psi2(a, b))
-        hk = det(shifted(a, b)) - hp
+    def at(
+        a: int, b: int, det: Callable[[list[list[int]]], tuple[int, int]]
+    ) -> tuple[int, list[list[int]], int]:
+        hn, hd = det(psi2(a, b))
+        sn, sd = det(shifted(a, b))
+        hp, hk = hn * sd, sn * hd - hn * sd
         upper = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in row_pairs]
         for row in upper:
             row[0] += a * hp
-        return hp, upper
+        return hp, upper, hd * sd
 
     return at
 
 
 def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Fraction:
     """The factored corona adjacency char poly at a rational t0 = a/b:
-    _factored_points at (a, b) with _det_int for every determinant, the last
-    one over b^(n1*(n2+1)), with t0 checked first.  t0 must avoid the
-    adjacency eigenvalues of s2, where the coronal has its poles; one raises
-    PoleError.  A point so large that a Hadamard bound is past the prime
-    ladder raises ValueError, as in det_exact_at."""
+    _factored_points at (a, b) with _det_int over 1 for every determinant,
+    so at scale 1, the last one over b^(n1*(n2+1)), with t0 checked first.
+    t0 must avoid the adjacency eigenvalues of s2, where the coronal has its
+    poles; one raises PoleError.  A point so large that a Hadamard bound is
+    past the prime ladder raises ValueError, as in det_exact_at."""
     t0 = _point(t0)
     a, b = t0.numerator, t0.denominator
-    hp, upper = _factored_points(s1, s2)(a, b, _det_int)
+    hp, upper, _ = _factored_points(s1, s2)(a, b, lambda rows: (_det_int(rows), 1))
     if hp == 0:
         raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
     return Fraction(_det_int(upper), b ** (s1.n * (s2.n + 1)))

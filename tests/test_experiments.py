@@ -45,6 +45,31 @@ NET = MatrixKind.NET_LAPLACIAN
 PINNED_VERIFY = Path(__file__).with_name("verify_pinned.txt")
 
 
+def flip_hk(monkeypatch):
+    """Turns the factored side's hk into -hk: its second determinant, hs =
+    det(a*I - b*(A2 - J)) after hp, comes back as 2*hp - hs, on the
+    projective pairs (num, den)."""
+
+    def flipped(s1, s2, real=spectra._factored_points):
+        at = real(s1, s2)
+
+        def mutant_at(a, b, det):
+            values = []
+
+            def recording(upper):
+                values.append(det(upper))
+                if len(values) == 1:
+                    return values[0]
+                (hn, hd), (sn, sd) = values
+                return 2 * hn * sd - sn * hd, hd * sd
+
+            return at(a, b, recording)
+
+        return mutant_at
+
+    monkeypatch.setattr(experiments, "_factored_points", flipped)
+
+
 def pinned_verify_text() -> str:
     """The rendered verify report of every label for seeds 0-9 at max-n 6
     (20 trials) and seeds 0-1 at max-n 13 (8 trials), each under a header
@@ -452,22 +477,7 @@ class TestVerify:
 
             monkeypatch.setattr(spectra, "_pencil", doubled)
         else:
-            def flipped(s1, s2, real=spectra._factored_points):
-                at = real(s1, s2)
-
-                def mutant_at(a, b, det):
-                    # hp first, then hs = det(a*I - b*(A2 - J)): 2*hp - hs turns hk into -hk
-                    values = []
-
-                    def recording(upper):
-                        values.append(det(upper))
-                        return values[0] if len(values) == 1 else 2 * values[0] - values[1]
-
-                    return at(a, b, recording)
-
-                return mutant_at
-
-            monkeypatch.setattr(experiments, "_factored_points", flipped)
+            flip_hk(monkeypatch)
         corona = experiments.neighbourhood_corona
         for seed in (7, 0):
             firsts = []
@@ -488,12 +498,31 @@ class TestVerify:
                 assert set(failure.graphs) == {"s1", "s2"}
                 assert failure.graphs["s1"] == format_graph(firsts[failure.trial])
 
+    def test_failure_dumps_are_pinned(self, monkeypatch):
+        # the rendered text and JSON of 2.2's failing runs under the hk sign
+        # mutant at the CI settings, seeds 0 and 7: each failure's detail
+        # names both sides' residues and the point, and dumps the pair, byte
+        # for byte as the check printed them when it divided every
+        # determinant out
+        flip_hk(monkeypatch)
+        digest = hashlib.sha256()
+        for seed in (0, 7):
+            result = verify_theorem("2.2", trials=5, seed=seed)
+            assert not result.ok
+            digest.update(result.render().encode())
+            digest.update(json.dumps(result.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == "ccee5d45e411aea662b738d5db15c301c67b30993b4a3db66eff832a5a82eff9"
+
     def test_factored_side_off_by_2_61_minus_1_fails(self, monkeypatch):
         # every determinant of the factored side, hp and hs, off by 2^61 - 1:
         # invisible modulo 2^61 - 1, so only a larger modulus fails each trial
+        def off(upper, det):
+            num, den = det(upper)
+            return num + (2**61 - 1) * den, den
+
         def shifted(s1, s2, real=spectra._factored_points):
             at = real(s1, s2)
-            return lambda a, b, det: at(a, b, lambda upper: det(upper) + (2**61 - 1))
+            return lambda a, b, det: at(a, b, lambda upper: off(upper, det))
 
         monkeypatch.setattr(experiments, "_factored_points", shifted)
         for seed in (0, 7):

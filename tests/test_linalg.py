@@ -629,7 +629,7 @@ class TestDetExactAt:
             for t0 in map(Fraction, self.MANY_POINTS):
                 expected = det_at_oracle(m, t0)
                 t = t0.numerator * pow(t0.denominator, -1, p) % p
-                assert _det_mod(pencil(t, 1), p) == expected.numerator * pow(expected.denominator, -1, p) % p
+                assert stands_for(_det_mod(pencil(t, 1), p), expected.numerator * pow(expected.denominator, -1, p), p)
                 assert det_exact_at(m, t0) == expected
 
     @pytest.mark.parametrize("rows", [[[0, 1], [0, 0]], [[1, 2, 0], [2, 0, 3], [0, -3, 1]]])
@@ -715,6 +715,13 @@ def upper(rows: list[list[int]]) -> list[list[int]]:
     return [row[i:] for i, row in enumerate(rows)]
 
 
+def stands_for(pair: tuple[int, int], det: int, p: int) -> bool:
+    """Whether _det_mod's projective (num, den) is det mod p: den nonzero and
+    num = det*den mod p."""
+    num, den = pair
+    return den % p != 0 and (num - det * den) % p == 0
+
+
 def det_at_oracle(m: Matrix, t0) -> Fraction:
     """det(t0*I - M) from the dense Bareiss oracle, scaled in Fractions."""
     t0 = Fraction(t0)
@@ -755,7 +762,7 @@ class TestModularDeterminant:
             mp.setattr(linalg, "_INVERT_MIN_WORK", crossover)
             for ordered in (rows, _sparse_first(rows)):
                 for p in DET_PRIMES:
-                    assert _det_mod(upper(ordered), p) == expected % p
+                    assert stands_for(_det_mod(upper(ordered), p), expected, p)
         if shape in ("zero row", "rank deficient") and len(rows) >= 3:
             assert expected == 0
 
@@ -799,7 +806,7 @@ class TestModularDeterminant:
         monkeypatch.setattr(linalg, "_INVERT_MIN_WORK", crossover)
         assert det_bareiss_dense([row[:] for row in rows]) == det
         for p in DET_PRIMES:
-            assert _det_mod(upper(rows), p) == det % p
+            assert stands_for(_det_mod(upper(rows), p), det, p)
         assert _det_int(upper(rows)) == det
 
     @staticmethod
@@ -813,7 +820,7 @@ class TestModularDeterminant:
             return pow(x, e, m)
 
         monkeypatch.setattr(linalg, "pow", spy, raising=False)
-        assert _det_mod(upper(rows), p) == det_bareiss_dense([row[:] for row in rows]) % p
+        assert stands_for(_det_mod(upper(rows), p), det_bareiss_dense([row[:] for row in rows]), p)
         assert all(calls)
         return len(calls)
 
@@ -827,27 +834,61 @@ class TestModularDeterminant:
             if all(det_bareiss_dense([row[:m] for row in rows[:m]]) % p for m in range(1, n + 1)):
                 return rows
 
-    def test_one_inverse_per_determinant(self, monkeypatch):
-        # below order 9 no step reaches the crossover, so the one inverse is
-        # the final division by the product of the row scales
-        p = linalg._PRIME_LADDER[0]
+    def test_no_inverse_below_the_crossover(self, monkeypatch):
+        # below order 9 no step reaches the crossover, and the row scales
+        # stay in the projective result's den
+        p = linalg._PRIME_LADDER[1]
         rng = random.Random(9)
         for n in range(1, 9):
             assert (n - 1) * n < linalg._INVERT_MIN_WORK
             for lo in (1, 4, 10**12):
-                assert self.inverses(monkeypatch, self.pivot_free(rng, n, lo, p), p) == 1
+                assert self.inverses(monkeypatch, self.pivot_free(rng, n, lo, p), p) == 0
 
-    @pytest.mark.parametrize("n", [9, 14, 20])
+    @pytest.mark.parametrize("n", [16, 20, 26])
     def test_one_inverse_per_step_above_the_crossover(self, monkeypatch, n):
         # a step of width n - k has at most n - k - 1 nonzero leads
-        p = linalg._PRIME_LADDER[0]
+        p = linalg._PRIME_LADDER[1]
         rows = self.pivot_free(random.Random(n), n, 9, p)
         above = sum((n - k - 1) * (n - k) >= linalg._INVERT_MIN_WORK for k in range(n))
-        assert 1 < self.inverses(monkeypatch, rows, p) <= 1 + above
+        assert 0 < self.inverses(monkeypatch, rows, p) <= above
         monkeypatch.setattr(linalg, "_INVERT_MIN_WORK", 0)
-        assert self.inverses(monkeypatch, rows, p) == 1 + n
+        assert self.inverses(monkeypatch, rows, p) == n
         monkeypatch.setattr(linalg, "_INVERT_MIN_WORK", 10**9)
-        assert self.inverses(monkeypatch, rows, p) == 1
+        assert self.inverses(monkeypatch, rows, p) == 0
+
+    def test_one_inverse_per_congruence(self, monkeypatch):
+        # scaling only, so every inverse belongs to a zero pivot's congruence,
+        # which inverts the scales of the partner row and of every mirror it
+        # reads together: on the order-182 corona adjacency at 0, 52
+        # congruences read 78 scales, one inverse each before they were batched
+        rng = random.Random(43)
+        corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
+        rows = [[-x for x in row] for row in _sparse_first(matrix_of(corona, MatrixKind.ADJACENCY)._rows)]
+        det = det_bareiss_dense([row[:] for row in rows])
+        for p in linalg._PRIME_LADDER[:2]:
+            congruences, inverses, scales = [], [], []
+
+            def first(candidates, default):
+                j = next(candidates, default)
+                congruences.append(j is not None)
+                return j
+
+            def spy(x, e, m):
+                inverses.append(e)
+                return pow(x, e, m)
+
+            def ratios(top, xs, m, real=linalg._ratios):
+                scales.extend(xs)
+                return real(top, xs, m)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "_INVERT_MIN_WORK", 10**9)
+                mp.setattr(linalg, "next", first, raising=False)
+                mp.setattr(linalg, "pow", spy, raising=False)
+                mp.setattr(linalg, "_ratios", ratios)
+                assert stands_for(_det_mod(upper(rows), p), det, p)
+            assert all(congruences) and len(congruences) == 52 and len(scales) == 78
+            assert inverses == [-1] * 52
 
     def test_sylvester_hadamard_reaches_the_bound(self):
         # |det H16| = 4^16 is Hadamard's bound, the product of the row norms

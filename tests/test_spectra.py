@@ -221,8 +221,9 @@ class TestCharpolyFactorisation:
 
     def test_modular_route_is_the_exact_route_mod_p(self):
         # verify 2.2 takes every determinant of _factored_points mod p, p the
-        # ladder's second prime; hp and the factored side must be the
-        # _det_int route's integers reduced mod p, at points with and without
+        # ladder's second prime, as a projective pair; hp and the factored
+        # side must be the _det_int route's integers reduced mod p, up to the
+        # scale the pairs' denominators give them, at points with and without
         # a denominator, at that prime and at the smallest.  The points stay
         # below 2^61 - 1: at a point of 127 bits, _det_int's bound on the
         # factored side can pass the prime ladder's
@@ -232,11 +233,13 @@ class TestCharpolyFactorisation:
             s2 = random_signed_graph(rng, rng.randint(0, 5))
             at = spectra._factored_points(s1, s2)
             for a, b in ((rng.randrange(linalg._PRIME_LADDER[0]), 1), (rng.randint(-40, 40), rng.randint(1, 9))):
-                hp, upper = at(a, b, _det_int)
+                hp, upper, scale = at(a, b, lambda rows: (_det_int(rows), 1))
+                assert scale == 1
                 for p in linalg._PRIME_LADDER[:2]:
-                    hp_p, upper_p = at(a, b, lambda rows: _det_mod(rows, p))
-                    assert hp_p == hp % p
-                    assert _det_mod(upper_p, p) == _det_int(upper) % p
+                    hp_p, upper_p, scale_p = at(a, b, lambda rows: _det_mod(rows, p))
+                    assert scale_p % p and (hp_p - hp * scale_p) % p == 0
+                    num, den = _det_mod(upper_p, p)
+                    assert den % p and (num - _det_int(upper) * den * scale_p**s1.n) % p == 0
 
     def test_empty_second_factor_and_a_pole(self):
         # with S2 = edgeless(0) the corona is S1, hp = 1 and hk = 0; with
@@ -264,7 +267,7 @@ class TestCharpolyFactorisation:
             s1 = random_signed_graph(rng, 4)
             m = matrix_of(neighbourhood_corona(s1, s2), ADJ)
             for t in roots:
-                hp, upper = spectra._factored_points(s1, s2)(t, 1, _det_int)
+                hp, upper, _ = spectra._factored_points(s1, s2)(t, 1, lambda rows: (_det_int(rows), 1))
                 assert hp == 0
                 assert _det_int(upper) == det_exact_at(m, t)
                 with pytest.raises(PoleError):
