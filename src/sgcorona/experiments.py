@@ -27,13 +27,14 @@ from .graphs import (
     unbalanced_c4,
 )
 from .linalg import (
-    _PRIME_LADDER, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _fmt, _pencil, char_poly_exact, spectra_equal
+    _PRIME_LADDER, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _fmt, char_poly_exact, spectra_equal
 )
 from .spectra import (
     CLOSED_FORMS,
     ClosedFormError,
     ClosedFormSpectrum,
     MatrixKind,
+    _adjacency_triangle,
     _factored_points,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
@@ -631,17 +632,18 @@ def _check_factorisation(case, rng, tol):
     with probability at most N/p < 2^-119 (Schwartz, JACM 27, 1980).  The
     draw takes four 32-bit words of the trial stream, as two draws below
     2^61 - 1 would, so the pairs sampled after it are those of a check at
-    two points of GF(2^61 - 1).  _det_mod's pairs are compared by cross
-    multiplication, with the factored side's scale^n1 on the corona's side
-    (_factored_points); only a mismatch takes inverses, to report both
-    values."""
+    two points of GF(2^61 - 1).  The corona's triangle tI - M comes from its
+    edges (_adjacency_triangle), with no matrix built or checked.  _det_mod's
+    pairs are compared by cross multiplication, with the factored side's
+    scale^n1 on the corona's side (_factored_points); only a mismatch takes
+    inverses, to report both values."""
     s1, s2 = case
     p = _PRIME_LADDER[1]
     det = partial(_det_mod, p=p)
     t = rng.randrange(p)
     _, upper, scale = _factored_points(s1, s2)(t, 1, det)
     ln, ld = det(upper)
-    rn, rd = det(_pencil(matrix_of(neighbourhood_corona(s1, s2), MatrixKind.ADJACENCY))(t, 1))
+    rn, rd = det(_adjacency_triangle(neighbourhood_corona(s1, s2), t, 1))
     ld = ld * pow(scale, s1.n, p) % p
     if (ln * rd - rn * ld) % p:
         lhs, rhs = ln * pow(ld, -1, p) % p, rn * pow(rd, -1, p) % p

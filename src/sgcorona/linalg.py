@@ -82,12 +82,6 @@ class Matrix:
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
         )
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = list(zip(*other._rows))
-        return Matrix([sum(map(operator.mul, row, col)) for col in cols] for row in self._rows)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matrix) and self._rows == other._rows
 
@@ -563,11 +557,12 @@ def _det_int(upper) -> int:
 def _pencil(m: Matrix) -> Callable[[int, int], list[list[int]]]:
     """(a, b) -> the upper triangle of a*I - b*M, for a symmetric integer
     matrix M, as every graph matrix is: det(t0*I - M) = det(a*I - b*M) / b^n
-    at t0 = a/b.  M's entries and symmetry are checked and its rows and
-    columns ordered sparse first (_int_rows, _sparse_first) once; each point
-    scales the triangle by -b and adds a on the diagonal, which the
-    symmetric permutation left in place.  A non-symmetric M raises
-    ValueError."""
+    at t0 = a/b; det_exact_at's set-up for any Matrix (verify 2.2 writes its
+    graphs' triangles from their edges, spectra._adjacency_triangle).  M's
+    entries and symmetry are checked and its rows and columns ordered
+    sparse first (_int_rows, _sparse_first) once; each point scales the
+    triangle by -b and adds a on the diagonal, which the symmetric
+    permutation left in place.  A non-symmetric M raises ValueError."""
     m.require_square("det_exact_at")
     ordered = _sparse_first(_int_rows(m))
     if ordered != [list(col) for col in zip(*ordered)]:

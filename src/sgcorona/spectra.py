@@ -6,6 +6,7 @@ K_{p,p}, and a cubic for 2.4/2.5 on K_{p,q} with p != q."""
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -15,7 +16,6 @@ from .linalg import (
     Matrix,
     SpectrumMultiset,
     _det_int,
-    _pencil,
     _point,
     _sparse_first,
     format_poly,
@@ -65,6 +65,30 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
+def _adjacency_triangle(s: SignedGraph, a: int, b: int) -> list[list[int]]:
+    """The upper triangle of a*I - b*A, A the adjacency matrix of s, with
+    rows and columns in sparse-first order (ascending degree, ties by vertex
+    index): _pencil(matrix_of(s, ADJACENCY))(a, b), written from the edge
+    list, whose signs are ints +-1 already, with no matrix built or checked."""
+    n = s.n
+    deg = [0] * n
+    for u, v, _ in s.edges:
+        deg[u] += 1
+        deg[v] += 1
+    pos = [0] * n
+    for i, v in enumerate(sorted(range(n), key=deg.__getitem__)):
+        pos[v] = i
+    upper = [[0] * (n - i) for i in range(n)]
+    for row in upper:
+        row[0] = a
+    for u, v, sg in s.edges:
+        i, j = pos[u], pos[v]
+        if i > j:
+            i, j = j, i
+        upper[i][j - i] = -b * sg
+    return upper
+
+
 def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[..., tuple[int, list[list[int]], int]]:
     """(a, b, det) -> (hp, upper, scale) for the factored corona adjacency
     char poly psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2) at t0 = a/b, with
@@ -74,9 +98,10 @@ def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[..., tuple[in
     over 1).
 
     The pair's part is done here, once: A1 in sparse-first order and A1^2 in
-    the same order, cut to their upper triangles, and the pencils (_pencil)
-    of A2 and of A2 - J, J the all-ones matrix.  At each point det gives
-    hn/hd = det(a*I - b*A2) = b^n2 * psi2(t0) and
+    the same order, as lists cut to their upper triangles.  At each point
+    the triangle of a*I - b*A2 comes from s2's edges (_adjacency_triangle)
+    and that of a*I - b*(A2 - J), J the all-ones matrix, is it with b added
+    to every entry; det gives hn/hd = det(a*I - b*A2) = b^n2 * psi2(t0) and
     sn/sd = det(a*I - b*(A2 - J)) = b^n2 * det(t0*I - A2 + J), and the
     rank-one identity gives psi2*kappa = hs - hp.  Both are taken times
     scale = hd*sd, so no division is needed: hp = hn*sd and
@@ -88,17 +113,18 @@ def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[..., tuple[in
     """
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
-    a1 = Matrix(_sparse_first(matrix_of(s1, MatrixKind.ADJACENCY)._rows))
-    a2 = matrix_of(s2, MatrixKind.ADJACENCY)
-    row_pairs = tuple((r1[i:], r2[i:]) for i, (r1, r2) in enumerate(zip(a1._rows, (a1 @ a1)._rows)))
-    psi2 = _pencil(a2)
-    shifted = _pencil(Matrix([x - 1 for x in row] for row in a2._rows))
+    a1 = _sparse_first(matrix_of(s1, MatrixKind.ADJACENCY)._rows)
+    # A1 is symmetric, so entry (i, j) of A1^2 is row i times row j
+    row_pairs = tuple(
+        (r[i:], [sum(map(operator.mul, r, c)) for c in a1[i:]]) for i, r in enumerate(a1)
+    )
 
     def at(
         a: int, b: int, det: Callable[[list[list[int]]], tuple[int, int]]
     ) -> tuple[int, list[list[int]], int]:
-        hn, hd = det(psi2(a, b))
-        sn, sd = det(shifted(a, b))
+        psi2 = _adjacency_triangle(s2, a, b)
+        hn, hd = det(psi2)
+        sn, sd = det([[x + b for x in row] for row in psi2])
         hp, hk = hn * sd, sn * hd - hn * sd
         upper = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in row_pairs]
         for row in upper:

@@ -169,6 +169,12 @@ def scaled(k, m: Matrix) -> Matrix:
     return Matrix([[k * m[i, j] for j in range(m.cols)] for i in range(m.rows)])
 
 
+def squared(m: Matrix) -> Matrix:
+    """m * m, the list product of its rows and columns."""
+    rows = m._rows
+    return Matrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*rows)] for row in rows])
+
+
 def permuted(m: Matrix, perm) -> Matrix:
     """Symmetric relabelling: entry (i, j) of the result is m[perm[i], perm[j]]."""
     return Matrix([[m[perm[i], perm[j]] for j in range(m.cols)] for i in range(m.rows)])

@@ -12,7 +12,6 @@ import pytest
 from sgcorona import (
     GraphError,
     IsomorphicInputsError,
-    Matrix,
     alternating_cycle,
     NotCospectralError,
     Polynomial,
@@ -469,13 +468,25 @@ class TestVerify:
         # every trial whose S1 has an edge, so that kappa is read, is a FAIL
         # line that dumps s1 and s2, and a trial that never reads kappa passes
         if mutant == "J to 2J":
-            def doubled(m, real=spectra._pencil):
-                # A2 - J is the one pencil whose diagonal is all -1
-                if all(m[i, i] == -1 for i in range(m.rows)):
-                    m = Matrix([x - 1 for x in row] for row in m._rows)
-                return real(m)
+            def doubled(s1, s2, real=spectra._factored_points):
+                at = real(s1, s2)
 
-            monkeypatch.setattr(spectra, "_pencil", doubled)
+                def mutant_at(a, b, det):
+                    # the second determinant's triangle, a*I - b*(A2 - J),
+                    # gains b once more: a*I - b*(A2 - 2J)
+                    calls = []
+
+                    def shifted_again(upper):
+                        calls.append(upper)
+                        if len(calls) == 2:
+                            upper = [[x + b for x in row] for row in upper]
+                        return det(upper)
+
+                    return at(a, b, shifted_again)
+
+                return mutant_at
+
+            monkeypatch.setattr(experiments, "_factored_points", doubled)
         else:
             flip_hk(monkeypatch)
         corona = experiments.neighbourhood_corona

@@ -42,7 +42,7 @@ from sgcorona import (
 )
 from sgcorona import experiments, linalg
 from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph, verify_theorem
-from sgcorona.linalg import _det_int, _det_mod, _int_rows, _pencil
+from sgcorona.linalg import _det_int, _det_mod, _pencil
 from sgcorona.spectra import MatrixKind, _two_root_form
 
 ADJ = MatrixKind.ADJACENCY
@@ -334,45 +334,42 @@ class TestCharpolyFactorisation:
         assert poles > 0
 
     def test_set_up_once_per_trial(self, monkeypatch):
-        # verify 2.2 sets each side up once per trial, before its points: the
-        # pencils of A2 and A2 - J for the factored side and the pencil of the
-        # corona's matrix for the determinant, each checking its matrix's
-        # entries once; every determinant is _det_mod, and no other exact
-        # kernel runs
+        # verify 2.2 writes each trial's triangles from edge lists: that of
+        # A2 for the factored side, then that of the corona's matrix for the
+        # determinant, each once; no Matrix is checked or ordered for either
+        # (_pencil, _int_rows, the corona's matrix_of), every determinant is
+        # _det_mod, and no other exact kernel runs
         trials = 6
-        coronas, second, pencils, checked = [], [], [], []
+        coronas, second, triangles, matrices = [], [], [], []
 
         def corona(s1, s2):
             second.append(s2)
             coronas.append(neighbourhood_corona(s1, s2))
             return coronas[-1]
 
-        def counted_pencil(m):
-            pencils.append(m)
-            return _pencil(m)
+        def counted_triangle(s, a, b, real=spectra._adjacency_triangle):
+            triangles.append(s)
+            return real(s, a, b)
 
-        def counted_int_rows(m):
-            checked.append(m)
-            return _int_rows(m)
+        def counted_matrix_of(s, kind, real=spectra.matrix_of):
+            matrices.append(s)
+            return real(s, kind)
 
         def refused(*args):
-            raise AssertionError("verify 2.2 reached another exact kernel")
+            raise AssertionError("verify 2.2 reached a Matrix set-up or another exact kernel")
 
         monkeypatch.setattr(experiments, "neighbourhood_corona", corona)
-        monkeypatch.setattr(experiments, "_pencil", counted_pencil)
-        monkeypatch.setattr(spectra, "_pencil", counted_pencil)
-        monkeypatch.setattr(linalg, "_int_rows", counted_int_rows)
-        for name in ("_char_poly_int", "_char_poly_mod", "_det_int"):
+        for module in (experiments, spectra):
+            monkeypatch.setattr(module, "_adjacency_triangle", counted_triangle)
+            monkeypatch.setattr(module, "matrix_of", counted_matrix_of)
+        for name in ("_pencil", "_int_rows", "_char_poly_int", "_char_poly_mod", "_det_int"):
             monkeypatch.setattr(linalg, name, refused)
         monkeypatch.setattr(spectra, "_det_int", refused)
         result = verify_theorem("2.2", trials=trials, seed=0, max_n=4)
         assert result.ok and result.trials == trials
         assert len(coronas) == trials
-        expected = []
-        for s2, g in zip(second, coronas):
-            a2 = matrix_of(s2, ADJ)
-            expected += [a2, Matrix([x - 1 for x in row] for row in a2._rows), matrix_of(g, ADJ)]
-        assert pencils == checked == expected
+        assert triangles == [g for pair in zip(second, coronas) for g in pair]
+        assert not [g for g in matrices if g in coronas]
 
     def test_pole_exactly_at_psi2_roots(self):
         cases = ((complete_graph(2), {-1, 1}), (complete_graph(3, -1), {-2, 1}), (edgeless(2), {0}))
@@ -383,6 +380,49 @@ class TestCharpolyFactorisation:
                         corona_adjacency_charpoly_eval(path_graph(3), s2, t0)
                 else:
                     corona_adjacency_charpoly_eval(path_graph(3), s2, t0)
+
+
+class TestAdjacencyTriangle:
+    # b > 1, negative a and a = 0, with (1, 1) and (0, 1) among them
+    POINTS = ((0, 1), (1, 1), (0, 3), (-5, 1), (-7, 4), (6, 5), (2**70 + 1, 3))
+
+    def test_is_the_pencil_of_the_adjacency_matrix(self):
+        # the triangle written from the edge list is the one _pencil cuts
+        # from the adjacency matrix, in the same sparse-first order, on
+        # random signed graphs of orders 0 to 13 and their coronas up to 182
+        rng = random.Random(39)
+        orders = set()
+        for n in range(14):
+            s2 = random_signed_graph(rng, n)
+            graphs = [s2, neighbourhood_corona(random_signed_graph(rng, rng.randint(1, 13)), s2)]
+            if n == 13:
+                graphs.append(neighbourhood_corona(random_signed_graph(rng, 13), s2))
+            for g in graphs:
+                orders.add(g.n)
+                pencil = _pencil(matrix_of(g, ADJ))
+                for a, b in self.POINTS:
+                    assert spectra._adjacency_triangle(g, a, b) == pencil(a, b), (g, a, b)
+        assert set(range(14)) <= orders and max(orders) == 182
+
+    def test_plus_b_is_the_pencil_of_a2_minus_j(self):
+        # a*I - b*(A2 - J) = a*I - b*A2 + b*J: A2's triangle with b added to
+        # every entry, in A2's sparse-first order rather than that of A2 - J,
+        # so a symmetric permutation of _pencil's and the same determinant,
+        # exactly and modulo each prime
+        rng = random.Random(38)
+        reordered = 0
+        for n in range(14):
+            s2 = random_signed_graph(rng, n)
+            pencil = _pencil(Matrix([x - 1 for x in row] for row in matrix_of(s2, ADJ)._rows))
+            for a, b in self.POINTS:
+                shifted = [[x + b for x in row] for row in spectra._adjacency_triangle(s2, a, b)]
+                upper = pencil(a, b)
+                reordered += shifted != upper
+                assert _det_int(shifted) == _det_int(upper), (s2, a, b)
+                for p in (3, 2**61 - 1, 2**127 - 1):
+                    (num, den), (num2, den2) = _det_mod(shifted, p), _det_mod(upper, p)
+                    assert (num * den2 - num2 * den) % p == 0, (s2, a, b, p)
+        assert reordered
 
 
 class TestClosedFormAdjacency:
