@@ -603,14 +603,15 @@ def _factor_pair(case: tuple) -> dict[str, SignedGraph]:
 class Theorem:
     """One row of the verification table. `cases(rng, trials, max_n)` yields
     each trial's input only when the loop asks for it, so the draws from rng
-    keep their order; `check(case, rng, tol)` returns None when the identity
-    holds on the case, else the failure detail, and a failed trial dumps
-    `graphs(case)`. Rows call samplers and the corona by their names in this
-    module, and look closed forms up in `CLOSED_FORMS` at call time, so a
-    wrapper bound to one of those names or table values sees every call."""
+    keep their order; `check(case, tol)`, a function of the case alone,
+    returns None when the identity holds on it, else the failure detail, and
+    a failed trial dumps `graphs(case)`. Rows call samplers and the corona
+    by their names in this module, and look closed forms up in
+    `CLOSED_FORMS` at call time, so a wrapper bound to one of those names or
+    table values sees every call."""
 
     cases: Callable[[random.Random, int, int], Iterable[tuple]]
-    check: Callable[[tuple, random.Random, float], str | None]
+    check: Callable[[tuple, float], str | None]
     graphs: Callable[[tuple], dict[str, SignedGraph]] = _factor_pair
     notes: tuple[str, ...] = ()
 
@@ -624,23 +625,22 @@ def _any_signed(rng: random.Random, max_n: int) -> SignedGraph:
     return random_signed_graph(rng, rng.randint(1, max_n))
 
 
-def _check_factorisation(case, rng, tol):
-    """2.2 at one uniform point t of GF(p), p = 2^127 - 1: det(tI - M) of the
-    corona against the factored side det(hp*(tI - A1) - hk*A1^2), every
-    determinant by _det_mod, hp and the hs behind hk included.  Both are
-    polynomials of degree N = n1*(n2+1) <= 182, so a wrong identity passes
-    with probability at most N/p < 2^-119 (Schwartz, JACM 27, 1980).  The
-    draw takes four 32-bit words of the trial stream, as two draws below
-    2^61 - 1 would, so the pairs sampled after it are those of a check at
-    two points of GF(2^61 - 1).  The corona's triangle tI - M comes from its
-    edges (_adjacency_triangle), with no matrix built or checked.  _det_mod's
-    pairs are compared by cross multiplication, with the factored side's
-    scale^n1 on the corona's side (_factored_points); only a mismatch takes
-    inverses, to report both values."""
-    s1, s2 = case
+def _check_factorisation(case, tol):
+    """2.2 at the case's point t, uniform in GF(p), p = 2^127 - 1: det(tI - M)
+    of the corona against the factored side det(hp*(tI - A1) - hk*A1^2),
+    every determinant by _det_mod, hp and the hs behind hk included.  Both
+    are polynomials of degree N = n1*(n2+1) <= 182, so a wrong identity
+    passes with probability at most N/p < 2^-119 (Schwartz, JACM 27, 1980).
+    The row draws t with its pair, right after it, from four 32-bit words of
+    the trial stream, as two draws below 2^61 - 1 would, so the pairs
+    sampled after it are those of a check at two points of GF(2^61 - 1).
+    The corona's triangle tI - M comes from its edges (_adjacency_triangle),
+    with no matrix built or checked.  _det_mod's pairs are compared by cross
+    multiplication, with the factored side's scale^n1 on the corona's side
+    (_factored_points); only a mismatch takes inverses, to report both."""
+    s1, s2, t = case
     p = _PRIME_LADDER[1]
     det = partial(_det_mod, p=p)
-    t = rng.randrange(p)
     _, upper, scale = _factored_points(s1, s2)(t, 1, det)
     ln, ld = det(upper)
     rn, rd = det(_adjacency_triangle(neighbourhood_corona(s1, s2), t, 1))
@@ -658,7 +658,7 @@ def _closed_form_check(kind: MatrixKind, closed_form=None):
     ValueError of the closed form or of its realisation (a wrong formula,
     such as K_{p,p} sent to the cubic)."""
 
-    def check(case, rng, tol):
+    def check(case, tol):
         s1, s2 = case
         oracle = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
         try:
@@ -697,7 +697,7 @@ def _bound_cases(rng, trials, max_n):
         yield (*next(rows[trial % 3]), kinds[trial % 3])
 
 
-def _check_bound(case, rng, tol):
+def _check_bound(case, tol):
     s1, s2, kind = case
     report = corona_distinct_report(s1, s2, kind, tol)
     if report.bound is None:
@@ -714,7 +714,7 @@ _FEW_DISTINCT_CASES = tuple(
 )
 
 
-def _check_few_distinct(case, rng, tol):
+def _check_few_distinct(case, tol):
     name, seed_graph, companion, sign = case
     what = f"{name} with {companion} (sign {sign:+d})"
     try:
@@ -727,7 +727,7 @@ def _check_few_distinct(case, rng, tol):
 
 THEOREMS = {
     "2.2": Theorem(
-        _sampled(lambda rng, n: (_any_signed(rng, n), _any_signed(rng, n))),
+        _sampled(lambda rng, n: (_any_signed(rng, n), _any_signed(rng, n), rng.randrange(_PRIME_LADDER[1]))),
         _check_factorisation,
     ),
     "2.3": Theorem(
@@ -790,7 +790,7 @@ def verify_theorem(
     run = 0
     for run, case in enumerate(theorem.cases(rng, trials, max_n), start=1):
         try:
-            detail = theorem.check(case, rng, tol)
+            detail = theorem.check(case, tol)
         except ArithmeticError as exc:  # a wrong formula or a kernel fault fails the trial
             detail = f"check raised {type(exc).__name__}: {exc}"
         if detail is not None:

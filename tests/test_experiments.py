@@ -28,13 +28,14 @@ from sgcorona import (
     is_isomorphic,
     is_switching_isomorphic,
     paper_example,
+    parse_graph,
     path_graph,
     star_graph,
     unbalanced_c4,
     verify_theorem,
 )
 from sgcorona import experiments, spectra
-from sgcorona.experiments import THEOREM_LABELS, random_signed_graph
+from sgcorona.experiments import THEOREM_LABELS
 from sgcorona.spectra import MatrixKind
 
 ADJ = MatrixKind.ADJACENCY
@@ -551,13 +552,48 @@ class TestVerify:
             two.randrange(2**61 - 1)
             two.randrange(2**61 - 1)
             assert one.getstate() == two.getstate()
-        rng, two = random.Random(5), random.Random()
-        pair = random_signed_graph(rng, 4), random_signed_graph(rng, 3)
-        two.setstate(rng.getstate())
-        assert experiments._check_factorisation(pair, rng, 1e-6) is None
+        # one 2.2 case: its pair, then its point, drawn right after the pair
+        rng, two = random.Random(5), random.Random(5)
+        case = next(experiments.THEOREMS["2.2"].cases(rng, 1, 4))
+        assert case[:2] == (experiments._any_signed(two, 4), experiments._any_signed(two, 4))
+        assert experiments._check_factorisation(case, 1e-6) is None
         two.randrange(2**61 - 1)
         two.randrange(2**61 - 1)
         assert rng.getstate() == two.getstate()
+
+    def test_factorisation_failure_replays_from_its_dump(self, monkeypatch):
+        # each failed 2.2 trial under the hk sign mutant at the CI settings
+        # is checked again from its dumped pair and the point its detail
+        # prints, with no trial stream, and fails with the same detail
+        flip_hk(monkeypatch)
+        check = experiments.THEOREMS["2.2"].check
+        replayed = 0
+        for seed in (0, 7):
+            for failure in verify_theorem("2.2", trials=5, seed=seed).failures:
+                t = int(re.search(r" at t0=(\d+) mod ", failure.detail).group(1))
+                case = parse_graph(failure.graphs["s1"]), parse_graph(failure.graphs["s2"]), t
+                assert check(case, 1e-6) == failure.detail
+                replayed += 1
+        assert replayed == 9  # 4 failures at seed 0 (one first factor is edgeless), 5 at seed 7
+
+    @pytest.mark.parametrize(
+        "label, mutant",
+        [(label, False) for label in THEOREM_LABELS] + [("2.2", True)],
+        ids=[*THEOREM_LABELS, "2.2-hk-sign-mutant"],
+    )
+    def test_checks_do_not_depend_on_call_order(self, monkeypatch, label, mutant):
+        # every case drawn first, then checked last to first: the results are
+        # verify_theorem's, trial by trial, so no check reads state that an
+        # earlier check or draw left behind
+        if mutant:
+            flip_hk(monkeypatch)
+        theorem = experiments.THEOREMS[label]
+        for seed in (0, 7):
+            cases = list(theorem.cases(random.Random(seed), 12, 6))
+            backwards = [theorem.check(case, 1e-6) for case in reversed(cases)][::-1]
+            result = verify_theorem(label, trials=12, seed=seed, max_n=6)
+            details = {f.trial: f.detail for f in result.failures}
+            assert backwards == [details.get(trial) for trial in range(result.trials)]
 
     @pytest.mark.parametrize("label, names", [("5.1", {"s1", "s2"}), ("5.2", {"seed"})])
     def test_kernel_fault_is_a_failed_trial(self, monkeypatch, label, names):
