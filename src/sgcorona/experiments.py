@@ -35,7 +35,7 @@ from .spectra import (
     ClosedFormSpectrum,
     MatrixKind,
     _adjacency_triangle,
-    _factored_points,
+    _factored_side,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
     matrix_of,
@@ -637,11 +637,11 @@ def _check_factorisation(case, tol):
     The corona's triangle tI - M comes from its edges (_adjacency_triangle),
     with no matrix built or checked.  _det_mod's pairs are compared by cross
     multiplication, with the factored side's scale^n1 on the corona's side
-    (_factored_points); only a mismatch takes inverses, to report both."""
+    (_factored_side); only a mismatch takes inverses, to report both."""
     s1, s2, t = case
     p = _PRIME_LADDER[1]
     det = partial(_det_mod, p=p)
-    _, upper, scale = _factored_points(s1, s2)(t, 1, det)
+    _, upper, scale = _factored_side(s1, s2, t, 1, det)
     ln, ld = det(upper)
     rn, rd = det(_adjacency_triangle(neighbourhood_corona(s1, s2), t, 1))
     ld = ld * pow(scale, s1.n, p) % p

@@ -22,7 +22,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Callable, Iterable
 
 Scalar = int | Fraction
@@ -260,20 +260,6 @@ def _char_poly_mod(a, p: int) -> list[int]:
 _INVERT_MIN_WORK = 192
 
 
-def _ratios(top: int, xs: list[int], p: int) -> list[int]:
-    """[top/x mod p for x in xs], for xs nonzero mod p, with one inverse:
-    the inverse of the product, peeled off by the prefix products
-    (Montgomery, Math. Comp. 48, 1987)."""
-    prefix = list(accumulate(xs, lambda x, y: x * y % p))
-    inv = top * pow(prefix[-1], -1, p) % p
-    out = [0] * len(xs)
-    for i in range(len(xs) - 1, 0, -1):
-        out[i] = inv * prefix[i - 1] % p
-        inv = inv * xs[i] % p
-    out[0] = inv
-    return out
-
-
 def _det_mod(upper, p: int) -> tuple[int, int]:
     """det A mod an odd prime p, projectively, as (num, den) with
     det A = num/den mod p and den nonzero, for a symmetric integer matrix A
@@ -285,32 +271,32 @@ def _det_mod(upper, p: int) -> tuple[int, int]:
     Math. Comp. 22, 1968): a step below _INVERT_MIN_WORK sets a row r of
     lead t to f*row - d[r]*t*tail mod p and d[r] to d[r]*f; a larger one
     subtracts d[r]*t/f times the tail, one inverse, adding under p^2 to each
-    entry.  The pivot row is reduced mod p unless a scaling step updated it
-    last.  num is the product of the P and den that of the d, kept as a
-    running product, so the result takes no inverse; the caller divides or
-    cross-multiplies.  A zero determinant is (0, 1).
+    entry.  The pivot row is reduced mod p.  num is the product of the P
+    and den that of the d, kept as a running product, so the result takes
+    no inverse; the caller divides or cross-multiplies.  A zero determinant
+    is (0, 1).
 
     A zero pivot with a nonzero entry (k, j), j the first such, is replaced
     by the congruence E A E^T, E = I + e e_k e_j^T of determinant 1: row and
     column k gain e times row and column j, which only changes the stored
     row k (true row j over columns k..j-1 is read from its mirrors, each
-    nonzero one over its row's d, the d inverted together by _ratios), and
-    the new pivot 2e*a_kj + a_jj is nonzero for e = -1 if a_jj = -2*a_kj and
-    for e = 1 otherwise.  A zero pivot with no such entry leaves column k
+    nonzero one over its row's d, one inverse per d read), and the new
+    pivot 2e*a_kj + a_jj is nonzero for e = -1 if a_jj = -2*a_kj and for
+    e = 1 otherwise.  A zero pivot with no such entry leaves column k
     zero, and det A = 0."""
     a = list(upper)
     n = len(a)
-    d, unreduced, num, den = [1] * n, [True] * n, 1, 1
+    d, num, den = [1] * n, 1, 1
     for k in range(n):
-        tail = [x % p for x in a[k]] if unreduced[k] else a[k]
+        tail = [x % p for x in a[k]]
         if not tail[0]:
             j = next((j for j in range(k + 1, n) if tail[j - k]), None)
             if j is None:
                 return 0, 1
-            read = [c for c in range(k + 1, j) if a[c][j - c]] + [j]
             s = [1] + [0] * (j - k)
-            for c, r in zip(read, _ratios(d[k], [d[c] for c in read], p)):
-                s[c - k] = r
+            for c in range(k + 1, j + 1):
+                if c == j or a[c][j - c]:
+                    s[c - k] = d[k] * pow(d[c], -1, p) % p
             partner = [a[c][j - c] * s[c - k] for c in range(k, j)] + [x * s[-1] for x in a[j]]
             e = -1 if (partner[j - k] + 2 * tail[j - k]) % p == 0 else 1
             tail = [(x + e * y) % p for x, y in zip(tail, partner)]
@@ -323,7 +309,6 @@ def _det_mod(upper, p: int) -> tuple[int, int]:
                 if tail[i]:
                     u = d[k + i] * tail[i] * inv % p
                     a[k + i] = [x - u * y for x, y in zip(a[k + i], tail[i:])]
-                    unreduced[k + i] = True
         else:
             for i in range(1, n - k):
                 if tail[i]:
@@ -331,7 +316,6 @@ def _det_mod(upper, p: int) -> tuple[int, int]:
                     a[k + i] = [(f * x - g * y) % p for x, y in zip(a[k + i], tail[i:])]
                     d[k + i] = d[k + i] * f % p
                     den = den * f % p
-                    unreduced[k + i] = False
     return num, den
 
 
@@ -554,28 +538,23 @@ def _det_int(upper) -> int:
     return _lift(mods, residues)[0]
 
 
-def _pencil(m: Matrix) -> Callable[[int, int], list[list[int]]]:
-    """(a, b) -> the upper triangle of a*I - b*M, for a symmetric integer
-    matrix M, as every graph matrix is: det(t0*I - M) = det(a*I - b*M) / b^n
-    at t0 = a/b; det_exact_at's set-up for any Matrix (verify 2.2 writes its
-    graphs' triangles from their edges, spectra._adjacency_triangle).  M's
-    entries and symmetry are checked and its rows and columns ordered
-    sparse first (_int_rows, _sparse_first) once; each point scales the
-    triangle by -b and adds a on the diagonal, which the symmetric
-    permutation left in place.  A non-symmetric M raises ValueError."""
+def _pencil(m: Matrix, a: int, b: int) -> list[list[int]]:
+    """The upper triangle of a*I - b*M, for a symmetric integer matrix M, as
+    every graph matrix is: det(t0*I - M) = det(a*I - b*M) / b^n at t0 = a/b;
+    det_exact_at's triangle for any Matrix (verify 2.2 writes its graphs'
+    triangles from their edges, spectra._adjacency_triangle).  M's entries
+    and symmetry are checked and its rows and columns ordered sparse first
+    (_int_rows, _sparse_first); the triangle is scaled by -b and gains a on
+    the diagonal, which the symmetric permutation left in place.  A
+    non-symmetric M raises ValueError."""
     m.require_square("det_exact_at")
     ordered = _sparse_first(_int_rows(m))
     if ordered != [list(col) for col in zip(*ordered)]:
         raise ValueError("det_exact_at needs a symmetric matrix")
-    upper = [row[i:] for i, row in enumerate(ordered)]
-
-    def at(a: int, b: int) -> list[list[int]]:
-        rows = [[-b * x for x in row] for row in upper]
-        for row in rows:
-            row[0] += a
-        return rows
-
-    return at
+    upper = [[-b * x for x in row[i:]] for i, row in enumerate(ordered)]
+    for row in upper:
+        row[0] += a
+    return upper
 
 
 def det_exact_at(m: Matrix, t0) -> Fraction:
@@ -585,7 +564,7 @@ def det_exact_at(m: Matrix, t0) -> Fraction:
     bound of a*I - b*M is past the prime ladder raises ValueError."""
     m.require_square("det_exact_at")
     t0 = _point(t0)
-    return Fraction(_det_int(_pencil(m)(t0.numerator, t0.denominator)), t0.denominator**m.rows)
+    return Fraction(_det_int(_pencil(m, t0.numerator, t0.denominator)), t0.denominator**m.rows)
 
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:

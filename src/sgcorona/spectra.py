@@ -17,7 +17,6 @@ from .linalg import (
     SpectrumMultiset,
     _det_int,
     _point,
-    _sparse_first,
     format_poly,
     real_roots_cubic,
     real_roots_quadratic,
@@ -68,7 +67,7 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
 def _adjacency_triangle(s: SignedGraph, a: int, b: int) -> list[list[int]]:
     """The upper triangle of a*I - b*A, A the adjacency matrix of s, with
     rows and columns in sparse-first order (ascending degree, ties by vertex
-    index): _pencil(matrix_of(s, ADJACENCY))(a, b), written from the edge
+    index): _pencil(matrix_of(s, ADJACENCY), a, b), written from the edge
     list, whose signs are ints +-1 already, with no matrix built or checked."""
     n = s.n
     deg = [0] * n
@@ -89,61 +88,56 @@ def _adjacency_triangle(s: SignedGraph, a: int, b: int) -> list[list[int]]:
     return upper
 
 
-def _factored_points(s1: SignedGraph, s2: SignedGraph) -> Callable[..., tuple[int, list[list[int]], int]]:
-    """(a, b, det) -> (hp, upper, scale) for the factored corona adjacency
-    char poly psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2) at t0 = a/b, with
-    kappa the coronal of s2's adjacency matrix A2 and det the caller's
+def _factored_side(
+    s1: SignedGraph, s2: SignedGraph, a: int, b: int, det: Callable[[list[list[int]]], tuple[int, int]]
+) -> tuple[int, list[list[int]], int]:
+    """(hp, upper, scale) for the factored corona adjacency char poly
+    psi2(t0)^n1 * det(t0*I - A1 - kappa(t0)*A1^2) at t0 = a/b, with kappa
+    the coronal of s2's adjacency matrix A2 and det the caller's
     determinant of an upper triangle as a pair (num, den), the determinant
     being num/den with den nonzero (_det_mod mod one prime, or _det_int
     over 1).
 
-    The pair's part is done here, once: A1 in sparse-first order and A1^2 in
-    the same order, as lists cut to their upper triangles.  At each point
-    the triangle of a*I - b*A2 comes from s2's edges (_adjacency_triangle)
+    The triangle of a*I - b*A2 comes from s2's edges (_adjacency_triangle)
     and that of a*I - b*(A2 - J), J the all-ones matrix, is it with b added
     to every entry; det gives hn/hd = det(a*I - b*A2) = b^n2 * psi2(t0) and
     sn/sd = det(a*I - b*(A2 - J)) = b^n2 * det(t0*I - A2 + J), and the
     rank-one identity gives psi2*kappa = hs - hp.  Both are taken times
     scale = hd*sd, so no division is needed: hp = hn*sd and
     hk = sn*hd - hn*sd.  upper is the upper triangle of the symmetric integer
-    matrix a*hp*I - b*(hp*A1 + hk*A1^2), whose determinant is the char poly
-    times b^(n1*(n2+1)) * scale^n1; at b = 1 it is scale times
-    hp*(t0*I - A1) - hk*A1^2, a polynomial in t0 with no poles.  hp = 0
-    where t0 is an adjacency eigenvalue of s2, a pole of the coronal.
+    matrix a*hp*I - b*(hp*A1 + hk*A1^2), A1 in s1's vertex order, whose
+    determinant is the char poly times b^(n1*(n2+1)) * scale^n1; at b = 1
+    it is scale times hp*(t0*I - A1) - hk*A1^2, a polynomial in t0 with no
+    poles.  hp = 0 where t0 is an adjacency eigenvalue of s2, a pole of the
+    coronal.
     """
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
-    a1 = _sparse_first(matrix_of(s1, MatrixKind.ADJACENCY)._rows)
+    a1 = matrix_of(s1, MatrixKind.ADJACENCY)._rows
+    psi2 = _adjacency_triangle(s2, a, b)
+    hn, hd = det(psi2)
+    sn, sd = det([[x + b for x in row] for row in psi2])
+    hp, hk = hn * sd, sn * hd - hn * sd
     # A1 is symmetric, so entry (i, j) of A1^2 is row i times row j
-    row_pairs = tuple(
-        (r[i:], [sum(map(operator.mul, r, c)) for c in a1[i:]]) for i, r in enumerate(a1)
-    )
-
-    def at(
-        a: int, b: int, det: Callable[[list[list[int]]], tuple[int, int]]
-    ) -> tuple[int, list[list[int]], int]:
-        psi2 = _adjacency_triangle(s2, a, b)
-        hn, hd = det(psi2)
-        sn, sd = det([[x + b for x in row] for row in psi2])
-        hp, hk = hn * sd, sn * hd - hn * sd
-        upper = [[-b * (hp * x + hk * y) for x, y in zip(r1, r2)] for r1, r2 in row_pairs]
-        for row in upper:
-            row[0] += a * hp
-        return hp, upper, hd * sd
-
-    return at
+    upper = [
+        [-b * (hp * x + hk * sum(map(operator.mul, r, c))) for x, c in zip(r[i:], a1[i:])]
+        for i, r in enumerate(a1)
+    ]
+    for row in upper:
+        row[0] += a * hp
+    return hp, upper, hd * sd
 
 
 def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Fraction:
     """The factored corona adjacency char poly at a rational t0 = a/b:
-    _factored_points at (a, b) with _det_int over 1 for every determinant,
+    _factored_side at (a, b) with _det_int over 1 for every determinant,
     so at scale 1, the last one over b^(n1*(n2+1)), with t0 checked first.
     t0 must avoid the adjacency eigenvalues of s2, where the coronal has its
     poles; one raises PoleError.  A point so large that a Hadamard bound is
     past the prime ladder raises ValueError, as in det_exact_at."""
     t0 = _point(t0)
     a, b = t0.numerator, t0.denominator
-    hp, upper, _ = _factored_points(s1, s2)(a, b, lambda rows: (_det_int(rows), 1))
+    hp, upper, _ = _factored_side(s1, s2, a, b, lambda rows: (_det_int(rows), 1))
     if hp == 0:
         raise PoleError(f"t0 = {t0} is an adjacency eigenvalue of the second factor")
     return Fraction(_det_int(upper), b ** (s1.n * (s2.n + 1)))

@@ -50,24 +50,19 @@ def flip_hk(monkeypatch):
     det(a*I - b*(A2 - J)) after hp, comes back as 2*hp - hs, on the
     projective pairs (num, den)."""
 
-    def flipped(s1, s2, real=spectra._factored_points):
-        at = real(s1, s2)
+    def flipped(s1, s2, a, b, det, real=spectra._factored_side):
+        values = []
 
-        def mutant_at(a, b, det):
-            values = []
+        def recording(upper):
+            values.append(det(upper))
+            if len(values) == 1:
+                return values[0]
+            (hn, hd), (sn, sd) = values
+            return 2 * hn * sd - sn * hd, hd * sd
 
-            def recording(upper):
-                values.append(det(upper))
-                if len(values) == 1:
-                    return values[0]
-                (hn, hd), (sn, sd) = values
-                return 2 * hn * sd - sn * hd, hd * sd
+        return real(s1, s2, a, b, recording)
 
-            return at(a, b, recording)
-
-        return mutant_at
-
-    monkeypatch.setattr(experiments, "_factored_points", flipped)
+    monkeypatch.setattr(experiments, "_factored_side", flipped)
 
 
 def pinned_verify_text() -> str:
@@ -452,13 +447,10 @@ class TestVerify:
         assert result.ok, result.render()
 
     def test_factorisation_check_lets_other_errors_through(self, monkeypatch):
-        def broken(s1, s2):
-            def at(a, b, det):
-                raise ValueError("not a pole")
+        def broken(s1, s2, a, b, det):
+            raise ValueError("not a pole")
 
-            return at
-
-        monkeypatch.setattr(experiments, "_factored_points", broken)
+        monkeypatch.setattr(experiments, "_factored_side", broken)
         with pytest.raises(ValueError, match="not a pole"):
             verify_theorem("2.2", trials=3, seed=0, max_n=4)
 
@@ -469,25 +461,20 @@ class TestVerify:
         # every trial whose S1 has an edge, so that kappa is read, is a FAIL
         # line that dumps s1 and s2, and a trial that never reads kappa passes
         if mutant == "J to 2J":
-            def doubled(s1, s2, real=spectra._factored_points):
-                at = real(s1, s2)
+            def doubled(s1, s2, a, b, det, real=spectra._factored_side):
+                # the second determinant's triangle, a*I - b*(A2 - J),
+                # gains b once more: a*I - b*(A2 - 2J)
+                calls = []
 
-                def mutant_at(a, b, det):
-                    # the second determinant's triangle, a*I - b*(A2 - J),
-                    # gains b once more: a*I - b*(A2 - 2J)
-                    calls = []
+                def shifted_again(upper):
+                    calls.append(upper)
+                    if len(calls) == 2:
+                        upper = [[x + b for x in row] for row in upper]
+                    return det(upper)
 
-                    def shifted_again(upper):
-                        calls.append(upper)
-                        if len(calls) == 2:
-                            upper = [[x + b for x in row] for row in upper]
-                        return det(upper)
+                return real(s1, s2, a, b, shifted_again)
 
-                    return at(a, b, shifted_again)
-
-                return mutant_at
-
-            monkeypatch.setattr(experiments, "_factored_points", doubled)
+            monkeypatch.setattr(experiments, "_factored_side", doubled)
         else:
             flip_hk(monkeypatch)
         corona = experiments.neighbourhood_corona
@@ -532,11 +519,10 @@ class TestVerify:
             num, den = det(upper)
             return num + (2**61 - 1) * den, den
 
-        def shifted(s1, s2, real=spectra._factored_points):
-            at = real(s1, s2)
-            return lambda a, b, det: at(a, b, lambda upper: off(upper, det))
+        def shifted(s1, s2, a, b, det, real=spectra._factored_side):
+            return real(s1, s2, a, b, lambda upper: off(upper, det))
 
-        monkeypatch.setattr(experiments, "_factored_points", shifted)
+        monkeypatch.setattr(experiments, "_factored_side", shifted)
         for seed in (0, 7):
             result = verify_theorem("2.2", trials=5, seed=seed)
             assert "theorem 2.2: FAIL 0/5" in result.render()

@@ -617,26 +617,24 @@ class TestDetExactAt:
 
     @pytest.mark.parametrize("kind", list(MatrixKind))
     def test_one_matrix_at_many_points(self, kind):
-        # one pencil, its checked, sparse-first rows set up once, serves all
-        # twelve points in GF(p), a/b as a * b^-1 mod p; det_exact_at sets up
-        # at each call
+        # _pencil and det_exact_at on one matrix at all twelve points, the
+        # pencil's determinant in GF(p), a/b as a * b^-1 mod p
         p = linalg._PRIME_LADDER[0]
         rng = random.Random(59)
         for n1, n2 in ((4, 3), (1, 5), (5, 2)):
             corona = neighbourhood_corona(random_signed_graph(rng, n1), random_signed_graph(rng, n2))
             m = matrix_of(corona, kind)
-            pencil = _pencil(m)
             for t0 in map(Fraction, self.MANY_POINTS):
                 expected = det_at_oracle(m, t0)
                 t = t0.numerator * pow(t0.denominator, -1, p) % p
-                assert stands_for(_det_mod(pencil(t, 1), p), expected.numerator * pow(expected.denominator, -1, p), p)
+                assert stands_for(_det_mod(_pencil(m, t, 1), p), expected.numerator * pow(expected.denominator, -1, p), p)
                 assert det_exact_at(m, t0) == expected
 
     @pytest.mark.parametrize("rows", [[[0, 1], [0, 0]], [[1, 2, 0], [2, 0, 3], [0, -3, 1]]])
     def test_non_symmetric_matrix_refused(self, rows):
         # every graph matrix is symmetric; the check runs on the sparse-first
         # rows, before any point
-        for call in (lambda m: det_exact_at(m, 2), _pencil):
+        for call in (lambda m: det_exact_at(m, 2), lambda m: _pencil(m, 2, 1)):
             with pytest.raises(ValueError, match="det_exact_at needs a symmetric matrix"):
                 call(Matrix(rows))
 
@@ -856,17 +854,17 @@ class TestModularDeterminant:
         monkeypatch.setattr(linalg, "_INVERT_MIN_WORK", 10**9)
         assert self.inverses(monkeypatch, rows, p) == 0
 
-    def test_one_inverse_per_congruence(self, monkeypatch):
+    def test_one_inverse_per_scale_read(self, monkeypatch):
         # scaling only, so every inverse belongs to a zero pivot's congruence,
-        # which inverts the scales of the partner row and of every mirror it
-        # reads together: on the order-182 corona adjacency at 0, 52
-        # congruences read 78 scales, one inverse each before they were batched
+        # which inverts the scale of the partner row and of every mirror it
+        # reads, one inverse each: on the order-182 corona adjacency at 0, 52
+        # congruences read 78 scales
         rng = random.Random(43)
         corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
         rows = [[-x for x in row] for row in _sparse_first(matrix_of(corona, MatrixKind.ADJACENCY)._rows)]
         det = det_bareiss_dense([row[:] for row in rows])
         for p in linalg._PRIME_LADDER[:2]:
-            congruences, inverses, scales = [], [], []
+            congruences, inverses = [], []
 
             def first(candidates, default):
                 j = next(candidates, default)
@@ -877,18 +875,13 @@ class TestModularDeterminant:
                 inverses.append(e)
                 return pow(x, e, m)
 
-            def ratios(top, xs, m, real=linalg._ratios):
-                scales.extend(xs)
-                return real(top, xs, m)
-
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(linalg, "_INVERT_MIN_WORK", 10**9)
                 mp.setattr(linalg, "next", first, raising=False)
                 mp.setattr(linalg, "pow", spy, raising=False)
-                mp.setattr(linalg, "_ratios", ratios)
                 assert stands_for(_det_mod(upper(rows), p), det, p)
-            assert all(congruences) and len(congruences) == 52 and len(scales) == 78
-            assert inverses == [-1] * 52
+            assert all(congruences) and len(congruences) == 52
+            assert inverses == [-1] * 78
 
     def test_sylvester_hadamard_reaches_the_bound(self):
         # |det H16| = 4^16 is Hadamard's bound, the product of the row norms

@@ -220,7 +220,7 @@ class TestCharpolyFactorisation:
             evaluate(t0)
 
     def test_modular_route_is_the_exact_route_mod_p(self):
-        # verify 2.2 takes every determinant of _factored_points mod p, p the
+        # verify 2.2 takes every determinant of _factored_side mod p, p the
         # ladder's second prime, as a projective pair; hp and the factored
         # side must be the _det_int route's integers reduced mod p, up to the
         # scale the pairs' denominators give them, at points with and without
@@ -231,12 +231,11 @@ class TestCharpolyFactorisation:
         for _ in range(20):
             s1 = random_signed_graph(rng, rng.randint(1, 5))
             s2 = random_signed_graph(rng, rng.randint(0, 5))
-            at = spectra._factored_points(s1, s2)
             for a, b in ((rng.randrange(linalg._PRIME_LADDER[0]), 1), (rng.randint(-40, 40), rng.randint(1, 9))):
-                hp, upper, scale = at(a, b, lambda rows: (_det_int(rows), 1))
+                hp, upper, scale = spectra._factored_side(s1, s2, a, b, lambda rows: (_det_int(rows), 1))
                 assert scale == 1
                 for p in linalg._PRIME_LADDER[:2]:
-                    hp_p, upper_p, scale_p = at(a, b, lambda rows: _det_mod(rows, p))
+                    hp_p, upper_p, scale_p = spectra._factored_side(s1, s2, a, b, lambda rows: _det_mod(rows, p))
                     assert scale_p % p and (hp_p - hp * scale_p) % p == 0
                     num, den = _det_mod(upper_p, p)
                     assert den % p and (num - _det_int(upper) * den * scale_p**s1.n) % p == 0
@@ -267,7 +266,7 @@ class TestCharpolyFactorisation:
             s1 = random_signed_graph(rng, 4)
             m = matrix_of(neighbourhood_corona(s1, s2), ADJ)
             for t in roots:
-                hp, upper, _ = spectra._factored_points(s1, s2)(t, 1, lambda rows: (_det_int(rows), 1))
+                hp, upper, _ = spectra._factored_side(s1, s2, t, 1, lambda rows: (_det_int(rows), 1))
                 assert hp == 0
                 assert _det_int(upper) == det_exact_at(m, t)
                 with pytest.raises(PoleError):
@@ -399,9 +398,8 @@ class TestAdjacencyTriangle:
                 graphs.append(neighbourhood_corona(random_signed_graph(rng, 13), s2))
             for g in graphs:
                 orders.add(g.n)
-                pencil = _pencil(matrix_of(g, ADJ))
                 for a, b in self.POINTS:
-                    assert spectra._adjacency_triangle(g, a, b) == pencil(a, b), (g, a, b)
+                    assert spectra._adjacency_triangle(g, a, b) == _pencil(matrix_of(g, ADJ), a, b), (g, a, b)
         assert set(range(14)) <= orders and max(orders) == 182
 
     def test_plus_b_is_the_pencil_of_a2_minus_j(self):
@@ -413,10 +411,10 @@ class TestAdjacencyTriangle:
         reordered = 0
         for n in range(14):
             s2 = random_signed_graph(rng, n)
-            pencil = _pencil(Matrix([x - 1 for x in row] for row in matrix_of(s2, ADJ)._rows))
+            minus_j = Matrix([x - 1 for x in row] for row in matrix_of(s2, ADJ)._rows)
             for a, b in self.POINTS:
                 shifted = [[x + b for x in row] for row in spectra._adjacency_triangle(s2, a, b)]
-                upper = pencil(a, b)
+                upper = _pencil(minus_j, a, b)
                 reordered += shifted != upper
                 assert _det_int(shifted) == _det_int(upper), (s2, a, b)
                 for p in (3, 2**61 - 1, 2**127 - 1):
