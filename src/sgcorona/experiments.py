@@ -4,11 +4,11 @@ cospectral corona certificates, and the published 12-vertex worked example."""
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable, Iterable
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable
 
+from ._record import Record, set_field
 from .graphs import (
     DEFAULT_ISO_CAP,
     SignedGraph,
@@ -167,17 +167,20 @@ def random_net_regular(rng: random.Random, max_n: int, nonzero: bool = False) ->
 # distinct-eigenvalue reports
 
 
-@dataclass(frozen=True)
-class DistinctReport:
+class DistinctReport(Record):
     """Clustered eigenvalue count for one matrix kind, with the 2*t1 + t2
     upper bound attached when the corona hypotheses hold."""
 
-    kind: MatrixKind
-    tol: float
-    construction: str
-    spectrum: SpectrumMultiset
-    bound: int | None = None
-    expected_distinct: int | None = None
+    __slots__ = ("kind", "tol", "construction", "spectrum", "bound", "expected_distinct")
+
+    def __init__(self, kind: MatrixKind, tol: float, construction: str, spectrum: SpectrumMultiset,
+                 bound: int | None = None, expected_distinct: int | None = None):
+        set_field(self, "kind", kind)
+        set_field(self, "tol", tol)
+        set_field(self, "construction", construction)
+        set_field(self, "spectrum", spectrum)
+        set_field(self, "bound", bound)
+        set_field(self, "expected_distinct", expected_distinct)
 
     @property
     def distinct_count(self) -> int:
@@ -302,22 +305,28 @@ def catalog_two_eigenvalue_seeds() -> list[tuple[str, SignedGraph]]:
 # cospectral, non-isomorphic coronas
 
 
-@dataclass(frozen=True)
-class CospectralCertificate:
+class CospectralCertificate(Record):
     """Witness that two cospectral non-isomorphic factors yield cospectral
     non-isomorphic coronas, certified by exact polynomial equality and
     brute-force isomorphism search."""
 
-    kind: MatrixKind
-    factor_a: SignedGraph
-    factor_b: SignedGraph
-    companion: SignedGraph
-    corona_a: SignedGraph
-    corona_b: SignedGraph
-    factor_char_poly: Polynomial
-    corona_char_poly: Polynomial
-    isomorphic: bool
-    switching_isomorphic: bool
+    __slots__ = ("kind", "factor_a", "factor_b", "companion", "corona_a", "corona_b",
+                 "factor_char_poly", "corona_char_poly", "isomorphic", "switching_isomorphic")
+
+    def __init__(self, kind: MatrixKind, factor_a: SignedGraph, factor_b: SignedGraph,
+                 companion: SignedGraph, corona_a: SignedGraph, corona_b: SignedGraph,
+                 factor_char_poly: Polynomial, corona_char_poly: Polynomial,
+                 isomorphic: bool, switching_isomorphic: bool):
+        set_field(self, "kind", kind)
+        set_field(self, "factor_a", factor_a)
+        set_field(self, "factor_b", factor_b)
+        set_field(self, "companion", companion)
+        set_field(self, "corona_a", corona_a)
+        set_field(self, "corona_b", corona_b)
+        set_field(self, "factor_char_poly", factor_char_poly)
+        set_field(self, "corona_char_poly", corona_char_poly)
+        set_field(self, "isomorphic", isomorphic)
+        set_field(self, "switching_isomorphic", switching_isomorphic)
 
     @property
     def ok(self) -> bool:
@@ -442,27 +451,36 @@ def _factor_multiplicity(poly: Polynomial, factor: tuple[int, ...]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class PrintedValueCheck:
-    value: float
-    multiplicity: int
-    nearest: float
-    nearest_multiplicity: int
-    matched: bool
+class PrintedValueCheck(Record):
+    __slots__ = ("value", "multiplicity", "nearest", "nearest_multiplicity", "matched")
+
+    def __init__(self, value: float, multiplicity: int, nearest: float, nearest_multiplicity: int,
+                 matched: bool):
+        set_field(self, "value", value)
+        set_field(self, "multiplicity", multiplicity)
+        set_field(self, "nearest", nearest)
+        set_field(self, "nearest_multiplicity", nearest_multiplicity)
+        set_field(self, "matched", matched)
 
 
-@dataclass(frozen=True)
-class PaperExampleReport:
+class PaperExampleReport(Record):
     """Comparison of the 12-vertex corona of the unbalanced 4-cycle with the
     positive 2-clique against the values published for it."""
 
-    corona: SignedGraph
-    char_poly: Polynomial
-    numeric: SpectrumMultiset
-    closed_form: ClosedFormSpectrum
-    closed_form_agrees_numeric: bool
-    minus_one_exact_multiplicity: int
-    printed_checks: tuple[PrintedValueCheck, ...]  # -1 first
+    __slots__ = ("corona", "char_poly", "numeric", "closed_form", "closed_form_agrees_numeric",
+                 "minus_one_exact_multiplicity", "printed_checks")
+
+    def __init__(self, corona: SignedGraph, char_poly: Polynomial, numeric: SpectrumMultiset,
+                 closed_form: ClosedFormSpectrum, closed_form_agrees_numeric: bool,
+                 minus_one_exact_multiplicity: int,
+                 printed_checks: tuple[PrintedValueCheck, ...]):  # -1 first
+        set_field(self, "corona", corona)
+        set_field(self, "char_poly", char_poly)
+        set_field(self, "numeric", numeric)
+        set_field(self, "closed_form", closed_form)
+        set_field(self, "closed_form_agrees_numeric", closed_form_agrees_numeric)
+        set_field(self, "minus_one_exact_multiplicity", minus_one_exact_multiplicity)
+        set_field(self, "printed_checks", printed_checks)
 
     @property
     def minus_one_confirmed(self) -> bool:
@@ -485,7 +503,11 @@ class PaperExampleReport:
             "closed_form_agrees_numeric": self.closed_form_agrees_numeric,
             "minus_one_exact_multiplicity": self.minus_one_exact_multiplicity,
             "minus_one_confirmed": self.minus_one_confirmed,
-            "printed_checks": [asdict(c) for c in self.printed_checks],
+            "printed_checks": [
+                {"value": c.value, "multiplicity": c.multiplicity, "nearest": c.nearest,
+                 "nearest_multiplicity": c.nearest_multiplicity, "matched": c.matched}
+                for c in self.printed_checks
+            ],
             "printed_reproduced": self.printed_reproduced,
             "ok": self.ok,
         }
@@ -540,11 +562,13 @@ def paper_example(tol: float = 1e-6) -> PaperExampleReport:
 # randomised theorem verification
 
 
-@dataclass(frozen=True)
-class TrialFailure:
-    trial: int
-    detail: str
-    graphs: dict[str, str] = field(default_factory=dict)
+class TrialFailure(Record):
+    __slots__ = ("trial", "detail", "graphs")
+
+    def __init__(self, trial: int, detail: str, graphs: dict[str, str] | None = None):
+        set_field(self, "trial", trial)
+        set_field(self, "detail", detail)
+        set_field(self, "graphs", {} if graphs is None else graphs)
 
     def render(self) -> str:
         lines = [f"counterexample at trial {self.trial}: {self.detail}"]
@@ -554,16 +578,19 @@ class TrialFailure:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    theorem: str
-    trials: int
-    passed: int
-    failures: tuple[TrialFailure, ...]
-    seed: int
-    max_n: int
-    tol: float
-    notes: tuple[str, ...] = ()
+class VerifyResult(Record):
+    __slots__ = ("theorem", "trials", "passed", "failures", "seed", "max_n", "tol", "notes")
+
+    def __init__(self, theorem: str, trials: int, passed: int, failures: tuple[TrialFailure, ...],
+                 seed: int, max_n: int, tol: float, notes: tuple[str, ...] = ()):
+        set_field(self, "theorem", theorem)
+        set_field(self, "trials", trials)
+        set_field(self, "passed", passed)
+        set_field(self, "failures", failures)
+        set_field(self, "seed", seed)
+        set_field(self, "max_n", max_n)
+        set_field(self, "tol", tol)
+        set_field(self, "notes", notes)
 
     @property
     def ok(self) -> bool:
@@ -579,7 +606,9 @@ class VerifyResult:
             "tol": self.tol,
             "ok": self.ok,
             "notes": list(self.notes),
-            "failures": [asdict(f) for f in self.failures],
+            "failures": [
+                {"trial": f.trial, "detail": f.detail, "graphs": dict(f.graphs)} for f in self.failures
+            ],
         }
 
     def render(self) -> str:
@@ -599,8 +628,7 @@ def _factor_pair(case: tuple) -> dict[str, SignedGraph]:
     return {"s1": case[0], "s2": case[1]}
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(Record):
     """One row of the verification table. `cases(rng, trials, max_n)` yields
     each trial's input only when the loop asks for it, so the draws from rng
     keep their order; `check(case, tol)`, a function of the case alone,
@@ -610,10 +638,16 @@ class Theorem:
     `CLOSED_FORMS` at call time, so a wrapper bound to one of those names or
     table values sees every call."""
 
-    cases: Callable[[random.Random, int, int], Iterable[tuple]]
-    check: Callable[[tuple, float], str | None]
-    graphs: Callable[[tuple], dict[str, SignedGraph]] = _factor_pair
-    notes: tuple[str, ...] = ()
+    __slots__ = ("cases", "check", "graphs", "notes")
+
+    def __init__(self, cases: Callable[[random.Random, int, int], Iterable[tuple]],
+                 check: Callable[[tuple, float], str | None],
+                 graphs: Callable[[tuple], dict[str, SignedGraph]] = _factor_pair,
+                 notes: tuple[str, ...] = ()):
+        set_field(self, "cases", cases)
+        set_field(self, "check", check)
+        set_field(self, "graphs", graphs)
+        set_field(self, "notes", notes)
 
 
 def _sampled(sample):

@@ -4,8 +4,9 @@ switching isomorphism, and edge-list I/O."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+
+from ._record import Record, set_field
 
 Edge = tuple[int, int, int]
 
@@ -30,14 +31,17 @@ class ParseError(GraphError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(Record):
     """Per-vertex degree counts: total, positive, negative and net."""
 
-    degree: tuple[int, ...]
-    pos_degree: tuple[int, ...]
-    neg_degree: tuple[int, ...]
-    net_degree: tuple[int, ...]
+    __slots__ = ("degree", "pos_degree", "neg_degree", "net_degree")
+
+    def __init__(self, degree: tuple[int, ...], pos_degree: tuple[int, ...],
+                 neg_degree: tuple[int, ...], net_degree: tuple[int, ...]):
+        set_field(self, "degree", degree)
+        set_field(self, "pos_degree", pos_degree)
+        set_field(self, "neg_degree", neg_degree)
+        set_field(self, "net_degree", net_degree)
 
 
 def _is_vertex(n: int, v) -> bool:
@@ -67,8 +71,7 @@ def _check_edge(n: int, u, v, s) -> None:
         raise GraphError(f"edge sign must be +1 or -1, got {s!r}")
 
 
-@dataclass(frozen=True)
-class SignedGraph:
+class SignedGraph(Record):
     """An undirected graph whose edges carry a sign in {+1, -1}.
 
     Vertices are 0..n-1.  Edges are canonical triples (u, v, s) with u < v,
@@ -78,13 +81,11 @@ class SignedGraph:
     :func:`parse_graph` from edge-list text.
     """
 
-    n: int
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, edges: Iterable[Edge] = ()):
         _check_vertex_count(n)
-        edges = tuple(self.edges)
+        edges = tuple(edges)
         seen: set[tuple[int, int]] = set()
         for u, v, s in edges:
             _check_edge(n, u, v, s)
@@ -93,7 +94,8 @@ class SignedGraph:
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        set_field(self, "n", n)
+        set_field(self, "edges", tuple(sorted(edges)))
 
     @property
     def edge_count(self) -> int:

@@ -20,10 +20,11 @@ import numbers
 import operator
 import random
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable
+
+from ._record import Record, set_field
 
 Scalar = int | Fraction
 
@@ -586,11 +587,13 @@ def kronecker_sum(d: Matrix, c: Matrix) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumMultiset:
+class SpectrumMultiset(Record):
     """Sorted eigenvalue/multiplicity pairs with tolerance-aware equality."""
 
-    pairs: tuple[tuple[float, int], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[float, int], ...]):
+        set_field(self, "pairs", pairs)
 
     @classmethod
     def from_values(cls, values: Iterable[float], tol: float = 1e-6) -> "SpectrumMultiset":

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
+from ._record import Record, set_field
 from .graphs import GraphError, SignedGraph, complete_bipartite
 from .linalg import (
     Matrix,
@@ -143,27 +143,28 @@ def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Frac
     return Fraction(_det_int(upper), b ** (s1.n * (s2.n + 1)))
 
 
-@dataclass(frozen=True)
-class ClosedFormEntry:
+class ClosedFormEntry(Record):
     """One closed-form spectrum component: either an eigenvalue inherited
     directly (value) or the real roots of a monic quadratic/cubic (coeffs,
     ascending, including the leading 1)."""
 
-    multiplicity: int
-    value: float | None = None
-    coeffs: tuple[float, ...] | None = None
+    __slots__ = ("multiplicity", "value", "coeffs")
 
-    def __post_init__(self):
-        if (self.value is None) == (self.coeffs is None):
+    def __init__(self, multiplicity: int, value: float | None = None,
+                 coeffs: tuple[float, ...] | None = None):
+        if (value is None) == (coeffs is None):
             raise ValueError("entry needs exactly one of value or coeffs")
-        if self.coeffs is not None and len(self.coeffs) not in (3, 4):
+        if coeffs is not None and len(coeffs) not in (3, 4):
             raise ValueError("only quadratic and cubic root entries are supported")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if self.coeffs is not None:
+        if coeffs is not None:
             # adding 0.0 turns -0.0 (such as -b at b = 0) into 0.0, so no
             # form prints "-0"
-            object.__setattr__(self, "coeffs", tuple(c + 0.0 for c in self.coeffs))
+            coeffs = tuple(c + 0.0 for c in coeffs)
+        set_field(self, "multiplicity", multiplicity)
+        set_field(self, "value", value)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def kind(self) -> str:
@@ -183,16 +184,16 @@ class ClosedFormEntry:
         return real_roots_cubic(c2, c1, c0)
 
 
-@dataclass(frozen=True)
-class ClosedFormSpectrum:
+class ClosedFormSpectrum(Record):
     """Spectrum of a corona as produced by one of the closed-form results,
     labelled by the identity that produced it."""
 
-    theorem: str
-    order: int
-    entries: tuple[ClosedFormEntry, ...]
+    __slots__ = ("theorem", "order", "entries")
 
-    def __post_init__(self):
+    def __init__(self, theorem: str, order: int, entries: tuple[ClosedFormEntry, ...]):
+        set_field(self, "theorem", theorem)
+        set_field(self, "order", order)
+        set_field(self, "entries", entries)
         if self.total_multiplicity != self.order:
             raise ArithmeticError(
                 f"closed form covers {self.total_multiplicity} eigenvalues, expected {self.order}"

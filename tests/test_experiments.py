@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -35,7 +34,7 @@ from sgcorona import (
     verify_theorem,
 )
 from sgcorona import experiments, spectra
-from sgcorona.experiments import THEOREM_LABELS
+from sgcorona.experiments import THEOREM_LABELS, DistinctReport
 from sgcorona.spectra import MatrixKind
 
 ADJ = MatrixKind.ADJACENCY
@@ -124,11 +123,15 @@ class TestDistinctReports:
         count a few-distinct construction expects, each with its verdict."""
         bounded = corona_distinct_report(unbalanced_c4(), edgeless(1), ADJ)
         assert bounded.render().splitlines()[2:] == ["  bound 2*t1 + t2 = 5: satisfied"]
-        violated = dataclasses.replace(bounded, bound=3)
+        violated = DistinctReport(
+            bounded.kind, bounded.tol, bounded.construction, bounded.spectrum, 3, bounded.expected_distinct
+        )
         assert violated.render().splitlines()[2:] == ["  bound 2*t1 + t2 = 3: VIOLATED"]
         _, expected = few_distinct_construct(unbalanced_c4(), "K1")
         assert expected.render().splitlines()[2:] == ["  expected exactly 4: as expected"]
-        unexpected = dataclasses.replace(expected, expected_distinct=5)
+        unexpected = DistinctReport(
+            expected.kind, expected.tol, expected.construction, expected.spectrum, expected.bound, 5
+        )
         assert unexpected.render().splitlines()[2:] == ["  expected exactly 5: UNEXPECTED"]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
