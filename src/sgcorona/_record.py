@@ -4,14 +4,43 @@
 set_field = object.__setattr__
 
 
+class _AsDataclass:
+    """One of the two attributes by which `dataclasses` knows its classes, so
+    that `dataclasses.replace`, `fields` and `asdict` work on records as they
+    did when the records were dataclasses. A lookup builds a field-for-field
+    dataclass twin; importing the package loads no `dataclasses`."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, cls):
+        import dataclasses
+
+        return getattr(dataclasses.make_dataclass(cls.__name__, cls.__slots__), self.name)
+
+
 class Record:
     """A value whose fields are its class's ``__slots__``, in order, each set
-    once by the class's ``__init__`` through :func:`set_field`. A record
-    equals a record of the same class with equal fields, and no tuple or
-    record of another class; it hashes by its fields and refuses assignment
-    and deletion."""
+    once by ``__init__`` through :func:`set_field`. A record equals a record
+    of the same class with equal fields, and no tuple or record of another
+    class; it hashes by its fields and refuses assignment and deletion."""
 
     __slots__ = ()
+    _defaults: dict = {}  # field name -> default, for the generic __init__
+    __dataclass_fields__ = _AsDataclass()
+    __dataclass_params__ = _AsDataclass()
+
+    def __init__(self, *args, **kwargs):
+        # Fields from args in order, then kwargs, then _defaults. A class
+        # that checks its fields, or is built in a hot loop, writes its own.
+        names = self.__slots__
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; "
+                            f"got {len(args)} positional and {', '.join(kwargs) or 'no'} keyword")
+        for name in names:
+            set_field(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -4,7 +4,6 @@ cospectral corona certificates, and the published 12-vertex worked example."""
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable
 from functools import partial
 from itertools import combinations
 
@@ -172,15 +171,7 @@ class DistinctReport(Record):
     upper bound attached when the corona hypotheses hold."""
 
     __slots__ = ("kind", "tol", "construction", "spectrum", "bound", "expected_distinct")
-
-    def __init__(self, kind: MatrixKind, tol: float, construction: str, spectrum: SpectrumMultiset,
-                 bound: int | None = None, expected_distinct: int | None = None):
-        set_field(self, "kind", kind)
-        set_field(self, "tol", tol)
-        set_field(self, "construction", construction)
-        set_field(self, "spectrum", spectrum)
-        set_field(self, "bound", bound)
-        set_field(self, "expected_distinct", expected_distinct)
+    _defaults = {"bound": None, "expected_distinct": None}
 
     @property
     def distinct_count(self) -> int:
@@ -313,21 +304,6 @@ class CospectralCertificate(Record):
     __slots__ = ("kind", "factor_a", "factor_b", "companion", "corona_a", "corona_b",
                  "factor_char_poly", "corona_char_poly", "isomorphic", "switching_isomorphic")
 
-    def __init__(self, kind: MatrixKind, factor_a: SignedGraph, factor_b: SignedGraph,
-                 companion: SignedGraph, corona_a: SignedGraph, corona_b: SignedGraph,
-                 factor_char_poly: Polynomial, corona_char_poly: Polynomial,
-                 isomorphic: bool, switching_isomorphic: bool):
-        set_field(self, "kind", kind)
-        set_field(self, "factor_a", factor_a)
-        set_field(self, "factor_b", factor_b)
-        set_field(self, "companion", companion)
-        set_field(self, "corona_a", corona_a)
-        set_field(self, "corona_b", corona_b)
-        set_field(self, "factor_char_poly", factor_char_poly)
-        set_field(self, "corona_char_poly", corona_char_poly)
-        set_field(self, "isomorphic", isomorphic)
-        set_field(self, "switching_isomorphic", switching_isomorphic)
-
     @property
     def ok(self) -> bool:
         return not self.isomorphic
@@ -454,33 +430,13 @@ def _factor_multiplicity(poly: Polynomial, factor: tuple[int, ...]) -> int:
 class PrintedValueCheck(Record):
     __slots__ = ("value", "multiplicity", "nearest", "nearest_multiplicity", "matched")
 
-    def __init__(self, value: float, multiplicity: int, nearest: float, nearest_multiplicity: int,
-                 matched: bool):
-        set_field(self, "value", value)
-        set_field(self, "multiplicity", multiplicity)
-        set_field(self, "nearest", nearest)
-        set_field(self, "nearest_multiplicity", nearest_multiplicity)
-        set_field(self, "matched", matched)
-
 
 class PaperExampleReport(Record):
     """Comparison of the 12-vertex corona of the unbalanced 4-cycle with the
     positive 2-clique against the values published for it."""
 
     __slots__ = ("corona", "char_poly", "numeric", "closed_form", "closed_form_agrees_numeric",
-                 "minus_one_exact_multiplicity", "printed_checks")
-
-    def __init__(self, corona: SignedGraph, char_poly: Polynomial, numeric: SpectrumMultiset,
-                 closed_form: ClosedFormSpectrum, closed_form_agrees_numeric: bool,
-                 minus_one_exact_multiplicity: int,
-                 printed_checks: tuple[PrintedValueCheck, ...]):  # -1 first
-        set_field(self, "corona", corona)
-        set_field(self, "char_poly", char_poly)
-        set_field(self, "numeric", numeric)
-        set_field(self, "closed_form", closed_form)
-        set_field(self, "closed_form_agrees_numeric", closed_form_agrees_numeric)
-        set_field(self, "minus_one_exact_multiplicity", minus_one_exact_multiplicity)
-        set_field(self, "printed_checks", printed_checks)
+                 "minus_one_exact_multiplicity", "printed_checks")  # printed_checks: -1 first
 
     @property
     def minus_one_confirmed(self) -> bool:
@@ -580,17 +536,7 @@ class TrialFailure(Record):
 
 class VerifyResult(Record):
     __slots__ = ("theorem", "trials", "passed", "failures", "seed", "max_n", "tol", "notes")
-
-    def __init__(self, theorem: str, trials: int, passed: int, failures: tuple[TrialFailure, ...],
-                 seed: int, max_n: int, tol: float, notes: tuple[str, ...] = ()):
-        set_field(self, "theorem", theorem)
-        set_field(self, "trials", trials)
-        set_field(self, "passed", passed)
-        set_field(self, "failures", failures)
-        set_field(self, "seed", seed)
-        set_field(self, "max_n", max_n)
-        set_field(self, "tol", tol)
-        set_field(self, "notes", notes)
+    _defaults = {"notes": ()}
 
     @property
     def ok(self) -> bool:
@@ -639,15 +585,7 @@ class Theorem(Record):
     table values sees every call."""
 
     __slots__ = ("cases", "check", "graphs", "notes")
-
-    def __init__(self, cases: Callable[[random.Random, int, int], Iterable[tuple]],
-                 check: Callable[[tuple, float], str | None],
-                 graphs: Callable[[tuple], dict[str, SignedGraph]] = _factor_pair,
-                 notes: tuple[str, ...] = ()):
-        set_field(self, "cases", cases)
-        set_field(self, "check", check)
-        set_field(self, "graphs", graphs)
-        set_field(self, "notes", notes)
+    _defaults = {"graphs": _factor_pair, "notes": ()}
 
 
 def _sampled(sample):

@@ -1,9 +1,12 @@
 """The package's record types: immutable, built by keyword with their
 defaults, equal by class and fields, and never equal to a tuple of their
-fields or to a record of another class."""
+fields or to a record of another class; `dataclasses.replace`, `fields` and
+`asdict` still work on them."""
 
 import copy
+import dataclasses
 import pickle
+import pprint
 import re
 
 import pytest
@@ -19,7 +22,7 @@ from sgcorona.experiments import (
     TrialFailure,
     VerifyResult,
 )
-from sgcorona.graphs import DegreeProfile
+from sgcorona.graphs import DegreeProfile, GraphError
 from sgcorona.spectra import MatrixKind
 
 
@@ -199,3 +202,47 @@ def test_closed_form_spectrum_checks_its_order():
 def test_signed_graph_keeps_its_edges_sorted_as_a_tuple():
     g = SignedGraph(3, iter([(1, 2, -1), (0, 1, 1)]))
     assert g.edges == ((0, 1, 1), (1, 2, -1)) and type(g.edges) is tuple
+
+
+def test_the_generic_constructor_refuses_wrong_fields():
+    fields = RECORDS[VerifyResult]()
+    for args, kwargs in [
+        ((*fields.values(), "extra"), {}),
+        ((), {**fields, "extra": 1}),
+        ((), {k: v for k, v in fields.items() if k != "seed"}),
+        (tuple(fields.values())[:1], fields),
+    ]:
+        with pytest.raises(TypeError, match="VerifyResult takes the fields theorem, trials"):
+            VerifyResult(*args, **kwargs)
+
+
+def test_dataclasses_functions_see_the_fields(cls):
+    # records were dataclasses, and callers outside the package (the
+    # benchmark's self-test among them) still call dataclasses.replace on them
+    record = cls(**RECORDS[cls]())
+    assert dataclasses.is_dataclass(record)
+    assert tuple(f.name for f in dataclasses.fields(record)) == cls.__slots__
+    dup = dataclasses.replace(record)
+    assert type(dup) is cls and dup == record
+
+
+def test_dataclasses_replace_goes_through_the_constructor():
+    result = VerifyResult(**RECORDS[VerifyResult]())
+    moved = dataclasses.replace(result, seed=result.seed + 1)
+    assert moved == VerifyResult(**{**RECORDS[VerifyResult](), "seed": 1})
+    assert moved.render() != result.render()
+    with pytest.raises(GraphError, match="duplicate edge"):
+        dataclasses.replace(SignedGraph(3, ((0, 1, 1),)), edges=((0, 1, 1), (0, 1, -1)))
+    with pytest.raises(ValueError, match="multiplicity must be positive"):
+        dataclasses.replace(ClosedFormEntry(1, 0.5), multiplicity=0)
+
+
+def test_asdict_gives_the_json_failures():
+    result = VerifyResult(**RECORDS[VerifyResult]())
+    assert list(dataclasses.asdict(result)["failures"]) == result.to_json()["failures"]
+    assert list(dataclasses.asdict(result)) == list(VerifyResult.__slots__)
+
+
+def test_pprint_of_a_long_record_uses_its_repr():
+    record = CospectralCertificate(**RECORDS[CospectralCertificate]())
+    assert pprint.pformat(record, width=20) == repr(record)
