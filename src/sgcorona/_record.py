@@ -1,5 +1,7 @@
 """The base of the package's immutable record types."""
 
+import sys
+
 # The one way to write a field: a record's own __setattr__ refuses.
 set_field = object.__setattr__
 
@@ -8,14 +10,16 @@ class _AsDataclass:
     """One of the two attributes by which `dataclasses` knows its classes, so
     that `dataclasses.replace`, `fields` and `asdict` work on records as they
     did when the records were dataclasses. A lookup builds a field-for-field
-    dataclass twin; importing the package loads no `dataclasses`."""
+    dataclass twin with the module its caller loaded; the package itself
+    never loads `dataclasses`."""
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, record, cls):
-        import dataclasses
-
+        dataclasses = sys.modules.get("dataclasses")
+        if dataclasses is None:
+            raise AttributeError(self.name)
         return getattr(dataclasses.make_dataclass(cls.__name__, cls.__slots__), self.name)
 
 

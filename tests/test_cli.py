@@ -815,6 +815,7 @@ class TestRuntimeDependencies:
             "before = set(sys.modules)\n"
             "import sgcorona, sgcorona.cli\n"
             "sgcorona.cli.main(['verify', '--theorem', '2.3', '--trials', '2', '--json'])\n"
+            "assert not hasattr(sgcorona.SignedGraph, '__dataclass_fields__') or 'dataclasses' in before\n"
             "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in set(sys.modules) - before))\n"
         )
         done = subprocess.run(
