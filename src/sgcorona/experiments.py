@@ -11,6 +11,7 @@ from ._record import Record, set_field
 from .graphs import (
     DEFAULT_ISO_CAP,
     SignedGraph,
+    _corona_edges,
     alternating_cycle,
     complete_bipartite,
     complete_graph,
@@ -26,7 +27,8 @@ from .graphs import (
     unbalanced_c4,
 )
 from .linalg import (
-    _PRIME_LADDER, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _fmt, char_poly_exact, spectra_equal
+    _PRIME_LADDER, Matrix, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _fmt, char_poly_exact, spectra_equal,
+    sym_eigenvalues,
 )
 from .spectra import (
     CLOSED_FORMS,
@@ -35,6 +37,7 @@ from .spectra import (
     MatrixKind,
     _adjacency_triangle,
     _factored_side,
+    _matrix_rows,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
     matrix_of,
@@ -226,16 +229,25 @@ def distinct_count(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Disti
     )
 
 
+def _corona_spectrum(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: float) -> SpectrumMultiset:
+    """numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol), the same
+    floats, with the matrix written from the corona's edge list
+    (_corona_edges, _matrix_rows) and no SignedGraph built or checked."""
+    n = s1.n * (s2.n + 1)
+    return sym_eigenvalues(Matrix(_matrix_rows(n, _corona_edges(s1, s2), kind)), tol)
+
+
 def corona_distinct_report(
     s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: float = 1e-6
 ) -> DistinctReport:
-    """Distinct-eigenvalue report for the corona of the two factors.  When
-    the closed form for `kind`, CLOSED_FORMS[kind], applies, the 2*t1 + t2
-    bound is recorded and checked: t1 is the number of quadratic entries of
-    that form, one per distinct S1-eigenvalue, and t2 the number of distinct
+    """Distinct-eigenvalue report for the corona of the two factors, whose
+    spectrum is read from its edge list (_corona_spectrum).  When the closed
+    form for `kind`, CLOSED_FORMS[kind], applies, the 2*t1 + t2 bound is
+    recorded and checked: t1 is the number of quadratic entries of that
+    form, one per distinct S1-eigenvalue, and t2 the number of distinct
     S2-eigenvalues."""
     _check_tol(tol)
-    spec = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
+    spec = _corona_spectrum(s1, s2, kind, tol)
     bound = None
     try:
         cf = CLOSED_FORMS[kind](s1, s2, tol)
@@ -606,16 +618,17 @@ def _check_factorisation(case, tol):
     The row draws t with its pair, right after it, from four 32-bit words of
     the trial stream, as two draws below 2^61 - 1 would, so the pairs
     sampled after it are those of a check at two points of GF(2^61 - 1).
-    The corona's triangle tI - M comes from its edges (_adjacency_triangle),
-    with no matrix built or checked.  _det_mod's pairs are compared by cross
-    multiplication, with the factored side's scale^n1 on the corona's side
-    (_factored_side); only a mismatch takes inverses, to report both."""
+    The corona's triangle tI - M comes from its edge list (_corona_edges,
+    _adjacency_triangle), with no SignedGraph or matrix built or checked.
+    _det_mod's pairs are compared by cross multiplication, with the factored
+    side's scale^n1 on the corona's side (_factored_side); only a mismatch
+    takes inverses, to report both."""
     s1, s2, t = case
     p = _PRIME_LADDER[1]
     det = partial(_det_mod, p=p)
     _, upper, scale = _factored_side(s1, s2, t, 1, det)
     ln, ld = det(upper)
-    rn, rd = det(_adjacency_triangle(neighbourhood_corona(s1, s2), t, 1))
+    rn, rd = det(_adjacency_triangle(s1.n * (s2.n + 1), _corona_edges(s1, s2), t, 1))
     ld = ld * pow(scale, s1.n, p) % p
     if (ln * rd - rn * ld) % p:
         lhs, rhs = ln * pow(ld, -1, p) % p, rn * pow(rd, -1, p) % p
@@ -624,15 +637,16 @@ def _check_factorisation(case, tol):
 
 def _closed_form_check(kind: MatrixKind, closed_form=None):
     """The check of the closed-form rows: closed_form(s1, s2, tol), realised,
-    against the numeric spectrum of the corona's `kind` matrix; without
-    closed_form, the paper's one for `kind`, CLOSED_FORMS[kind]. A closed
-    form that refuses the factors fails the trial, and so does any other
-    ValueError of the closed form or of its realisation (a wrong formula,
-    such as K_{p,p} sent to the cubic)."""
+    against the numeric spectrum of the corona's `kind` matrix, read from
+    its edge list (_corona_spectrum); without closed_form, the paper's one
+    for `kind`, CLOSED_FORMS[kind]. A closed form that refuses the factors
+    fails the trial, and so does any other ValueError of the closed form or
+    of its realisation (a wrong formula, such as K_{p,p} sent to the
+    cubic)."""
 
     def check(case, tol):
         s1, s2 = case
-        oracle = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
+        oracle = _corona_spectrum(s1, s2, kind, tol)
         try:
             realized = realize((closed_form or CLOSED_FORMS[kind])(s1, s2, tol), tol)
         except ClosedFormError as exc:

@@ -228,14 +228,14 @@ def disjoint_union(a: SignedGraph, b: SignedGraph) -> SignedGraph:
     return SignedGraph(a.n + b.n, edges)
 
 
-def neighbourhood_corona(s1: SignedGraph, s2: SignedGraph) -> SignedGraph:
-    """Corona of s1 with s2: one copy of s1 and one copy of s2 per s1-vertex,
-    where every neighbour w of vertex i is joined to the whole of copy i with
-    the sign of the edge (w, i).
+def _corona_edges(s1: SignedGraph, s2: SignedGraph) -> list[Edge]:
+    """The edges of the corona of s1 with s2, canonical (u < v) and each pair
+    once, but not sorted: the one definition of the corona's layout, which
+    neighbourhood_corona wraps and the verify rows read directly.
 
     Layout: vertices 0..n1-1 are s1's; copy i occupies the contiguous block
-    n1 + i*n2 .. n1 + (i+1)*n2 - 1, in s2's vertex order.  The result has
-    n1*(n2+1) vertices and |E1| + n1*|E2| + 2*n2*|E1| edges.
+    n1 + i*n2 .. n1 + (i+1)*n2 - 1, in s2's vertex order.  There are
+    |E1| + n1*|E2| + 2*n2*|E1| edges on n1*(n2+1) vertices.
     """
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
@@ -251,7 +251,16 @@ def neighbourhood_corona(s1: SignedGraph, s2: SignedGraph) -> SignedGraph:
         for w in range(n2):
             edges.append((v, cv(u, w), s))
             edges.append((u, cv(v, w), s))
-    return SignedGraph(n1 * (n2 + 1), edges)
+    return edges
+
+
+def neighbourhood_corona(s1: SignedGraph, s2: SignedGraph) -> SignedGraph:
+    """Corona of s1 with s2: one copy of s1 and one copy of s2 per s1-vertex,
+    where every neighbour w of vertex i is joined to the whole of copy i with
+    the sign of the edge (w, i).  The checked SignedGraph of _corona_edges,
+    on n1*(n2+1) vertices.
+    """
+    return SignedGraph(s1.n * (s2.n + 1), _corona_edges(s1, s2))
 
 
 def _find_map(s1: SignedGraph, s2: SignedGraph, switching: bool, cap: int) -> bool:

@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import enum
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .graphs import GraphError, SignedGraph, complete_bipartite
+from .graphs import Edge, GraphError, SignedGraph, complete_bipartite
 from .linalg import (
     Matrix,
     SpectrumMultiset,
@@ -40,23 +40,31 @@ class PoleError(ValueError):
     """Evaluation point hits a pole of the coronal."""
 
 
-def matrix_of(s: SignedGraph, kind: MatrixKind) -> Matrix:
-    """The adjacency, Laplacian, or net-Laplacian matrix, with exact entries."""
-    if not isinstance(kind, MatrixKind):
-        raise ValueError(f"matrix kind must be a MatrixKind, got {kind!r}")
-    n = s.n
+def _matrix_rows(n: int, edges: Iterable[Edge], kind: MatrixKind) -> list[list[int]]:
+    """The rows of the adjacency, Laplacian, or net-Laplacian matrix of the
+    graph with n vertices and these canonical edges, each pair once, in any
+    order: the one matrix writer, which matrix_of wraps and the verify rows
+    read for the corona's edge list (graphs._corona_edges) and for A1."""
     adj = [[0] * n for _ in range(n)]
-    for u, v, sg in s.edges:
+    for u, v, sg in edges:
         adj[u][v] = sg
         adj[v][u] = sg
     if kind is MatrixKind.ADJACENCY:
-        return Matrix(adj)
+        return adj
     rows = []
     for i, row in enumerate(adj):  # -A plus the degree or net-degree diagonal
         neg = [-x for x in row]
         neg[i] = n - row.count(0) if kind is MatrixKind.LAPLACIAN else sum(row)
         rows.append(neg)
-    return Matrix(rows)
+    return rows
+
+
+def matrix_of(s: SignedGraph, kind: MatrixKind) -> Matrix:
+    """The adjacency, Laplacian, or net-Laplacian matrix, with exact entries:
+    the Matrix of _matrix_rows."""
+    if not isinstance(kind, MatrixKind):
+        raise ValueError(f"matrix kind must be a MatrixKind, got {kind!r}")
+    return Matrix(_matrix_rows(s.n, s.edges, kind))
 
 
 def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> SpectrumMultiset:
@@ -64,14 +72,15 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
-def _adjacency_triangle(s: SignedGraph, a: int, b: int) -> list[list[int]]:
-    """The upper triangle of a*I - b*A, A the adjacency matrix of s, with
-    rows and columns in sparse-first order (ascending degree, ties by vertex
-    index): _pencil(matrix_of(s, ADJACENCY), a, b), written from the edge
-    list, whose signs are ints +-1 already, with no matrix built or checked."""
-    n = s.n
+def _adjacency_triangle(n: int, edges: Sequence[Edge], a: int, b: int) -> list[list[int]]:
+    """The upper triangle of a*I - b*A, A the adjacency matrix of the graph
+    with n vertices and these canonical edges, each pair once, in any order,
+    with rows and columns in sparse-first order (ascending degree, ties by
+    vertex index): _pencil(Matrix(_matrix_rows(n, edges, ADJACENCY)), a, b),
+    written from the edge list, whose signs are ints +-1 already, with no
+    matrix built or checked."""
     deg = [0] * n
-    for u, v, _ in s.edges:
+    for u, v, _ in edges:
         deg[u] += 1
         deg[v] += 1
     pos = [0] * n
@@ -80,7 +89,7 @@ def _adjacency_triangle(s: SignedGraph, a: int, b: int) -> list[list[int]]:
     upper = [[0] * (n - i) for i in range(n)]
     for row in upper:
         row[0] = a
-    for u, v, sg in s.edges:
+    for u, v, sg in edges:
         i, j = pos[u], pos[v]
         if i > j:
             i, j = j, i
@@ -98,9 +107,10 @@ def _factored_side(
     being num/den with den nonzero (_det_mod mod one prime, or _det_int
     over 1).
 
-    The triangle of a*I - b*A2 comes from s2's edges (_adjacency_triangle)
-    and that of a*I - b*(A2 - J), J the all-ones matrix, is it with b added
-    to every entry; det gives hn/hd = det(a*I - b*A2) = b^n2 * psi2(t0) and
+    A1's rows come from s1's edges (_matrix_rows), with no Matrix built,
+    and the triangle of a*I - b*A2 from s2's (_adjacency_triangle); that of
+    a*I - b*(A2 - J), J the all-ones matrix, is it with b added to every
+    entry.  det gives hn/hd = det(a*I - b*A2) = b^n2 * psi2(t0) and
     sn/sd = det(a*I - b*(A2 - J)) = b^n2 * det(t0*I - A2 + J), and the
     rank-one identity gives psi2*kappa = hs - hp.  Both are taken times
     scale = hd*sd, so no division is needed: hp = hn*sd and
@@ -113,8 +123,8 @@ def _factored_side(
     """
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
-    a1 = matrix_of(s1, MatrixKind.ADJACENCY)._rows
-    psi2 = _adjacency_triangle(s2, a, b)
+    a1 = _matrix_rows(s1.n, s1.edges, MatrixKind.ADJACENCY)
+    psi2 = _adjacency_triangle(s2.n, s2.edges, a, b)
     hn, hd = det(psi2)
     sn, sd = det([[x + b for x in row] for row in psi2])
     hp, hk = hn * sd, sn * hd - hn * sd

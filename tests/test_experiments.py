@@ -480,15 +480,15 @@ class TestVerify:
             monkeypatch.setattr(experiments, "_factored_side", doubled)
         else:
             flip_hk(monkeypatch)
-        corona = experiments.neighbourhood_corona
+        corona_edges = experiments._corona_edges
         for seed in (7, 0):
             firsts = []
 
             def recording(s1, s2, firsts=firsts):
                 firsts.append(s1)
-                return corona(s1, s2)
+                return corona_edges(s1, s2)
 
-            monkeypatch.setattr(experiments, "neighbourhood_corona", recording)
+            monkeypatch.setattr(experiments, "_corona_edges", recording)
             result = verify_theorem("2.2", trials=5, seed=seed)
             assert len(firsts) == 5
             edgeless = [i for i, s1 in enumerate(firsts) if not s1.edges]
@@ -499,6 +499,20 @@ class TestVerify:
                 assert failure.detail.startswith("factored value ")
                 assert set(failure.graphs) == {"s1", "s2"}
                 assert failure.graphs["s1"] == format_graph(firsts[failure.trial])
+
+    def test_rows_read_the_corona_as_an_edge_list(self, monkeypatch):
+        # every row but 5.2, whose report returns its corona, reads each
+        # trial's corona from _corona_edges: with no SignedGraph of it to
+        # be had, each reports what it reports with one
+        labels = ("2.2", "2.3", "2.4", "2.5", "3.3", "3.4", "4.2", "5.1")
+        expected = {label: verify_theorem(label, trials=5, seed=7) for label in labels}
+
+        def refused(s1, s2):
+            raise AssertionError("a verify row built the corona's SignedGraph")
+
+        monkeypatch.setattr(experiments, "neighbourhood_corona", refused)
+        for label in labels:
+            assert verify_theorem(label, trials=5, seed=7) == expected[label], label
 
     def test_failure_dumps_are_pinned(self, monkeypatch):
         # the rendered text and JSON of 2.2's failing runs under the hk sign
@@ -614,14 +628,18 @@ class TestVerify:
         # Every factor pair each label samples, and the result it reports, for
         # a few seeds; a change to the order in which a driver consumes the
         # random stream changes this digest and so the seed-for-seed output.
+        # 2.2 to 5.1 read each corona as an edge list, 5.2 as a SignedGraph.
         pairs = []
-        corona = experiments.neighbourhood_corona
 
-        def recording(s1, s2):
-            pairs.append(format_graph(s1) + format_graph(s2))
-            return corona(s1, s2)
+        def recording(real):
+            def record(s1, s2):
+                pairs.append(format_graph(s1) + format_graph(s2))
+                return real(s1, s2)
 
-        monkeypatch.setattr(experiments, "neighbourhood_corona", recording)
+            return record
+
+        for name in ("_corona_edges", "neighbourhood_corona"):
+            monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
         digest = hashlib.sha256()
         for label in THEOREM_LABELS:
             for seed in (0, 7, 99, 1234):

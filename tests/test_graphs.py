@@ -28,6 +28,7 @@ from sgcorona import (
     write_graph,
 )
 from sgcorona.experiments import random_signed_graph
+from sgcorona.graphs import _corona_edges
 
 
 @st.composite
@@ -290,6 +291,17 @@ class TestCorona:
         corona = neighbourhood_corona(s1, s2)
         assert corona.n == s1.n * (s2.n + 1)
         assert corona.edge_count == s1.edge_count + s1.n * s2.edge_count + 2 * s2.n * s1.edge_count
+
+    def test_one_corona_definition(self):
+        # neighbourhood_corona is the checked, sorted graph of _corona_edges,
+        # the edge list the verify rows read, which names each pair once
+        rng = random.Random(43)
+        for n1 in range(1, 14):
+            for n2 in range(14):
+                s1, s2 = random_signed_graph(rng, n1), random_signed_graph(rng, n2)
+                edges = _corona_edges(s1, s2)
+                assert neighbourhood_corona(s1, s2).edges == tuple(sorted(edges)), (s1, s2)
+                assert len({(u, v) for u, v, _ in edges}) == len(edges), (s1, s2)
 
 
 def relabelled(g, perm):

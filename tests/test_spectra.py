@@ -42,6 +42,7 @@ from sgcorona import (
 )
 from sgcorona import experiments, linalg
 from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph, verify_theorem
+from sgcorona.graphs import _corona_edges
 from sgcorona.linalg import _det_int, _det_mod, _pencil
 from sgcorona.spectra import MatrixKind, _two_root_form
 
@@ -56,6 +57,22 @@ class TestMatrixOf:
         assert matrix_of(g, ADJ) == Matrix([[0, 1], [1, 0]])
         assert matrix_of(g, LAP) == Matrix([[1, -1], [-1, 1]])
         assert matrix_of(g, NET) == Matrix([[1, -1], [-1, 1]])
+
+    def test_one_matrix_writer(self):
+        # matrix_of is the Matrix of _matrix_rows, which takes the edges in
+        # any order: a graph's shuffled edges and a corona's unsorted edge
+        # list, as the verify rows pass it, give the same rows
+        rng = random.Random(44)
+        for n in range(14):
+            s2 = random_signed_graph(rng, n)
+            s1 = random_signed_graph(rng, rng.randint(1, 6))
+            shuffled = list(s2.edges)
+            rng.shuffle(shuffled)
+            corona = neighbourhood_corona(s1, s2)
+            for kind in MatrixKind:
+                for g, edges in ((s2, s2.edges), (s2, shuffled), (corona, _corona_edges(s1, s2))):
+                    rows = spectra._matrix_rows(g.n, edges, kind)
+                    assert tuple(map(tuple, rows)) == matrix_of(g, kind)._rows, (g, kind)
 
     def test_k2_negative(self):
         g = complete_graph(2, -1)
@@ -337,30 +354,34 @@ class TestCharpolyFactorisation:
         # A2 for the factored side, then that of the corona's matrix for the
         # determinant, each once; no Matrix is checked or ordered for either
         # (_pencil, _int_rows, the corona's matrix_of), every determinant is
-        # _det_mod, and no other exact kernel runs
+        # _det_mod, and no other exact kernel runs. The corona is read as an
+        # edge list and A1 as rows: no SignedGraph of the corona and no
+        # Matrix at all is built.
         trials = 6
         coronas, second, triangles, matrices = [], [], [], []
 
-        def corona(s1, s2):
+        def corona(s1, s2, real=experiments._corona_edges):
             second.append(s2)
             coronas.append(neighbourhood_corona(s1, s2))
-            return coronas[-1]
+            return real(s1, s2)
 
-        def counted_triangle(s, a, b, real=spectra._adjacency_triangle):
-            triangles.append(s)
-            return real(s, a, b)
+        def counted_triangle(n, edges, a, b, real=spectra._adjacency_triangle):
+            triangles.append(SignedGraph(n, edges))
+            return real(n, edges, a, b)
 
         def counted_matrix_of(s, kind, real=spectra.matrix_of):
             matrices.append(s)
             return real(s, kind)
 
         def refused(*args):
-            raise AssertionError("verify 2.2 reached a Matrix set-up or another exact kernel")
+            raise AssertionError("verify 2.2 reached a Matrix, the corona's SignedGraph or another exact kernel")
 
-        monkeypatch.setattr(experiments, "neighbourhood_corona", corona)
+        monkeypatch.setattr(experiments, "_corona_edges", corona)
+        monkeypatch.setattr(experiments, "neighbourhood_corona", refused)
         for module in (experiments, spectra):
             monkeypatch.setattr(module, "_adjacency_triangle", counted_triangle)
             monkeypatch.setattr(module, "matrix_of", counted_matrix_of)
+            monkeypatch.setattr(module, "Matrix", refused)
         for name in ("_pencil", "_int_rows", "_char_poly_int", "_char_poly_mod", "_det_int"):
             monkeypatch.setattr(linalg, name, refused)
         monkeypatch.setattr(spectra, "_det_int", refused)
@@ -369,6 +390,7 @@ class TestCharpolyFactorisation:
         assert len(coronas) == trials
         assert triangles == [g for pair in zip(second, coronas) for g in pair]
         assert not [g for g in matrices if g in coronas]
+        assert not matrices
 
     def test_pole_exactly_at_psi2_roots(self):
         cases = ((complete_graph(2), {-1, 1}), (complete_graph(3, -1), {-2, 1}), (edgeless(2), {0}))
@@ -399,7 +421,8 @@ class TestAdjacencyTriangle:
             for g in graphs:
                 orders.add(g.n)
                 for a, b in self.POINTS:
-                    assert spectra._adjacency_triangle(g, a, b) == _pencil(matrix_of(g, ADJ), a, b), (g, a, b)
+                    triangle = spectra._adjacency_triangle(g.n, g.edges, a, b)
+                    assert triangle == _pencil(matrix_of(g, ADJ), a, b), (g, a, b)
         assert set(range(14)) <= orders and max(orders) == 182
 
     def test_plus_b_is_the_pencil_of_a2_minus_j(self):
@@ -413,7 +436,7 @@ class TestAdjacencyTriangle:
             s2 = random_signed_graph(rng, n)
             minus_j = Matrix([x - 1 for x in row] for row in matrix_of(s2, ADJ)._rows)
             for a, b in self.POINTS:
-                shifted = [[x + b for x in row] for row in spectra._adjacency_triangle(s2, a, b)]
+                shifted = [[x + b for x in row] for row in spectra._adjacency_triangle(s2.n, s2.edges, a, b)]
                 upper = _pencil(minus_j, a, b)
                 reordered += shifted != upper
                 assert _det_int(shifted) == _det_int(upper), (s2, a, b)
