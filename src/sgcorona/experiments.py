@@ -3,6 +3,7 @@ cospectral corona certificates, and the published 12-vertex worked example."""
 
 from __future__ import annotations
 
+import math
 import random
 from functools import partial
 from itertools import combinations
@@ -27,17 +28,20 @@ from .graphs import (
     unbalanced_c4,
 )
 from .linalg import (
-    _PRIME_LADDER, Matrix, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _fmt, char_poly_exact, spectra_equal,
-    sym_eigenvalues,
+    _PRIME_LADDER, Matrix, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _eig2, _fmt, _ql_implicit, _triangle,
+    _tridiagonalize, char_poly_exact, spectra_equal, sym_eigenvalues,
 )
 from .spectra import (
     CLOSED_FORMS,
     ClosedFormError,
     ClosedFormSpectrum,
     MatrixKind,
-    _adjacency_triangle,
+    _cubic_coeffs,
     _factored_side,
     _matrix_rows,
+    _nonzeros,
+    _quadratic_triangle,
+    _two_root_coeffs,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
     matrix_of,
@@ -587,22 +591,39 @@ def _factor_pair(case: tuple) -> dict[str, SignedGraph]:
 
 
 class Theorem(Record):
-    """One row of the verification table. `cases(rng, trials, max_n)` yields
-    each trial's input only when the loop asks for it, so the draws from rng
-    keep their order; `check(case, tol)`, a function of the case alone,
-    returns None when the identity holds on it, else the failure detail, and
-    a failed trial dumps `graphs(case)`. Rows call samplers and the corona
-    by their names in this module, and look closed forms up in
-    `CLOSED_FORMS` at call time, so a wrapper bound to one of those names or
-    table values sees every call."""
+    """One row of the verification table. `cases(rng, trials, max_n, points)`
+    yields each trial's input only when the loop asks for it, so the draws
+    from rng, the trial stream, keep their order, and the point rows take
+    their points from points, the run's point stream (_points); `check(case,
+    tol)`, a function of the case alone, returns None when the identity holds
+    on it, else the failure detail, and a failed trial dumps `graphs(case)`.
+    Rows call samplers and the corona by their names in this module, and look
+    closed forms up in `CLOSED_FORMS` at call time, so a wrapper bound to one
+    of those names or table values sees every call."""
 
     __slots__ = ("cases", "check", "graphs", "notes")
     _defaults = {"graphs": _factor_pair, "notes": ()}
 
 
+def _points(seed: int) -> random.Random:
+    """The point stream of the run at this seed, apart from its trial
+    stream, so the closed-form rows sample the pairs they sampled before
+    their cases carried a point."""
+    return random.Random(f"points {seed}")
+
+
 def _sampled(sample):
     """Cases of a randomised row: one sample(rng, max_n) per trial."""
-    return lambda rng, trials, max_n: (sample(rng, max_n) for _ in range(trials))
+    return lambda rng, trials, max_n, points: (sample(rng, max_n) for _ in range(trials))
+
+
+def _pointed(sample):
+    """Cases of a closed-form row: one pair sample(rng, max_n) per trial,
+    with a point uniform in GF(2^127 - 1) from the point stream."""
+    p = _PRIME_LADDER[1]
+    return lambda rng, trials, max_n, points: (
+        (*sample(rng, max_n), points.randrange(p)) for _ in range(trials)
+    )
 
 
 def _any_signed(rng: random.Random, max_n: int) -> SignedGraph:
@@ -619,7 +640,7 @@ def _check_factorisation(case, tol):
     the trial stream, as two draws below 2^61 - 1 would, so the pairs
     sampled after it are those of a check at two points of GF(2^61 - 1).
     The corona's triangle tI - M comes from its edge list (_corona_edges,
-    _adjacency_triangle), with no SignedGraph or matrix built or checked.
+    _triangle), with no SignedGraph or matrix built or checked.
     _det_mod's pairs are compared by cross multiplication, with the factored
     side's scale^n1 on the corona's side (_factored_side); only a mismatch
     takes inverses, to report both."""
@@ -628,33 +649,148 @@ def _check_factorisation(case, tol):
     det = partial(_det_mod, p=p)
     _, upper, scale = _factored_side(s1, s2, t, 1, det)
     ln, ld = det(upper)
-    rn, rd = det(_adjacency_triangle(s1.n * (s2.n + 1), _corona_edges(s1, s2), t, 1))
+    rn, rd = det(_triangle(s1.n * (s2.n + 1), (), _corona_edges(s1, s2), t, 1))
     ld = ld * pow(scale, s1.n, p) % p
     if (ln * rd - rn * ld) % p:
         lhs, rhs = ln * pow(ld, -1, p) % p, rn * pow(rd, -1, p) % p
         return f"factored value {lhs} != determinant {rhs} at t0={t} mod {p}"
 
 
-def _closed_form_check(kind: MatrixKind, closed_form=None):
-    """The check of the closed-form rows: closed_form(s1, s2, tol), realised,
-    against the numeric spectrum of the corona's `kind` matrix, read from
-    its edge list (_corona_spectrum); without closed_form, the paper's one
-    for `kind`, CLOSED_FORMS[kind]. A closed form that refuses the factors
-    fails the trial, and so does any other ValueError of the closed form or
-    of its realisation (a wrong formula, such as K_{p,p} sent to the
-    cubic)."""
+def _eigenvalues(rows) -> list[float]:
+    """The eigenvalues of a symmetric matrix given as rows, by Householder
+    and QL on the whole matrix: no twin split, so the factor oracle shares
+    no path with the closed forms' numeric_spectrum."""
+    return _ql_implicit(*_tridiagonalize([[float(x) for x in row] for row in rows]))
+
+
+def _two_root_parts(n2: int, shift: int, k: int):
+    """(coeffs, roots, block, lower) of the two-root form with these n2, shift
+    and row sum k of M2 (spectra._two_root_form): the coefficients of each
+    M1-eigenvalue mu's quadratic, from the form's own source; the
+    eigenvalues, by _eig2, of the symmetric 2x2 quotient
+    [[mu + n2*s, sqrt(n2)*(s - mu)], [sqrt(n2)*(s - mu), s + k]] whose char
+    poly that quadratic claims to be; and the eigenvalue and ascending char
+    poly of its M2 block, the copy of s + k that M2 + s*I gives up."""
+    r = math.sqrt(n2)
+
+    def roots(mu: float) -> tuple[float, float]:
+        return _eig2(mu + n2 * shift, r * (shift - mu), float(shift + k))
+
+    return partial(_two_root_coeffs, n2=n2, shift=shift, k=k), roots, [float(shift + k)], (-shift - k, 1)
+
+
+def _cubic_parts(p: int, q: int, sign: int):
+    """(coeffs, roots, block, lower) of the 2.4/2.5 cubic on parts p != q
+    (spectra.closed_form_adjacency_kpq), as for _two_root_parts: the
+    eigenvalues of the 3x3 quotient [[h, h*sqrt(p), h*sqrt(q)],
+    [h*sqrt(p), 0, sign*sqrt(p*q)], [h*sqrt(q), sign*sqrt(p*q), 0]] of the
+    docstring there, and +-sqrt(p*q) and t^2 - p*q, the eigenvalues and char
+    poly of its K_{p,q} block."""
+    rp, rq, c = math.sqrt(p), math.sqrt(q), sign * math.sqrt(p * q)
+
+    def roots(h: float) -> list[float]:
+        return _eigenvalues([[h, h * rp, h * rq], [h * rp, 0.0, c], [h * rq, c, 0.0]])
+
+    return partial(_cubic_coeffs, p=p, q=q, sign=sign), roots, [-abs(c), abs(c)], (-p * q, 0, 1)
+
+
+def _factor_oracle(rows1, rows2, shift: int, roots, block, tol: float) -> SpectrumMultiset:
+    """The corona's spectrum from its factors' alone: roots(mu) for each
+    eigenvalue mu of M1, and n1 times the eigenvalues of M2 + shift*I, less
+    the nearest one to each value of block (_eigenvalues throughout)."""
+    values = [v for mu in _eigenvalues(rows1) for v in roots(mu)]
+    rest = [v + shift for v in _eigenvalues(rows2)]
+    for v in block:
+        rest.remove(min(rest, key=lambda x: abs(x - v)))
+    return SpectrumMultiset.from_values(values + rest * len(rows1), tol)
+
+
+def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, coeffs, lower) -> str | None:
+    """The closed form's identity at the point t of GF(p), p = 2^127 - 1:
+    det(tI - M) * L(t)^n1 = det(T(t)) * det((t - shift)I - M2)^n1, M the
+    corona's `kind` matrix, L the char poly `lower` of the quotient's M2
+    block, and T(t) = t^d I + sum_j t^j P_j(M1) the matrix polynomial of the
+    form, whose coefficient P_j of degree at most 2 is interpolated from
+    coeffs(mu), the source of the printed coefficients, at mu = 0, 1, 2, 3.
+    A coefficient that is not an integer there, or a nonzero third
+    difference, fails the case.  Both sides are polynomials in t of degree
+    at most N + 2*n1 <= 208, N = n1*(n2+1), so a false identity passes with
+    probability at most 208/p < 2^-119 (Schwartz, JACM 27, 1980).
+
+    Each determinant is a _det_mod pair, the corona's triangle written from
+    its edge list (_corona_edges, _nonzeros, _triangle) and M2's from its
+    own, T's dense from M1's rows (spectra._quadratic_triangle); the pairs
+    are compared by cross multiplication, and only a mismatch takes
+    inverses, to report both residues."""
+    p = _PRIME_LADDER[1]
+    half = (p + 1) // 2  # 1/2 mod p
+    det = partial(_det_mod, p=p)
+    alpha = beta = gamma = 0  # T(t) = alpha*I + beta*M1 + gamma*M1^2, by Horner in t
+    values = [coeffs(mu) for mu in range(4)]
+    for j in reversed(range(len(values[0]))):
+        ys = [v[j] for v in values]
+        for mu, y in enumerate(ys):
+            if isinstance(y, float) and not y.is_integer():
+                return f"closed-form coefficient {y!r} at mu={mu} is not an integer"
+        y0, y1, y2, y3 = map(int, ys)
+        if y3 - 3 * y2 + 3 * y1 - y0:
+            return f"closed-form coefficient of t^{j} is not quadratic in mu"
+        a2 = (y2 - 2 * y1 + y0) * half
+        alpha = (alpha * t + y0) % p
+        beta = (beta * t + y1 - y0 - a2) % p
+        gamma = (gamma * t + a2) % p
+    n1, n2 = s1.n, s2.n
+    n = n1 * (n2 + 1)
+    fn, fd = det(_quadratic_triangle(rows1, alpha, beta, gamma))
+    mn, md = det(_triangle(n2, *_nonzeros(n2, s2.edges, kind), t - shift, 1))
+    dn, dd = det(_triangle(n, *_nonzeros(n, _corona_edges(s1, s2), kind), t, 1))
+    low = 0
+    for c in reversed(lower):
+        low = (low * t + c) % p
+    fn, fd = fn * pow(mn, n1, p), fd * pow(md, n1, p)
+    dn = dn * pow(low, n1, p)
+    if (dn * fd - fn * dd) % p:
+        factored, value = fn * pow(fd, -1, p) % p, dn * pow(dd, -1, p) % p
+        return f"factored value {factored} != determinant {value} at t0={t} mod {p}"
+
+
+def _form(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, sign: int | None = None):
+    """(rows1, rows2, shift, coeffs, roots, block, lower) of a closed-form case:
+    the factors' `kind` matrices as rows and the parts of its form, the
+    two-root one (_two_root_parts) with the shift read from M1's constant
+    diagonal and k from M2's constant row sum, or, for a kpq row (sign set)
+    with parts p != q, the cubic (_cubic_parts)."""
+    rows1, rows2 = _matrix_rows(s1.n, s1.edges, kind), _matrix_rows(s2.n, s2.edges, kind)
+    shift = rows1[0][0]
+    q = s2.degrees().degree[0] if sign else None  # vertex 0 lies in the part of size p
+    if q is not None and 2 * q != s2.n:
+        return (rows1, rows2, shift, *_cubic_parts(s2.n - q, q, sign))
+    return (rows1, rows2, shift, *_two_root_parts(s2.n, shift, sum(rows2[0])))
+
+
+def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = None):
+    """The check of the closed-form rows, on a case (s1, s2, t):
+    closed_form(s1, s2, tol), realised, or without closed_form the paper's
+    one for `kind`, CLOSED_FORMS[kind]; a closed form that refuses the
+    factors fails the trial, and so does any other ValueError of the closed
+    form or of its realisation (a wrong formula, such as K_{p,p} sent to the
+    cubic).  Then two checks that never solve the corona: the realised form
+    against the factor oracle (_factor_oracle) at tol, and the identity at t
+    (_point_identity), both on the case's form (_form)."""
 
     def check(case, tol):
-        s1, s2 = case
-        oracle = _corona_spectrum(s1, s2, kind, tol)
+        s1, s2, t = case
         try:
             realized = realize((closed_form or CLOSED_FORMS[kind])(s1, s2, tol), tol)
         except ClosedFormError as exc:
             return f"closed form refused the factors: {exc}"
         except ValueError as exc:
             return f"check raised {type(exc).__name__}: {exc}"
+        rows1, rows2, shift, coeffs, roots, block, lower = _form(s1, s2, kind, sign)
+        oracle = _factor_oracle(rows1, rows2, shift, roots, block, tol)
         if not spectra_equal(realized, oracle, tol):
             return f"closed form {realized} differs from oracle {oracle}"
+        return _point_identity(s1, s2, kind, t, rows1, shift, coeffs, lower)
 
     return check
 
@@ -672,15 +808,16 @@ def _kpq_row(sign: int) -> Theorem:
         q = k.degrees().degree[0]  # vertex 0 lies in the part of size p
         return closed_form_adjacency_kpq(s, k.n - q, q, sign, tol=tol)
 
-    return Theorem(_sampled(sample), _closed_form_check(MatrixKind.ADJACENCY, closed_form))
+    return Theorem(_pointed(sample), _closed_form_check(MatrixKind.ADJACENCY, closed_form, sign))
 
 
-def _bound_cases(rng, trials, max_n):
-    """Theorem 5.1 takes its trials in turn from the rows of 2.3, 3.3 and 4.2."""
-    rows = [THEOREMS[label].cases(rng, trials, max_n) for label in ("2.3", "3.3", "4.2")]
+def _bound_cases(rng, trials, max_n, points):
+    """Theorem 5.1 takes its trials in turn from the rows of 2.3, 3.3 and 4.2,
+    their pairs without their points."""
+    rows = [THEOREMS[label].cases(rng, trials, max_n, points) for label in ("2.3", "3.3", "4.2")]
     kinds = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.NET_LAPLACIAN)
     for trial in range(trials):
-        yield (*next(rows[trial % 3]), kinds[trial % 3])
+        yield (*next(rows[trial % 3])[:2], kinds[trial % 3])
 
 
 def _check_bound(case, tol):
@@ -717,17 +854,17 @@ THEOREMS = {
         _check_factorisation,
     ),
     "2.3": Theorem(
-        _sampled(lambda rng, n: (_any_signed(rng, n), random_net_regular(rng, n))),
+        _pointed(lambda rng, n: (_any_signed(rng, n), random_net_regular(rng, n))),
         _closed_form_check(MatrixKind.ADJACENCY),
     ),
     "2.4": _kpq_row(-1),
     "2.5": _kpq_row(1),
     "3.3": Theorem(
-        _sampled(lambda rng, n: (random_regular_signed(rng, n), random_net_regular(rng, n))),
+        _pointed(lambda rng, n: (random_regular_signed(rng, n), random_net_regular(rng, n))),
         _closed_form_check(MatrixKind.LAPLACIAN),
     ),
     "3.4": Theorem(
-        _sampled(lambda rng, n: (
+        _pointed(lambda rng, n: (
             random_regular_signed(rng, n), random_connected_positive(rng, rng.randint(1, n))
         )),
         _closed_form_check(MatrixKind.LAPLACIAN),
@@ -737,12 +874,12 @@ THEOREMS = {
         ),
     ),
     "4.2": Theorem(
-        _sampled(lambda rng, n: (random_net_regular(rng, n, nonzero=True), _any_signed(rng, n))),
+        _pointed(lambda rng, n: (random_net_regular(rng, n, nonzero=True), _any_signed(rng, n))),
         _closed_form_check(MatrixKind.NET_LAPLACIAN),
     ),
     "5.1": Theorem(_bound_cases, _check_bound),
     "5.2": Theorem(
-        lambda rng, trials, max_n: _FEW_DISTINCT_CASES,
+        lambda rng, trials, max_n, points: _FEW_DISTINCT_CASES,
         _check_few_distinct,
         graphs=lambda case: {"seed": case[1]},
         notes=(f"catalog run: {len(_FEW_DISTINCT_CASES)} seed/companion combinations",),
@@ -774,7 +911,7 @@ def verify_theorem(
     rng = random.Random(seed)
     failures = []
     run = 0
-    for run, case in enumerate(theorem.cases(rng, trials, max_n), start=1):
+    for run, case in enumerate(theorem.cases(rng, trials, max_n, _points(seed)), start=1):
         try:
             detail = theorem.check(case, tol)
         except ArithmeticError as exc:  # a wrong formula or a kernel fault fails the trial

@@ -456,25 +456,25 @@ def _char_poly_int(a) -> list[int]:
     given as rows: computed mod each prime of _moduli, which fix every
     coefficient below _hadamard's bound, and lifted to Z by _lift.
 
-    A symmetric matrix, of any order, is split once by _twin_quotient, and
-    each block's integer quotient built by _quotient; mod each prime its
-    linear factors are multiplied in, and each quotient of order
+    A symmetric matrix, of any order, is split once by _twin_quotient: its
+    linear factors are multiplied once over Z, and each block's integer
+    quotient built by _quotient; mod each prime each quotient of order
     _LANCZOS_MIN_ORDER or more takes _lanczos_mod.  Smaller quotients, a
     quotient that falls back and a non-symmetric matrix take _char_poly_mod.
     """
-    mods = _moduli(_hadamard(sum(x * x for x in row) for row in a))
-    roots, blocks = [], [(a, None, None)]
+    mods = _moduli(_hadamard(sum(map(operator.mul, row, row)) for row in a))
+    linear, blocks = [1], [(a, None, None)]
     if list(map(tuple, a)) == list(zip(*a)):
         roots, split = _twin_quotient(a)
+        for root in roots:  # times (t - root), over Z
+            linear = [x - root * y for x, y in zip([0, *linear], [*linear, 0])]
         blocks = []
         for cols, sizes, diag in split:
             q = _quotient(a, cols, sizes, diag)
             blocks.append((q, sizes, _matvec(q) if len(q) >= _LANCZOS_MIN_ORDER else None))
     per_prime = []
     for p in mods:
-        residues = [1]
-        for root in roots:
-            residues = _poly_mul_mod(residues, [-root, 1], p)
+        residues = [x % p for x in linear]
         for rows, sizes, apply in blocks:
             f = _lanczos_mod(apply, sizes, p) if apply else None
             residues = _poly_mul_mod(residues, _char_poly_mod(rows, p) if f is None else f, p)
@@ -496,20 +496,6 @@ def char_poly_exact(m: Matrix) -> Polynomial:
     helpers it shares with det_exact_at."""
     m.require_square("char_poly_exact")
     return Polynomial(_char_poly_int(_int_rows(m)))
-
-
-def _sparse_first(a) -> list[list[int]]:
-    """A's rows and columns permuted symmetrically by ascending nonzero
-    count, as fresh lists.  A symmetric permutation keeps the diagonal on
-    the diagonal and leaves the determinant unchanged, and it puts sparse
-    rows first, so they are eliminated before they fill in (Markowitz,
-    Management Science 3, 1957)."""
-    n = len(a)
-    order = sorted(range(n), key=[n - row.count(0) for row in a].__getitem__)
-    if n < 2:  # itemgetter of a single index returns the entry, not a tuple
-        return [list(row) for row in a]
-    take = operator.itemgetter(*order)
-    return [list(take(a[i])) for i in order]
 
 
 def _point(t0) -> Fraction:
@@ -539,23 +525,52 @@ def _det_int(upper) -> int:
     return _lift(mods, residues)[0]
 
 
+def _triangle(n: int, diag, entries, a: int, b: int) -> list[list[int]]:
+    """The upper triangle of a*I - b*M, M the symmetric integer matrix of
+    order n with these nonzero diagonal entries (v, d) and off-diagonal
+    entries (u, v, x), each pair once, in any order, and zeros elsewhere:
+    the one triangle writer of the determinant kernels, which det_exact_at
+    reads a Matrix into (_pencil) and verify feeds edge lists.  Rows and
+    columns come in sparse-first order, by ascending nonzero count of M's
+    row, diagonal included, ties by index: a symmetric permutation, which
+    keeps the diagonal on the diagonal and leaves the determinant unchanged,
+    and puts sparse rows first, so they are eliminated before they fill in
+    (Markowitz, Management Science 3, 1957)."""
+    count = [0] * n
+    for v, _ in diag:
+        count[v] += 1
+    for u, v, _ in entries:
+        count[u] += 1
+        count[v] += 1
+    pos = [0] * n
+    for i, v in enumerate(sorted(range(n), key=count.__getitem__)):
+        pos[v] = i
+    upper = [[0] * (n - i) for i in range(n)]
+    for row in upper:
+        row[0] = a
+    for v, d in diag:
+        upper[pos[v]][0] = a - b * d
+    for u, v, x in entries:
+        i, j = pos[u], pos[v]
+        if i > j:
+            i, j = j, i
+        upper[i][j - i] = -b * x
+    return upper
+
+
 def _pencil(m: Matrix, a: int, b: int) -> list[list[int]]:
     """The upper triangle of a*I - b*M, for a symmetric integer matrix M, as
     every graph matrix is: det(t0*I - M) = det(a*I - b*M) / b^n at t0 = a/b;
-    det_exact_at's triangle for any Matrix (verify 2.2 writes its graphs'
-    triangles from their edges, spectra._adjacency_triangle).  M's entries
-    and symmetry are checked and its rows and columns ordered sparse first
-    (_int_rows, _sparse_first); the triangle is scaled by -b and gains a on
-    the diagonal, which the symmetric permutation left in place.  A
-    non-symmetric M raises ValueError."""
+    det_exact_at's triangle.  M's entries and symmetry are checked
+    (_int_rows; a non-symmetric M raises ValueError) and its nonzeros read
+    once into _triangle."""
     m.require_square("det_exact_at")
-    ordered = _sparse_first(_int_rows(m))
-    if ordered != [list(col) for col in zip(*ordered)]:
+    rows = _int_rows(m)
+    if rows != tuple(zip(*rows)):
         raise ValueError("det_exact_at needs a symmetric matrix")
-    upper = [[-b * x for x in row[i:]] for i, row in enumerate(ordered)]
-    for row in upper:
-        row[0] += a
-    return upper
+    diag = [(i, row[i]) for i, row in enumerate(rows) if row[i]]
+    entries = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row[i + 1 :], i + 1) if x]
+    return _triangle(len(rows), diag, entries, a, b)
 
 
 def det_exact_at(m: Matrix, t0) -> Fraction:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from ._record import Record, set_field
@@ -17,6 +17,7 @@ from .linalg import (
     SpectrumMultiset,
     _det_int,
     _point,
+    _triangle,
     format_poly,
     real_roots_cubic,
     real_roots_quadratic,
@@ -40,22 +41,33 @@ class PoleError(ValueError):
     """Evaluation point hits a pole of the coronal."""
 
 
-def _matrix_rows(n: int, edges: Iterable[Edge], kind: MatrixKind) -> list[list[int]]:
+def _nonzeros(n: int, edges: Sequence[Edge], kind: MatrixKind) -> tuple[list, list]:
+    """The nonzero diagonal entries (v, d) and off-diagonal entries (u, v, x)
+    of the adjacency, Laplacian, or net-Laplacian matrix of the graph with n
+    vertices and these canonical edges, each pair once, in any order: the
+    one definition of the three kinds, which _matrix_rows writes as rows and
+    linalg._triangle as a pencil's upper triangle."""
+    if kind is MatrixKind.ADJACENCY:
+        return [], edges
+    deg = [0] * n  # the degree or net-degree diagonal, then -A off it
+    for u, v, sg in edges:
+        w = 1 if kind is MatrixKind.LAPLACIAN else sg
+        deg[u] += w
+        deg[v] += w
+    return [(v, d) for v, d in enumerate(deg) if d], [(u, v, -sg) for u, v, sg in edges]
+
+
+def _matrix_rows(n: int, edges: Sequence[Edge], kind: MatrixKind) -> list[list[int]]:
     """The rows of the adjacency, Laplacian, or net-Laplacian matrix of the
     graph with n vertices and these canonical edges, each pair once, in any
-    order: the one matrix writer, which matrix_of wraps and the verify rows
-    read for the corona's edge list (graphs._corona_edges) and for A1."""
-    adj = [[0] * n for _ in range(n)]
-    for u, v, sg in edges:
-        adj[u][v] = sg
-        adj[v][u] = sg
-    if kind is MatrixKind.ADJACENCY:
-        return adj
-    rows = []
-    for i, row in enumerate(adj):  # -A plus the degree or net-degree diagonal
-        neg = [-x for x in row]
-        neg[i] = n - row.count(0) if kind is MatrixKind.LAPLACIAN else sum(row)
-        rows.append(neg)
+    order (_nonzeros): the one matrix writer, which matrix_of wraps and the
+    verify rows read for their factors and 5.1's corona."""
+    diag, entries = _nonzeros(n, edges, kind)
+    rows = [[0] * n for _ in range(n)]
+    for v, d in diag:
+        rows[v][v] = d
+    for u, v, x in entries:
+        rows[u][v] = rows[v][u] = x
     return rows
 
 
@@ -72,28 +84,18 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
-def _adjacency_triangle(n: int, edges: Sequence[Edge], a: int, b: int) -> list[list[int]]:
-    """The upper triangle of a*I - b*A, A the adjacency matrix of the graph
-    with n vertices and these canonical edges, each pair once, in any order,
-    with rows and columns in sparse-first order (ascending degree, ties by
-    vertex index): _pencil(Matrix(_matrix_rows(n, edges, ADJACENCY)), a, b),
-    written from the edge list, whose signs are ints +-1 already, with no
-    matrix built or checked."""
-    deg = [0] * n
-    for u, v, _ in edges:
-        deg[u] += 1
-        deg[v] += 1
-    pos = [0] * n
-    for i, v in enumerate(sorted(range(n), key=deg.__getitem__)):
-        pos[v] = i
-    upper = [[0] * (n - i) for i in range(n)]
+def _quadratic_triangle(rows, alpha: int, beta: int, gamma: int) -> list[list[int]]:
+    """The upper triangle of alpha*I + beta*M + gamma*M^2 for a symmetric
+    integer matrix M given as its rows, in M's vertex order: the dense
+    triangle of the factor-sized determinants, _factored_side's and the
+    closed-form identity's of verify."""
+    # M is symmetric, so entry (i, j) of M^2 is row i times row j
+    upper = [
+        [beta * x + gamma * sum(map(operator.mul, r, c)) for x, c in zip(r[i:], rows[i:])]
+        for i, r in enumerate(rows)
+    ]
     for row in upper:
-        row[0] = a
-    for u, v, sg in edges:
-        i, j = pos[u], pos[v]
-        if i > j:
-            i, j = j, i
-        upper[i][j - i] = -b * sg
+        row[0] += alpha
     return upper
 
 
@@ -108,7 +110,7 @@ def _factored_side(
     over 1).
 
     A1's rows come from s1's edges (_matrix_rows), with no Matrix built,
-    and the triangle of a*I - b*A2 from s2's (_adjacency_triangle); that of
+    and the triangle of a*I - b*A2 from s2's (linalg._triangle); that of
     a*I - b*(A2 - J), J the all-ones matrix, is it with b added to every
     entry.  det gives hn/hd = det(a*I - b*A2) = b^n2 * psi2(t0) and
     sn/sd = det(a*I - b*(A2 - J)) = b^n2 * det(t0*I - A2 + J), and the
@@ -124,18 +126,11 @@ def _factored_side(
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
     a1 = _matrix_rows(s1.n, s1.edges, MatrixKind.ADJACENCY)
-    psi2 = _adjacency_triangle(s2.n, s2.edges, a, b)
+    psi2 = _triangle(s2.n, (), s2.edges, a, b)
     hn, hd = det(psi2)
     sn, sd = det([[x + b for x in row] for row in psi2])
     hp, hk = hn * sd, sn * hd - hn * sd
-    # A1 is symmetric, so entry (i, j) of A1^2 is row i times row j
-    upper = [
-        [-b * (hp * x + hk * sum(map(operator.mul, r, c))) for x, c in zip(r[i:], a1[i:])]
-        for i, r in enumerate(a1)
-    ]
-    for row in upper:
-        row[0] += a * hp
-    return hp, upper, hd * sd
+    return hp, _quadratic_triangle(a1, a * hp, -b * hp, -b * hk), hd * sd
 
 
 def corona_adjacency_charpoly_eval(s1: SignedGraph, s2: SignedGraph, t0) -> Fraction:
@@ -279,10 +274,18 @@ def _two_root_form(
     inherited = SpectrumMultiset.from_values(values, tol).pairs
     entries = [ClosedFormEntry(multiplicity=m * n1, value=v + shift) for v, m in inherited]
     for mu, m in numeric_spectrum(s1, kind, tol).pairs:
-        b = mu + ((n2 + 1) * shift + k)
-        c = mu * ((2 * n2 + 1) * shift + k - n2 * mu) + n2 * shift * k
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c, -b, 1.0)))
+        entries.append(ClosedFormEntry(multiplicity=m, coeffs=_two_root_coeffs(mu, n2, shift, k)))
     return ClosedFormSpectrum(theorem, n1 * (n2 + 1), tuple(entries))
+
+
+def _two_root_coeffs(mu, n2: int, shift: int, k: int) -> tuple:
+    """Ascending coefficients (c, -b, 1) of the two-root form's t^2 - b*t + c
+    at the M1-eigenvalue mu: the one source of the floats the form prints
+    (a float mu) and of the matrix polynomial that verify's identity
+    interpolates from the ints mu = 0, 1, 2, 3."""
+    b = mu + ((n2 + 1) * shift + k)
+    c = mu * ((2 * n2 + 1) * shift + k - n2 * mu) + n2 * shift * k
+    return (c, -b, 1)
 
 
 def closed_form_adjacency(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:
@@ -326,10 +329,16 @@ def closed_form_adjacency_kpq(
     n = s.n
     entries = [ClosedFormEntry(multiplicity=n * (p + q - 2), value=0.0)]
     for h, m in numeric_spectrum(s, MatrixKind.ADJACENCY, tol).pairs:
-        c1 = -(p * q + (p + q) * h * h)
-        c0 = p * q * h * (1.0 - 2.0 * sign * h)
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=(c0, c1, -h, 1.0)))
+        entries.append(ClosedFormEntry(multiplicity=m, coeffs=_cubic_coeffs(h, p, q, sign)))
     return ClosedFormSpectrum(label, n * (p + q + 1), tuple(entries))
+
+
+def _cubic_coeffs(h, p: int, q: int, sign: int) -> tuple:
+    """Ascending coefficients of the 2.4/2.5 cubic of the S-eigenvalue h on
+    parts p != q (closed_form_adjacency_kpq): the one source of the floats
+    the form prints and of the matrix polynomial that verify's identity
+    interpolates from the ints h = 0, 1, 2, 3."""
+    return (p * q * h * (1.0 - 2.0 * sign * h), -(p * q + (p + q) * h * h), -h, 1)
 
 
 def closed_form_laplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:

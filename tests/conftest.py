@@ -6,7 +6,8 @@ for the modular symmetric elimination under test, a cyclic Jacobi
 eigenvalue oracle that shares no code with the Householder/QL solver under
 test, symmetric relabelling of a matrix, scaling a matrix by a scalar, a
 random signed graph of a chosen edge density, a breadth-first
-connectivity test, and the published (refuted) reading of 2.4."""
+connectivity test, and the published (refuted) reading of 2.4, as
+coefficients and as a closed form."""
 
 from __future__ import annotations
 
@@ -207,13 +208,17 @@ def is_connected(g: SignedGraph) -> bool:
     return len(reached) == g.n
 
 
+def printed_kpq_coeffs(h, p: int, q: int) -> tuple:
+    """Ascending coefficients of 2.4's cubic as printed, for the
+    s-eigenvalue h: t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + p*q*h*(2h - 1)."""
+    return (p * q * h * (2.0 * h - 1.0), -(p * q + (p + q) * h * h), -h, 1.0)
+
+
 def printed_kpq(s: SignedGraph, p: int, q: int) -> ClosedFormSpectrum:
     """2.4 as printed, for any parts p and q: 0 with multiplicity n(p+q-2)
-    plus, for each s-eigenvalue h, the roots of
-    t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + p*q*h*(2h - 1)."""
+    plus, for each s-eigenvalue h, the roots of printed_kpq_coeffs."""
     n = s.n
     entries = [ClosedFormEntry(multiplicity=n * (p + q - 2), value=0.0)] if p + q > 2 else []
     for h, m in numeric_spectrum(s, MatrixKind.ADJACENCY).pairs:
-        cubic = (p * q * h * (2.0 * h - 1.0), -(p * q + (p + q) * h * h), -h, 1.0)
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=cubic))
+        entries.append(ClosedFormEntry(multiplicity=m, coeffs=printed_kpq_coeffs(h, p, q)))
     return ClosedFormSpectrum("2.4", n * (p + q + 1), tuple(entries))

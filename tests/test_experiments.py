@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import printed_kpq_coeffs
 from sgcorona import (
     GraphError,
     IsomorphicInputsError,
@@ -557,7 +558,7 @@ class TestVerify:
             assert one.getstate() == two.getstate()
         # one 2.2 case: its pair, then its point, drawn right after the pair
         rng, two = random.Random(5), random.Random(5)
-        case = next(experiments.THEOREMS["2.2"].cases(rng, 1, 4))
+        case = next(experiments.THEOREMS["2.2"].cases(rng, 1, 4, experiments._points(5)))
         assert case[:2] == (experiments._any_signed(two, 4), experiments._any_signed(two, 4))
         assert experiments._check_factorisation(case, 1e-6) is None
         two.randrange(2**61 - 1)
@@ -592,7 +593,7 @@ class TestVerify:
             flip_hk(monkeypatch)
         theorem = experiments.THEOREMS[label]
         for seed in (0, 7):
-            cases = list(theorem.cases(random.Random(seed), 12, 6))
+            cases = list(theorem.cases(random.Random(seed), 12, 6, experiments._points(seed)))
             backwards = [theorem.check(case, 1e-6) for case in reversed(cases)][::-1]
             result = verify_theorem(label, trials=12, seed=seed, max_n=6)
             details = {f.trial: f.detail for f in result.failures}
@@ -656,3 +657,123 @@ class TestVerify:
         # Regenerate the file with pinned_verify_text() only for an intended
         # change of output.
         assert pinned_verify_text() == PINNED_VERIFY.read_text()
+
+
+# kind and kpq sign of each closed-form row
+CLOSED_FORM_ROWS = {"2.3": (ADJ, None), "2.4": (ADJ, -1), "2.5": (ADJ, 1), "3.3": (LAP, None), "3.4": (LAP, None), "4.2": (NET, None)}
+
+
+class TestClosedFormPointChecks:
+    """The closed-form rows check each case (s1, s2, t) against its factors
+    alone: the realised form against the factor oracle, then the form's
+    identity at the point t of GF(2^127 - 1), drawn from the run's point
+    stream."""
+
+    @staticmethod
+    def cases(label, seed, trials, max_n):
+        return list(experiments.THEOREMS[label].cases(random.Random(seed), trials, max_n, experiments._points(seed)))
+
+    @staticmethod
+    def identity(label, case, **reading):
+        # the row's identity on a case; reading replaces coeffs or lower
+        kind, sign = CLOSED_FORM_ROWS[label]
+        s1, s2, t = case
+        rows1, _, shift, coeffs, _, _, lower = experiments._form(s1, s2, kind, sign)
+        reading = {"coeffs": coeffs, "lower": lower, **reading}
+        return experiments._point_identity(s1, s2, kind, t, rows1, shift, reading["coeffs"], reading["lower"])
+
+    def test_rows_never_solve_the_corona(self, monkeypatch):
+        # the six rows report what they report with the corona's eigensolve
+        # refused; 5.1, whose bound counts the corona's distinct eigenvalues,
+        # still solves one corona per trial
+        labels = (*CLOSED_FORM_ROWS, "5.1")
+        expected = {label: verify_theorem(label, trials=5, seed=7) for label in labels}
+        real, solved = experiments._corona_spectrum, []
+
+        def refused(*args):
+            raise AssertionError("a closed-form row solved the corona's eigenproblem")
+
+        monkeypatch.setattr(experiments, "_corona_spectrum", refused)
+        for label in CLOSED_FORM_ROWS:
+            assert verify_theorem(label, trials=5, seed=7) == expected[label], label
+
+        def counted(*args):
+            solved.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_corona_spectrum", counted)
+        assert verify_theorem("5.1", trials=5, seed=7) == expected["5.1"]
+        assert len(solved) == 5
+
+    def test_points_come_from_their_own_stream(self):
+        # a row's pairs are those its trial stream gave before the cases
+        # carried a point: 5.1, which drops the points, draws the same pairs
+        # in turn from 2.3, 3.3 and 4.2
+        for seed in (0, 7):
+            rng = random.Random(seed)
+            for label, pair in zip(("2.3", "3.3", "4.2") * 4, self.cases("5.1", seed, 12, 6)):
+                s1, s2, t = next(experiments.THEOREMS[label].cases(rng, 1, 6, experiments._points(seed)))
+                assert (s1, s2) == pair[:2] and 0 <= t < 2**127 - 1
+            points = experiments._points(seed)
+            assert [case[2] for case in self.cases("3.3", seed, 12, 6)] == [points.randrange(2**127 - 1) for _ in range(12)]
+
+    @pytest.mark.parametrize("max_n", [6, 13])
+    @pytest.mark.parametrize("label", list(CLOSED_FORM_ROWS))
+    def test_identity_holds_on_sampled_cases(self, label, max_n):
+        forms = set()
+        for seed in (0, 1):
+            for case in self.cases(label, seed, 10, max_n):
+                assert self.identity(label, case) is None, (label, case)
+                coeffs = experiments._form(*case[:2], *CLOSED_FORM_ROWS[label])[3]
+                forms.add(len(coeffs(0)))
+        # 2.4 and 2.5 meet both forms: the cubic for p != q, the two-root one for p = q
+        assert forms == ({3, 4} if CLOSED_FORM_ROWS[label][1] else {3})
+
+    def test_printed_kpq_fails_exactly_with_unequal_parts_and_an_edge(self, monkeypatch):
+        # the identity of 2.4's row read with the printed cubic constant
+        # p*q*h*(2h - 1) (conftest.printed_kpq) fails on exactly the trials
+        # whose parts differ and whose first factor has an edge; the closed
+        # form itself is the shipped one, so the float check passes
+        monkeypatch.setattr(experiments, "_cubic_coeffs", lambda h, p, q, sign: printed_kpq_coeffs(h, p, q))
+        refuted = 0
+        for seed in range(4):
+            result = verify_theorem("2.4", trials=25, seed=seed)
+            expected = [
+                trial for trial, (s, k, _) in enumerate(self.cases("2.4", seed, 25, 5))
+                if 2 * k.degrees().degree[0] != k.n and s.edges
+            ]
+            assert [f.trial for f in result.failures] == expected
+            assert all(f.detail.startswith("factored value ") for f in result.failures)
+            refuted += len(expected)
+        assert 0 < refuted < 100
+
+    def test_zero_row_sum_reading_fails_exactly_where_k_is_not_zero(self):
+        # 3.4 as printed, the two-root form at k = 0, on 3.3's cases, whose
+        # second factors have the constant Laplacian row sum k = 2*neg: the
+        # identity fails exactly where k != 0
+        outcomes = set()
+        for seed in range(4):
+            for case in self.cases("3.3", seed, 25, 5):
+                s1, s2, _ = case
+                _, rows2, shift, *_ = experiments._form(s1, s2, LAP)
+                coeffs, _, _, lower = experiments._two_root_parts(s2.n, shift, 0)
+                k = sum(rows2[0])
+                assert (self.identity("3.3", case, coeffs=coeffs, lower=lower) is not None) == (k != 0)
+                outcomes.add(k != 0)
+        assert outcomes == {False, True}
+
+    def test_a_constant_off_by_1e_minus_7_fails_every_trial(self, monkeypatch):
+        # both coefficient sources, shared by the printed floats and the
+        # identity, with their constant off by 1e-7: inside the float
+        # check's tolerance, but not an integer at mu = 0
+        for module in (spectra, experiments):
+            for name in ("_two_root_coeffs", "_cubic_coeffs"):
+                def off(*args, real=getattr(spectra, name), **kwargs):
+                    c, *rest = real(*args, **kwargs)
+                    return (c + 1e-7, *rest)
+
+                monkeypatch.setattr(module, name, off)
+        for label in CLOSED_FORM_ROWS:
+            result = verify_theorem(label, trials=5, seed=7)
+            assert result.passed == 0, label
+            assert any("is not an integer" in f.detail for f in result.failures), label

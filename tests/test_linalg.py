@@ -40,7 +40,7 @@ from sgcorona import (
     sym_eigenvalues,
     unbalanced_c4,
 )
-from sgcorona.experiments import THEOREMS, random_signed_graph
+from sgcorona.experiments import THEOREMS, _points, random_signed_graph
 from sgcorona import linalg
 from sgcorona.linalg import (
     _blocks,
@@ -48,7 +48,6 @@ from sgcorona.linalg import (
     _det_mod,
     _pencil,
     _ql_implicit,
-    _sparse_first,
     _tridiagonalize,
     _twin_classes,
 )
@@ -393,7 +392,7 @@ class TestLanczos:
         # of order N0 or more: some with twins, some without; Lanczos may
         # fall back on a block with repeated eigenvalues, but not on all
         twins, runs, fell_back = [], 0, 0
-        for s1, s2 in THEOREMS[label].cases(random.Random(7), 40, 13):
+        for s1, s2, _ in THEOREMS[label].cases(random.Random(7), 40, 13, _points(7)):
             if len(twins) == 4:
                 break
             corona = neighbourhood_corona(s1, s2)
@@ -758,9 +757,9 @@ class TestModularDeterminant:
         expected = det_bareiss_dense([row[:] for row in rows])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_INVERT_MIN_WORK", crossover)
-            for ordered in (rows, _sparse_first(rows)):
+            for triangle in (upper(rows), _pencil(Matrix(rows), 0, -1)):  # M itself, sparse first
                 for p in DET_PRIMES:
-                    assert stands_for(_det_mod(upper(ordered), p), expected, p)
+                    assert stands_for(_det_mod(triangle, p), expected, p)
         if shape in ("zero row", "rank deficient") and len(rows) >= 3:
             assert expected == 0
 
@@ -861,8 +860,8 @@ class TestModularDeterminant:
         # congruences read 78 scales
         rng = random.Random(43)
         corona = neighbourhood_corona(random_signed_graph(rng, 13), random_signed_graph(rng, 13))
-        rows = [[-x for x in row] for row in _sparse_first(matrix_of(corona, MatrixKind.ADJACENCY)._rows)]
-        det = det_bareiss_dense([row[:] for row in rows])
+        adjacency = matrix_of(corona, MatrixKind.ADJACENCY)
+        det = det_bareiss_dense([[-x for x in row] for row in adjacency._rows])
         for p in linalg._PRIME_LADDER[:2]:
             congruences, inverses = [], []
 
@@ -879,7 +878,7 @@ class TestModularDeterminant:
                 mp.setattr(linalg, "_INVERT_MIN_WORK", 10**9)
                 mp.setattr(linalg, "next", first, raising=False)
                 mp.setattr(linalg, "pow", spy, raising=False)
-                assert stands_for(_det_mod(upper(rows), p), det, p)
+                assert stands_for(_det_mod(_pencil(adjacency, 0, 1), p), det, p)  # -A, sparse first
             assert all(congruences) and len(congruences) == 52
             assert inverses == [-1] * 78
 
@@ -1031,7 +1030,7 @@ class TestSymEigenvalues:
         for label in ("2.3", "2.4", "3.3", "3.4", "4.2"):
             for max_n in (6, 9):
                 for seed in range(4):
-                    for s1, s2 in THEOREMS[label].cases(random.Random(seed), 12, max_n):
+                    for s1, s2, _ in THEOREMS[label].cases(random.Random(seed), 12, max_n, _points(seed)):
                         for g in (s1, s2, neighbourhood_corona(s1, s2)):
                             for kind in MatrixKind:
                                 pairs = sym_eigenvalues(matrix_of(g, kind), 0.0).pairs

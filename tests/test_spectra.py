@@ -41,7 +41,7 @@ from sgcorona import (
     unbalanced_c4,
 )
 from sgcorona import experiments, linalg
-from sgcorona.experiments import THEOREMS, random_connected_signed, random_signed_graph, verify_theorem
+from sgcorona.experiments import THEOREMS, _points, random_connected_signed, random_signed_graph, verify_theorem
 from sgcorona.graphs import _corona_edges
 from sgcorona.linalg import _det_int, _det_mod, _pencil
 from sgcorona.spectra import MatrixKind, _two_root_form
@@ -365,9 +365,10 @@ class TestCharpolyFactorisation:
             coronas.append(neighbourhood_corona(s1, s2))
             return real(s1, s2)
 
-        def counted_triangle(n, edges, a, b, real=spectra._adjacency_triangle):
-            triangles.append(SignedGraph(n, edges))
-            return real(n, edges, a, b)
+        def counted_triangle(n, diag, entries, a, b, real=linalg._triangle):
+            assert not diag  # adjacency triangles: no diagonal
+            triangles.append(SignedGraph(n, entries))
+            return real(n, diag, entries, a, b)
 
         def counted_matrix_of(s, kind, real=spectra.matrix_of):
             matrices.append(s)
@@ -379,7 +380,7 @@ class TestCharpolyFactorisation:
         monkeypatch.setattr(experiments, "_corona_edges", corona)
         monkeypatch.setattr(experiments, "neighbourhood_corona", refused)
         for module in (experiments, spectra):
-            monkeypatch.setattr(module, "_adjacency_triangle", counted_triangle)
+            monkeypatch.setattr(module, "_triangle", counted_triangle)
             monkeypatch.setattr(module, "matrix_of", counted_matrix_of)
             monkeypatch.setattr(module, "Matrix", refused)
         for name in ("_pencil", "_int_rows", "_char_poly_int", "_char_poly_mod", "_det_int"):
@@ -421,7 +422,7 @@ class TestAdjacencyTriangle:
             for g in graphs:
                 orders.add(g.n)
                 for a, b in self.POINTS:
-                    triangle = spectra._adjacency_triangle(g.n, g.edges, a, b)
+                    triangle = linalg._triangle(g.n, (), g.edges, a, b)
                     assert triangle == _pencil(matrix_of(g, ADJ), a, b), (g, a, b)
         assert set(range(14)) <= orders and max(orders) == 182
 
@@ -436,7 +437,7 @@ class TestAdjacencyTriangle:
             s2 = random_signed_graph(rng, n)
             minus_j = Matrix([x - 1 for x in row] for row in matrix_of(s2, ADJ)._rows)
             for a, b in self.POINTS:
-                shifted = [[x + b for x in row] for row in spectra._adjacency_triangle(s2.n, s2.edges, a, b)]
+                shifted = [[x + b for x in row] for row in linalg._triangle(s2.n, (), s2.edges, a, b)]
                 upper = _pencil(minus_j, a, b)
                 reordered += shifted != upper
                 assert _det_int(shifted) == _det_int(upper), (s2, a, b)
@@ -444,6 +445,50 @@ class TestAdjacencyTriangle:
                     (num, den), (num2, den2) = _det_mod(shifted, p), _det_mod(upper, p)
                     assert (num * den2 - num2 * den) % p == 0, (s2, a, b, p)
         assert reordered
+
+
+class TestTriangle:
+    """linalg._triangle against the dense a*I - b*M, its rows and columns
+    permuted by ascending nonzero count of M's rows, ties by index."""
+
+    POINTS = TestAdjacencyTriangle.POINTS
+
+    @staticmethod
+    def dense(rows, a, b):
+        n = len(rows)
+        order = sorted(range(n), key=lambda i: n - list(rows[i]).count(0))
+        return [[(a if i == j else 0) - b * rows[order[i]][order[j]] for j in range(i, n)] for i in range(n)]
+
+    def test_graph_matrices_of_every_kind(self):
+        # random signed graphs of orders 0 to 9 and their coronas, from the
+        # nonzeros of each kind's matrix (spectra._nonzeros)
+        rng = random.Random(44)
+        for n in range(10):
+            s2 = random_signed_graph(rng, n)
+            for g in (s2, neighbourhood_corona(random_signed_graph(rng, rng.randint(1, 6)), s2)):
+                for kind in MatrixKind:
+                    diag, entries = spectra._nonzeros(g.n, g.edges, kind)
+                    for a, b in self.POINTS:
+                        expected = self.dense(matrix_of(g, kind)._rows, a, b)
+                        assert linalg._triangle(g.n, diag, entries, a, b) == expected, (g, kind, a, b)
+
+    def test_symmetric_matrices_with_nonzero_diagonals(self):
+        # every diagonal entry counts towards its row's nonzeros; the entries
+        # may come in any order
+        rng = random.Random(45)
+        for n in range(1, 12):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.choice([-3, -1, 1, 2, 5])
+                for j in range(i + 1, n):
+                    if rng.random() < 0.4:
+                        rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+            diag = [(i, rows[i][i]) for i in range(n)]
+            entries = [(i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+            rng.shuffle(entries)
+            for a, b in self.POINTS:
+                assert linalg._triangle(n, diag, entries, a, b) == self.dense(rows, a, b), (rows, a, b)
+                assert _pencil(Matrix(rows), a, b) == self.dense(rows, a, b)
 
 
 class TestClosedFormAdjacency:
@@ -661,7 +706,7 @@ class TestPublishedCoefficients:
     )
     def test_coefficients_are_the_published_ones(self, label, closed_form, kind):
         for seed in range(5):
-            for s1, s2 in THEOREMS[label].cases(random.Random(seed), 20, 8):
+            for s1, s2, _ in THEOREMS[label].cases(random.Random(seed), 20, 8, _points(seed)):
                 quads = [e for e in closed_form(s1, s2).entries if e.coeffs is not None]
                 pairs = numeric_spectrum(s1, kind).pairs
                 assert [e.multiplicity for e in quads] == [m for _, m in pairs]
