@@ -233,25 +233,21 @@ def distinct_count(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Disti
     )
 
 
-def _corona_spectrum(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: float) -> SpectrumMultiset:
-    """numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol), the same
-    floats, with the matrix written from the corona's edge list
-    (_corona_edges, _matrix_rows) and no SignedGraph built or checked."""
-    n = s1.n * (s2.n + 1)
-    return sym_eigenvalues(Matrix(_matrix_rows(n, _corona_edges(s1, s2), kind)), tol)
-
-
 def corona_distinct_report(
     s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: float = 1e-6
 ) -> DistinctReport:
     """Distinct-eigenvalue report for the corona of the two factors, whose
-    spectrum is read from its edge list (_corona_spectrum).  When the closed
-    form for `kind`, CLOSED_FORMS[kind], applies, the 2*t1 + t2 bound is
-    recorded and checked: t1 is the number of quadratic entries of that
+    spectrum is solved whole, its matrix written from the corona's edge
+    list (_corona_edges, _matrix_rows) with no SignedGraph built or checked:
+    the same floats as numeric_spectrum of neighbourhood_corona.  When the
+    closed form for `kind`, CLOSED_FORMS[kind], applies, the 2*t1 + t2 bound
+    is recorded and checked: t1 is the number of quadratic entries of that
     form, one per distinct S1-eigenvalue, and t2 the number of distinct
-    S2-eigenvalues."""
+    S2-eigenvalues.  verify's 5.1 row counts the same bound on the factors
+    alone (_check_bound) and never solves the corona."""
     _check_tol(tol)
-    spec = _corona_spectrum(s1, s2, kind, tol)
+    n = s1.n * (s2.n + 1)
+    spec = sym_eigenvalues(Matrix(_matrix_rows(n, _corona_edges(s1, s2), kind)), tol)
     bound = None
     try:
         cf = CLOSED_FORMS[kind](s1, s2, tol)
@@ -694,15 +690,17 @@ def _cubic_parts(p: int, q: int, sign: int):
     return partial(_cubic_coeffs, p=p, q=q, sign=sign), roots, [-abs(c), abs(c)], (-p * q, 0, 1)
 
 
-def _factor_oracle(rows1, rows2, shift: int, roots, block, tol: float) -> SpectrumMultiset:
-    """The corona's spectrum from its factors' alone: roots(mu) for each
-    eigenvalue mu of M1, and n1 times the eigenvalues of M2 + shift*I, less
-    the nearest one to each value of block (_eigenvalues throughout)."""
-    values = [v for mu in _eigenvalues(rows1) for v in roots(mu)]
-    rest = [v + shift for v in _eigenvalues(rows2)]
+def _factor_oracle(e1: list[float], e2: list[float], shift: int, roots, block, tol: float) -> SpectrumMultiset:
+    """The corona's spectrum from its factors' alone, e1 and e2 the
+    eigenvalues of M1 and M2 (_eigenvalues): roots(mu) for each mu in e1,
+    and n1 = len(e1) times the values of e2 plus shift, less the nearest one
+    to each value of block.  The closed-form rows compare it with the
+    realised form, and 5.1 counts its distinct values."""
+    values = [v for mu in e1 for v in roots(mu)]
+    rest = [v + shift for v in e2]
     for v in block:
         rest.remove(min(rest, key=lambda x: abs(x - v)))
-    return SpectrumMultiset.from_values(values + rest * len(rows1), tol)
+    return SpectrumMultiset.from_values(values + rest * len(e1), tol)
 
 
 def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, coeffs, lower) -> str | None:
@@ -775,8 +773,9 @@ def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = No
     factors fails the trial, and so does any other ValueError of the closed
     form or of its realisation (a wrong formula, such as K_{p,p} sent to the
     cubic).  Then two checks that never solve the corona: the realised form
-    against the factor oracle (_factor_oracle) at tol, and the identity at t
-    (_point_identity), both on the case's form (_form)."""
+    against the factor oracle (_factor_oracle) on the eigenvalues of M1 and
+    M2 (_eigenvalues) at tol, and the identity at t (_point_identity), both
+    on the case's form (_form); 5.1 (_check_bound) shares both."""
 
     def check(case, tol):
         s1, s2, t = case
@@ -787,7 +786,7 @@ def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = No
         except ValueError as exc:
             return f"check raised {type(exc).__name__}: {exc}"
         rows1, rows2, shift, coeffs, roots, block, lower = _form(s1, s2, kind, sign)
-        oracle = _factor_oracle(rows1, rows2, shift, roots, block, tol)
+        oracle = _factor_oracle(_eigenvalues(rows1), _eigenvalues(rows2), shift, roots, block, tol)
         if not spectra_equal(realized, oracle, tol):
             return f"closed form {realized} differs from oracle {oracle}"
         return _point_identity(s1, s2, kind, t, rows1, shift, coeffs, lower)
@@ -812,21 +811,33 @@ def _kpq_row(sign: int) -> Theorem:
 
 
 def _bound_cases(rng, trials, max_n, points):
-    """Theorem 5.1 takes its trials in turn from the rows of 2.3, 3.3 and 4.2,
-    their pairs without their points."""
+    """Theorem 5.1 takes its trials in turn from the rows of 2.3, 3.3 and 4.2:
+    each case is its sub-row's (s1, s2, t), the point t included, with the
+    sub-row's matrix kind appended."""
     rows = [THEOREMS[label].cases(rng, trials, max_n, points) for label in ("2.3", "3.3", "4.2")]
     kinds = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.NET_LAPLACIAN)
     for trial in range(trials):
-        yield (*next(rows[trial % 3])[:2], kinds[trial % 3])
+        yield (*next(rows[trial % 3]), kinds[trial % 3])
 
 
 def _check_bound(case, tol):
-    s1, s2, kind = case
-    report = corona_distinct_report(s1, s2, kind, tol)
-    if report.bound is None:
-        return "bound hypotheses unexpectedly unmet"
-    if not report.bound_satisfied:
-        return f"{report.distinct_count} distinct {kind.value} eigenvalues exceed bound {report.bound}"
+    """Theorem 5.1 on a case (s1, s2, t, kind), from the factors alone: the
+    closed form's identity at t (_point_identity on the case's form, _form),
+    which makes the corona's spectrum the factor oracle's, then the
+    oracle's distinct values against 2*t1 + t2, t1 and t2 the distinct
+    eigenvalues of M1 and M2 (_eigenvalues), every count clustered at tol.
+    No closed form is realised and no corona solved."""
+    s1, s2, t, kind = case
+    rows1, rows2, shift, coeffs, roots, block, lower = _form(s1, s2, kind)
+    detail = _point_identity(s1, s2, kind, t, rows1, shift, coeffs, lower)
+    if detail is not None:
+        return detail
+    e1, e2 = _eigenvalues(rows1), _eigenvalues(rows2)
+    distinct = _factor_oracle(e1, e2, shift, roots, block, tol).distinct_count
+    t1, t2 = (SpectrumMultiset.from_values(e, tol).distinct_count for e in (e1, e2))
+    bound = 2 * t1 + t2
+    if distinct > bound:
+        return f"{distinct} distinct {kind.value} eigenvalues exceed bound {bound}"
 
 
 # Theorem 5.2 runs this fixed catalog, whatever trial count is asked for.

@@ -60,8 +60,9 @@ def _nonzeros(n: int, edges: Sequence[Edge], kind: MatrixKind) -> tuple[list, li
 def _matrix_rows(n: int, edges: Sequence[Edge], kind: MatrixKind) -> list[list[int]]:
     """The rows of the adjacency, Laplacian, or net-Laplacian matrix of the
     graph with n vertices and these canonical edges, each pair once, in any
-    order (_nonzeros): the one matrix writer, which matrix_of wraps and the
-    verify rows read for their factors and 5.1's corona."""
+    order (_nonzeros): the one matrix writer, which matrix_of wraps, the
+    verify rows read for their factors and corona_distinct_report for its
+    corona."""
     diag, entries = _nonzeros(n, edges, kind)
     rows = [[0] * n for _ in range(n)]
     for v, d in diag:

@@ -601,12 +601,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("label, names", [("5.1", {"s1", "s2"}), ("5.2", {"seed"})])
     def test_kernel_fault_is_a_failed_trial(self, monkeypatch, label, names):
-        # a fault that trips sym_eigenvalues' trace check fails every trial,
-        # each dumping its graphs under the names the row's failures use
+        # a fault of the eigensolver the row calls, _eigenvalues on 5.1's
+        # factors or numeric_spectrum (sym_eigenvalues' trace check) on 5.2's
+        # coronas, fails every trial, each dumping its graphs under the names
+        # the row's failures use
         def drifted(*args):
             raise ArithmeticError("eigenvalue sum drifted away from the trace")
 
-        monkeypatch.setattr(experiments, "numeric_spectrum", drifted)
+        seam = {"5.1": "_eigenvalues", "5.2": "numeric_spectrum"}[label]
+        monkeypatch.setattr(experiments, seam, drifted)
         result = verify_theorem(label, trials=3, seed=0)
         assert result.passed == 0 and len(result.failures) == result.trials
         for failure in result.failures:
@@ -683,39 +686,47 @@ class TestClosedFormPointChecks:
         return experiments._point_identity(s1, s2, kind, t, rows1, shift, reading["coeffs"], reading["lower"])
 
     def test_rows_never_solve_the_corona(self, monkeypatch):
-        # the six rows report what they report with the corona's eigensolve
-        # refused; 5.1, whose bound counts the corona's distinct eigenvalues,
-        # still solves one corona per trial
+        # the six rows and 5.1 report what they report with every whole-graph
+        # eigensolve that experiments names refused, numeric_spectrum and the
+        # sym_eigenvalues of corona_distinct_report; 5.1 solves its two
+        # factors by _eigenvalues, M1 then M2, and no corona
         labels = (*CLOSED_FORM_ROWS, "5.1")
         expected = {label: verify_theorem(label, trials=5, seed=7) for label in labels}
-        real, solved = experiments._corona_spectrum, []
 
         def refused(*args):
-            raise AssertionError("a closed-form row solved the corona's eigenproblem")
+            raise AssertionError("a verify row solved a graph's eigenproblem whole")
 
-        monkeypatch.setattr(experiments, "_corona_spectrum", refused)
-        for label in CLOSED_FORM_ROWS:
+        solved = []
+
+        def counted(rows, real=experiments._eigenvalues):
+            solved.append(len(rows))
+            return real(rows)
+
+        for name in ("numeric_spectrum", "sym_eigenvalues"):
+            monkeypatch.setattr(experiments, name, refused)
+        monkeypatch.setattr(experiments, "_eigenvalues", counted)
+        for label in labels:
             assert verify_theorem(label, trials=5, seed=7) == expected[label], label
-
-        def counted(*args):
-            solved.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(experiments, "_corona_spectrum", counted)
-        assert verify_theorem("5.1", trials=5, seed=7) == expected["5.1"]
-        assert len(solved) == 5
+        solved.clear()
+        verify_theorem("5.1", trials=5, seed=7)
+        assert solved == [n for s1, s2, *_ in self.cases("5.1", 7, 5, 5) for n in (s1.n, s2.n)]
 
     def test_points_come_from_their_own_stream(self):
         # a row's pairs are those its trial stream gave before the cases
-        # carried a point: 5.1, which drops the points, draws the same pairs
-        # in turn from 2.3, 3.3 and 4.2
+        # carried a point: 5.1 draws the same pairs in turn from 2.3, 3.3 and
+        # 4.2, each case its sub-row's with the sub-row's kind appended, so
+        # its points are its sub-rows' points, the point stream's in turn
         for seed in (0, 7):
             rng = random.Random(seed)
-            for label, pair in zip(("2.3", "3.3", "4.2") * 4, self.cases("5.1", seed, 12, 6)):
+            bound_cases = self.cases("5.1", seed, 12, 6)
+            for label, case in zip(("2.3", "3.3", "4.2") * 4, bound_cases):
                 s1, s2, t = next(experiments.THEOREMS[label].cases(rng, 1, 6, experiments._points(seed)))
-                assert (s1, s2) == pair[:2] and 0 <= t < 2**127 - 1
+                assert (s1, s2) == case[:2] and 0 <= t < 2**127 - 1
             points = experiments._points(seed)
-            assert [case[2] for case in self.cases("3.3", seed, 12, 6)] == [points.randrange(2**127 - 1) for _ in range(12)]
+            expected = [points.randrange(2**127 - 1) for _ in range(12)]
+            assert [case[2] for case in self.cases("3.3", seed, 12, 6)] == expected
+            assert [case[2] for case in bound_cases] == expected
+            assert [case[3] for case in bound_cases] == [ADJ, LAP, NET] * 4
 
     @pytest.mark.parametrize("max_n", [6, 13])
     @pytest.mark.parametrize("label", list(CLOSED_FORM_ROWS))
@@ -761,6 +772,20 @@ class TestClosedFormPointChecks:
                 assert (self.identity("3.3", case, coeffs=coeffs, lower=lower) is not None) == (k != 0)
                 outcomes.add(k != 0)
         assert outcomes == {False, True}
+
+    def test_bound_row_fails_a_wrong_two_root_constant(self, monkeypatch):
+        # the two-root form's constant c off by 1 where experiments reads it:
+        # 5.1's identity at its point fails every trial, though no closed
+        # form reads that name
+        def off(*args, real=spectra._two_root_coeffs, **kwargs):
+            c, *rest = real(*args, **kwargs)
+            return (c + 1, *rest)
+
+        monkeypatch.setattr(experiments, "_two_root_coeffs", off)
+        result = verify_theorem("5.1", trials=5, seed=7)
+        assert "theorem 5.1: FAIL 0/5" in result.render()
+        assert [f.trial for f in result.failures] == list(range(5))
+        assert all(f.detail.startswith("factored value ") for f in result.failures)
 
     def test_a_constant_off_by_1e_minus_7_fails_every_trial(self, monkeypatch):
         # both coefficient sources, shared by the printed floats and the
