@@ -28,13 +28,12 @@ from .graphs import (
     unbalanced_c4,
 )
 from .linalg import (
-    _PRIME_LADDER, Matrix, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _eig2, _fmt, _ql_implicit, _triangle,
-    _tridiagonalize, char_poly_exact, spectra_equal, sym_eigenvalues,
+    _PRIME_LADDER, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _eig2, _fmt, _ql_implicit, _triangle,
+    _tridiagonalize, char_poly_exact, spectra_equal,
 )
 from .spectra import (
     CLOSED_FORMS,
     ClosedFormError,
-    ClosedFormSpectrum,
     MatrixKind,
     _cubic_coeffs,
     _factored_side,
@@ -174,21 +173,15 @@ def random_net_regular(rng: random.Random, max_n: int, nonzero: bool = False) ->
 
 
 class DistinctReport(Record):
-    """Clustered eigenvalue count for one matrix kind, with the 2*t1 + t2
-    upper bound attached when the corona hypotheses hold."""
+    """Clustered eigenvalue count for one matrix kind, with the exact count a
+    few-distinct construction expects attached when there is one."""
 
-    __slots__ = ("kind", "tol", "construction", "spectrum", "bound", "expected_distinct")
-    _defaults = {"bound": None, "expected_distinct": None}
+    __slots__ = ("kind", "tol", "construction", "spectrum", "expected_distinct")
+    _defaults = {"expected_distinct": None}
 
     @property
     def distinct_count(self) -> int:
         return self.spectrum.distinct_count
-
-    @property
-    def bound_satisfied(self) -> bool | None:
-        if self.bound is None:
-            return None
-        return self.distinct_count <= self.bound
 
     @property
     def matches_expected(self) -> bool | None:
@@ -203,8 +196,9 @@ class DistinctReport(Record):
             "construction": self.construction,
             "spectrum": self.spectrum.to_json(),
             "distinct_count": self.distinct_count,
-            "bound": self.bound,
-            "bound_satisfied": self.bound_satisfied,
+            # always null, kept for the `distinct --json` contract (test_cli.py::TestDistinct::test_json)
+            "bound": None,
+            "bound_satisfied": None,
             "expected_distinct": self.expected_distinct,
             "matches_expected": self.matches_expected,
         }
@@ -214,9 +208,6 @@ class DistinctReport(Record):
             f"{self.construction}: {self.distinct_count} distinct {self.kind.value} eigenvalue(s) at tol {self.tol:g}",
             f"  spectrum: {self.spectrum}",
         ]
-        if self.bound is not None:
-            verdict = "satisfied" if self.bound_satisfied else "VIOLATED"
-            lines.append(f"  bound 2*t1 + t2 = {self.bound}: {verdict}")
         if self.expected_distinct is not None:
             verdict = "as expected" if self.matches_expected else "UNEXPECTED"
             lines.append(f"  expected exactly {self.expected_distinct}: {verdict}")
@@ -230,39 +221,6 @@ def distinct_count(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Disti
         tol=tol,
         construction=f"graph on {s.n} vertices",
         spectrum=numeric_spectrum(s, kind, tol),
-    )
-
-
-def corona_distinct_report(
-    s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: float = 1e-6
-) -> DistinctReport:
-    """Distinct-eigenvalue report for the corona of the two factors, whose
-    spectrum is solved whole, its matrix written from the corona's edge
-    list (_corona_edges, _matrix_rows) with no SignedGraph built or checked:
-    the same floats as numeric_spectrum of neighbourhood_corona.  When the
-    closed form for `kind`, CLOSED_FORMS[kind], applies, the 2*t1 + t2 bound
-    is recorded and checked: t1 is the number of quadratic entries of that
-    form, one per distinct S1-eigenvalue, and t2 the number of distinct
-    S2-eigenvalues.  verify's 5.1 row counts the same bound on the factors
-    alone (_check_bound) and never solves the corona."""
-    _check_tol(tol)
-    n = s1.n * (s2.n + 1)
-    spec = sym_eigenvalues(Matrix(_matrix_rows(n, _corona_edges(s1, s2), kind)), tol)
-    bound = None
-    try:
-        cf = CLOSED_FORMS[kind](s1, s2, tol)
-    except ClosedFormError:
-        pass
-    else:
-        t1 = sum(e.coeffs is not None for e in cf.entries)
-        t2 = numeric_spectrum(s2, kind, tol).distinct_count
-        bound = 2 * t1 + t2
-    return DistinctReport(
-        kind=kind,
-        tol=tol,
-        construction=f"corona of factors on {s1.n} and {s2.n} vertices",
-        spectrum=spec,
-        bound=bound,
     )
 
 

@@ -824,6 +824,26 @@ class TestRuntimeDependencies:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_every_import_is_used(self):
+        # each module outside the package's export list reads every name it
+        # imports; `from __future__ import annotations` binds nothing to read
+        src = Path(sgcorona.__file__).parent
+        unused = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported = {
+                (alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+            }
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+        assert len(list(src.glob("*.py"))) > 5
+        assert unused == []
+
 
 class TestTracedNames:
     def test_every_traced_function_resolves(self):

@@ -17,7 +17,6 @@ from sgcorona import (
     Polynomial,
     catalog_two_eigenvalue_seeds,
     complete_graph,
-    corona_distinct_report,
     cospectral_demo,
     cycle_graph,
     default_cospectral_pair,
@@ -27,6 +26,8 @@ from sgcorona import (
     format_graph,
     is_isomorphic,
     is_switching_isomorphic,
+    neighbourhood_corona,
+    numeric_spectrum,
     paper_example,
     parse_graph,
     path_graph,
@@ -36,7 +37,7 @@ from sgcorona import (
 )
 from sgcorona import experiments, spectra
 from sgcorona.experiments import THEOREM_LABELS, DistinctReport
-from sgcorona.spectra import MatrixKind
+from sgcorona.spectra import CLOSED_FORMS, ClosedFormError, MatrixKind
 
 ADJ = MatrixKind.ADJACENCY
 LAP = MatrixKind.LAPLACIAN
@@ -83,70 +84,23 @@ class TestDistinctReports:
     def test_c4_minus_has_two(self):
         report = distinct_count(unbalanced_c4(), ADJ)
         assert report.distinct_count == 2
-        assert report.bound is None
+        assert report.to_json()["bound"] is None
 
     def test_edgeless_has_one(self):
         assert distinct_count(edgeless(4), ADJ).distinct_count == 1
 
-    def test_corona_bound_recorded(self):
-        report = corona_distinct_report(unbalanced_c4(), edgeless(1), ADJ)
-        assert report.bound == 2 * 2 + 1
-        assert report.distinct_count == 4
-        assert report.bound_satisfied
-
-    def test_bound_absent_when_hypotheses_fail(self):
-        # second factor not net-regular: no adjacency bound applies
-        report = corona_distinct_report(complete_graph(2), unbalanced_c4(), ADJ)
-        assert report.bound is None
-
-    def test_netlap_bound(self):
-        report = corona_distinct_report(complete_graph(2), path_graph(3), NET)
-        assert report.bound is not None
-        assert report.bound_satisfied
-
-    def test_bound_at_zero_net_degree(self):
-        # 4.2's closed form holds at net degree 0, so 5.1 bounds it too:
-        # t1 = 3 (net-Laplacian of the alternating 4-cycle), t2 = 4
-        report = corona_distinct_report(alternating_cycle(4), unbalanced_c4(), NET)
-        assert report.bound == 10
-        assert report.bound_satisfied
-
-    def test_bound_for_constant_laplacian_row_sum(self):
-        # the all-positive 3-path is neither regular nor net-regular, but its
-        # Laplacian rows all sum to 0, which is all 3.3/3.4 need: t1 = 2, t2 = 3
-        report = corona_distinct_report(complete_graph(3), path_graph(3), LAP)
-        assert report.bound == 7
-        assert report.bound_satisfied
-
-
-    def test_render_states_the_bound_and_the_expected_count(self):
-        """render() prints the 5.1 bound of a corona report and the exact
-        count a few-distinct construction expects, each with its verdict."""
-        bounded = corona_distinct_report(unbalanced_c4(), edgeless(1), ADJ)
-        assert bounded.render().splitlines()[2:] == ["  bound 2*t1 + t2 = 5: satisfied"]
-        violated = DistinctReport(
-            bounded.kind, bounded.tol, bounded.construction, bounded.spectrum, 3, bounded.expected_distinct
-        )
-        assert violated.render().splitlines()[2:] == ["  bound 2*t1 + t2 = 3: VIOLATED"]
+    def test_render_states_the_expected_count(self):
+        """render() prints the exact count a few-distinct construction
+        expects, with its verdict."""
         _, expected = few_distinct_construct(unbalanced_c4(), "K1")
         assert expected.render().splitlines()[2:] == ["  expected exactly 4: as expected"]
-        unexpected = DistinctReport(
-            expected.kind, expected.tol, expected.construction, expected.spectrum, expected.bound, 5
-        )
+        unexpected = DistinctReport(expected.kind, expected.tol, expected.construction, expected.spectrum, 5)
         assert unexpected.render().splitlines()[2:] == ["  expected exactly 5: UNEXPECTED"]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
-    @pytest.mark.parametrize(
-        "report",
-        [
-            lambda tol: distinct_count(unbalanced_c4(), ADJ, tol),
-            lambda tol: corona_distinct_report(unbalanced_c4(), edgeless(1), ADJ, tol),
-        ],
-        ids=["distinct_count", "corona_distinct_report"],
-    )
-    def test_tolerance_must_be_finite_and_positive(self, report, tol):
+    def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-            report(tol)
+            distinct_count(unbalanced_c4(), ADJ, tol)
 
 
 class TestFewDistinct:
@@ -686,10 +640,9 @@ class TestClosedFormPointChecks:
         return experiments._point_identity(s1, s2, kind, t, rows1, shift, reading["coeffs"], reading["lower"])
 
     def test_rows_never_solve_the_corona(self, monkeypatch):
-        # the six rows and 5.1 report what they report with every whole-graph
-        # eigensolve that experiments names refused, numeric_spectrum and the
-        # sym_eigenvalues of corona_distinct_report; 5.1 solves its two
-        # factors by _eigenvalues, M1 then M2, and no corona
+        # the six rows and 5.1 report what they report with numeric_spectrum,
+        # experiments' one route to a whole-graph eigensolve, refused; 5.1
+        # solves its two factors by _eigenvalues, M1 then M2, and no corona
         labels = (*CLOSED_FORM_ROWS, "5.1")
         expected = {label: verify_theorem(label, trials=5, seed=7) for label in labels}
 
@@ -702,14 +655,44 @@ class TestClosedFormPointChecks:
             solved.append(len(rows))
             return real(rows)
 
-        for name in ("numeric_spectrum", "sym_eigenvalues"):
-            monkeypatch.setattr(experiments, name, refused)
+        assert not hasattr(experiments, "sym_eigenvalues") and not hasattr(experiments, "Matrix")
+        monkeypatch.setattr(experiments, "numeric_spectrum", refused)
         monkeypatch.setattr(experiments, "_eigenvalues", counted)
         for label in labels:
             assert verify_theorem(label, trials=5, seed=7) == expected[label], label
         solved.clear()
         verify_theorem("5.1", trials=5, seed=7)
         assert solved == [n for s1, s2, *_ in self.cases("5.1", 7, 5, 5) for n in (s1.n, s2.n)]
+
+    @pytest.mark.parametrize(
+        "s1, s2, kind, bound, corona",
+        [
+            (unbalanced_c4(), edgeless(1), ADJ, 5, 4),
+            (complete_graph(2), path_graph(3), NET, 7, 5),
+            # 4.2's closed form holds at net degree 0: t1 = 3, t2 = 4
+            (alternating_cycle(4), unbalanced_c4(), NET, 10, 8),
+            # the all-positive 3-path is neither regular nor net-regular, but
+            # its Laplacian rows all sum to 0, which is all 3.3/3.4 need
+            (complete_graph(3), path_graph(3), LAP, 7, 6),
+            # C4- is not net-regular: no adjacency closed form, and no bound
+            (complete_graph(2), unbalanced_c4(), ADJ, 6, 8),
+        ],
+        ids=["c4minus-k1-adj", "k2-p3-netlap", "altc4-c4minus-netlap", "k3-p3-lap", "k2-c4minus-adj"],
+    )
+    def test_bound_row_on_fixed_pairs(self, s1, s2, kind, bound, corona):
+        # 5.1's check on the factors against the corona solved whole: the
+        # bound holds on each pair CLOSED_FORMS[kind] accepts; on the one it
+        # refuses the corona breaks it and the form's identity fails first
+        assert 2 * numeric_spectrum(s1, kind).distinct_count + numeric_spectrum(s2, kind).distinct_count == bound
+        assert numeric_spectrum(neighbourhood_corona(s1, s2), kind).distinct_count == corona
+        detail = experiments._check_bound((s1, s2, 987654321, kind), 1e-6)
+        if corona <= bound:
+            CLOSED_FORMS[kind](s1, s2, 1e-6)
+            assert detail is None
+        else:
+            with pytest.raises(ClosedFormError):
+                CLOSED_FORMS[kind](s1, s2, 1e-6)
+            assert detail.startswith("factored value ") and "!= determinant" in detail
 
     def test_points_come_from_their_own_stream(self):
         # a row's pairs are those its trial stream gave before the cases

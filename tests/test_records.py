@@ -53,7 +53,6 @@ RECORDS = {
         tol=1e-6,
         construction="C4- corona K1",
         spectrum=SpectrumMultiset(((-1.0, 1), (1.0, 2))),
-        bound=5,
         expected_distinct=4,
     ),
     CospectralCertificate: lambda: dict(
@@ -122,7 +121,7 @@ def test_fields_are_positional_in_order(cls):
         (
             DistinctReport,
             dict(kind=MatrixKind.ADJACENCY, tol=1e-6, construction="x", spectrum=SpectrumMultiset(())),
-            dict(bound=None, expected_distinct=None),
+            dict(expected_distinct=None),
         ),
         (TrialFailure, dict(trial=0, detail="boom"), dict(graphs={})),
         (

@@ -379,10 +379,11 @@ class TestCharpolyFactorisation:
 
         monkeypatch.setattr(experiments, "_corona_edges", corona)
         monkeypatch.setattr(experiments, "neighbourhood_corona", refused)
+        assert not hasattr(experiments, "Matrix")
         for module in (experiments, spectra):
             monkeypatch.setattr(module, "_triangle", counted_triangle)
             monkeypatch.setattr(module, "matrix_of", counted_matrix_of)
-            monkeypatch.setattr(module, "Matrix", refused)
+        monkeypatch.setattr(spectra, "Matrix", refused)
         for name in ("_pencil", "_int_rows", "_char_poly_int", "_char_poly_mod", "_det_int"):
             monkeypatch.setattr(linalg, name, refused)
         monkeypatch.setattr(spectra, "_det_int", refused)
