@@ -230,6 +230,7 @@ def few_distinct_construct(
     """Corona of a 2-distinct-adjacency-eigenvalue graph with a one- or
     two-vertex companion; the result should show exactly 4 (K1) or 5 (K2)
     distinct adjacency eigenvalues, and the report records whether it does."""
+    _check_tol(tol)
     if not isinstance(companion, str) or companion.upper() not in ("K1", "K2"):
         raise ValueError(f"companion must be K1 or K2, got {companion!r}")
     companion = companion.upper()

@@ -98,9 +98,19 @@ class TestDistinctReports:
         assert unexpected.render().splitlines()[2:] == ["  expected exactly 5: UNEXPECTED"]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
-    def test_tolerance_must_be_finite_and_positive(self, tol):
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda tol: distinct_count(unbalanced_c4(), ADJ, tol),
+            # a corona report: tol 0 would cluster the seed's eigenvalues apart
+            # and refuse it as "4 distinct", not name the tolerance
+            lambda tol: few_distinct_construct(unbalanced_c4(), "K1", 1, tol),
+        ],
+        ids=["distinct_count", "few_distinct_construct"],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, report, tol):
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-            distinct_count(unbalanced_c4(), ADJ, tol)
+            report(tol)
 
 
 class TestFewDistinct:
