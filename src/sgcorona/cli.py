@@ -32,6 +32,7 @@ from .spectra import (
     CLOSED_FORMS,
     ClosedFormError,
     MatrixKind,
+    corona_spectrum,
     matrix_of,
     numeric_spectrum,
     realize,
@@ -49,7 +50,10 @@ class UsageError(Exception):
 # 2.2-2.6 s by Lanczos on a 2-vCPU Intel Xeon guest under Python 3.11, near
 # the benchmark's reference speed; by Hessenberg reduction, which still
 # serves a block whose Lanczos falls back, it took 22-23 s there. The
-# Householder + QL eigensolver (cubic) takes 0.5 s there.
+# Householder + QL eigensolver (cubic) takes 0.5 s there. For `spectrum` of two
+# graphs the limit applies to the corona order n1*(n2 + 1) on both of
+# corona_spectrum's routes, though the n1 blocks of order n2 + 1 that it solves
+# when the first factor's matrix has a constant diagonal cost far less.
 MAX_DENSE_ORDER = 200
 
 # Largest corona, in vertices plus edges, that `corona` builds. On the same
@@ -181,11 +185,10 @@ def cmd_spectrum(args) -> int:
     graphs = [read_graph(path) for path in args.graphs]
     if len(graphs) == 1:
         _check_order(graphs[0].n)
-        target, label = graphs[0], "spectrum"
+        numeric, label = numeric_spectrum(graphs[0], kind, args.tol), "spectrum"
     else:
         _check_order(graphs[0].n * (graphs[1].n + 1))
-        target, label = neighbourhood_corona(graphs[0], graphs[1]), "corona spectrum"
-    numeric = numeric_spectrum(target, kind, args.tol)
+        numeric, label = corona_spectrum(graphs[0], graphs[1], kind, args.tol), "corona spectrum"
     doc = {"kind": kind.value, "numeric": numeric.to_json()}
     lines = [f"{label} ({kind.value}): {numeric}"]
     agree = None

@@ -895,7 +895,8 @@ def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
 
     The sorted eigenvalues are checked against the trace and then clustered
     into multiplicities with an absolute tolerance scaled by the spectral
-    radius.  Order 0 has no classes and no blocks: the empty multiset.
+    radius (_trace_checked).  Order 0 has no classes and no blocks: the
+    empty multiset.
     """
     m.require_square("sym_eigenvalues")
     rows = m._rows
@@ -924,7 +925,13 @@ def sym_eigenvalues(m: Matrix, cluster_tol: float = 1e-6) -> SpectrumMultiset:
             for i, d in enumerate(diag):
                 a[i][i] = float(d)
         eigs += _ql_implicit(*_tridiagonalize(a))
-    trace0 = sum(float(rows[i][i]) for i in range(n))
+    return _trace_checked(eigs, sum(float(rows[i][i]) for i in range(n)), cluster_tol)
+
+
+def _trace_checked(eigs: list[float], trace0: float, cluster_tol: float) -> SpectrumMultiset:
+    """All eigenvalues of a matrix with trace trace0, sorted, checked against
+    that trace and then clustered: the one trace guard, which
+    sym_eigenvalues and spectra.corona_spectrum share."""
     eigs.sort()
     if not abs(sum(eigs) - trace0) <= 1e-8 * (1.0 + abs(trace0)):  # NaN fails too
         raise ArithmeticError("eigenvalue sum drifted away from the trace")

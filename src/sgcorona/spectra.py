@@ -11,13 +11,16 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .graphs import Edge, GraphError, SignedGraph, complete_bipartite
+from .graphs import Edge, GraphError, SignedGraph, complete_bipartite, neighbourhood_corona
 from .linalg import (
     Matrix,
     SpectrumMultiset,
     _det_int,
     _point,
+    _ql_implicit,
+    _trace_checked,
     _triangle,
+    _tridiagonalize,
     format_poly,
     real_roots_cubic,
     real_roots_quadratic,
@@ -82,6 +85,42 @@ def matrix_of(s: SignedGraph, kind: MatrixKind) -> Matrix:
 def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> SpectrumMultiset:
     """Numeric eigenvalue multiset of the chosen matrix; empty for order 0."""
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
+
+
+def corona_spectrum(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> SpectrumMultiset:
+    """numeric_spectrum of the corona of s1 with s2, solved as n1 blocks of
+    order n2 + 1 when M1, s1's `kind` matrix, has a constant diagonal delta:
+    always for the adjacency, for a regular s1 under the Laplacian and a
+    net-regular one under the net-Laplacian.  Otherwise the corona is built
+    and solved whole.
+
+    With c = +1 for the adjacency and -1 for both Laplacians, the corona's
+    matrix is [[M1 + n2*delta*I, c*A1 (x) 1^T], [c*A1 (x) 1, I (x) (M2 +
+    delta*I)]].  For an A1-eigenvector x of eigenvalue lam it maps the
+    subspace {(alpha*x, x (x) y)} into itself, acting there as
+    B(lam) = [[(1 + n2)*delta + c*lam, c*lam*1^T], [c*lam*1, M2 + delta*I]]
+    (the coronal block structure of McLeman and McNicholas, Linear Algebra
+    Appl. 435, 2011), so lam of multiplicity m adds B(lam)'s eigenvalues m
+    times.  A1's eigenvalues are taken unclustered (tol 0 merges only equal
+    floats), so no tolerance decides which blocks are solved.
+    """
+    if s1.n < 1:
+        raise GraphError("corona needs a non-empty first factor")
+    m2 = matrix_of(s2, kind)._rows
+    c, delta = 1, 0
+    if kind is not MatrixKind.ADJACENCY:
+        c, delta = -1, s1.regularity() if kind is MatrixKind.LAPLACIAN else s1.net_regularity()
+    if delta is None:
+        return numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
+    n2 = s2.n
+    lower = [[float(x + delta * (i == j)) for j, x in enumerate(row)] for i, row in enumerate(m2)]
+    eigs: list[float] = []
+    for lam, m in numeric_spectrum(s1, MatrixKind.ADJACENCY, 0.0).pairs:
+        y = c * lam
+        block = [[(1 + n2) * delta + y] + [y] * n2] + [[y] + row for row in lower]
+        eigs += _ql_implicit(*_tridiagonalize(block)) * m
+    trace = s1.n * ((1 + 2 * n2) * delta + sum(m2[i][i] for i in range(n2)))
+    return _trace_checked(eigs, float(trace), tol)
 
 
 def _quadratic_triangle(rows, alpha: int, beta: int, gamma: int) -> list[list[int]]:

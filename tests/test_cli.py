@@ -159,6 +159,18 @@ class TestSpectrum:
         assert code == 0
         assert out.endswith("closed form unavailable: second factor must be non-empty\n")
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("kind", ["adj", "lap", "netlap"])
+    def test_empty_first_factor_refused(self, capsys, tmp_path, k2_file, kind, fmt):
+        # the adjacency blocks read no first-factor matrix, so the refusal
+        # must come before them, in every kind
+        empty = tmp_path / "empty.sg"
+        empty.write_text("0\n")
+        code, out, err = run(capsys, "spectrum", str(empty), k2_file, "--kind", kind, *fmt)
+        assert code == 2
+        assert not out
+        assert err == "error: corona needs a non-empty first factor\n"
+
     @pytest.mark.parametrize(
         "first, kind, quadratic",
         [("K2", "adj", "-3 + 0*t + 1*t^2"), ("K1", "lap", "0 + 0*t + 1*t^2")],
@@ -216,7 +228,7 @@ class TestSpectrum:
         for argv in runs:
             code, out, err = run(capsys, *(str(tmp_path / f"{a}.sg") if a in texts else a for a in argv))
             digest.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
-        assert digest.hexdigest() == "753c8543a4d6e7ed1665a54d92b019b3a071952d14817da46c3bd6261288bda2"
+        assert digest.hexdigest() == "136dc316687017f9f7536f0c0921d522932e5a1f89f068e2184b69a401310d31"
 
     def test_raw_json_floats_are_pinned(self, capsys, tmp_path):
         # the --json of spectrum --closed-form, distinct and paper-example as
@@ -238,7 +250,7 @@ class TestSpectrum:
         for argv in runs:
             code, out, _ = run(capsys, *(str(tmp_path / f"{a}.sg") if a in texts else a for a in argv))
             digest.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
-        assert digest.hexdigest() == "be7b3cd3e557c77e394cec95236548dfe18176117d403d43aa4d0357aaeb1d8f"
+        assert digest.hexdigest() == "c0ad830525491368f9229fb4ab2492a2ce1f751d075557fae4537cd91f572657"
 
     def test_three_graphs_refused(self, capsys, c4m_file, k2_file):
         code, out, err = run(capsys, "spectrum", c4m_file, k2_file, c4m_file)

@@ -15,6 +15,7 @@ from sgcorona import (
     Polynomial,
     SignedGraph,
     SpectrumMultiset,
+    alternating_cycle,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
     closed_form_laplacian,
@@ -22,6 +23,7 @@ from sgcorona import (
     complete_bipartite,
     complete_graph,
     corona_adjacency_charpoly_eval,
+    corona_spectrum,
     cycle_graph,
     det_exact_at,
     distinct_count,
@@ -41,7 +43,15 @@ from sgcorona import (
     unbalanced_c4,
 )
 from sgcorona import experiments, linalg
-from sgcorona.experiments import THEOREMS, _points, random_connected_signed, random_signed_graph, verify_theorem
+from sgcorona.experiments import (
+    THEOREMS,
+    _points,
+    random_connected_signed,
+    random_net_regular,
+    random_regular_signed,
+    random_signed_graph,
+    verify_theorem,
+)
 from sgcorona.graphs import _corona_edges
 from sgcorona.linalg import _det_int, _det_mod, _pencil
 from sgcorona.spectra import MatrixKind, _two_root_form
@@ -98,7 +108,11 @@ class TestMatrixOf:
             MatrixKind("spectral")
 
     @pytest.mark.parametrize("kind", ["adj", "lap", None, 0])
-    @pytest.mark.parametrize("call", [matrix_of, numeric_spectrum, distinct_count])
+    @pytest.mark.parametrize(
+        "call",
+        [matrix_of, numeric_spectrum, distinct_count,
+         pytest.param(lambda s, kind: corona_spectrum(s, s, kind), id="corona_spectrum")],
+    )
     def test_kind_that_is_no_matrix_kind_refused(self, call, kind):
         # kind names are for the command line; the library takes MatrixKind
         with pytest.raises(ValueError, match=re.escape(f"matrix kind must be a MatrixKind, got {kind!r}")):
@@ -124,6 +138,77 @@ class TestNumericSpectrum:
         for _ in range(10):
             g = random_signed_graph(rng, rng.randint(1, 6))
             assert det_exact_at(matrix_of(g, NET), 0) == 0
+
+
+def corona_spectrum_pairs():
+    """(s1, s2, kind) on which corona_spectrum takes its blocks: sampled
+    pairs in every kind (a regular s1 under the Laplacian, a net-regular one
+    under the net-Laplacian), and the edge cases by name."""
+    rng = random.Random(47)
+    first = {ADJ: lambda: random_signed_graph(rng, rng.randint(1, 6)),
+             LAP: lambda: random_regular_signed(rng, 6), NET: lambda: random_net_regular(rng, 6)}
+    cases = [(first[kind](), random_signed_graph(rng, rng.randint(0, 6)), kind) for kind in first for _ in range(25)]
+    special = [edgeless(1), edgeless(4), complete_graph(4), complete_graph(5, -1), unbalanced_c4(), cycle_graph(6)]
+    seconds = [edgeless(0), complete_graph(1), complete_graph(4, -1), cycle_graph(5, -1), unbalanced_c4()]
+    cases += [(s1, s2, kind) for s1 in special for s2 in seconds for kind in MatrixKind]
+    return cases
+
+
+class TestCoronaSpectrum:
+    """corona_spectrum against the corona built and solved whole, and
+    against numpy's eigvalsh of its matrix."""
+
+    def test_blocks_match_the_whole_corona(self):
+        np = pytest.importorskip("numpy")
+        blocks = 0
+        for s1, s2, kind in corona_spectrum_pairs():
+            corona = neighbourhood_corona(s1, s2)
+            got = corona_spectrum(s1, s2, kind, 0.0).values()
+            whole = numeric_spectrum(corona, kind, 0.0).values()
+            ref = np.linalg.eigvalsh(np.array(matrix_of(corona, kind)._rows, dtype=float))
+            gap = 1e-13 * (1 + max(abs(ref)))
+            assert len(got) == len(whole) == corona.n, (s1, s2, kind)
+            assert max(abs(got - ref)) <= gap and max(abs(got - np.array(whole))) <= gap, (s1, s2, kind)
+            regular = {ADJ: 0, LAP: s1.regularity(), NET: s1.net_regularity()}[kind]
+            blocks += regular is not None
+        assert blocks >= 150  # every sampled pair and most named ones take the blocks
+
+    @pytest.mark.parametrize("kind", [LAP, NET])
+    def test_fallback_is_the_whole_corona(self, kind):
+        # an s1 with no constant diagonal in this kind: path_graph(3) is not
+        # regular, and the unbalanced 4-cycle is regular but not net-regular
+        rng = random.Random(48)
+        firsts = [path_graph(3), star_graph(3)] + ([unbalanced_c4()] if kind is NET else [])
+        for s1 in firsts:
+            for s2 in (edgeless(0), complete_graph(2), random_signed_graph(rng, 5)):
+                for tol in (0.0, 1e-6):
+                    want = numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
+                    assert corona_spectrum(s1, s2, kind, tol).pairs == want.pairs
+
+    def test_no_corona_sized_matrix_is_solved(self, monkeypatch):
+        """On an s1 that is regular and net-regular every eigenproblem has
+        order at most max(n1, n2 + 1); an irregular s1 under the Laplacian,
+        the control, solves the corona whole."""
+        orders = []
+
+        def spy(real, order):
+            def wrapped(a, *args, **kwargs):
+                orders.append(order(a))
+                return real(a, *args, **kwargs)
+            return wrapped
+
+        for module in (linalg, spectra):
+            monkeypatch.setattr(module, "_tridiagonalize", spy(linalg._tridiagonalize, len))
+        monkeypatch.setattr(spectra, "sym_eigenvalues", spy(linalg.sym_eigenvalues, lambda m: m.rows))
+        s2 = random_signed_graph(random.Random(49), 6)
+        for s1 in (cycle_graph(8), complete_graph(5, -1), alternating_cycle(6)):
+            for kind in MatrixKind:
+                orders.clear()
+                corona_spectrum(s1, s2, kind)
+                assert orders and max(orders) <= max(s1.n, s2.n + 1), (s1, kind, orders)
+        orders.clear()
+        corona_spectrum(path_graph(4), s2, LAP)
+        assert max(orders) == 4 * 7
 
 
 # The corona's matrix assembled from blocks: an oracle for neighbourhood_corona
