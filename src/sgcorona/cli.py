@@ -51,9 +51,10 @@ class UsageError(Exception):
 # the benchmark's reference speed; by Hessenberg reduction, which still
 # serves a block whose Lanczos falls back, it took 22-23 s there. The
 # Householder + QL eigensolver (cubic) takes 0.5 s there. For `spectrum` of two
-# graphs the limit applies to the corona order n1*(n2 + 1) on both of
-# corona_spectrum's routes, though the n1 blocks of order n2 + 1 that it solves
-# when the first factor's matrix has a constant diagonal cost far less.
+# graphs the limit applies to the corona order n1*(n2 + 1) on every one of
+# corona_spectrum's routes, though the factor-sized ones it takes when the first
+# factor's matrix has a constant diagonal (one 2x2 quotient or one block of
+# order n2 + 1 per eigenvalue of that matrix) cost far less.
 MAX_DENSE_ORDER = 200
 
 # Largest corona, in vertices plus edges, that `corona` builds. On the same

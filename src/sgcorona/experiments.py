@@ -3,7 +3,6 @@ cospectral corona certificates, and the published 12-vertex worked example."""
 
 from __future__ import annotations
 
-import math
 import random
 from functools import partial
 from itertools import combinations
@@ -28,14 +27,14 @@ from .graphs import (
     unbalanced_c4,
 )
 from .linalg import (
-    _PRIME_LADDER, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _eig2, _fmt, _ql_implicit, _triangle,
-    _tridiagonalize, char_poly_exact, spectra_equal,
+    _PRIME_LADDER, Polynomial, SpectrumMultiset, _check_tol, _det_mod, _fmt, _triangle, char_poly_exact, spectra_equal,
 )
 from .spectra import (
     CLOSED_FORMS,
     ClosedFormError,
     MatrixKind,
     _cubic_coeffs,
+    _eigenvalues,
     _factored_side,
     _matrix_rows,
     _nonzeros,
@@ -43,6 +42,7 @@ from .spectra import (
     _two_root_coeffs,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
+    corona_spectrum,
     matrix_of,
     numeric_spectrum,
     realize,
@@ -247,7 +247,7 @@ def few_distinct_construct(
         kind=MatrixKind.ADJACENCY,
         tol=tol,
         construction=f"corona of 2-eigenvalue seed on {s.n} vertices with {companion}{sign_txt}",
-        spectrum=numeric_spectrum(corona, MatrixKind.ADJACENCY, tol),
+        spectrum=corona_spectrum(s, comp, MatrixKind.ADJACENCY, tol),
         expected_distinct=expected,
     )
     return corona, report
@@ -465,7 +465,7 @@ def paper_example(tol: float = 1e-6) -> PaperExampleReport:
     s2 = complete_graph(2)
     corona = neighbourhood_corona(s1, s2)
     cp = char_poly_exact(matrix_of(corona, MatrixKind.ADJACENCY))
-    numeric = numeric_spectrum(corona, MatrixKind.ADJACENCY, tol)
+    numeric = corona_spectrum(s1, s2, MatrixKind.ADJACENCY, tol)
     cf = closed_form_adjacency(s1, s2, tol)
     agrees = spectra_equal(realize(cf, tol), numeric, tol)
     published = published_example_values()
@@ -611,57 +611,6 @@ def _check_factorisation(case, tol):
         return f"factored value {lhs} != determinant {rhs} at t0={t} mod {p}"
 
 
-def _eigenvalues(rows) -> list[float]:
-    """The eigenvalues of a symmetric matrix given as rows, by Householder
-    and QL on the whole matrix: no twin split, so the factor oracle shares
-    no path with the closed forms' numeric_spectrum."""
-    return _ql_implicit(*_tridiagonalize([[float(x) for x in row] for row in rows]))
-
-
-def _two_root_parts(n2: int, shift: int, k: int):
-    """(coeffs, roots, block, lower) of the two-root form with these n2, shift
-    and row sum k of M2 (spectra._two_root_form): the coefficients of each
-    M1-eigenvalue mu's quadratic, from the form's own source; the
-    eigenvalues, by _eig2, of the symmetric 2x2 quotient
-    [[mu + n2*s, sqrt(n2)*(s - mu)], [sqrt(n2)*(s - mu), s + k]] whose char
-    poly that quadratic claims to be; and the eigenvalue and ascending char
-    poly of its M2 block, the copy of s + k that M2 + s*I gives up."""
-    r = math.sqrt(n2)
-
-    def roots(mu: float) -> tuple[float, float]:
-        return _eig2(mu + n2 * shift, r * (shift - mu), float(shift + k))
-
-    return partial(_two_root_coeffs, n2=n2, shift=shift, k=k), roots, [float(shift + k)], (-shift - k, 1)
-
-
-def _cubic_parts(p: int, q: int, sign: int):
-    """(coeffs, roots, block, lower) of the 2.4/2.5 cubic on parts p != q
-    (spectra.closed_form_adjacency_kpq), as for _two_root_parts: the
-    eigenvalues of the 3x3 quotient [[h, h*sqrt(p), h*sqrt(q)],
-    [h*sqrt(p), 0, sign*sqrt(p*q)], [h*sqrt(q), sign*sqrt(p*q), 0]] of the
-    docstring there, and +-sqrt(p*q) and t^2 - p*q, the eigenvalues and char
-    poly of its K_{p,q} block."""
-    rp, rq, c = math.sqrt(p), math.sqrt(q), sign * math.sqrt(p * q)
-
-    def roots(h: float) -> list[float]:
-        return _eigenvalues([[h, h * rp, h * rq], [h * rp, 0.0, c], [h * rq, c, 0.0]])
-
-    return partial(_cubic_coeffs, p=p, q=q, sign=sign), roots, [-abs(c), abs(c)], (-p * q, 0, 1)
-
-
-def _factor_oracle(e1: list[float], e2: list[float], shift: int, roots, block, tol: float) -> SpectrumMultiset:
-    """The corona's spectrum from its factors' alone, e1 and e2 the
-    eigenvalues of M1 and M2 (_eigenvalues): roots(mu) for each mu in e1,
-    and n1 = len(e1) times the values of e2 plus shift, less the nearest one
-    to each value of block.  The closed-form rows compare it with the
-    realised form, and 5.1 counts its distinct values."""
-    values = [v for mu in e1 for v in roots(mu)]
-    rest = [v + shift for v in e2]
-    for v in block:
-        rest.remove(min(rest, key=lambda x: abs(x - v)))
-    return SpectrumMultiset.from_values(values + rest * len(e1), tol)
-
-
 def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, coeffs, lower) -> str | None:
     """The closed form's identity at the point t of GF(p), p = 2^127 - 1:
     det(tI - M) * L(t)^n1 = det(T(t)) * det((t - shift)I - M2)^n1, M the
@@ -712,17 +661,21 @@ def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, coeffs,
 
 
 def _form(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, sign: int | None = None):
-    """(rows1, rows2, shift, coeffs, roots, block, lower) of a closed-form case:
-    the factors' `kind` matrices as rows and the parts of its form, the
-    two-root one (_two_root_parts) with the shift read from M1's constant
-    diagonal and k from M2's constant row sum, or, for a kpq row (sign set)
-    with parts p != q, the cubic (_cubic_parts)."""
-    rows1, rows2 = _matrix_rows(s1.n, s1.edges, kind), _matrix_rows(s2.n, s2.edges, kind)
+    """(rows1, shift, coeffs, lower) of a closed-form case for _point_identity:
+    M1, the first factor's `kind` matrix, as rows, the shift read from its
+    constant diagonal, and the form's coefficient source with the ascending
+    char poly of the M2 block it gives up: the two-root form with k read
+    from M2's constant row sum (the copy of shift + k), or, for a kpq row
+    (sign set) with parts p != q, the cubic (t^2 - p*q, the eigenvalues
+    +-sqrt(p*q) of K_{p,q})."""
+    rows1 = _matrix_rows(s1.n, s1.edges, kind)
     shift = rows1[0][0]
     q = s2.degrees().degree[0] if sign else None  # vertex 0 lies in the part of size p
     if q is not None and 2 * q != s2.n:
-        return (rows1, rows2, shift, *_cubic_parts(s2.n - q, q, sign))
-    return (rows1, rows2, shift, *_two_root_parts(s2.n, shift, sum(rows2[0])))
+        p = s2.n - q
+        return rows1, shift, partial(_cubic_coeffs, p=p, q=q, sign=sign), (-p * q, 0, 1)
+    k = sum(_matrix_rows(s2.n, s2.edges, kind)[0])
+    return rows1, shift, partial(_two_root_coeffs, n2=s2.n, shift=shift, k=k), (-shift - k, 1)
 
 
 def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = None):
@@ -732,9 +685,9 @@ def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = No
     factors fails the trial, and so does any other ValueError of the closed
     form or of its realisation (a wrong formula, such as K_{p,p} sent to the
     cubic).  Then two checks that never solve the corona: the realised form
-    against the factor oracle (_factor_oracle) on the eigenvalues of M1 and
-    M2 (_eigenvalues) at tol, and the identity at t (_point_identity), both
-    on the case's form (_form); 5.1 (_check_bound) shares both."""
+    against the corona's spectrum from its factors (corona_spectrum) at tol,
+    and the identity at t (_point_identity) on the case's form (_form); 5.1
+    (_check_bound) shares both."""
 
     def check(case, tol):
         s1, s2, t = case
@@ -744,11 +697,10 @@ def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = No
             return f"closed form refused the factors: {exc}"
         except ValueError as exc:
             return f"check raised {type(exc).__name__}: {exc}"
-        rows1, rows2, shift, coeffs, roots, block, lower = _form(s1, s2, kind, sign)
-        oracle = _factor_oracle(_eigenvalues(rows1), _eigenvalues(rows2), shift, roots, block, tol)
+        oracle = corona_spectrum(s1, s2, kind, tol)
         if not spectra_equal(realized, oracle, tol):
             return f"closed form {realized} differs from oracle {oracle}"
-        return _point_identity(s1, s2, kind, t, rows1, shift, coeffs, lower)
+        return _point_identity(s1, s2, kind, t, *_form(s1, s2, kind, sign))
 
     return check
 
@@ -782,18 +734,19 @@ def _bound_cases(rng, trials, max_n, points):
 def _check_bound(case, tol):
     """Theorem 5.1 on a case (s1, s2, t, kind), from the factors alone: the
     closed form's identity at t (_point_identity on the case's form, _form),
-    which makes the corona's spectrum the factor oracle's, then the
-    oracle's distinct values against 2*t1 + t2, t1 and t2 the distinct
-    eigenvalues of M1 and M2 (_eigenvalues), every count clustered at tol.
-    No closed form is realised and no corona solved."""
+    which makes the corona's spectrum that of corona_spectrum, then its
+    distinct values against 2*t1 + t2, t1 and t2 the distinct eigenvalues of
+    M1 and M2 (_eigenvalues), every count clustered at tol.  No closed form
+    is realised and no corona solved."""
     s1, s2, t, kind = case
-    rows1, rows2, shift, coeffs, roots, block, lower = _form(s1, s2, kind)
-    detail = _point_identity(s1, s2, kind, t, rows1, shift, coeffs, lower)
+    detail = _point_identity(s1, s2, kind, t, *_form(s1, s2, kind))
     if detail is not None:
         return detail
-    e1, e2 = _eigenvalues(rows1), _eigenvalues(rows2)
-    distinct = _factor_oracle(e1, e2, shift, roots, block, tol).distinct_count
-    t1, t2 = (SpectrumMultiset.from_values(e, tol).distinct_count for e in (e1, e2))
+    distinct = corona_spectrum(s1, s2, kind, tol).distinct_count
+    t1, t2 = (
+        SpectrumMultiset.from_values(_eigenvalues(_matrix_rows(s.n, s.edges, kind)), tol).distinct_count
+        for s in (s1, s2)
+    )
     bound = 2 * t1 + t2
     if distinct > bound:
         return f"{distinct} distinct {kind.value} eigenvalues exceed bound {bound}"

@@ -6,6 +6,7 @@ K_{p,p}, and a cubic for 2.4/2.5 on K_{p,q} with p != q."""
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from collections.abc import Callable, Sequence
 from fractions import Fraction
@@ -16,6 +17,7 @@ from .linalg import (
     Matrix,
     SpectrumMultiset,
     _det_int,
+    _eig2,
     _point,
     _ql_implicit,
     _trace_checked,
@@ -87,39 +89,57 @@ def numeric_spectrum(s: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> Spe
     return sym_eigenvalues(matrix_of(s, kind), cluster_tol=tol)
 
 
-def corona_spectrum(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> SpectrumMultiset:
-    """numeric_spectrum of the corona of s1 with s2, solved as n1 blocks of
-    order n2 + 1 when M1, s1's `kind` matrix, has a constant diagonal delta:
-    always for the adjacency, for a regular s1 under the Laplacian and a
-    net-regular one under the net-Laplacian.  Otherwise the corona is built
-    and solved whole.
+def _eigenvalues(rows) -> list[float]:
+    """The eigenvalues of a symmetric matrix given as rows, unclustered, by
+    Householder and QL on the whole matrix: no twin split, so corona_spectrum
+    shares no path with the closed forms' numeric_spectrum."""
+    return _ql_implicit(*_tridiagonalize([[float(x) for x in row] for row in rows]))
 
-    With c = +1 for the adjacency and -1 for both Laplacians, the corona's
-    matrix is [[M1 + n2*delta*I, c*A1 (x) 1^T], [c*A1 (x) 1, I (x) (M2 +
-    delta*I)]].  For an A1-eigenvector x of eigenvalue lam it maps the
-    subspace {(alpha*x, x (x) y)} into itself, acting there as
-    B(lam) = [[(1 + n2)*delta + c*lam, c*lam*1^T], [c*lam*1, M2 + delta*I]]
-    (the coronal block structure of McLeman and McNicholas, Linear Algebra
-    Appl. 435, 2011), so lam of multiplicity m adds B(lam)'s eigenvalues m
-    times.  A1's eigenvalues are taken unclustered (tol 0 merges only equal
-    floats), so no tolerance decides which blocks are solved.
+
+def corona_spectrum(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: float = 1e-6) -> SpectrumMultiset:
+    """numeric_spectrum of the corona of s1 with s2, from the factors alone
+    when M1, s1's `kind` matrix, has a constant diagonal delta: always for the
+    adjacency, for a regular s1 under the Laplacian and a net-regular one
+    under the net-Laplacian.  Otherwise the corona is built and solved whole.
+
+    The corona's matrix is then [[M1 + n2*delta*I, (M1 - delta*I) (x) 1^T],
+    [(M1 - delta*I) (x) 1, I (x) (M2 + delta*I)]].  For an M1-eigenvector x
+    of eigenvalue mu it maps the subspace {(alpha*x, x (x) y)} into itself,
+    acting there as B(mu) = [[mu + n2*delta, (mu - delta)*1^T],
+    [(mu - delta)*1, M2 + delta*I]] (the coronal block structure of McLeman
+    and McNicholas, Linear Algebra Appl. 435, 2011), so the spectrum is that
+    of every B(mu), mu over M1's eigenvalues with repeats.  Where M2 has a
+    constant row sum k, as every closed form asks, alpha and the all-ones y
+    span the 2x2 quotient [[mu + n2*delta, sqrt(n2)*(delta - mu)],
+    [sqrt(n2)*(delta - mu), delta + k]], solved by _eig2, and the rest of
+    B(mu) is M2 + delta*I off the all-ones vector: M2's eigenvalues plus
+    delta, less the one nearest delta + k, the same for every mu.  Any other
+    B(mu) is solved whole.  M1's and M2's eigenvalues come from _eigenvalues,
+    unclustered, so no tolerance decides which blocks are solved, and
+    verify's closed-form rows take this as their float oracle.
     """
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
-    m2 = matrix_of(s2, kind)._rows
-    c, delta = 1, 0
-    if kind is not MatrixKind.ADJACENCY:
-        c, delta = -1, s1.regularity() if kind is MatrixKind.LAPLACIAN else s1.net_regularity()
-    if delta is None:
+    m1, m2 = matrix_of(s1, kind)._rows, matrix_of(s2, kind)._rows
+    diagonal = {row[i] for i, row in enumerate(m1)}
+    if len(diagonal) != 1:
         return numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
-    n2 = s2.n
-    lower = [[float(x + delta * (i == j)) for j, x in enumerate(row)] for i, row in enumerate(m2)]
-    eigs: list[float] = []
-    for lam, m in numeric_spectrum(s1, MatrixKind.ADJACENCY, 0.0).pairs:
-        y = c * lam
-        block = [[(1 + n2) * delta + y] + [y] * n2] + [[y] + row for row in lower]
-        eigs += _ql_implicit(*_tridiagonalize(block)) * m
-    trace = s1.n * ((1 + 2 * n2) * delta + sum(m2[i][i] for i in range(n2)))
+    (delta,), n1, n2 = diagonal, s1.n, s2.n
+    sums = {sum(row) for row in m2}
+    if len(sums) == 1:
+        top = float(delta + sums.pop())
+        r = math.sqrt(n2)
+        eigs = [v for mu in _eigenvalues(m1) for v in _eig2(mu + n2 * delta, r * (delta - mu), top)]
+        rest = [v + delta for v in _eigenvalues(m2)]
+        rest.remove(min(rest, key=lambda v: abs(v - top)))
+        eigs += rest * n1
+    else:
+        lower = [[float(x + delta * (i == j)) for j, x in enumerate(row)] for i, row in enumerate(m2)]
+        eigs = []
+        for mu in _eigenvalues(m1):
+            y = mu - delta
+            eigs += _ql_implicit(*_tridiagonalize([[mu + n2 * delta] + [y] * n2] + [[y] + row for row in lower]))
+    trace = n1 * ((1 + 2 * n2) * delta + sum(m2[i][i] for i in range(n2)))
     return _trace_checked(eigs, float(trace), tol)
 
 

@@ -228,7 +228,7 @@ class TestSpectrum:
         for argv in runs:
             code, out, err = run(capsys, *(str(tmp_path / f"{a}.sg") if a in texts else a for a in argv))
             digest.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
-        assert digest.hexdigest() == "136dc316687017f9f7536f0c0921d522932e5a1f89f068e2184b69a401310d31"
+        assert digest.hexdigest() == "1020e7a0cd6c6a0cc79944ede8224e6b28b161cece76f90a4fac83911b8174d9"
 
     def test_raw_json_floats_are_pinned(self, capsys, tmp_path):
         # the --json of spectrum --closed-form, distinct and paper-example as
@@ -250,7 +250,7 @@ class TestSpectrum:
         for argv in runs:
             code, out, _ = run(capsys, *(str(tmp_path / f"{a}.sg") if a in texts else a for a in argv))
             digest.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
-        assert digest.hexdigest() == "c0ad830525491368f9229fb4ab2492a2ce1f751d075557fae4537cd91f572657"
+        assert digest.hexdigest() == "e88b8c306fb007fa20bd7b136bc28cfdad44919ae6d1bfc2b0d4601ad36e4401"
 
     def test_three_graphs_refused(self, capsys, c4m_file, k2_file):
         code, out, err = run(capsys, "spectrum", c4m_file, k2_file, c4m_file)

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from sgcorona import (
     unbalanced_c4,
     verify_theorem,
 )
-from sgcorona import experiments, spectra
+from sgcorona import experiments, linalg, spectra
 from sgcorona.experiments import THEOREM_LABELS, DistinctReport
 from sgcorona.spectra import CLOSED_FORMS, ClosedFormError, MatrixKind
 
@@ -566,13 +567,13 @@ class TestVerify:
     @pytest.mark.parametrize("label, names", [("5.1", {"s1", "s2"}), ("5.2", {"seed"})])
     def test_kernel_fault_is_a_failed_trial(self, monkeypatch, label, names):
         # a fault of the eigensolver the row calls, _eigenvalues on 5.1's
-        # factors or numeric_spectrum (sym_eigenvalues' trace check) on 5.2's
-        # coronas, fails every trial, each dumping its graphs under the names
-        # the row's failures use
+        # factors or corona_spectrum (its trace check) on 5.2's coronas,
+        # fails every trial, each dumping its graphs under the names the
+        # row's failures use
         def drifted(*args):
             raise ArithmeticError("eigenvalue sum drifted away from the trace")
 
-        seam = {"5.1": "_eigenvalues", "5.2": "numeric_spectrum"}[label]
+        seam = {"5.1": "_eigenvalues", "5.2": "corona_spectrum"}[label]
         monkeypatch.setattr(experiments, seam, drifted)
         result = verify_theorem(label, trials=3, seed=0)
         assert result.passed == 0 and len(result.failures) == result.trials
@@ -645,34 +646,39 @@ class TestClosedFormPointChecks:
         # the row's identity on a case; reading replaces coeffs or lower
         kind, sign = CLOSED_FORM_ROWS[label]
         s1, s2, t = case
-        rows1, _, shift, coeffs, _, _, lower = experiments._form(s1, s2, kind, sign)
+        rows1, shift, coeffs, lower = experiments._form(s1, s2, kind, sign)
         reading = {"coeffs": coeffs, "lower": lower, **reading}
         return experiments._point_identity(s1, s2, kind, t, rows1, shift, reading["coeffs"], reading["lower"])
 
     def test_rows_never_solve_the_corona(self, monkeypatch):
         # the six rows and 5.1 report what they report with numeric_spectrum,
-        # experiments' one route to a whole-graph eigensolve, refused; 5.1
-        # solves its two factors by _eigenvalues, M1 then M2, and no corona
+        # experiments' one route to a whole-graph eigensolve, and the
+        # corona_spectrum fallback's corona refused; on every case, every
+        # matrix reduced to tridiagonal form, by corona_spectrum or by the
+        # closed form's twin split, has order at most max(n1, n2 + 1)
         labels = (*CLOSED_FORM_ROWS, "5.1")
         expected = {label: verify_theorem(label, trials=5, seed=7) for label in labels}
 
         def refused(*args):
             raise AssertionError("a verify row solved a graph's eigenproblem whole")
 
-        solved = []
+        orders = []
 
-        def counted(rows, real=experiments._eigenvalues):
-            solved.append(len(rows))
-            return real(rows)
+        def counted(a, real=linalg._tridiagonalize):
+            orders.append(len(a))
+            return real(a)
 
         assert not hasattr(experiments, "sym_eigenvalues") and not hasattr(experiments, "Matrix")
         monkeypatch.setattr(experiments, "numeric_spectrum", refused)
-        monkeypatch.setattr(experiments, "_eigenvalues", counted)
+        monkeypatch.setattr(spectra, "neighbourhood_corona", refused)
+        for module in (linalg, spectra):
+            monkeypatch.setattr(module, "_tridiagonalize", counted)
         for label in labels:
             assert verify_theorem(label, trials=5, seed=7) == expected[label], label
-        solved.clear()
-        verify_theorem("5.1", trials=5, seed=7)
-        assert solved == [n for s1, s2, *_ in self.cases("5.1", 7, 5, 5) for n in (s1.n, s2.n)]
+            for s1, s2, *rest in self.cases(label, 7, 5, 5):
+                orders.clear()
+                assert experiments.THEOREMS[label].check((s1, s2, *rest), 1e-6) is None
+                assert orders and max(orders) <= max(s1.n, s2.n + 1), (label, s1, s2, orders)
 
     @pytest.mark.parametrize(
         "s1, s2, kind, bound, corona",
@@ -728,7 +734,7 @@ class TestClosedFormPointChecks:
         for seed in (0, 1):
             for case in self.cases(label, seed, 10, max_n):
                 assert self.identity(label, case) is None, (label, case)
-                coeffs = experiments._form(*case[:2], *CLOSED_FORM_ROWS[label])[3]
+                coeffs = experiments._form(*case[:2], *CLOSED_FORM_ROWS[label])[2]
                 forms.add(len(coeffs(0)))
         # 2.4 and 2.5 meet both forms: the cubic for p != q, the two-root one for p = q
         assert forms == ({3, 4} if CLOSED_FORM_ROWS[label][1] else {3})
@@ -759,10 +765,10 @@ class TestClosedFormPointChecks:
         for seed in range(4):
             for case in self.cases("3.3", seed, 25, 5):
                 s1, s2, _ = case
-                _, rows2, shift, *_ = experiments._form(s1, s2, LAP)
-                coeffs, _, _, lower = experiments._two_root_parts(s2.n, shift, 0)
-                k = sum(rows2[0])
-                assert (self.identity("3.3", case, coeffs=coeffs, lower=lower) is not None) == (k != 0)
+                _, shift, _, lower = experiments._form(s1, s2, LAP)
+                k = -lower[0] - shift  # lower is t - shift - k
+                coeffs = partial(spectra._two_root_coeffs, n2=s2.n, shift=shift, k=0)
+                assert (self.identity("3.3", case, coeffs=coeffs, lower=(-shift, 1)) is not None) == (k != 0)
                 outcomes.add(k != 0)
         assert outcomes == {False, True}
 

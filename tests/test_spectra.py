@@ -111,10 +111,15 @@ class TestMatrixOf:
     @pytest.mark.parametrize(
         "call",
         [matrix_of, numeric_spectrum, distinct_count,
-         pytest.param(lambda s, kind: corona_spectrum(s, s, kind), id="corona_spectrum")],
+         pytest.param(lambda s, kind: corona_spectrum(s, s, kind), id="corona_spectrum"),
+         pytest.param(lambda s, kind: corona_spectrum(complete_graph(3), complete_graph(3), kind),
+                      id="corona_spectrum-k3")],
     )
     def test_kind_that_is_no_matrix_kind_refused(self, call, kind):
-        # kind names are for the command line; the library takes MatrixKind
+        # kind names are for the command line; the library takes MatrixKind.
+        # The all-positive K3 has a constant diagonal and row sum under
+        # every kind, so a corona_spectrum that read its factors' matrices
+        # without the check would return a spectrum rather than fall back
         with pytest.raises(ValueError, match=re.escape(f"matrix kind must be a MatrixKind, got {kind!r}")):
             call(unbalanced_c4(), kind)
 
@@ -160,7 +165,7 @@ class TestCoronaSpectrum:
 
     def test_blocks_match_the_whole_corona(self):
         np = pytest.importorskip("numpy")
-        blocks = 0
+        factored = 0
         for s1, s2, kind in corona_spectrum_pairs():
             corona = neighbourhood_corona(s1, s2)
             got = corona_spectrum(s1, s2, kind, 0.0).values()
@@ -170,8 +175,73 @@ class TestCoronaSpectrum:
             assert len(got) == len(whole) == corona.n, (s1, s2, kind)
             assert max(abs(got - ref)) <= gap and max(abs(got - np.array(whole))) <= gap, (s1, s2, kind)
             regular = {ADJ: 0, LAP: s1.regularity(), NET: s1.net_regularity()}[kind]
-            blocks += regular is not None
-        assert blocks >= 150  # every sampled pair and most named ones take the blocks
+            factored += regular is not None
+        assert factored >= 150  # every sampled pair and most named ones skip the fallback
+
+    def test_quotient_matches_the_blocks_and_the_whole_corona(self):
+        # second factors with a constant row sum k in the pair's kind take
+        # the 2x2 quotients: they agree with every B(mu) and with the corona
+        # solved whole by numpy, and with numeric_spectrum of the corona.
+        # K1, the edgeless S2 (k = 0 in every kind), the alternating C4
+        # (k = 0 under the adjacency) and sampled net-regular factors, which
+        # are regular as well
+        np = pytest.importorskip("numpy")
+        rng = random.Random(50)
+        first = {ADJ: lambda: random_signed_graph(rng, rng.randint(1, 6)),
+                 LAP: lambda: random_regular_signed(rng, 6), NET: lambda: random_net_regular(rng, 6)}
+        row_sums = set()
+        for kind in MatrixKind:
+            for s2 in [edgeless(1), edgeless(3), alternating_cycle(4)] + [random_net_regular(rng, 6) for _ in range(8)]:
+                s1 = first[kind]()
+                m1, m2 = (np.array(matrix_of(s, kind)._rows, dtype=float) for s in (s1, s2))
+                (delta,), (k,), n2 = set(np.diag(m1)), set(m2.sum(axis=1)), s2.n
+                row_sums.add(k)
+                blocks = np.sort(np.concatenate([
+                    np.linalg.eigvalsh(np.block([[np.array([[mu + n2 * delta]]), np.full((1, n2), mu - delta)],
+                                                 [np.full((n2, 1), mu - delta), m2 + delta * np.eye(n2)]]))
+                    for mu in np.linalg.eigvalsh(m1)
+                ]))
+                corona = neighbourhood_corona(s1, s2)
+                whole = np.linalg.eigvalsh(np.array(matrix_of(corona, kind)._rows, dtype=float))
+                got = np.array(corona_spectrum(s1, s2, kind, 0.0).values())
+                gap = 1e-13 * (1 + max(abs(whole)))
+                assert len(got) == corona.n, (s1, s2, kind)
+                assert max(abs(got - blocks)) <= gap and max(abs(got - whole)) <= gap, (s1, s2, kind)
+                assert max(abs(got - numeric_spectrum(corona, kind, 0.0).values())) <= gap, (s1, s2, kind)
+        assert 0 in row_sums and len(row_sums) > 3
+
+    def test_routes(self, monkeypatch):
+        """A constant row sum of M2 takes the quotients: only M1 and M2 are
+        reduced, nothing of order n2 + 1 or more beyond them, and _eig2
+        solves one 2x2 quotient per eigenvalue of M1.  K_{2,3}, whose
+        adjacency rows sum to 2 and 3, and the all-negative one under the
+        Laplacian (6 and 4) take n1 blocks of order n2 + 1 after M1."""
+        orders, quotients = [], []
+
+        def reduced(a, real=linalg._tridiagonalize):
+            orders.append(len(a))
+            return real(a)
+
+        def quotient(*args, real=linalg._eig2):
+            quotients.append(args)
+            return real(*args)
+
+        for module in (linalg, spectra):
+            monkeypatch.setattr(module, "_tridiagonalize", reduced)
+        monkeypatch.setattr(spectra, "_eig2", quotient)
+        k23 = complete_bipartite(2, 3)
+        quotient_cases = [(s2, kind) for s2 in (edgeless(1), cycle_graph(5, -1), complete_graph(3)) for kind in MatrixKind]
+        quotient_cases += [(k23, LAP), (k23, NET)]  # Laplacian rows of an all-positive graph sum to 0
+        block_cases = [(k23, ADJ), (complete_bipartite(2, 3, -1), ADJ), (complete_bipartite(2, 3, -1), LAP)]
+        for s1 in (cycle_graph(7), alternating_cycle(6), complete_graph(4, -1)):
+            for s2, kind in quotient_cases + block_cases:
+                orders.clear()
+                quotients.clear()
+                corona_spectrum(s1, s2, kind)
+                if (s2, kind) in quotient_cases:
+                    assert orders == [s1.n, s2.n] and len(quotients) == s1.n, (s1, s2, kind)
+                else:
+                    assert orders == [s1.n] + [s2.n + 1] * s1.n and not quotients, (s1, s2, kind)
 
     @pytest.mark.parametrize("kind", [LAP, NET])
     def test_fallback_is_the_whole_corona(self, kind):
