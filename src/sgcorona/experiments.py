@@ -33,13 +33,13 @@ from .spectra import (
     CLOSED_FORMS,
     ClosedFormError,
     MatrixKind,
-    _cubic_coeffs,
+    _block_spectrum,
     _eigenvalues,
     _factored_side,
+    _form,
     _matrix_rows,
     _nonzeros,
     _quadratic_triangle,
-    _two_root_coeffs,
     closed_form_adjacency,
     closed_form_adjacency_kpq,
     corona_spectrum,
@@ -621,7 +621,9 @@ def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, coeffs,
     A coefficient that is not an integer there, or a nonzero third
     difference, fails the case.  Both sides are polynomials in t of degree
     at most N + 2*n1 <= 208, N = n1*(n2+1), so a false identity passes with
-    probability at most 208/p < 2^-119 (Schwartz, JACM 27, 1980).
+    probability at most 208/p < 2^-119 (Schwartz, JACM 27, 1980).  Only
+    where S1 has no edge, M1 = shift*I, T(t) has L's roots whatever L is,
+    so there L must also vanish at an eigenvalue of M2 + shift*I.
 
     Each determinant is a _det_mod pair, the corona's triangle written from
     its edge list (_corona_edges, _nonzeros, _triangle) and M2's from its
@@ -658,24 +660,11 @@ def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, coeffs,
     if (dn * fd - fn * dd) % p:
         factored, value = fn * pow(fd, -1, p) % p, dn * pow(dd, -1, p) % p
         return f"factored value {factored} != determinant {value} at t0={t} mod {p}"
-
-
-def _form(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, sign: int | None = None):
-    """(rows1, shift, coeffs, lower) of a closed-form case for _point_identity:
-    M1, the first factor's `kind` matrix, as rows, the shift read from its
-    constant diagonal, and the form's coefficient source with the ascending
-    char poly of the M2 block it gives up: the two-root form with k read
-    from M2's constant row sum (the copy of shift + k), or, for a kpq row
-    (sign set) with parts p != q, the cubic (t^2 - p*q, the eigenvalues
-    +-sqrt(p*q) of K_{p,q})."""
-    rows1 = _matrix_rows(s1.n, s1.edges, kind)
-    shift = rows1[0][0]
-    q = s2.degrees().degree[0] if sign else None  # vertex 0 lies in the part of size p
-    if q is not None and 2 * q != s2.n:
-        p = s2.n - q
-        return rows1, shift, partial(_cubic_coeffs, p=p, q=q, sign=sign), (-p * q, 0, 1)
-    k = sum(_matrix_rows(s2.n, s2.edges, kind)[0])
-    return rows1, shift, partial(_two_root_coeffs, n2=s2.n, shift=shift, k=k), (-shift - k, 1)
+    if not s1.edges:
+        c0, c1, c2 = (*lower, 0)[:3]  # L(M2 + shift*I) = c0 + c1*shift + c2*shift^2 + (c1 + 2*c2*shift)*M2 + c2*M2^2
+        rows2 = _matrix_rows(n2, s2.edges, kind)
+        if det(_quadratic_triangle(rows2, c0 + (c1 + c2 * shift) * shift, c1 + 2 * c2 * shift, c2))[0] % p:
+            return f"no eigenvalue of M2 + {shift}*I is a root of the given-up char poly {list(lower)}"
 
 
 def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = None):
@@ -686,13 +675,14 @@ def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = No
     form or of its realisation (a wrong formula, such as K_{p,p} sent to the
     cubic).  Then two checks that never solve the corona: the realised form
     against the corona's spectrum from its factors (corona_spectrum) at tol,
-    and the identity at t (_point_identity) on the case's form (_form); 5.1
-    (_check_bound) shares both."""
+    and the identity at t (_point_identity) on the closed forms' reading,
+    _form; 5.1 (_check_bound) shares both."""
 
     def check(case, tol):
         s1, s2, t = case
         try:
             realized = realize((closed_form or CLOSED_FORMS[kind])(s1, s2, tol), tol)
+            reading = _form(s1, s2, kind, sign)
         except ClosedFormError as exc:
             return f"closed form refused the factors: {exc}"
         except ValueError as exc:
@@ -700,7 +690,7 @@ def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = No
         oracle = corona_spectrum(s1, s2, kind, tol)
         if not spectra_equal(realized, oracle, tol):
             return f"closed form {realized} differs from oracle {oracle}"
-        return _point_identity(s1, s2, kind, t, *_form(s1, s2, kind, sign))
+        return _point_identity(s1, s2, kind, t, *reading)
 
     return check
 
@@ -733,20 +723,23 @@ def _bound_cases(rng, trials, max_n, points):
 
 def _check_bound(case, tol):
     """Theorem 5.1 on a case (s1, s2, t, kind), from the factors alone: the
-    closed form's identity at t (_point_identity on the case's form, _form),
+    identity at t on the closed form's reading (_point_identity, _form),
     which makes the corona's spectrum that of corona_spectrum, then its
     distinct values against 2*t1 + t2, t1 and t2 the distinct eigenvalues of
-    M1 and M2 (_eigenvalues), every count clustered at tol.  No closed form
-    is realised and no corona solved."""
+    M1 and M2, all three counted at tol on one reduction of each factor
+    (_eigenvalues, _block_spectrum).  No closed form is realised."""
     s1, s2, t, kind = case
-    detail = _point_identity(s1, s2, kind, t, *_form(s1, s2, kind))
+    try:
+        rows1, shift, coeffs, lower = _form(s1, s2, kind)
+    except ClosedFormError as exc:
+        return f"closed form refused the factors: {exc}"
+    detail = _point_identity(s1, s2, kind, t, rows1, shift, coeffs, lower)
     if detail is not None:
         return detail
-    distinct = corona_spectrum(s1, s2, kind, tol).distinct_count
-    t1, t2 = (
-        SpectrumMultiset.from_values(_eigenvalues(_matrix_rows(s.n, s.edges, kind)), tol).distinct_count
-        for s in (s1, s2)
-    )
+    rows2 = _matrix_rows(s2.n, s2.edges, kind)
+    eigs1, eigs2 = _eigenvalues(rows1), _eigenvalues(rows2)
+    distinct = _block_spectrum(eigs1, rows2, shift, tol, eigs2).distinct_count
+    t1, t2 = (SpectrumMultiset.from_values(eigs, tol).distinct_count for eigs in (eigs1, eigs2))
     bound = 2 * t1 + t2
     if distinct > bound:
         return f"{distinct} distinct {kind.value} eigenvalues exceed bound {bound}"

@@ -1,7 +1,7 @@
 """Graph matrices, the corona characteristic-polynomial factorisation, and
 closed-form corona spectra with their numeric realisation: one two-root form
-with a (shift, k) pair per matrix kind for 2.3, 3.3/3.4, 4.2 and 2.4/2.5 on
-K_{p,p}, and a cubic for 2.4/2.5 on K_{p,q} with p != q."""
+at the (shift, k) that _form reads off the factors' matrices for 2.3,
+3.3/3.4, 4.2 and 2.4/2.5 on K_{p,p}, and a cubic for 2.4/2.5 on K_{p,q}."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import math
 import operator
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import partial
 
 from ._record import Record, set_field
 from .graphs import Edge, GraphError, SignedGraph, complete_bipartite, neighbourhood_corona
@@ -108,15 +109,10 @@ def corona_spectrum(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: flo
     acting there as B(mu) = [[mu + n2*delta, (mu - delta)*1^T],
     [(mu - delta)*1, M2 + delta*I]] (the coronal block structure of McLeman
     and McNicholas, Linear Algebra Appl. 435, 2011), so the spectrum is that
-    of every B(mu), mu over M1's eigenvalues with repeats.  Where M2 has a
-    constant row sum k, as every closed form asks, alpha and the all-ones y
-    span the 2x2 quotient [[mu + n2*delta, sqrt(n2)*(delta - mu)],
-    [sqrt(n2)*(delta - mu), delta + k]], solved by _eig2, and the rest of
-    B(mu) is M2 + delta*I off the all-ones vector: M2's eigenvalues plus
-    delta, less the one nearest delta + k, the same for every mu.  Any other
-    B(mu) is solved whole.  M1's and M2's eigenvalues come from _eigenvalues,
-    unclustered, so no tolerance decides which blocks are solved, and
-    verify's closed-form rows take this as their float oracle.
+    of every B(mu), mu over M1's eigenvalues with repeats (_block_spectrum).
+    M1's and M2's eigenvalues come from _eigenvalues, unclustered, so no
+    tolerance decides which blocks are solved.  As verify's float oracle it
+    reads delta and the row sums apart from the closed forms' _form.
     """
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
@@ -124,19 +120,30 @@ def corona_spectrum(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, tol: flo
     diagonal = {row[i] for i, row in enumerate(m1)}
     if len(diagonal) != 1:
         return numeric_spectrum(neighbourhood_corona(s1, s2), kind, tol)
-    (delta,), n1, n2 = diagonal, s1.n, s2.n
-    sums = {sum(row) for row in m2}
-    if len(sums) == 1:
-        top = float(delta + sums.pop())
+    constant = len({sum(row) for row in m2}) == 1
+    return _block_spectrum(_eigenvalues(m1), m2, diagonal.pop(), tol, _eigenvalues(m2) if constant else None)
+
+
+def _block_spectrum(eigs1: list[float], m2, delta: int, tol: float, eigs2: list[float] | None) -> SpectrumMultiset:
+    """corona_spectrum from M1's eigenvalues eigs1 (_eigenvalues), M2's rows
+    m2 and M1's diagonal delta.  Given M2's eigenvalues eigs2, which 5.1
+    counts too, every row of M2 sums to k: alpha and the all-ones y span
+    B(mu)'s 2x2 quotient [[mu + n2*delta, sqrt(n2)*(delta - mu)],
+    [sqrt(n2)*(delta - mu), delta + k]], solved by _eig2, and the rest of
+    B(mu) is M2 + delta*I off the all-ones vector: M2's eigenvalues plus
+    delta, less the one nearest delta + k.  Else each B(mu) is solved whole."""
+    n1, n2 = len(eigs1), len(m2)
+    if eigs2 is not None:
+        top = float(delta + sum(m2[0]))
         r = math.sqrt(n2)
-        eigs = [v for mu in _eigenvalues(m1) for v in _eig2(mu + n2 * delta, r * (delta - mu), top)]
-        rest = [v + delta for v in _eigenvalues(m2)]
+        eigs = [v for mu in eigs1 for v in _eig2(mu + n2 * delta, r * (delta - mu), top)]
+        rest = [v + delta for v in eigs2]
         rest.remove(min(rest, key=lambda v: abs(v - top)))
         eigs += rest * n1
     else:
         lower = [[float(x + delta * (i == j)) for j, x in enumerate(row)] for i, row in enumerate(m2)]
         eigs = []
-        for mu in _eigenvalues(m1):
+        for mu in eigs1:
             y = mu - delta
             eigs += _ql_implicit(*_tridiagonalize([[mu + n2 * delta] + [y] * n2] + [[y] + row for row in lower]))
     trace = n1 * ((1 + 2 * n2) * delta + sum(m2[i][i] for i in range(n2)))
@@ -298,19 +305,40 @@ def realize(cf: ClosedFormSpectrum, tol: float = 1e-6) -> SpectrumMultiset:
     return SpectrumMultiset.from_values(values, tol)
 
 
-def _require_factors(s1: SignedGraph, s2: SignedGraph) -> None:
-    """The checks every closed form makes before its own hypotheses.  An
-    empty S2 leaves the two-root form no copy of k to drop."""
+def _form(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, sign: int | None = None) -> tuple:
+    """The one reading of a closed form's hypotheses and parameters, which the
+    closed forms are built from and verify's identity checks: (rows1, shift,
+    coeffs, lower), M1 as rows, shift its constant diagonal, the form's
+    coefficient source, and the ascending char poly of the M2 block it gives
+    up: with M2's constant row sum k the two-root form and t - shift - k;
+    for a kpq row (sign set) on K_{p,q}, p != q, the cubic and t^2 - p*q.
+    ClosedFormError when M1's diagonal, or else M2's row sums, vary."""
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
-    if s2.n < 1:
+    if s2.n < 1:  # the two-root form would have no copy of k to drop
         raise ClosedFormError("second factor must be non-empty")
+    rows1 = _matrix_rows(s1.n, s1.edges, kind)
+    if len({row[i] for i, row in enumerate(rows1)}) != 1:  # an adjacency diagonal is 0
+        raise ClosedFormError(f"first factor must be {'degree' if kind is MatrixKind.LAPLACIAN else 'net'}-regular")
+    shift = rows1[0][0]
+    rows2 = _matrix_rows(s2.n, s2.edges, kind)
+    sums = {sum(row) for row in rows2}
+    if len(sums) == 1:
+        k = sums.pop()
+        return rows1, shift, partial(_two_root_coeffs, n2=s2.n, shift=shift, k=k), (-shift - k, 1)
+    if sign is None:  # a net-Laplacian row sums to 0
+        raise ClosedFormError(
+            "second factor must be net-regular" if kind is MatrixKind.ADJACENCY else
+            "second factor needs a constant Laplacian row sum (every vertex with the same negative degree)"
+        )
+    q = sign * sum(rows2[0])  # vertex 0 lies in the part of size p
+    p = s2.n - q
+    return rows1, shift, partial(_cubic_coeffs, p=p, q=q, sign=sign), (-p * q, 0, 1)
 
 
-def _two_root_form(
-    theorem: str, s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, shift: int, k: int, tol: float
-) -> ClosedFormSpectrum:
-    """The one closed form behind 2.3, 3.3/3.4, 4.2 and 2.4/2.5 on K_{p,p}.
+def _closed_form(theorem: str, s1, s2, kind: MatrixKind, tol: float, sign: int | None = None) -> ClosedFormSpectrum:
+    """The closed form of _form(s1, s2, kind, sign), labelled theorem: the one
+    two-root form behind 2.3, 3.3/3.4, 4.2 and 2.4/2.5 on K_{p,p}, or the cubic.
 
     With M1, M2 the factors' `kind` matrices, the corona's matrix is
     [[M1 + n2*shift*I, +-A1 (x) 1^T], [+-A1 (x) 1, I (x) (M2 + shift*I)]],
@@ -320,20 +348,26 @@ def _two_root_form(
     over shifted by shift, with multiplicity n1, and each M1-eigenvalue mu
     contributes the two roots of t^2 - b*t + c, the char poly of
     [[mu + n2*shift, n2*(shift - mu)], [shift - mu, shift + k]].  Nothing is
-    divided by shift, so shift = 0 needs no special case.
+    divided by shift, so shift = 0 needs no special case.  Under the cubic
+    (closed_form_adjacency_kpq) K_{p,q}'s n2 - 2 zeros carry over instead.
 
     The copy of k dropped is M2's unclustered eigenvalue nearest k (tol 0
     merges only equal floats); another one can be nearer only by rounding,
     and then the two are interchangeable.  The rest is clustered at tol
     afterwards, so no tolerance decides whether the form applies.
     """
+    _, shift, coeffs, lower = _form(s1, s2, kind, sign)
     n1, n2 = s1.n, s2.n
-    values = numeric_spectrum(s2, kind, 0.0).values()
-    values.remove(min(values, key=lambda v: abs(v - k)))
-    inherited = SpectrumMultiset.from_values(values, tol).pairs
-    entries = [ClosedFormEntry(multiplicity=m * n1, value=v + shift) for v, m in inherited]
+    if len(lower) == 2:
+        k = -shift - lower[0]  # lower is t - shift - k
+        values = numeric_spectrum(s2, kind, 0.0).values()
+        values.remove(min(values, key=lambda v: abs(v - k)))
+        inherited = [(v + shift, m) for v, m in SpectrumMultiset.from_values(values, tol).pairs]
+    else:
+        inherited = [(0.0, n2 - 2)]
+    entries = [ClosedFormEntry(multiplicity=m * n1, value=v) for v, m in inherited]
     for mu, m in numeric_spectrum(s1, kind, tol).pairs:
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=_two_root_coeffs(mu, n2, shift, k)))
+        entries.append(ClosedFormEntry(multiplicity=m, coeffs=coeffs(mu)))
     return ClosedFormSpectrum(theorem, n1 * (n2 + 1), tuple(entries))
 
 
@@ -350,11 +384,7 @@ def _two_root_coeffs(mu, n2: int, shift: int, k: int) -> tuple:
 def closed_form_adjacency(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:
     """Adjacency spectrum of the corona for a net-regular second factor
     (2.3): the two-root form at shift 0 and k = r2, the net degree of s2."""
-    _require_factors(s1, s2)
-    r2 = s2.net_regularity()
-    if r2 is None:
-        raise ClosedFormError("second factor must be net-regular")
-    return _two_root_form("2.3", s1, s2, MatrixKind.ADJACENCY, 0, r2, tol)
+    return _closed_form("2.3", s1, s2, MatrixKind.ADJACENCY, tol)
 
 
 def closed_form_adjacency_kpq(
@@ -381,15 +411,7 @@ def closed_form_adjacency_kpq(
     confirms; the published p*q*h*(2h-1) is refuted.
     """
     k = complete_bipartite(p, q, sign)  # the second factor's own gate on p, q and sign
-    _require_factors(s, k)
-    label = "2.4" if sign < 0 else "2.5"
-    if p == q:
-        return _two_root_form(label, s, k, MatrixKind.ADJACENCY, 0, sign * p, tol)
-    n = s.n
-    entries = [ClosedFormEntry(multiplicity=n * (p + q - 2), value=0.0)]
-    for h, m in numeric_spectrum(s, MatrixKind.ADJACENCY, tol).pairs:
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=_cubic_coeffs(h, p, q, sign)))
-    return ClosedFormSpectrum(label, n * (p + q + 1), tuple(entries))
+    return _closed_form("2.4" if sign < 0 else "2.5", s, k, MatrixKind.ADJACENCY, tol, sign)
 
 
 def _cubic_coeffs(h, p: int, q: int, sign: int) -> tuple:
@@ -411,20 +433,8 @@ def closed_form_laplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -
     takes k = 0 for any connected balanced second factor; the numeric oracle
     refutes that reading as soon as the factor has a negative edge.
     """
-    _require_factors(s1, s2)
-    r1 = s1.regularity()
-    if r1 is None:
-        raise ClosedFormError("first factor must be degree-regular")
-    neg = set(s2.degrees().neg_degree)
-    if len(neg) != 1:
-        raise ClosedFormError(
-            "second factor needs a constant Laplacian row sum "
-            "(every vertex with the same negative degree)"
-        )
-    k = 2 * neg.pop()
     # a regular s2 with a constant negative degree is net-regular as well
-    label = "3.3" if s2.regularity() is not None else "3.4"
-    return _two_root_form(label, s1, s2, MatrixKind.LAPLACIAN, r1, k, tol)
+    return _closed_form("3.3" if s2.regularity() is not None else "3.4", s1, s2, MatrixKind.LAPLACIAN, tol)
 
 
 def closed_form_netlaplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:
@@ -432,11 +442,7 @@ def closed_form_netlaplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6
     with net degree r (4.2): the two-root form at shift r and k = 0, since
     every net-Laplacian row sums to 0.  The paper asks for r != 0; the form
     holds at r = 0 as well."""
-    _require_factors(s1, s2)
-    r = s1.net_regularity()
-    if r is None:
-        raise ClosedFormError("first factor must be net-regular")
-    return _two_root_form("4.2", s1, s2, MatrixKind.NET_LAPLACIAN, r, 0, tol)
+    return _closed_form("4.2", s1, s2, MatrixKind.NET_LAPLACIAN, tol)
 
 
 # The closed form the paper gives for each matrix kind of the corona: 2.3,

@@ -646,7 +646,7 @@ class TestClosedFormPointChecks:
         # the row's identity on a case; reading replaces coeffs or lower
         kind, sign = CLOSED_FORM_ROWS[label]
         s1, s2, t = case
-        rows1, shift, coeffs, lower = experiments._form(s1, s2, kind, sign)
+        rows1, shift, coeffs, lower = spectra._form(s1, s2, kind, sign)
         reading = {"coeffs": coeffs, "lower": lower, **reading}
         return experiments._point_identity(s1, s2, kind, t, rows1, shift, reading["coeffs"], reading["lower"])
 
@@ -655,7 +655,9 @@ class TestClosedFormPointChecks:
         # experiments' one route to a whole-graph eigensolve, and the
         # corona_spectrum fallback's corona refused; on every case, every
         # matrix reduced to tridiagonal form, by corona_spectrum or by the
-        # closed form's twin split, has order at most max(n1, n2 + 1)
+        # closed form's twin split, has order at most max(n1, n2 + 1), and
+        # 5.1 takes t1, t2 and the corona's distinct count from one
+        # reduction of each factor, M1 then M2
         labels = (*CLOSED_FORM_ROWS, "5.1")
         expected = {label: verify_theorem(label, trials=5, seed=7) for label in labels}
 
@@ -679,6 +681,7 @@ class TestClosedFormPointChecks:
                 orders.clear()
                 assert experiments.THEOREMS[label].check((s1, s2, *rest), 1e-6) is None
                 assert orders and max(orders) <= max(s1.n, s2.n + 1), (label, s1, s2, orders)
+                assert label != "5.1" or orders == [s1.n, s2.n], (s1, s2, orders)
 
     @pytest.mark.parametrize(
         "s1, s2, kind, bound, corona",
@@ -698,7 +701,8 @@ class TestClosedFormPointChecks:
     def test_bound_row_on_fixed_pairs(self, s1, s2, kind, bound, corona):
         # 5.1's check on the factors against the corona solved whole: the
         # bound holds on each pair CLOSED_FORMS[kind] accepts; on the one it
-        # refuses the corona breaks it and the form's identity fails first
+        # refuses the corona breaks it, and 5.1 refuses it as the closed form
+        # does, through the same reading (spectra._form)
         assert 2 * numeric_spectrum(s1, kind).distinct_count + numeric_spectrum(s2, kind).distinct_count == bound
         assert numeric_spectrum(neighbourhood_corona(s1, s2), kind).distinct_count == corona
         detail = experiments._check_bound((s1, s2, 987654321, kind), 1e-6)
@@ -708,7 +712,7 @@ class TestClosedFormPointChecks:
         else:
             with pytest.raises(ClosedFormError):
                 CLOSED_FORMS[kind](s1, s2, 1e-6)
-            assert detail.startswith("factored value ") and "!= determinant" in detail
+            assert detail == "closed form refused the factors: second factor must be net-regular"
 
     def test_points_come_from_their_own_stream(self):
         # a row's pairs are those its trial stream gave before the cases
@@ -734,7 +738,7 @@ class TestClosedFormPointChecks:
         for seed in (0, 1):
             for case in self.cases(label, seed, 10, max_n):
                 assert self.identity(label, case) is None, (label, case)
-                coeffs = experiments._form(*case[:2], *CLOSED_FORM_ROWS[label])[2]
+                coeffs = spectra._form(*case[:2], *CLOSED_FORM_ROWS[label])[2]
                 forms.add(len(coeffs(0)))
         # 2.4 and 2.5 meet both forms: the cubic for p != q, the two-root one for p = q
         assert forms == ({3, 4} if CLOSED_FORM_ROWS[label][1] else {3})
@@ -744,7 +748,13 @@ class TestClosedFormPointChecks:
         # p*q*h*(2h - 1) (conftest.printed_kpq) fails on exactly the trials
         # whose parts differ and whose first factor has an edge; the closed
         # form itself is the shipped one, so the float check passes
-        monkeypatch.setattr(experiments, "_cubic_coeffs", lambda h, p, q, sign: printed_kpq_coeffs(h, p, q))
+        def printed(*args, real=spectra._form):
+            rows1, shift, coeffs, lower = real(*args)
+            if coeffs.func is spectra._cubic_coeffs:
+                coeffs = partial(printed_kpq_coeffs, p=coeffs.keywords["p"], q=coeffs.keywords["q"])
+            return rows1, shift, coeffs, lower
+
+        monkeypatch.setattr(experiments, "_form", printed)
         refuted = 0
         for seed in range(4):
             result = verify_theorem("2.4", trials=25, seed=seed)
@@ -765,7 +775,7 @@ class TestClosedFormPointChecks:
         for seed in range(4):
             for case in self.cases("3.3", seed, 25, 5):
                 s1, s2, _ = case
-                _, shift, _, lower = experiments._form(s1, s2, LAP)
+                _, shift, _, lower = spectra._form(s1, s2, LAP)
                 k = -lower[0] - shift  # lower is t - shift - k
                 coeffs = partial(spectra._two_root_coeffs, n2=s2.n, shift=shift, k=0)
                 assert (self.identity("3.3", case, coeffs=coeffs, lower=(-shift, 1)) is not None) == (k != 0)
@@ -773,14 +783,14 @@ class TestClosedFormPointChecks:
         assert outcomes == {False, True}
 
     def test_bound_row_fails_a_wrong_two_root_constant(self, monkeypatch):
-        # the two-root form's constant c off by 1 where experiments reads it:
-        # 5.1's identity at its point fails every trial, though no closed
-        # form reads that name
+        # the two-root form's constant c off by 1 in its one source: 5.1,
+        # which realises no closed form, fails every trial on its identity
+        # at its point
         def off(*args, real=spectra._two_root_coeffs, **kwargs):
             c, *rest = real(*args, **kwargs)
             return (c + 1, *rest)
 
-        monkeypatch.setattr(experiments, "_two_root_coeffs", off)
+        monkeypatch.setattr(spectra, "_two_root_coeffs", off)
         result = verify_theorem("5.1", trials=5, seed=7)
         assert "theorem 5.1: FAIL 0/5" in result.render()
         assert [f.trial for f in result.failures] == list(range(5))
@@ -790,14 +800,61 @@ class TestClosedFormPointChecks:
         # both coefficient sources, shared by the printed floats and the
         # identity, with their constant off by 1e-7: inside the float
         # check's tolerance, but not an integer at mu = 0
-        for module in (spectra, experiments):
-            for name in ("_two_root_coeffs", "_cubic_coeffs"):
-                def off(*args, real=getattr(spectra, name), **kwargs):
-                    c, *rest = real(*args, **kwargs)
-                    return (c + 1e-7, *rest)
+        for name in ("_two_root_coeffs", "_cubic_coeffs"):
+            def off(*args, real=getattr(spectra, name), **kwargs):
+                c, *rest = real(*args, **kwargs)
+                return (c + 1e-7, *rest)
 
-                monkeypatch.setattr(module, name, off)
+            monkeypatch.setattr(spectra, name, off)
         for label in CLOSED_FORM_ROWS:
             result = verify_theorem(label, trials=5, seed=7)
             assert result.passed == 0, label
             assert any("is not an integer" in f.detail for f in result.failures), label
+
+    def test_a_misread_k_fails_every_wrong_form_at_tol_1(self, monkeypatch):
+        # the reading's k off by 2, so the closed form and the identity share
+        # it: at tol 1 the float check passes and every failure is exact.
+        # Where M1 != shift*I the identity fails; where M1 = shift*I (an
+        # edgeless first factor) T(t) has L's roots, and the root check
+        # fails unless k + 2 is an eigenvalue of M2, where the printed form
+        # is the corona's spectrum after all
+        real = spectra._form
+
+        def misread(s1, s2, kind, sign=None):
+            rows1, shift, _, lower = real(s1, s2, kind, sign)
+            k = -shift - lower[0] + 2
+            return rows1, shift, partial(spectra._two_root_coeffs, n2=s2.n, shift=shift, k=k), (-shift - k, 1)
+
+        expected = {}
+        for label in ("2.3", "3.3", "4.2"):
+            kind = CLOSED_FORM_ROWS[label][0]
+            for trial, (s1, s2, _) in enumerate(self.cases(label, 7, 20, 6)):
+                rows1, shift, _, lower = misread(s1, s2, kind)
+                if s1.edges:
+                    expected[label, trial] = "factored value "
+                elif min(abs(v + shift + lower[0]) for v in numeric_spectrum(s2, kind).values()) > 1e-9:
+                    expected[label, trial] = "no eigenvalue of M2 "
+        assert set(expected.values()) == {"factored value ", "no eigenvalue of M2 "}
+        assert len(expected) == 59  # 2.3's trial 1 prints the corona's spectrum
+        for module in (spectra, experiments):
+            monkeypatch.setattr(module, "_form", misread)
+        for label in ("2.3", "3.3", "4.2"):
+            result = verify_theorem(label, trials=20, seed=7, max_n=6, tol=1)
+            details = {(label, f.trial): f.detail for f in result.failures}
+            assert details.keys() == {key for key in expected if key[0] == label}, label
+            for key, detail in details.items():
+                assert detail.startswith(expected[key]), (key, detail)
+
+    def test_a_refused_reading_is_a_failed_trial(self, monkeypatch):
+        # a closed form that takes factors its reading refuses: the row that
+        # realises it and 5.1, which realises none, both fail the trial on
+        # the reading's refusal, which never reaches verify_theorem
+        s1, s2 = complete_graph(2), unbalanced_c4()  # C4- is not net-regular
+        whole = numeric_spectrum(neighbourhood_corona(s1, s2), ADJ).pairs
+        entries = tuple(spectra.ClosedFormEntry(multiplicity=m, value=v) for v, m in whole)
+        monkeypatch.setitem(CLOSED_FORMS, ADJ, lambda a, b, tol: spectra.ClosedFormSpectrum("2.3", 10, entries))
+        for label, case in (("2.3", (s1, s2, 987654321)), ("5.1", (s1, s2, 987654321, ADJ))):
+            row = experiments.THEOREMS[label]
+            monkeypatch.setitem(experiments.THEOREMS, label, experiments.Theorem(lambda *args, case=case: [case], row.check))
+            result = verify_theorem(label, trials=1)
+            assert [f.detail for f in result.failures] == ["closed form refused the factors: second factor must be net-regular"]

@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -54,7 +55,7 @@ from sgcorona.experiments import (
 )
 from sgcorona.graphs import _corona_edges
 from sgcorona.linalg import _det_int, _det_mod, _pencil
-from sgcorona.spectra import MatrixKind, _two_root_form
+from sgcorona.spectra import MatrixKind
 
 ADJ = MatrixKind.ADJACENCY
 LAP = MatrixKind.LAPLACIAN
@@ -775,7 +776,7 @@ class TestClosedFormLaplacian:
         with pytest.raises(ClosedFormError, match="needs a constant Laplacian row sum"):
             closed_form_laplacian(cycle_graph(4), s2)
 
-    def test_balanced_negative_factor_needs_row_sum_correction(self):
+    def test_balanced_negative_factor_needs_row_sum_correction(self, monkeypatch):
         """A balanced-but-negative second factor: the published zero-row-sum
         reading (the two-root form at k = 0) is refuted by the oracle, the
         detected row sum k = 2 is confirmed."""
@@ -785,7 +786,13 @@ class TestClosedFormLaplacian:
         corrected = closed_form_laplacian(s1, s2)
         assert corrected.theorem == "3.3"
         assert spectra_equal(realize(corrected), oracle, 1e-6)
-        literal = _two_root_form("3.4", s1, s2, LAP, s1.regularity(), 0, 1e-6)
+
+        def zero_row_sum(*args, real=spectra._form):
+            rows1, shift, _, _ = real(*args)
+            return rows1, shift, partial(spectra._two_root_coeffs, n2=s2.n, shift=shift, k=0), (-shift, 1)
+
+        monkeypatch.setattr(spectra, "_form", zero_row_sum)
+        literal = spectra._closed_form("3.4", s1, s2, LAP, 1e-6)
         assert literal.theorem == "3.4"
         assert not spectra_equal(realize(literal), oracle, 1e-6)
 
