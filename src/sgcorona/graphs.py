@@ -36,13 +36,6 @@ class DegreeProfile(Record):
 
     __slots__ = ("degree", "pos_degree", "neg_degree", "net_degree")
 
-    def __init__(self, degree: tuple[int, ...], pos_degree: tuple[int, ...],
-                 neg_degree: tuple[int, ...], net_degree: tuple[int, ...]):
-        set_field(self, "degree", degree)
-        set_field(self, "pos_degree", pos_degree)
-        set_field(self, "neg_degree", neg_degree)
-        set_field(self, "net_degree", net_degree)
-
 
 def _is_vertex(n: int, v) -> bool:
     """True when v names a vertex of an n-vertex graph: an int in 0..n-1, so
@@ -127,11 +120,6 @@ class SignedGraph(Record):
         """The common degree when every vertex has the same one, else None."""
         deg = set(self.degrees().degree)
         return deg.pop() if len(deg) == 1 else None
-
-    def net_regularity(self) -> int | None:
-        """The common net degree (d+ minus d-) when constant, else None."""
-        net = set(self.degrees().net_degree)
-        return net.pop() if len(net) == 1 else None
 
     def is_balanced(self) -> bool:
         """True when every cycle has positive sign product: a +-1 potential

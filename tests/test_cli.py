@@ -451,7 +451,8 @@ class TestCospectralDemo:
         assert code == 1
         assert "not adj-cospectral" in err
 
-    def test_pair_that_reaches_the_search(self, capsys, monkeypatch, tmp_path):
+    @pytest.fixture
+    def search_pair(self, tmp_path):
         # two balanced, hence cospectral, signed 6-cycles whose (d+, d-)
         # multisets agree, so no degree filter decides either isomorphism
         # test: negative edges 0 and 3 against negative edges 0 and 2
@@ -460,6 +461,12 @@ class TestCospectralDemo:
             path = tmp_path / f"{name}.sg"
             path.write_text(format_graph(cycle_graph(6, signs)))
             paths.append(str(path))
+        return paths
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """(order, switching) of each isomorphism search that gets past the
+        degree-profile check."""
         searches = []
         find_map = graphs._find_map
 
@@ -468,13 +475,26 @@ class TestCospectralDemo:
             return find_map(s1, s2, switching, cap)
 
         monkeypatch.setattr(graphs, "_find_map", spy)
-        code, out, _ = run(capsys, "cospectral-demo", "--pair", *paths, "--json")
+        return searches
+
+    def test_pair_that_reaches_the_search(self, capsys, search_pair, searches):
+        code, out, _ = run(capsys, "cospectral-demo", "--pair", *search_pair, "--json")
         assert code == 0
         doc = json.loads(out)
         assert doc["corona_order"] == 12
         assert doc["isomorphic"] is False
         assert doc["switching_isomorphic"] is True
         assert searches == [(6, False), (12, False), (12, True)]
+
+    def test_pair_that_reaches_the_search_with_k2(self, capsys, search_pair, searches, k2_file):
+        # the corona has order 18, past the default cap of 12
+        code, out, _ = run(capsys, "cospectral-demo", "--pair", *search_pair, "--companion", k2_file,
+                           "--cap", "24", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["corona_order"] == 18
+        assert (doc["isomorphic"], doc["switching_isomorphic"], doc["ok"]) == (False, True, True)
+        assert searches == [(6, False), (18, False), (18, True)]
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "cospectral-demo", "--kind", "adj", "--json")

@@ -169,7 +169,6 @@ class TestDegrees:
         assert prof.degree == (0, 0, 0)
         assert prof.net_degree == (0, 0, 0)
         assert edgeless(0).regularity() is None
-        assert edgeless(0).net_regularity() is None
 
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs())
@@ -186,17 +185,14 @@ class TestRegularity:
     def test_positive_c4(self):
         g = cycle_graph(4)
         assert g.regularity() == 2
-        assert g.net_regularity() == 2
 
     def test_c4_minus_not_net_regular(self):
         g = unbalanced_c4()
         assert g.regularity() == 2
-        assert g.net_regularity() is None
 
     def test_all_negative_k22(self):
         g = complete_bipartite(2, 2, -1)
         assert g.regularity() == 2
-        assert g.net_regularity() == -2
 
     def test_star_not_regular(self):
         assert star_graph(3).regularity() is None

@@ -507,7 +507,7 @@ class TestLanczos:
         ((_, _, q),) = linalg._twin_quotient(m._rows)[1]
         assert len(q) == N0 + 2  # twin-free and connected: one block, unit weights
         assert char_poly_exact(m) == charpoly_faddeev(m)
-        assert draws == [N0 + 2] * linalg._LANCZOS_BREAKDOWNS
+        assert draws == [N0 + 2]  # one draw, no retry
         assert fallbacks == [N0 + 2]
 
     def test_high_multiplicity_falls_back(self, monkeypatch):
