@@ -11,6 +11,7 @@ from ._record import Record, set_field
 from .graphs import (
     DEFAULT_ISO_CAP,
     SignedGraph,
+    _check_cap,
     _corona_edges,
     alternating_cycle,
     complete_bipartite,
@@ -321,6 +322,7 @@ def cospectral_demo(
     kind: MatrixKind,
     cap: int = DEFAULT_ISO_CAP,
 ) -> CospectralCertificate:
+    _check_cap(max(s1.n, s2.n) * (companion.n + 1), cap)  # no search below is larger
     p1 = char_poly_exact(matrix_of(s1, kind))
     p2 = char_poly_exact(matrix_of(s2, kind))
     if p1 != p2:
@@ -611,15 +613,13 @@ def _check_factorisation(case, tol):
         return f"factored value {lhs} != determinant {rhs} at t0={t} mod {p}"
 
 
-def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, coeffs, lower) -> str | None:
+def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, table, lower) -> str | None:
     """The closed form's identity at the point t of GF(p), p = 2^127 - 1:
     det(tI - M) * L(t)^n1 = det(T(t)) * det((t - shift)I - M2)^n1, M the
     corona's `kind` matrix, L the char poly `lower` of the quotient's M2
-    block, and T(t) = t^d I + sum_j t^j P_j(M1) the matrix polynomial of the
-    form, whose coefficient P_j of degree at most 2 is interpolated from
-    coeffs(mu), the source of the printed coefficients, at mu = 0, 1, 2, 3.
-    A coefficient that is not an integer there, or a nonzero third
-    difference, fails the case.  Both sides are polynomials in t of degree
+    block, and T(t) = sum_j t^j (g_j0 I + g_j1 M1 + g_j2 M1^2) the matrix
+    polynomial of the form's integer table (spectra._form), the one source
+    of the printed coefficients.  Both sides are polynomials in t of degree
     at most N + 2*n1 <= 208, N = n1*(n2+1), so a false identity passes with
     probability at most 208/p < 2^-119 (Schwartz, JACM 27, 1980).  Only
     where S1 has no edge, M1 = shift*I, T(t) has L's roots whatever L is,
@@ -631,22 +631,12 @@ def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, coeffs,
     are compared by cross multiplication, and only a mismatch takes
     inverses, to report both residues."""
     p = _PRIME_LADDER[1]
-    half = (p + 1) // 2  # 1/2 mod p
     det = partial(_det_mod, p=p)
     alpha = beta = gamma = 0  # T(t) = alpha*I + beta*M1 + gamma*M1^2, by Horner in t
-    values = [coeffs(mu) for mu in range(4)]
-    for j in reversed(range(len(values[0]))):
-        ys = [v[j] for v in values]
-        for mu, y in enumerate(ys):
-            if isinstance(y, float) and not y.is_integer():
-                return f"closed-form coefficient {y!r} at mu={mu} is not an integer"
-        y0, y1, y2, y3 = map(int, ys)
-        if y3 - 3 * y2 + 3 * y1 - y0:
-            return f"closed-form coefficient of t^{j} is not quadratic in mu"
-        a2 = (y2 - 2 * y1 + y0) * half
-        alpha = (alpha * t + y0) % p
-        beta = (beta * t + y1 - y0 - a2) % p
-        gamma = (gamma * t + a2) % p
+    for g0, g1, g2 in reversed(table):
+        alpha = (alpha * t + g0) % p
+        beta = (beta * t + g1) % p
+        gamma = (gamma * t + g2) % p
     n1, n2 = s1.n, s2.n
     n = n1 * (n2 + 1)
     fn, fd = det(_quadratic_triangle(rows1, alpha, beta, gamma))
@@ -730,10 +720,10 @@ def _check_bound(case, tol):
     (_eigenvalues, _block_spectrum).  No closed form is realised."""
     s1, s2, t, kind = case
     try:
-        rows1, shift, coeffs, lower = _form(s1, s2, kind)
+        rows1, shift, table, lower = _form(s1, s2, kind)
     except ClosedFormError as exc:
         return f"closed form refused the factors: {exc}"
-    detail = _point_identity(s1, s2, kind, t, rows1, shift, coeffs, lower)
+    detail = _point_identity(s1, s2, kind, t, rows1, shift, table, lower)
     if detail is not None:
         return detail
     rows2 = _matrix_rows(s2.n, s2.edges, kind)

@@ -251,6 +251,16 @@ def neighbourhood_corona(s1: SignedGraph, s2: SignedGraph) -> SignedGraph:
     return SignedGraph(s1.n * (s2.n + 1), _corona_edges(s1, s2))
 
 
+def _check_cap(n: int, cap: int) -> None:
+    """The isomorphism search's size rule, which cospectral_demo applies to
+    its coronas before any char poly: GraphError unless cap is a positive
+    int and n vertices are within it."""
+    if type(cap) is not int or cap < 1:
+        raise GraphError(f"isomorphism cap must be a positive int, got {cap!r}")
+    if n > cap:
+        raise GraphError(f"brute-force isomorphism capped at {cap} vertices, got {n}")
+
+
 def _find_map(s1: SignedGraph, s2: SignedGraph, switching: bool, cap: int) -> bool:
     """True when some vertex bijection f and signs x_v (all +1 unless
     switching) give s2(f u, f v) = x_u * s1(u, v) * x_v on every vertex pair,
@@ -262,14 +272,11 @@ def _find_map(s1: SignedGraph, s2: SignedGraph, switching: bool, cap: int) -> bo
     one vertex of sign +1, since switching a whole component changes no sign.
     Every later vertex v is placed next to an already placed a, and the edge
     (v, a) with its image forces x_v; the other placed vertices check it.
-    A cap that is no positive int raises GraphError."""
-    if type(cap) is not int or cap < 1:
-        raise GraphError(f"isomorphism cap must be a positive int, got {cap!r}")
+    Graphs of one order n past the cap raise GraphError (_check_cap)."""
     n = s1.n
+    _check_cap(n if n == s2.n else 0, cap)  # graphs of two orders need no search
     if n != s2.n:
         return False
-    if n > cap:
-        raise GraphError(f"brute-force isomorphism capped at {cap} vertices, got {n}")
     p1, p2 = s1.degrees(), s2.degrees()
     if switching:
         inv1, inv2 = p1.degree, p2.degree

@@ -10,7 +10,6 @@ import math
 import operator
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import partial
 
 from ._record import Record, set_field
 from .graphs import Edge, GraphError, SignedGraph, complete_bipartite, neighbourhood_corona
@@ -308,10 +307,15 @@ def realize(cf: ClosedFormSpectrum, tol: float = 1e-6) -> SpectrumMultiset:
 def _form(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, sign: int | None = None) -> tuple:
     """The one reading of a closed form's hypotheses and parameters, which the
     closed forms are built from and verify's identity checks: (rows1, shift,
-    coeffs, lower), M1 as rows, shift its constant diagonal, the form's
-    coefficient source, and the ascending char poly of the M2 block it gives
-    up: with M2's constant row sum k the two-root form and t - shift - k;
-    for a kpq row (sign set) on K_{p,q}, p != q, the cubic and t^2 - p*q.
+    table, lower), M1 as rows, shift its constant diagonal, the form's
+    coefficient table, and the ascending char poly of the M2 block it gives
+    up.  The table has one integer triple (g0, g1, g2) per power of t,
+    ascending, the coefficient of t^j at the M1-eigenvalue mu being
+    g0 + g1*mu + g2*mu^2.  With M2's constant row sum k it is the two-root
+    form t^2 - (mu + (n2+1)*shift + k)*t - n2*mu^2 + ((2*n2+1)*shift + k)*mu
+    + n2*shift*k, given up with t - shift - k; for a kpq row (sign set) on
+    K_{p,q}, p != q, the cubic t^3 - mu*t^2 - (p*q + (p+q)*mu^2)*t + p*q*mu
+    - 2*sign*p*q*mu^2 of closed_form_adjacency_kpq, with t^2 - p*q.
     ClosedFormError when M1's diagonal, or else M2's row sums, vary."""
     if s1.n < 1:
         raise GraphError("corona needs a non-empty first factor")
@@ -324,8 +328,9 @@ def _form(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, sign: int | None =
     rows2 = _matrix_rows(s2.n, s2.edges, kind)
     sums = {sum(row) for row in rows2}
     if len(sums) == 1:
-        k = sums.pop()
-        return rows1, shift, partial(_two_root_coeffs, n2=s2.n, shift=shift, k=k), (-shift - k, 1)
+        k, n2 = sums.pop(), s2.n
+        table = ((n2 * shift * k, (2 * n2 + 1) * shift + k, -n2), (-(n2 + 1) * shift - k, -1, 0), (1, 0, 0))
+        return rows1, shift, table, (-shift - k, 1)
     if sign is None:  # a net-Laplacian row sums to 0
         raise ClosedFormError(
             "second factor must be net-regular" if kind is MatrixKind.ADJACENCY else
@@ -333,7 +338,8 @@ def _form(s1: SignedGraph, s2: SignedGraph, kind: MatrixKind, sign: int | None =
         )
     q = sign * sum(rows2[0])  # vertex 0 lies in the part of size p
     p = s2.n - q
-    return rows1, shift, partial(_cubic_coeffs, p=p, q=q, sign=sign), (-p * q, 0, 1)
+    pq = p * q
+    return rows1, shift, ((0, pq, -2 * sign * pq), (-pq, 0, -(p + q)), (0, -1, 0), (1, 0, 0)), (-pq, 0, 1)
 
 
 def _closed_form(theorem: str, s1, s2, kind: MatrixKind, tol: float, sign: int | None = None) -> ClosedFormSpectrum:
@@ -350,13 +356,15 @@ def _closed_form(theorem: str, s1, s2, kind: MatrixKind, tol: float, sign: int |
     [[mu + n2*shift, n2*(shift - mu)], [shift - mu, shift + k]].  Nothing is
     divided by shift, so shift = 0 needs no special case.  Under the cubic
     (closed_form_adjacency_kpq) K_{p,q}'s n2 - 2 zeros carry over instead.
+    Each coefficient printed is its table triple at the float mu by Horner,
+    (g2*mu + g1)*mu + g0.
 
     The copy of k dropped is M2's unclustered eigenvalue nearest k (tol 0
     merges only equal floats); another one can be nearer only by rounding,
     and then the two are interchangeable.  The rest is clustered at tol
     afterwards, so no tolerance decides whether the form applies.
     """
-    _, shift, coeffs, lower = _form(s1, s2, kind, sign)
+    _, shift, table, lower = _form(s1, s2, kind, sign)
     n1, n2 = s1.n, s2.n
     if len(lower) == 2:
         k = -shift - lower[0]  # lower is t - shift - k
@@ -367,18 +375,8 @@ def _closed_form(theorem: str, s1, s2, kind: MatrixKind, tol: float, sign: int |
         inherited = [(0.0, n2 - 2)]
     entries = [ClosedFormEntry(multiplicity=m * n1, value=v) for v, m in inherited]
     for mu, m in numeric_spectrum(s1, kind, tol).pairs:
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=coeffs(mu)))
+        entries.append(ClosedFormEntry(multiplicity=m, coeffs=tuple((g2 * mu + g1) * mu + g0 for g0, g1, g2 in table)))
     return ClosedFormSpectrum(theorem, n1 * (n2 + 1), tuple(entries))
-
-
-def _two_root_coeffs(mu, n2: int, shift: int, k: int) -> tuple:
-    """Ascending coefficients (c, -b, 1) of the two-root form's t^2 - b*t + c
-    at the M1-eigenvalue mu: the one source of the floats the form prints
-    (a float mu) and of the matrix polynomial that verify's identity
-    interpolates from the ints mu = 0, 1, 2, 3."""
-    b = mu + ((n2 + 1) * shift + k)
-    c = mu * ((2 * n2 + 1) * shift + k - n2 * mu) + n2 * shift * k
-    return (c, -b, 1)
 
 
 def closed_form_adjacency(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:
@@ -412,14 +410,6 @@ def closed_form_adjacency_kpq(
     """
     k = complete_bipartite(p, q, sign)  # the second factor's own gate on p, q and sign
     return _closed_form("2.4" if sign < 0 else "2.5", s, k, MatrixKind.ADJACENCY, tol, sign)
-
-
-def _cubic_coeffs(h, p: int, q: int, sign: int) -> tuple:
-    """Ascending coefficients of the 2.4/2.5 cubic of the S-eigenvalue h on
-    parts p != q (closed_form_adjacency_kpq): the one source of the floats
-    the form prints and of the matrix polynomial that verify's identity
-    interpolates from the ints h = 0, 1, 2, 3."""
-    return (p * q * h * (1.0 - 2.0 * sign * h), -(p * q + (p + q) * h * h), -h, 1)
 
 
 def closed_form_laplacian(s1: SignedGraph, s2: SignedGraph, tol: float = 1e-6) -> ClosedFormSpectrum:

@@ -208,17 +208,27 @@ def is_connected(g: SignedGraph) -> bool:
     return len(reached) == g.n
 
 
-def printed_kpq_coeffs(h, p: int, q: int) -> tuple:
-    """Ascending coefficients of 2.4's cubic as printed, for the
-    s-eigenvalue h: t^3 - h*t^2 - (p*q + (p+q)*h^2)*t + p*q*h*(2h - 1)."""
-    return (p * q * h * (2.0 * h - 1.0), -(p * q + (p + q) * h * h), -h, 1.0)
+def two_root_table(n2: int, shift: int, k: int) -> tuple:
+    """The two-root form's table at any row sum k: t^2 - (mu + (n2+1)*shift
+    + k)*t - n2*mu^2 + ((2*n2+1)*shift + k)*mu + n2*shift*k.  3.4 as
+    printed is k = 0."""
+    return ((n2 * shift * k, (2 * n2 + 1) * shift + k, -n2), (-(n2 + 1) * shift - k, -1, 0), (1, 0, 0))
+
+
+def printed_kpq_coeffs(p: int, q: int) -> tuple:
+    """2.4's cubic as printed, as a table: t^3 - h*t^2 - (p*q + (p+q)*h^2)*t
+    + p*q*h*(2h - 1) at the s-eigenvalue h."""
+    pq = p * q
+    return ((0, -pq, 2 * pq), (-pq, 0, -(p + q)), (0, -1, 0), (1, 0, 0))
 
 
 def printed_kpq(s: SignedGraph, p: int, q: int) -> ClosedFormSpectrum:
     """2.4 as printed, for any parts p and q: 0 with multiplicity n(p+q-2)
-    plus, for each s-eigenvalue h, the roots of printed_kpq_coeffs."""
+    plus, for each s-eigenvalue h, the roots of printed_kpq_coeffs, evaluated
+    as the closed forms print theirs."""
     n = s.n
     entries = [ClosedFormEntry(multiplicity=n * (p + q - 2), value=0.0)] if p + q > 2 else []
+    table = printed_kpq_coeffs(p, q)
     for h, m in numeric_spectrum(s, MatrixKind.ADJACENCY).pairs:
-        entries.append(ClosedFormEntry(multiplicity=m, coeffs=printed_kpq_coeffs(h, p, q)))
+        entries.append(ClosedFormEntry(multiplicity=m, coeffs=tuple((g2 * h + g1) * h + g0 for g0, g1, g2 in table)))
     return ClosedFormSpectrum("2.4", n * (p + q + 1), tuple(entries))

@@ -496,6 +496,16 @@ class TestCospectralDemo:
         assert (doc["isomorphic"], doc["switching_isomorphic"], doc["ok"]) == (False, True, True)
         assert searches == [(6, False), (18, False), (18, True)]
 
+    def test_pair_past_the_cap_computes_no_char_poly(self, capsys, monkeypatch, search_pair, searches, k2_file):
+        # without --cap the coronas' order 18 is past the default cap of 12,
+        # known from the inputs: refused before any char poly or search
+        calls = []
+        monkeypatch.setattr(experiments, "char_poly_exact", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "cospectral-demo", "--pair", *search_pair, "--companion", k2_file)
+        assert (code, out) == (2, "")
+        assert err == "error: brute-force isomorphism capped at 12 vertices, got 18\n"
+        assert calls == [] and searches == []
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "cospectral-demo", "--kind", "adj", "--json")
         assert code == 0

@@ -4,12 +4,11 @@ import math
 import random
 import re
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
 
-from conftest import printed_kpq_coeffs
+from conftest import printed_kpq_coeffs, two_root_table
 from sgcorona import (
     GraphError,
     IsomorphicInputsError,
@@ -17,6 +16,7 @@ from sgcorona import (
     NotCospectralError,
     Polynomial,
     catalog_two_eigenvalue_seeds,
+    complete_bipartite,
     complete_graph,
     cospectral_demo,
     cycle_graph,
@@ -27,6 +27,7 @@ from sgcorona import (
     format_graph,
     is_isomorphic,
     is_switching_isomorphic,
+    matrix_of,
     neighbourhood_corona,
     numeric_spectrum,
     paper_example,
@@ -643,12 +644,12 @@ class TestClosedFormPointChecks:
 
     @staticmethod
     def identity(label, case, **reading):
-        # the row's identity on a case; reading replaces coeffs or lower
+        # the row's identity on a case; reading replaces table or lower
         kind, sign = CLOSED_FORM_ROWS[label]
         s1, s2, t = case
-        rows1, shift, coeffs, lower = spectra._form(s1, s2, kind, sign)
-        reading = {"coeffs": coeffs, "lower": lower, **reading}
-        return experiments._point_identity(s1, s2, kind, t, rows1, shift, reading["coeffs"], reading["lower"])
+        rows1, shift, table, lower = spectra._form(s1, s2, kind, sign)
+        reading = {"table": table, "lower": lower, **reading}
+        return experiments._point_identity(s1, s2, kind, t, rows1, shift, reading["table"], reading["lower"])
 
     def test_rows_never_solve_the_corona(self, monkeypatch):
         # the six rows and 5.1 report what they report with numeric_spectrum,
@@ -738,21 +739,24 @@ class TestClosedFormPointChecks:
         for seed in (0, 1):
             for case in self.cases(label, seed, 10, max_n):
                 assert self.identity(label, case) is None, (label, case)
-                coeffs = spectra._form(*case[:2], *CLOSED_FORM_ROWS[label])[2]
-                forms.add(len(coeffs(0)))
+                table = spectra._form(*case[:2], *CLOSED_FORM_ROWS[label])[2]
+                assert all(type(g) is int for row in table for g in row), table
+                forms.add(len(table))
         # 2.4 and 2.5 meet both forms: the cubic for p != q, the two-root one for p = q
         assert forms == ({3, 4} if CLOSED_FORM_ROWS[label][1] else {3})
 
     def test_printed_kpq_fails_exactly_with_unequal_parts_and_an_edge(self, monkeypatch):
         # the identity of 2.4's row read with the printed cubic constant
-        # p*q*h*(2h - 1) (conftest.printed_kpq) fails on exactly the trials
-        # whose parts differ and whose first factor has an edge; the closed
-        # form itself is the shipped one, so the float check passes
-        def printed(*args, real=spectra._form):
-            rows1, shift, coeffs, lower = real(*args)
-            if coeffs.func is spectra._cubic_coeffs:
-                coeffs = partial(printed_kpq_coeffs, p=coeffs.keywords["p"], q=coeffs.keywords["q"])
-            return rows1, shift, coeffs, lower
+        # p*q*h*(2h - 1) (conftest.printed_kpq_coeffs, a table row) fails on
+        # exactly the trials whose parts differ and whose first factor has an
+        # edge; the closed form itself is the shipped one, so the float check
+        # passes
+        def printed(s1, s2, kind, sign=None, real=spectra._form):
+            rows1, shift, table, lower = real(s1, s2, kind, sign)
+            if len(table) == 4:  # the cubic, on parts p != q
+                q = s2.degrees().degree[0]
+                table = printed_kpq_coeffs(s2.n - q, q)
+            return rows1, shift, table, lower
 
         monkeypatch.setattr(experiments, "_form", printed)
         refuted = 0
@@ -768,48 +772,46 @@ class TestClosedFormPointChecks:
         assert 0 < refuted < 100
 
     def test_zero_row_sum_reading_fails_exactly_where_k_is_not_zero(self):
-        # 3.4 as printed, the two-root form at k = 0, on 3.3's cases, whose
-        # second factors have the constant Laplacian row sum k = 2*neg: the
-        # identity fails exactly where k != 0
+        # 3.4 as printed, the two-root form's table at k = 0, on 3.3's cases,
+        # whose second factors have the constant Laplacian row sum k = 2*neg:
+        # the identity fails exactly where k != 0
         outcomes = set()
         for seed in range(4):
             for case in self.cases("3.3", seed, 25, 5):
                 s1, s2, _ = case
-                _, shift, _, lower = spectra._form(s1, s2, LAP)
+                _, shift, table, lower = spectra._form(s1, s2, LAP)
                 k = -lower[0] - shift  # lower is t - shift - k
-                coeffs = partial(spectra._two_root_coeffs, n2=s2.n, shift=shift, k=0)
-                assert (self.identity("3.3", case, coeffs=coeffs, lower=(-shift, 1)) is not None) == (k != 0)
+                assert table == two_root_table(s2.n, shift, k)
+                printed = two_root_table(s2.n, shift, 0)
+                assert (self.identity("3.3", case, table=printed, lower=(-shift, 1)) is not None) == (k != 0)
                 outcomes.add(k != 0)
         assert outcomes == {False, True}
 
-    def test_bound_row_fails_a_wrong_two_root_constant(self, monkeypatch):
-        # the two-root form's constant c off by 1 in its one source: 5.1,
-        # which realises no closed form, fails every trial on its identity
-        # at its point
-        def off(*args, real=spectra._two_root_coeffs, **kwargs):
-            c, *rest = real(*args, **kwargs)
-            return (c + 1, *rest)
+    def test_a_constant_off_by_1_fails_every_trial(self, monkeypatch):
+        # the constant g00 of every form's table off by 1 in its one source,
+        # _form, which the printed floats and the identity share: the
+        # identity alone fails every case of every closed-form row, the
+        # cubic's g00 = 0 on 2.4's and 2.5's unequal parts included, and
+        # every trial of those rows and of 5.1, which realises no closed
+        # form, fails
+        def off(s1, s2, kind, sign=None, real=spectra._form):
+            rows1, shift, table, lower = real(s1, s2, kind, sign)
+            (g00, *row), *rest = table
+            return rows1, shift, ((g00 + 1, *row), *rest), lower
 
-        monkeypatch.setattr(spectra, "_two_root_coeffs", off)
-        result = verify_theorem("5.1", trials=5, seed=7)
-        assert "theorem 5.1: FAIL 0/5" in result.render()
-        assert [f.trial for f in result.failures] == list(range(5))
-        assert all(f.detail.startswith("factored value ") for f in result.failures)
-
-    def test_a_constant_off_by_1e_minus_7_fails_every_trial(self, monkeypatch):
-        # both coefficient sources, shared by the printed floats and the
-        # identity, with their constant off by 1e-7: inside the float
-        # check's tolerance, but not an integer at mu = 0
-        for name in ("_two_root_coeffs", "_cubic_coeffs"):
-            def off(*args, real=getattr(spectra, name), **kwargs):
-                c, *rest = real(*args, **kwargs)
-                return (c + 1e-7, *rest)
-
-            monkeypatch.setattr(spectra, name, off)
-        for label in CLOSED_FORM_ROWS:
+        forms = set()
+        for label, (kind, sign) in CLOSED_FORM_ROWS.items():
+            for case in self.cases(label, 7, 5, 5):
+                table = off(*case[:2], kind, sign)[2]
+                forms.add(len(table))
+                assert self.identity(label, case, table=table).startswith("factored value "), (label, case)
+        assert forms == {3, 4}
+        for module in (spectra, experiments):
+            monkeypatch.setattr(module, "_form", off)
+        for label in (*CLOSED_FORM_ROWS, "5.1"):
             result = verify_theorem(label, trials=5, seed=7)
-            assert result.passed == 0, label
-            assert any("is not an integer" in f.detail for f in result.failures), label
+            assert [f.trial for f in result.failures] == list(range(5)), label
+        assert all(f.detail.startswith("factored value ") for f in result.failures)
 
     def test_a_misread_k_fails_every_wrong_form_at_tol_1(self, monkeypatch):
         # the reading's k off by 2, so the closed form and the identity share
@@ -823,7 +825,7 @@ class TestClosedFormPointChecks:
         def misread(s1, s2, kind, sign=None):
             rows1, shift, _, lower = real(s1, s2, kind, sign)
             k = -shift - lower[0] + 2
-            return rows1, shift, partial(spectra._two_root_coeffs, n2=s2.n, shift=shift, k=k), (-shift - k, 1)
+            return rows1, shift, two_root_table(s2.n, shift, k), (-shift - k, 1)
 
         expected = {}
         for label in ("2.3", "3.3", "4.2"):
@@ -858,3 +860,51 @@ class TestClosedFormPointChecks:
             monkeypatch.setitem(experiments.THEOREMS, label, experiments.Theorem(lambda *args, case=case: [case], row.check))
             result = verify_theorem(label, trials=1)
             assert [f.detail for f in result.failures] == ["closed form refused the factors: second factor must be net-regular"]
+
+
+class TestPublishedReadingCertificates:
+    """The two refuted published readings as exact polynomial certificates,
+    each reading a table row of spectra._form's kind: its corona char poly,
+    (det((t - shift)I - M2) / L(t))^n1 times the product of the row's
+    polynomial over M1's eigenvalues mu, which is the resultant in mu
+    against M1's char poly (sympy, here only), against the corona's
+    _char_poly_int.  Both pairs are the smallest a shrinker reaches: K2+
+    with the all-negative K_{1,2} (2.4) and with the all-negative K2 (3.4)."""
+
+    @staticmethod
+    def reading(s1, s2, kind, table, lower) -> list[int]:
+        sympy = pytest.importorskip("sympy")
+        t, mu = sympy.symbols("t mu")
+        m1, m2 = (sympy.Matrix(matrix_of(s, kind)._rows) for s in (s1, s2))
+        g = sum(t**j * (g0 + g1 * mu + g2 * mu**2) for j, (g0, g1, g2) in enumerate(table))
+        product = sympy.resultant(m1.charpoly(mu).as_expr(), g, mu)
+        kept, rest = sympy.div(
+            sympy.Poly(m2.charpoly(t).as_expr().subs(t, t - m1[0, 0]), t),
+            sympy.Poly(sum(c * t**j for j, c in enumerate(lower)), t),
+        )
+        assert rest.is_zero
+        return [int(c) for c in reversed(sympy.Poly(product * kept.as_expr() ** s1.n, t).all_coeffs())]
+
+    @staticmethod
+    def corona(s1, s2, kind) -> list[int]:
+        return linalg._char_poly_int(matrix_of(neighbourhood_corona(s1, s2), kind)._rows)
+
+    def test_printed_2_4_differs_at_t4(self):
+        # the printed constant p*q*h*(2h - 1): t^4 coefficient 21, the corona's 29
+        s1, s2 = complete_graph(2), complete_bipartite(1, 2, -1)
+        _, _, table, lower = spectra._form(s1, s2, ADJ, -1)
+        corona = self.corona(s1, s2, ADJ)
+        assert corona == [0, 0, 12, -40, 29, 8, -11, 0, 1]
+        assert self.reading(s1, s2, ADJ, table, lower) == corona
+        assert self.reading(s1, s2, ADJ, printed_kpq_coeffs(1, 2), lower) == [0, 0, 12, -40, 21, 8, -11, 0, 1]
+
+    def test_3_4_at_zero_row_sum_differs_from_t0_to_t3(self):
+        # the two-root form at k = 0 gives up t - shift: constant term 0, the
+        # corona's 40, and t^3 coefficient -180, the corona's -188
+        s1, s2 = complete_graph(2), complete_graph(2, -1)
+        _, shift, table, lower = spectra._form(s1, s2, LAP)
+        assert (shift, lower) == (1, (-3, 1))  # k = 2
+        corona = self.corona(s1, s2, LAP)
+        assert corona == [40, -158, 245, -188, 74, -14, 1]
+        assert self.reading(s1, s2, LAP, table, lower) == corona
+        assert self.reading(s1, s2, LAP, two_root_table(2, shift, 0), (-shift, 1)) == [0, -54, 189, -180, 74, -14, 1]

@@ -2,11 +2,10 @@ import math
 import random
 import re
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
-from conftest import charpoly_faddeev, is_connected, permuted, poly_at, printed_kpq, scaled
+from conftest import charpoly_faddeev, is_connected, permuted, poly_at, printed_kpq, scaled, two_root_table
 from sgcorona import (
     ClosedFormError,
     ComplexRootsError,
@@ -789,7 +788,7 @@ class TestClosedFormLaplacian:
 
         def zero_row_sum(*args, real=spectra._form):
             rows1, shift, _, _ = real(*args)
-            return rows1, shift, partial(spectra._two_root_coeffs, n2=s2.n, shift=shift, k=0), (-shift, 1)
+            return rows1, shift, two_root_table(s2.n, shift, 0), (-shift, 1)
 
         monkeypatch.setattr(spectra, "_form", zero_row_sum)
         literal = spectra._closed_form("3.4", s1, s2, LAP, 1e-6)
