@@ -47,14 +47,17 @@ class UsageError(Exception):
 # accept, and the largest corona order verify samples. The slowest dense
 # kernel is the exact char poly. On a twin-free dense signed Laplacian of this
 # order it takes three primes of 255 to 607 bits, and `charpoly` takes
-# 2.2-2.6 s by Lanczos on a 2-vCPU Intel Xeon guest under Python 3.11, near
-# the benchmark's reference speed; by Hessenberg reduction, which still
-# serves a block whose Lanczos falls back, it took 22-23 s there. The
-# Householder + QL eigensolver (cubic) takes 0.5 s there. For `spectrum` of two
-# graphs the limit applies to the corona order n1*(n2 + 1) on every one of
-# corona_spectrum's routes, though the factor-sized ones it takes when the first
-# factor's matrix has a constant diagonal (one 2x2 quotient or one block of
-# order n2 + 1 per eigenvalue of that matrix) cost far less.
+# 1.1-1.2 s, the whole process, by Lanczos on a 2-vCPU guest under Python
+# 3.11 that runs the benchmark's probes 1.7 times as fast as its reference
+# machine (2.2-2.6 s on a 2-vCPU Intel Xeon guest near the reference speed;
+# by Hessenberg reduction, which still serves a block whose Lanczos falls
+# back, 22-23 s there); the Laplacian of K_200, one twin class, 0.12-0.13 s.
+# The Householder + QL eigensolver (cubic) takes 0.5 s on the Xeon guest. For
+# `spectrum` of two graphs the limit applies to the corona order n1*(n2 + 1)
+# on every one of corona_spectrum's routes, though the factor-sized ones it
+# takes when the first factor's matrix has a constant diagonal (one 2x2
+# quotient or one block of order n2 + 1 per eigenvalue of that matrix) cost
+# far less.
 MAX_DENSE_ORDER = 200
 
 # Largest corona, in vertices plus edges, that `corona` builds. On the same

@@ -90,6 +90,16 @@ class SignedGraph(Record):
         set_field(self, "n", n)
         set_field(self, "edges", tuple(sorted(edges)))
 
+    @classmethod
+    def _checked(cls, n: int, edges: Iterable[Edge]) -> SignedGraph:
+        """The graph of canonical edges that have passed _check_edge, each
+        pair once, sorted and not checked again: parse_graph's constructor,
+        which has checked every edge with its line number."""
+        g = object.__new__(cls)
+        set_field(g, "n", n)
+        set_field(g, "edges", tuple(sorted(edges)))
+        return g
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -355,31 +365,47 @@ def parse_graph(text: str) -> SignedGraph:
     "u v s" with 0-based indices and s in {+, -, +1, -1}.  Numbers are ASCII
     decimal digits.  Lines starting with '#' are comments; blank lines are
     ignored.
+
+    In an ASCII text an edge line of two digit-only indices and a sign
+    token is read straight into ints; every other line takes the checks
+    below in order, so the first bad line raises.  Each edge passes
+    _check_edge once, here, and SignedGraph._checked builds the graph.
     """
     n: int | None = None
     sign: dict[tuple[int, int], int] = {}
+    ascii_text = text.isascii()  # then isdigit() means ASCII decimal digits
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
+        parts = raw.split()
+        if (
+            ascii_text
+            and n is not None
+            and len(parts) == 3
+            and (s := SIGN_TOKENS.get(parts[2]))
+            and parts[0].isdigit()
+            and parts[1].isdigit()
+        ):
+            u, v = int(parts[0]), int(parts[1])
+        else:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if n is None:
+                try:
+                    n = _decimal(line)
+                except ValueError:
+                    raise ParseError(f"expected vertex count, got {line!r}", ln) from None
+                if n < 0:
+                    raise ParseError("vertex count must be non-negative", ln)
+                continue
+            if len(parts) != 3:
+                raise ParseError(f"expected 'u v s', got {line!r}", ln)
             try:
-                n = _decimal(line)
+                u, v = _decimal(parts[0]), _decimal(parts[1])
             except ValueError:
-                raise ParseError(f"expected vertex count, got {line!r}", ln) from None
-            if n < 0:
-                raise ParseError("vertex count must be non-negative", ln)
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'u v s', got {line!r}", ln)
-        try:
-            u, v = _decimal(parts[0]), _decimal(parts[1])
-        except ValueError:
-            raise ParseError(f"bad vertex index in {line!r}", ln) from None
-        s = SIGN_TOKENS.get(parts[2])
-        if s is None:
-            raise ParseError(f"bad sign token {parts[2]!r}", ln)
+                raise ParseError(f"bad vertex index in {line!r}", ln) from None
+            s = SIGN_TOKENS.get(parts[2])
+            if s is None:
+                raise ParseError(f"bad sign token {parts[2]!r}", ln)
         try:
             _check_edge(n, u, v, s)
         except GraphError as exc:
@@ -389,7 +415,7 @@ def parse_graph(text: str) -> SignedGraph:
             raise ParseError(f"conflicting signs for edge {key}", ln)
     if n is None:
         raise ParseError("missing vertex count line")
-    return SignedGraph(n, ((u, v, s) for (u, v), s in sign.items()))
+    return SignedGraph._checked(n, ((u, v, s) for (u, v), s in sign.items()))
 
 
 def format_graph(s: SignedGraph) -> str:

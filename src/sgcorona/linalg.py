@@ -12,7 +12,8 @@ QL on the twin quotient blocks), Kronecker algebra, and real root
 extraction for monic quadratics and cubics.  The char poly and the
 eigensolver read the twin split from one function, _twin_quotient, as
 classes and diagonals; the char poly builds the integer quotient from them
-(_quotient), the eigensolver its float blocks."""
+(_quotient; a connected twin-free matrix is its own), the eigensolver its
+float blocks."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import random
 import sys
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 
 from ._record import Record, set_field
 
@@ -347,18 +348,20 @@ def _draw(rng: random.Random, r: int) -> list[int]:
 
 
 def _matvec(q) -> Callable[[list[int]], list[int]]:
-    """v -> Qv, unreduced, for an integer matrix Q given as rows.  A row's
-    +-1 entries off the diagonal are one itemgetter over v + (-v) + [0], so
-    each costs one addition; its other off-diagonal entries are grouped by
-    value, each group one sum and one product, and the diagonal is one
-    product."""
+    """v -> Qv, unreduced, for an integer matrix Q given as rows.  Each row
+    visits only its nonzero columns, picked by compress.  Its +-1 entries
+    off the diagonal are one itemgetter over v + (-v) + [0], so each costs
+    one addition; its other off-diagonal entries are grouped by value, each
+    group one sum and one product, and the diagonal is one product."""
     r = len(q)
+    cols = range(r)
     getters, extras = [], []
     for i, row in enumerate(q):
         picks = [2 * r, 2 * r]  # two zeros: the getter returns a tuple
         by_value: dict[int, list[int]] = {}
-        for j, x in enumerate(row):
-            if j == i or not x:
+        for j in compress(cols, row):
+            x = row[j]
+            if j == i:
                 continue
             if x == 1:
                 picks.append(j)
@@ -367,14 +370,14 @@ def _matvec(q) -> Callable[[list[int]], list[int]]:
             else:
                 by_value.setdefault(x, []).append(j)
         getters.append(operator.itemgetter(*picks))
-        extras += [(i, x, cols) for x, cols in by_value.items()]
+        extras += [(i, x, js) for x, js in by_value.items()]
     diag = [row[i] for i, row in enumerate(q)]
 
     def apply(v: list[int]) -> list[int]:
         z = v + [-x for x in v] + [0]
         z = [sum(g(z)) + d * x for g, d, x in zip(getters, diag, v)]
-        for i, x, cols in extras:
-            z[i] += x * sum(map(v.__getitem__, cols))
+        for i, x, js in extras:
+            z[i] += x * sum(map(v.__getitem__, js))
         return z
 
     return apply
@@ -391,7 +394,12 @@ def _lanczos_mod(apply, weights, p: int) -> list[int] | None:
     q_(j+1) = Q q_j - a_j q_j - b_j q_(j-1), with
     a_j = <Q q_j, q_j> / <q_j, q_j> and b_j = <q_j, q_j> / <q_(j-1), q_(j-1)>,
     keeps the q_j orthogonal and gives q_j = P_j(Q) q_0 with
-    P_(j+1) = (t - a_j) P_j - b_j P_(j-1).  When q_m = 0 the q_j span an
+    P_(j+1) = (t - a_j) P_j - b_j P_(j-1).  No step takes an inverse: the
+    loop keeps w_j = s_j q_j and s_j P_j for scales s_j, with N_j and C_j
+    the products <w_j, w_j> and <Q w_j, w_j>, and
+    w_(j+1) = e_j N_j Q w_j - e_j C_j w_j - N_j^2 w_(j-1), where e_0 = 1 and
+    e_(j+1) = e_j N_j^2, so that s_(j+1) = s_j e_j N_j; the polynomial is
+    made monic once its space closes.  When q_m = 0 the q_j span an
     invariant subspace, on which det(tI - Q) is P_m; its orthogonal
     complement is invariant too, and the next start vector is a fresh draw
     projected onto it.  A draw that meets <q_j, q_j> = 0 with q_j != 0, or
@@ -401,9 +409,9 @@ def _lanczos_mod(apply, weights, p: int) -> list[int] | None:
     84 runs on 90 random, circulant and corona matrices in all three kinds).
 
     Each further subspace costs a projection against all the q_j found, 2r
-    products per q_j, so eigenvalues of high multiplicity, one subspace per
-    copy, make Lanczos dearer than Hessenberg (the line graph of K_20: 170
-    subspaces, 34 times Hessenberg's time).  A generic draw's subspace is
+    products per q_j (and one inverse as it joins), so eigenvalues of high
+    multiplicity, one subspace per copy, make Lanczos dearer than Hessenberg
+    (the line graph of K_20: 170 subspaces, 34 times Hessenberg's time).  A generic draw's subspace is
     no larger than the one before, so at least left / m more are needed
     when m was the last one's dimension and left of the r dimensions
     remain; None as soon as that makes more than r / _LANCZOS_ORDER_PER_SPACE.
@@ -420,30 +428,34 @@ def _lanczos_mod(apply, weights, p: int) -> list[int] | None:
         if duals:
             cs = [sum(map(operator.mul, q, d)) % p for d in duals]
             q = [(x - sum(map(operator.mul, cs, col))) % p for x, col in zip(q, cols)]
-        found, prev, prev_inv = [], [0] * r, 0
-        lo, hi = [], [1]  # P_(j-1), P_j
+        found, prev, e = [], [0] * r, 1
+        lo, hi = [], [1]  # s_(j-1) P_(j-1), s_j P_j
         for _ in range(left):  # independent q_j: at most left of them
             wq = q if unweighted else list(map(operator.mul, weights, q))
             norm = sum(map(operator.mul, q, wq)) % p
             if not norm:
                 break
-            inv = pow(norm, -1, p)
             z = apply(q)
-            a = sum(map(operator.mul, z, wq)) * inv % p
-            b = norm * prev_inv % p
-            found.append((q, wq, inv))
-            lo, hi = hi, [(x - a * y - b * w) % p for x, y, w in zip([0] + hi, hi + [0], lo + [0, 0])]
-            q, prev, prev_inv = [(x - a * y - b * w) % p for x, y, w in zip(z, q, prev)], q, inv
+            c = e * norm % p
+            a = sum(map(operator.mul, z, wq)) * e % p
+            b = norm * norm % p
+            found.append((q, wq, norm))
+            lo, hi = hi, [
+                (c * x - a * y - b * w) % p for x, y, w in zip(chain((0,), hi), chain(hi, (0,)), chain(lo, (0, 0)))
+            ]
+            q, prev, e = [(c * x - a * y - b * w) % p for x, y, w in zip(z, q, prev)], q, c * norm % p
         if not found or any(q):
             return None
-        poly = _poly_mul_mod(poly, hi, p)
+        inv = pow(hi[-1], -1, p)
+        poly = _poly_mul_mod(poly, [x * inv % p for x in hi], p)
         left -= len(found)
         spaces += 1
         if not left:
             return poly
         if (spaces + -(-left // len(found))) * _LANCZOS_ORDER_PER_SPACE > r:
             return None
-        for v, wv, inv in found:
+        for v, wv, norm in found:
+            inv = pow(norm, -1, p)
             duals.append([x * inv % p for x in wv])
             for col, x in zip(cols, v):
                 col.append(x)
@@ -456,9 +468,11 @@ def _char_poly_int(a) -> list[int]:
 
     A symmetric matrix, of any order, is split once by _twin_quotient: its
     linear factors are multiplied once over Z, and each block's integer
-    quotient built by _quotient; mod each prime each quotient of order
-    _LANCZOS_MIN_ORDER or more takes _lanczos_mod.  Smaller quotients, a
-    quotient that falls back and a non-symmetric matrix take _char_poly_mod.
+    quotient built by _quotient, except that a block of every vertex (A
+    connected and twin-free) has unit classes and is A itself; mod each
+    prime each quotient of order _LANCZOS_MIN_ORDER or more takes
+    _lanczos_mod.  Smaller quotients, a quotient that falls back and a
+    non-symmetric matrix take _char_poly_mod.
     """
     mods = _moduli(_hadamard(sum(map(operator.mul, row, row)) for row in a))
     linear, blocks = [1], [(a, None, None)]
@@ -468,7 +482,7 @@ def _char_poly_int(a) -> list[int]:
             linear = [x - root * y for x, y in zip([0, *linear], [*linear, 0])]
         blocks = []
         for cols, sizes, diag in split:
-            q = _quotient(a, cols, sizes, diag)
+            q = a if len(cols) == len(a) else _quotient(a, cols, sizes, diag)
             blocks.append((q, sizes, _matvec(q) if len(q) >= _LANCZOS_MIN_ORDER else None))
     per_prime = []
     for p in mods:

@@ -6,8 +6,10 @@ for the modular symmetric elimination under test, a cyclic Jacobi
 eigenvalue oracle that shares no code with the Householder/QL solver under
 test, symmetric relabelling of a matrix, scaling a matrix by a scalar, a
 random signed graph of a chosen edge density, a breadth-first
-connectivity test, and the published (refuted) reading of 2.4, as
-coefficients and as a closed form."""
+connectivity test, the published (refuted) reading of 2.4, as
+coefficients and as a closed form, and a reference edge-list parser that
+reads every line through the same checks in one order and builds its graph
+through SignedGraph's checking constructor."""
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from sgcorona import (
     SignedGraph,
     numeric_spectrum,
 )
+from sgcorona.graphs import SIGN_TOKENS, GraphError, ParseError, _check_edge
 
 
 def charpoly_cofactor(m: Matrix) -> Polynomial:
@@ -232,3 +235,53 @@ def printed_kpq(s: SignedGraph, p: int, q: int) -> ClosedFormSpectrum:
     for h, m in numeric_spectrum(s, MatrixKind.ADJACENCY).pairs:
         entries.append(ClosedFormEntry(multiplicity=m, coeffs=tuple((g2 * h + g1) * h + g0 for g0, g1, g2 in table)))
     return ClosedFormSpectrum("2.4", n * (p + q + 1), tuple(entries))
+
+
+def _decimal_reference(token: str) -> int:
+    """ASCII decimal digits with an optional leading '-', as an int."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
+def parse_graph_reference(text: str) -> SignedGraph:
+    """The edge-list reader with no fast path: every line is stripped, tested
+    for a comment, split and its numbers read by _decimal_reference, every
+    edge passes _check_edge, and the graph is built by SignedGraph(n, edges),
+    which checks each edge again.  parse_graph must give the same graph or
+    the same ParseError (message and line) on every text."""
+    n: int | None = None
+    sign: dict[tuple[int, int], int] = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            try:
+                n = _decimal_reference(line)
+            except ValueError:
+                raise ParseError(f"expected vertex count, got {line!r}", ln) from None
+            if n < 0:
+                raise ParseError("vertex count must be non-negative", ln)
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'u v s', got {line!r}", ln)
+        try:
+            u, v = _decimal_reference(parts[0]), _decimal_reference(parts[1])
+        except ValueError:
+            raise ParseError(f"bad vertex index in {line!r}", ln) from None
+        s = SIGN_TOKENS.get(parts[2])
+        if s is None:
+            raise ParseError(f"bad sign token {parts[2]!r}", ln)
+        try:
+            _check_edge(n, u, v, s)
+        except GraphError as exc:
+            raise ParseError(str(exc), ln) from None
+        key = (u, v) if u < v else (v, u)
+        if sign.setdefault(key, s) != s:
+            raise ParseError(f"conflicting signs for edge {key}", ln)
+    if n is None:
+        raise ParseError("missing vertex count line")
+    return SignedGraph(n, ((u, v, s) for (u, v), s in sign.items()))

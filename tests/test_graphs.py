@@ -3,9 +3,9 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import is_connected, random_signed_graph_with_density
+from conftest import is_connected, parse_graph_reference, random_signed_graph_with_density
 from sgcorona import (
     GraphError,
     alternating_cycle,
@@ -427,6 +427,52 @@ class TestIsomorphism:
             assert test(a, b) == oracle(a, b), (a, b)
 
 
+# Tokens for edge-list texts: the four sign tokens, and any index or sign,
+# among them out-of-range and negative indices, what int() takes but the
+# format refuses ('+0', '1_0', other scripts' digits, a superscript), and
+# near-miss signs.
+_ANY_INDEX = st.one_of(
+    st.integers(0, 3).map(str),
+    st.sampled_from(["4", "5", "6", "7", "+0", "+1", "1_0", "-1", "-0", "-", "\u0663", "\uff12", "\u00b2", "x"]),
+)
+_GOOD_SIGN = st.sampled_from(["+", "-", "+1", "-1"])
+_ANY_SIGN = st.one_of(_GOOD_SIGN, st.sampled_from(["1", "+0", "x", "\u2212", "++"]))
+_SPACE = st.sampled_from([" ", "\t", "  ", " \t "])
+_PAD = st.sampled_from(["", "", " ", "\t"])
+_OTHER_LINES = st.sampled_from(["", "  ", "\t", "# comment", "  # indented", "#0 1 +"])
+
+
+@st.composite
+def _edge_line(draw):
+    """Mostly 'u v s' of good tokens; now and then any tokens, two or four."""
+    if draw(st.sampled_from([True] * 7 + [False])):
+        u = draw(st.integers(0, 3))
+        v = (u + draw(st.integers(1, 3))) % 4
+        tokens = [draw(st.sampled_from(["", "", "0", "00"])) + str(w) for w in (u, v)] + [draw(_GOOD_SIGN)]
+    else:
+        tokens = [draw(_ANY_INDEX), draw(_ANY_INDEX), draw(_ANY_SIGN), draw(_ANY_INDEX)]
+        tokens = tokens[: draw(st.sampled_from([2, 3, 3, 4]))]
+    return draw(_PAD) + draw(_SPACE).join(tokens) + draw(_PAD)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts that are mostly well formed: comments and blank lines
+    anywhere, a header (now and then missing, too small or bad), then mostly
+    edge lines, with LF, CRLF or CR line ends and an optional final newline.
+    Duplicate pairs, reversed pairs, conflicting signs and several bad lines
+    in one text come from the small index range."""
+    lines = draw(st.lists(_OTHER_LINES, max_size=2))
+    header = draw(st.sampled_from(["good"] * 16 + ["bad"] * 3 + ["none"]))
+    if header == "good":
+        lines.append(str(draw(st.integers(4, 6))))
+    elif header == "bad":
+        lines.append(draw(st.sampled_from(["0", "3", "03", "-2", "-0", "+3", "1_0", "\u0663", "3 4", "x", "#5"])))
+    lines += draw(st.lists(st.one_of(*[_edge_line()] * 5, _OTHER_LINES), max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
 class TestIO:
     def test_parse_example(self):
         text = "4\n0 1 +\n1 2 +\n2 3 +\n0 3 -\n"
@@ -483,6 +529,29 @@ class TestIO:
         for text, message in cases:
             with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
                 parse_graph(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    @example("3\n0 1 +\n1 0 -1\n0 0 +\n")  # conflicting signs first
+    @example("3\r\n0\t2 +1\r\n2 0 +\r\n1 3 -\r\n1 1 x\r\n")  # out of range before a bad sign
+    @example("3\n+0 1 +\n0 1 x\n")  # a bad index before a bad sign
+    @example("4\n0 1 +\n0 1 +\n1 \u0661 +\n")  # a same-sign duplicate, then other digits
+    @example("4\n\uff12 1 +\n")  # a fullwidth digit, which int() takes
+    @example("4\n1 \u00b2 +\n")  # a superscript, which isdigit() takes and int() does not
+    @example("# no header\n\n")
+    def test_parser_matches_the_reference(self, text):
+        """parse_graph's fast path for well-formed edge lines and its single
+        edge check change nothing: the same graph as the reference reader, or
+        the same ParseError (message and line) from the first bad line."""
+        try:
+            expected = parse_graph_reference(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_graph(text)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        else:
+            g = parse_graph(text)
+            assert g == expected and type(g.edges) is tuple
 
     def test_missing_count(self):
         with pytest.raises(ParseError):

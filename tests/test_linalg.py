@@ -336,9 +336,18 @@ def hessenberg_only(m: Matrix) -> Polynomial:
         linalg._LANCZOS_MIN_ORDER = saved
 
 
+def weighted_quotient_matrix() -> Matrix:
+    """N0 + 4 classes of sizes 1 to 3 with a degree diagonal: one quotient
+    block of order N0 + 4 whose form has weights above 1."""
+    rng = random.Random(600)
+    m, _ = twin_matrix(rng, [rng.randint(1, 3) for _ in range(N0 + 4)], lambda rng: rng.choice((-1, 1)))
+    return with_degree_diagonal(m)
+
+
 def quotient_split(rows):
     """_twin_quotient's roots and blocks, each block's quotient Q built by
-    _quotient as _char_poly_int builds it: (cols, sizes, Q) per block."""
+    _quotient, which _char_poly_int builds for every block but one of the
+    whole matrix, the matrix itself: (cols, sizes, Q) per block."""
     roots, blocks = linalg._twin_quotient(rows)
     return roots, [(cols, sizes, linalg._quotient(rows, cols, sizes, diag)) for cols, sizes, diag in blocks]
 
@@ -422,11 +431,7 @@ class TestLanczos:
         assert char_poly_exact(matrix_of(edgeless(N0), MatrixKind.ADJACENCY)).coeffs == (0,) * N0 + (1,)
 
     def test_weighted_quotient_block(self):
-        # N0 + 4 classes of sizes 1 to 3 with a degree diagonal: one quotient
-        # block of order N0 + 4 whose form has weights above 1
-        rng = random.Random(600)
-        m, _ = twin_matrix(rng, [rng.randint(1, 3) for _ in range(N0 + 4)], lambda rng: rng.choice((-1, 1)))
-        m = with_degree_diagonal(m)
+        m = weighted_quotient_matrix()
         ((_, sizes, q),) = quotient_split(m._rows)[1]
         assert len(q) == N0 + 4 and max(sizes) > 1
         assert self.assert_residues_agree(m) == (len(linalg._PRIME_LADDER), 0)
@@ -447,16 +452,39 @@ class TestLanczos:
         assert not any(coeffs[:12]) and coeffs[12]
         assert (0.0, 12) in sym_eigenvalues(m, 0.0).pairs
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, N0 + 1])
+    def test_matvec_is_the_dense_product(self, n):
+        # entries -3..3, so rows mix +-1 picks with groups of other values;
+        # +-1 and other diagonals, and zero rows and columns
+        rng = random.Random(900 + n)
+        for trial in range(12):
+            rows = [list(row) for row in random_symmetric(rng, n)._rows]
+            for i in range(n):
+                if trial % 3 == 0:
+                    rows[i][i] = rng.choice((-1, 1))
+                if rng.random() < 0.2:
+                    for j in range(n):
+                        rows[i][j] = rows[j][i] = 0
+            apply = linalg._matvec(rows)
+            for v in ([1] * n, [rng.randint(-(2**70), 2**70) for _ in range(n)]):
+                assert apply(v) == [sum(x * y for x, y in zip(row, v)) for row in rows]
+
     def test_selection(self, monkeypatch):
         # every symmetric matrix takes the twin split, whatever its order; a
         # quotient block takes Lanczos from order N0, and any other matrix
-        # Hessenberg
+        # Hessenberg; a twin-free connected matrix is its own quotient, so
+        # only a split with twins or several blocks builds one
         calls = []
         real_mod, real_lanczos, real_split = linalg._char_poly_mod, linalg._lanczos_mod, linalg._twin_quotient
+        real_quotient = linalg._quotient
 
         def spy_split(rows):
             calls.append(("twin split", len(rows)))
             return real_split(rows)
+
+        def spy_quotient(rows, cols, sizes, diag):
+            calls.append(("quotient", len(cols)))
+            return real_quotient(rows, cols, sizes, diag)
 
         def spy_mod(a, p):
             calls.append(("hessenberg", len(a)))
@@ -469,19 +497,23 @@ class TestLanczos:
         monkeypatch.setattr(linalg, "_char_poly_mod", spy_mod)
         monkeypatch.setattr(linalg, "_lanczos_mod", spy_lanczos)
         monkeypatch.setattr(linalg, "_twin_quotient", spy_split)
+        monkeypatch.setattr(linalg, "_quotient", spy_quotient)
         rng = random.Random(71)
         symmetric = matrix_of(random_signed_graph(rng, N0), MatrixKind.LAPLACIAN)
         small = matrix_of(random_signed_graph(rng, N0 - 1), MatrixKind.LAPLACIAN)
         nonsymmetric = random_int_matrix(rng, N0 + 6, -1, 1)
+        weighted = weighted_quotient_matrix()
+        assert len(linalg._twin_classes(symmetric._rows)) == N0 and weighted.rows > N0 + 4
         for m, expected in [
             (nonsymmetric, [("hessenberg", N0 + 6)]),
             (small, [("twin split", N0 - 1), ("hessenberg", N0 - 1)]),
             (symmetric, [("twin split", N0), ("lanczos", N0)]),
+            (weighted, [("twin split", weighted.rows), ("quotient", N0 + 4), ("lanczos", N0 + 4)]),
         ]:
             calls.clear()
             p = char_poly_exact(m)
             assert calls == expected, calls
-            assert p == charpoly_faddeev(m)
+            assert p == (hessenberg_only(m) if m is weighted else charpoly_faddeev(m))
 
     def test_forced_breakdown_falls_back(self, monkeypatch):
         # an isotropic start vector: a^2 + b^2 + c^2 = 0 mod 2^61 - 1
