@@ -554,6 +554,9 @@ class Theorem(Record):
     their points from points, the run's point stream (_points); `check(case,
     tol)`, a function of the case alone, returns None when the identity holds
     on it, else the failure detail, and a failed trial dumps `graphs(case)`.
+    verify_theorem alone judges what a check raises: a ClosedFormError or
+    any other ValueError or ArithmeticError fails the trial, and anything
+    else, a bug, propagates.
     Rows call samplers and the corona by their names in this module, and look
     closed forms up in `CLOSED_FORMS` at call time, so a wrapper bound to one
     of those names or table values sees every call."""
@@ -569,17 +572,16 @@ def _points(seed: int) -> random.Random:
     return random.Random(f"points {seed}")
 
 
-def _sampled(sample):
-    """Cases of a randomised row: one sample(rng, max_n) per trial."""
-    return lambda rng, trials, max_n, points: (sample(rng, max_n) for _ in range(trials))
+# The point rows' field, GF(2^127 - 1), and their one determinant routine.
+_POINT_PRIME = _PRIME_LADDER[1]
+_point_det = partial(_det_mod, p=_POINT_PRIME)
 
 
 def _pointed(sample):
     """Cases of a closed-form row: one pair sample(rng, max_n) per trial,
-    with a point uniform in GF(2^127 - 1) from the point stream."""
-    p = _PRIME_LADDER[1]
+    with a point uniform in GF(_POINT_PRIME) from the point stream."""
     return lambda rng, trials, max_n, points: (
-        (*sample(rng, max_n), points.randrange(p)) for _ in range(trials)
+        (*sample(rng, max_n), points.randrange(_POINT_PRIME)) for _ in range(trials)
     )
 
 
@@ -587,30 +589,36 @@ def _any_signed(rng: random.Random, max_n: int) -> SignedGraph:
     return random_signed_graph(rng, rng.randint(1, max_n))
 
 
+def _mismatch(factored, determinant, t: int) -> str | None:
+    """The comparison of both exact identities: None when the projective
+    _det_mod pairs (num, den) of the factored side and of the corona's
+    determinant agree in GF(_POINT_PRIME), by cross multiplication; only a
+    mismatch takes inverses, to report both residues at the point t."""
+    p = _POINT_PRIME
+    (fn, fd), (dn, dd) = factored, determinant
+    if (fn * dd - dn * fd) % p:
+        lhs, rhs = fn * pow(fd, -1, p) % p, dn * pow(dd, -1, p) % p
+        return f"factored value {lhs} != determinant {rhs} at t0={t} mod {p}"
+
+
 def _check_factorisation(case, tol):
     """2.2 at the case's point t, uniform in GF(p), p = 2^127 - 1: det(tI - M)
     of the corona against the factored side det(hp*(tI - A1) - hk*A1^2),
-    every determinant by _det_mod, hp and the hs behind hk included.  Both
+    every determinant by _point_det, hp and the hs behind hk included.  Both
     are polynomials of degree N = n1*(n2+1) <= 182, so a wrong identity
     passes with probability at most N/p < 2^-119 (Schwartz, JACM 27, 1980).
     The row draws t with its pair, right after it, from four 32-bit words of
     the trial stream, as two draws below 2^61 - 1 would, so the pairs
     sampled after it are those of a check at two points of GF(2^61 - 1).
     The corona's triangle tI - M comes from its edge list (_corona_edges,
-    _triangle), with no SignedGraph or matrix built or checked.
-    _det_mod's pairs are compared by cross multiplication, with the factored
-    side's scale^n1 on the corona's side (_factored_side); only a mismatch
-    takes inverses, to report both."""
+    _triangle), with no SignedGraph or matrix built or checked.  The
+    factored side's scale^n1 (_factored_side) joins its denominator, and
+    _mismatch compares the two sides."""
     s1, s2, t = case
-    p = _PRIME_LADDER[1]
-    det = partial(_det_mod, p=p)
-    _, upper, scale = _factored_side(s1, s2, t, 1, det)
-    ln, ld = det(upper)
-    rn, rd = det(_triangle(s1.n * (s2.n + 1), (), _corona_edges(s1, s2), t, 1))
-    ld = ld * pow(scale, s1.n, p) % p
-    if (ln * rd - rn * ld) % p:
-        lhs, rhs = ln * pow(ld, -1, p) % p, rn * pow(rd, -1, p) % p
-        return f"factored value {lhs} != determinant {rhs} at t0={t} mod {p}"
+    _, upper, scale = _factored_side(s1, s2, t, 1, _point_det)
+    ln, ld = _point_det(upper)
+    corona = _point_det(_triangle(s1.n * (s2.n + 1), (), _corona_edges(s1, s2), t, 1))
+    return _mismatch((ln, ld * pow(scale, s1.n, _POINT_PRIME)), corona, t)
 
 
 def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, table, lower) -> str | None:
@@ -625,13 +633,11 @@ def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, table, 
     where S1 has no edge, M1 = shift*I, T(t) has L's roots whatever L is,
     so there L must also vanish at an eigenvalue of M2 + shift*I.
 
-    Each determinant is a _det_mod pair, the corona's triangle written from
-    its edge list (_corona_edges, _nonzeros, _triangle) and M2's from its
-    own, T's dense from M1's rows (spectra._quadratic_triangle); the pairs
-    are compared by cross multiplication, and only a mismatch takes
-    inverses, to report both residues."""
-    p = _PRIME_LADDER[1]
-    det = partial(_det_mod, p=p)
+    Each determinant is a _point_det pair, the corona's triangle written
+    from its edge list (_corona_edges, _nonzeros, _triangle) and M2's from
+    its own, T's dense from M1's rows (spectra._quadratic_triangle);
+    _mismatch compares the two sides, as for 2.2."""
+    p = _POINT_PRIME
     alpha = beta = gamma = 0  # T(t) = alpha*I + beta*M1 + gamma*M1^2, by Horner in t
     for g0, g1, g2 in reversed(table):
         alpha = (alpha * t + g0) % p
@@ -639,44 +645,36 @@ def _point_identity(s1, s2, kind: MatrixKind, t: int, rows1, shift: int, table, 
         gamma = (gamma * t + g2) % p
     n1, n2 = s1.n, s2.n
     n = n1 * (n2 + 1)
-    fn, fd = det(_quadratic_triangle(rows1, alpha, beta, gamma))
-    mn, md = det(_triangle(n2, *_nonzeros(n2, s2.edges, kind), t - shift, 1))
-    dn, dd = det(_triangle(n, *_nonzeros(n, _corona_edges(s1, s2), kind), t, 1))
+    fn, fd = _point_det(_quadratic_triangle(rows1, alpha, beta, gamma))
+    mn, md = _point_det(_triangle(n2, *_nonzeros(n2, s2.edges, kind), t - shift, 1))
+    dn, dd = _point_det(_triangle(n, *_nonzeros(n, _corona_edges(s1, s2), kind), t, 1))
     low = 0
     for c in reversed(lower):
         low = (low * t + c) % p
-    fn, fd = fn * pow(mn, n1, p), fd * pow(md, n1, p)
-    dn = dn * pow(low, n1, p)
-    if (dn * fd - fn * dd) % p:
-        factored, value = fn * pow(fd, -1, p) % p, dn * pow(dd, -1, p) % p
-        return f"factored value {factored} != determinant {value} at t0={t} mod {p}"
-    if not s1.edges:
-        c0, c1, c2 = (*lower, 0)[:3]  # L(M2 + shift*I) = c0 + c1*shift + c2*shift^2 + (c1 + 2*c2*shift)*M2 + c2*M2^2
-        rows2 = _matrix_rows(n2, s2.edges, kind)
-        if det(_quadratic_triangle(rows2, c0 + (c1 + c2 * shift) * shift, c1 + 2 * c2 * shift, c2))[0] % p:
-            return f"no eigenvalue of M2 + {shift}*I is a root of the given-up char poly {list(lower)}"
+    detail = _mismatch((fn * pow(mn, n1, p), fd * pow(md, n1, p)), (dn * pow(low, n1, p), dd), t)
+    if detail is not None or s1.edges:
+        return detail
+    c0, c1, c2 = (*lower, 0)[:3]  # L(M2 + shift*I) = c0 + c1*shift + c2*shift^2 + (c1 + 2*c2*shift)*M2 + c2*M2^2
+    rows2 = _matrix_rows(n2, s2.edges, kind)
+    if _point_det(_quadratic_triangle(rows2, c0 + (c1 + c2 * shift) * shift, c1 + 2 * c2 * shift, c2))[0] % p:
+        return f"no eigenvalue of M2 + {shift}*I is a root of the given-up char poly {list(lower)}"
 
 
 def _closed_form_check(kind: MatrixKind, closed_form=None, sign: int | None = None):
     """The check of the closed-form rows, on a case (s1, s2, t):
     closed_form(s1, s2, tol), realised, or without closed_form the paper's
     one for `kind`, CLOSED_FORMS[kind]; a closed form that refuses the
-    factors fails the trial, and so does any other ValueError of the closed
-    form or of its realisation (a wrong formula, such as K_{p,p} sent to the
-    cubic).  Then two checks that never solve the corona: the realised form
-    against the corona's spectrum from its factors (corona_spectrum) at tol,
-    and the identity at t (_point_identity) on the closed forms' reading,
-    _form; 5.1 (_check_bound) shares both."""
+    factors, or that raises (a wrong formula, such as K_{p,p} sent to the
+    cubic), fails the trial by verify_theorem's one rule.  Then two checks
+    that never solve the corona: the realised form against the corona's
+    spectrum from its factors (corona_spectrum) at tol, and the identity at
+    t (_point_identity) on the closed forms' reading, _form; 5.1
+    (_check_bound) shares both."""
 
     def check(case, tol):
         s1, s2, t = case
-        try:
-            realized = realize((closed_form or CLOSED_FORMS[kind])(s1, s2, tol), tol)
-            reading = _form(s1, s2, kind, sign)
-        except ClosedFormError as exc:
-            return f"closed form refused the factors: {exc}"
-        except ValueError as exc:
-            return f"check raised {type(exc).__name__}: {exc}"
+        realized = realize((closed_form or CLOSED_FORMS[kind])(s1, s2, tol), tol)
+        reading = _form(s1, s2, kind, sign)
         oracle = corona_spectrum(s1, s2, kind, tol)
         if not spectra_equal(realized, oracle, tol):
             return f"closed form {realized} differs from oracle {oracle}"
@@ -717,12 +715,10 @@ def _check_bound(case, tol):
     which makes the corona's spectrum that of corona_spectrum, then its
     distinct values against 2*t1 + t2, t1 and t2 the distinct eigenvalues of
     M1 and M2, all three counted at tol on one reduction of each factor
-    (_eigenvalues, _block_spectrum).  No closed form is realised."""
+    (_eigenvalues, _block_spectrum).  No closed form is realised, and a
+    refused reading raises, as in the closed-form rows."""
     s1, s2, t, kind = case
-    try:
-        rows1, shift, table, lower = _form(s1, s2, kind)
-    except ClosedFormError as exc:
-        return f"closed form refused the factors: {exc}"
+    rows1, shift, table, lower = _form(s1, s2, kind)
     detail = _point_identity(s1, s2, kind, t, rows1, shift, table, lower)
     if detail is not None:
         return detail
@@ -756,7 +752,9 @@ def _check_few_distinct(case, tol):
 
 THEOREMS = {
     "2.2": Theorem(
-        _sampled(lambda rng, n: (_any_signed(rng, n), _any_signed(rng, n), rng.randrange(_PRIME_LADDER[1]))),
+        lambda rng, trials, max_n, points: (
+            (_any_signed(rng, max_n), _any_signed(rng, max_n), rng.randrange(_POINT_PRIME)) for _ in range(trials)
+        ),
         _check_factorisation,
     ),
     "2.3": Theorem(
@@ -820,7 +818,9 @@ def verify_theorem(
     for run, case in enumerate(theorem.cases(rng, trials, max_n, _points(seed)), start=1):
         try:
             detail = theorem.check(case, tol)
-        except ArithmeticError as exc:  # a wrong formula or a kernel fault fails the trial
+        except ClosedFormError as exc:
+            detail = f"closed form refused the factors: {exc}"
+        except (ValueError, ArithmeticError) as exc:  # a wrong formula or a kernel fault fails the trial
             detail = f"check raised {type(exc).__name__}: {exc}"
         if detail is not None:
             dump = {name: format_graph(g) for name, g in theorem.graphs(case).items()}

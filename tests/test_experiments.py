@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from sgcorona import (
     unbalanced_c4,
     verify_theorem,
 )
-from sgcorona import experiments, linalg, spectra
+from sgcorona import cli, experiments, linalg, spectra
 from sgcorona.experiments import THEOREM_LABELS, DistinctReport
 from sgcorona.spectra import CLOSED_FORMS, ClosedFormError, MatrixKind
 
@@ -416,13 +417,31 @@ class TestVerify:
         result = verify_theorem(label, trials=20, seed=0, max_n=6, tol=1e-14)
         assert result.ok, result.render()
 
-    def test_factorisation_check_lets_other_errors_through(self, monkeypatch):
-        def broken(s1, s2, a, b, det):
-            raise ValueError("not a pole")
+    @pytest.mark.parametrize(
+        "label, name", [("2.2", "_factored_side"), ("2.3", "corona_spectrum"), ("5.1", "_eigenvalues")]
+    )
+    def test_a_check_that_raises_fails_the_trial(self, monkeypatch, capsys, label, name):
+        # verify_theorem's one rule, inside 2.2's check, a closed-form row's
+        # and 5.1's: a ValueError fails every trial, which dumps its pair,
+        # and the CLI prints the report and exits 1 with no traceback; a
+        # TypeError, which the package never raises on purpose, is a bug and
+        # propagates
+        def raising(*args, error=ValueError):
+            raise error("boom")
 
-        monkeypatch.setattr(experiments, "_factored_side", broken)
-        with pytest.raises(ValueError, match="not a pole"):
-            verify_theorem("2.2", trials=3, seed=0, max_n=4)
+        monkeypatch.setattr(experiments, name, raising)
+        result = verify_theorem(label, trials=3, seed=0, max_n=4)
+        cases = experiments.THEOREMS[label].cases(random.Random(0), 3, 4, experiments._points(0))
+        assert [f.trial for f in result.failures] == [0, 1, 2]
+        for failure, (s1, s2, *_) in zip(result.failures, cases):
+            assert failure.detail == "check raised ValueError: boom"
+            assert failure.graphs == {"s1": format_graph(s1), "s2": format_graph(s2)}
+        assert cli.main(["verify", "--theorem", label, "--trials", "3", "--seed", "0", "--max-n", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == result.render() + "\n" and err == ""
+        monkeypatch.setattr(experiments, name, partial(raising, error=TypeError))
+        with pytest.raises(TypeError, match="boom"):
+            verify_theorem(label, trials=3, seed=0, max_n=4)
 
     @pytest.mark.parametrize("mutant", ["hk sign", "J to 2J"])
     def test_wrong_factored_side_fails_at_ci_settings(self, monkeypatch, mutant):
@@ -703,17 +722,20 @@ class TestClosedFormPointChecks:
         # 5.1's check on the factors against the corona solved whole: the
         # bound holds on each pair CLOSED_FORMS[kind] accepts; on the one it
         # refuses the corona breaks it, and 5.1 refuses it as the closed form
-        # does, through the same reading (spectra._form)
+        # does, through the same reading (spectra._form), by raising its
+        # ClosedFormError, which verify_theorem turns into a failed trial
+        # (test_a_refused_reading_is_a_failed_trial)
         assert 2 * numeric_spectrum(s1, kind).distinct_count + numeric_spectrum(s2, kind).distinct_count == bound
         assert numeric_spectrum(neighbourhood_corona(s1, s2), kind).distinct_count == corona
-        detail = experiments._check_bound((s1, s2, 987654321, kind), 1e-6)
+        case = (s1, s2, 987654321, kind)
         if corona <= bound:
             CLOSED_FORMS[kind](s1, s2, 1e-6)
-            assert detail is None
+            assert experiments._check_bound(case, 1e-6) is None
         else:
             with pytest.raises(ClosedFormError):
                 CLOSED_FORMS[kind](s1, s2, 1e-6)
-            assert detail == "closed form refused the factors: second factor must be net-regular"
+            with pytest.raises(ClosedFormError, match="^second factor must be net-regular$"):
+                experiments._check_bound(case, 1e-6)
 
     def test_points_come_from_their_own_stream(self):
         # a row's pairs are those its trial stream gave before the cases
@@ -812,6 +834,47 @@ class TestClosedFormPointChecks:
             result = verify_theorem(label, trials=5, seed=7)
             assert [f.trial for f in result.failures] == list(range(5)), label
         assert all(f.detail.startswith("factored value ") for f in result.failures)
+
+    def test_a_mismatch_reports_both_residues_the_point_and_the_modulus(self, monkeypatch):
+        # the whole detail of a failed exact identity, for 2.2 with its hk
+        # negated and for 2.3 and 2.4 with the identity's g00 off by 1 (the
+        # closed form itself unchanged), each residue the side's value mod p
+        def off(s1, s2, kind, sign=None, real=spectra._form):
+            rows1, shift, table, lower = real(s1, s2, kind, sign)
+            (g00, *row), *rest = table
+            return rows1, shift, ((g00 + 1, *row), *rest), lower
+
+        mod = " mod 170141183460469231731687303715884105727"
+        expected = {
+            "2.2": [
+                "factored value 65803727663054865657723521256713893814"
+                " != determinant 63387488171206565397811416213384588747"
+                " at t0=154778126055590420735941995455095622136" + mod,
+                "factored value 154155966053657811516075508124593702974"
+                " != determinant 14836927581337114109755203196154178494"
+                " at t0=95322836093915240990364628989608698304" + mod,
+            ],
+            "2.3": [
+                "factored value 58622109754193858600681039987978129599"
+                " != determinant 6213845602223424100524662177517181229"
+                " at t0=118385494782042520249294115352279356121" + mod,
+                "factored value 59154555155386655108379353013062447780"
+                " != determinant 53576196401872525439622749982702569338"
+                " at t0=136628564720145873174511852722267566149" + mod,
+            ],
+            "2.4": [
+                "factored value 13915577373680694789516569583830869033"
+                " != determinant 26048955142522433494688075395870367106"
+                " at t0=118385494782042520249294115352279356121" + mod,
+                "factored value 166794771764881822423714116154220938831"
+                " != determinant 721016964253775445860544142807303367"
+                " at t0=136628564720145873174511852722267566149" + mod,
+            ],
+        }
+        flip_hk(monkeypatch)
+        monkeypatch.setattr(experiments, "_form", off)
+        for label, details in expected.items():
+            assert [f.detail for f in verify_theorem(label, trials=2, seed=7).failures] == details, label
 
     def test_a_misread_k_fails_every_wrong_form_at_tol_1(self, monkeypatch):
         # the reading's k off by 2, so the closed form and the identity share
